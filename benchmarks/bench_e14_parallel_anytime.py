@@ -1,29 +1,28 @@
-"""E14 — parallel repair search and anytime streaming CQA.
+"""E14 — the repair search on a process pool, and anytime streaming CQA.
 
-After E12 (incremental violation maintenance) and E13 (warm sessions)
-the single-threaded DFS in ``core/repairs.py`` dominates every workload
-the rewriting fragment cannot take.  This experiment measures the
-``method="parallel"`` engine, which splits the mutate/undo frontier into
-deterministic, budget-bounded tasks executed on a process pool (see
-:mod:`repro.core.parallel`), against the sequential ``incremental``
-reference, and exercises the anytime surface built on top of it.
+After E12 (the delta-carrying production search against the naive
+reference) and E13 (warm sessions) the repair search dominates every
+workload the rewriting fragment cannot take.  The production search
+splits the mutate/undo frontier into deterministic, budget-bounded tasks
+(see :mod:`repro.core.parallel`); this experiment runs them on a process
+pool (``workers >= 2``) against the same search inline (``workers=0``),
+and exercises the anytime surface built on top of it.
 
 Three contracts, checked in every configuration (smoke included):
 
-* **bit-identical repairs** — ``parallel`` must return the *same list*
-  (contents and discovery order) as ``incremental`` on every sweep
-  point and on every paper scenario;
-* **identical answers** — consistent answers agree between
-  ``repair_mode="incremental"`` and ``repair_mode="parallel"`` on every
-  scenario;
+* **bit-identical repairs** — the pool must return the *same list*
+  (contents and discovery order) as the inline search on every sweep
+  point, and both the naive reference's on every paper scenario;
+* **identical answers** — consistent answers agree between the
+  production search and ``repair_mode="naive"`` on every scenario;
 * **anytime streaming** — on a ≥100-repair instance,
   ``AnytimeRepairStream`` proves (and yields) its first repair strictly
   before the frontier search completes.
 
 Acceptance gate, full sweep only and only on machines with ≥ 4 CPUs:
-on the grouped-key workload at the gate configuration, ``parallel``
-with 4 workers enumerates repairs ≥ 2× faster than ``incremental``
-(wall clock, end to end — search, merge and the sliced ``≤_D`` filter).
+on the grouped-key workload at the gate configuration, the pool with 4
+workers enumerates repairs ≥ 2× faster than the inline search (wall
+clock, end to end — search, merge and the sliced ``≤_D`` filter).
 The ``--smoke`` CI pass keeps every identity assertion but skips the
 wall-clock gate, exactly like E12: shared or single-core runners make
 timing ratios meaningless, and the smoke contract is "same repairs,
@@ -45,7 +44,7 @@ import pickle
 import pytest
 
 from repro.core.parallel import AnytimeRepairStream, ParallelRepairSearch
-from repro.core.repairs import PARALLEL_METHOD, RepairEngine
+from repro.core.repairs import PARALLEL_METHOD, REPAIR_METHODS, RepairEngine
 from repro.core.cqa import consistent_answers
 from repro.constraints.terms import Variable
 from repro.constraints.atoms import Atom
@@ -121,31 +120,28 @@ def report(request):
     gate_checked = False
     for n_groups, group_size, n_clean in sweep:
         instance, constraints = _workload(n_groups, group_size, n_clean)
-        reference, t_incr, stats_incr = _timed_repairs(
-            instance, constraints, "incremental"
+        # The inline search (workers=0): the same task decomposition
+        # without processes — the reference the pool must match.
+        reference, t_inline, stats_inline = _timed_repairs(
+            instance, constraints, PARALLEL_METHOD
         )
-        # Inline parallel (workers=0): the same task decomposition without
-        # processes — its cost is the decomposition overhead.
-        inline, t_inline, _ = _timed_repairs(instance, constraints, PARALLEL_METHOD)
-        assert inline == reference, "inline parallel diverged from incremental"
         workers = GATE_WORKERS if can_gate else 2
         pooled, t_pool, stats_pool = _timed_repairs(
             instance, constraints, PARALLEL_METHOD, workers=workers
         )
-        assert pooled == reference, "pooled parallel diverged from incremental"
-        speedup = t_incr / t_pool if t_pool else float("inf")
+        assert pooled == reference, "the pool diverged from the inline search"
+        speedup = t_inline / t_pool if t_pool else float("inf")
         if can_gate and (n_groups, group_size, n_clean) == GATE_CONFIG:
             assert speedup >= GATE_MIN_SPEEDUP, (
-                f"parallel at {GATE_WORKERS} workers only {speedup:.2f}x over "
-                f"incremental on the gate workload (need ≥ {GATE_MIN_SPEEDUP}x)"
+                f"the pool at {GATE_WORKERS} workers only {speedup:.2f}x over "
+                f"the inline search on the gate workload (need ≥ {GATE_MIN_SPEEDUP}x)"
             )
             gate_checked = True
         rows.append(
             [
                 len(instance),
                 len(reference),
-                stats_incr.states_explored,
-                f"{t_incr * 1000:.1f} ms",
+                stats_inline.states_explored,
                 f"{t_inline * 1000:.1f} ms",
                 workers,
                 f"{t_pool * 1000:.1f} ms",
@@ -164,13 +160,12 @@ def report(request):
         "|D|",
         "repairs",
         "states",
-        "incremental",
-        "parallel inline",
+        "inline",
         "workers",
-        "parallel pool",
-        "incr/pool",
+        "pool",
+        "inline/pool",
     ]
-    title = "E14: parallel repair search vs incremental"
+    title = "E14: the repair search on a process pool vs inline"
     print_table(title, headers, rows)
     emit_json(title, headers, rows)
 
@@ -180,12 +175,12 @@ def report(request):
     # repair strictly before the frontier search completes, and the
     # streamed set must equal the enumerated repair list exactly.
     instance, constraints = _workload(*STREAM_CONFIG)
-    reference, _, _ = _timed_repairs(instance, constraints, "incremental")
+    reference, _, _ = _timed_repairs(instance, constraints, PARALLEL_METHOD)
     assert len(reference) >= 100
     search = ParallelRepairSearch(
         instance, constraints, max_states=5_000_000, chunk_states=50
     )
-    stream = AnytimeRepairStream(search, schema=instance.schema)
+    stream = AnytimeRepairStream(search)
     streamed = list(stream)
     assert stream.ordered_repairs == reference
     assert {r.fact_set() for r in streamed} == {r.fact_set() for r in reference}
@@ -210,22 +205,24 @@ def report(request):
     for name, scenario in sorted(scenarios.all_scenarios().items()):
         if not scenario.constraints.is_non_conflicting():
             continue
-        reference = RepairEngine(scenario.constraints).repairs(scenario.instance)
-        parallel = RepairEngine(
-            scenario.constraints, method=PARALLEL_METHOD, chunk_states=3
-        ).repairs(scenario.instance)
-        assert parallel == reference, f"scenario {name}: parallel diverged"
+        reference = RepairEngine(scenario.constraints, method="naive").repairs(
+            scenario.instance
+        )
+        parallel = RepairEngine(scenario.constraints, chunk_states=3).repairs(
+            scenario.instance
+        )
+        assert parallel == reference, f"scenario {name}: the production search diverged"
         query = _scenario_query(scenario)
         answers = {
             mode: consistent_answers(
                 scenario.instance, scenario.constraints, query, repair_mode=mode
             )
-            for mode in ("incremental", PARALLEL_METHOD)
+            for mode in REPAIR_METHODS
         }
-        assert answers["incremental"] == answers[PARALLEL_METHOD]
-        scenario_rows.append([name, len(reference), len(answers["incremental"]), "yes"])
+        assert answers["naive"] == answers[PARALLEL_METHOD]
+        scenario_rows.append([name, len(reference), len(answers["naive"]), "yes"])
     print_table(
-        "E14c: parallel repairs and answers agree on every scenario",
+        "E14c: production repairs and answers agree with naive on every scenario",
         ["scenario", "repairs", "certain answers", "agree"],
         scenario_rows,
     )
@@ -240,7 +237,7 @@ def report(request):
     # counts are deterministic, so the ≥5x gate runs in every mode.
     ship_config = SHIP_SMOKE_CONFIG if smoke else SHIP_CONFIG
     instance, constraints = _workload(*ship_config)
-    reference, _, _ = _timed_repairs(instance, constraints, "incremental")
+    reference, _, _ = _timed_repairs(instance, constraints, PARALLEL_METHOD)
     previous_audit = os.environ.get("REPRO_SHIP_AUDIT")
     os.environ["REPRO_SHIP_AUDIT"] = "1"
     try:
@@ -297,10 +294,10 @@ def report(request):
     yield
 
 
-@pytest.mark.parametrize("method", ["incremental", PARALLEL_METHOD])
-def bench_repair_enumeration_parallel_vs_incremental(benchmark, method):
+@pytest.mark.parametrize("workers", [0, 2])
+def bench_repair_enumeration_inline_vs_pool(benchmark, workers):
     instance, constraints = _workload(3, 3, 10)
-    engine = RepairEngine(constraints, method=method, max_states=2_000_000)
+    engine = RepairEngine(constraints, max_states=2_000_000, workers=workers)
     result = benchmark.pedantic(engine.repairs, args=(instance,), rounds=3, iterations=1)
     assert len(result) == 27
 
@@ -314,7 +311,7 @@ def bench_anytime_first_repair(benchmark):
         search = ParallelRepairSearch(
             instance, constraints, max_states=5_000_000, chunk_states=50
         )
-        iterator = iter(AnytimeRepairStream(search, schema=instance.schema))
+        iterator = iter(AnytimeRepairStream(search))
         first = next(iterator)
         iterator.close()
         return first

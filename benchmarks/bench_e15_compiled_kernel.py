@@ -39,7 +39,7 @@ backend.
 **Identity assertions always run** (smoke mode included): all five
 violation paths return the same violation sets at every sweep point,
 all query paths the same answer sets, and the repair engines built on
-the kernel (``incremental``/``indexed``) return repair lists bit-for-bit
+the kernel (the production search) returns a repair list bit-for-bit
 identical — order included — to ``naive``, which never touches the
 kernel.  Acceptance gates, full sweep only, at the sweep's largest
 point: the full kernel is ≥ 10× faster than **naive** and ≥ 3× faster
@@ -211,19 +211,15 @@ def report(request):
     )
 
     # ------------------------------------------------------------- repairs
-    # End-to-end: the repair engines that execute compiled plans return
-    # repair lists bit-for-bit identical (order included) to the naive
-    # mode, which never touches the kernel.  Always asserted.
+    # End-to-end: the production repair search, which executes compiled
+    # plans, returns a repair list bit-for-bit identical (order included)
+    # to the naive mode, which never touches the kernel.  Always asserted.
     small_instance, small_constraints = _workload(3)
     reference = RepairEngine(small_constraints, method="naive").repairs(small_instance)
-    repair_rows = []
-    for method in ("incremental", "indexed"):
-        engine = RepairEngine(small_constraints, method=method)
-        found = engine.repairs(small_instance)
-        assert [r.fact_set() for r in found] == [r.fact_set() for r in reference]
-        repair_rows.append(
-            [method, len(found), engine.statistics.states_explored, "yes"]
-        )
+    engine = RepairEngine(small_constraints)
+    found = engine.repairs(small_instance)
+    assert [r.fact_set() for r in found] == [r.fact_set() for r in reference]
+    repair_rows = [[engine.method, len(found), engine.statistics.states_explored, "yes"]]
     print_table(
         "E15c: repair lists identical across kernel and naive engines",
         ["method", "repairs", "states", "list == naive (incl. order)"],

@@ -16,11 +16,12 @@ the ``REPRO_BENCH_JSON`` environment variable when that is set, so every
 Repair-engine benchmarks report the counters of
 :class:`repro.core.repairs.RepairStatistics`; besides the search-tree
 counts (``states_explored``, ``candidates_found``, ``repairs_found``,
-``dead_branches``) these include the instrumentation added with the
-incremental engine:
+``dead_branches``) these include the instrumentation of the violation
+tracker and the ``≤_D`` filter:
 
-* ``violation_updates`` — incremental tracker updates, one per fact
-  add/delete along the search (``method="incremental"`` only);
+* ``violation_updates`` — tracker updates, one per fact add/delete along
+  the production search or replayed at a task's start (0 for the
+  ``"naive"`` reference, which recomputes);
 * ``constraints_reevaluated`` — seeded per-constraint update passes the
   tracker ran; the gap to ``violation_updates × |IC|`` measures how much
   the predicate → constraint index pruned;

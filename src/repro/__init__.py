@@ -76,7 +76,7 @@ Underneath every engine sits the **compiled kernel**
 (:mod:`repro.compile`): constraints and conjunctive queries are lowered
 once — per process, ever — into executable join plans (precomputed atom
 schedules, slot-based bindings, specialised matchers, seeded delta
-plans), and violation detection, the incremental tracker, query
+plans), and violation detection, the violation tracker, query
 answering, the rewriting residues and the ASP grounder all execute the
 compiled plans.  ``ConsistentDatabase.compiled_program()`` exposes a
 session's plans; :func:`repro.compile.kernel.compiler_statistics`
@@ -126,7 +126,6 @@ from repro.constraints import (
 )
 from repro.logic import ConjunctiveQuery, FirstOrderQuery, Query
 from repro.core import (
-    ALL_REPAIR_METHODS,
     REPAIR_METHODS,
     AnytimeRepairStream,
     ParallelRepairSearch,
@@ -275,7 +274,6 @@ __all__ = [
     "semantics_matrix",
     "Violation",
     # repairs
-    "ALL_REPAIR_METHODS",
     "REPAIR_METHODS",
     "AnytimeRepairStream",
     "ParallelRepairSearch",

@@ -1,6 +1,6 @@
 """The compile layer: one executable IR from the parser to every engine.
 
-Every hot path of the library — violation detection, the incremental
+Every hot path of the library — violation detection, the violation
 tracker, conjunctive-query answering, residue checks, ASP grounding —
 used to re-interpret the constraint/query ASTs per call.  This package
 compiles them **once** into a shared executable IR and lets every engine

@@ -844,7 +844,7 @@ class CompiledProgram:
 
     Built once per constraint set per process (see
     :func:`compile_program`); :class:`repro.core.repairs.ViolationIndex`
-    carries it so the incremental tracker, the repair engines and —
+    carries it so the violation tracker, the repair search and —
     via the per-process memo — every parallel worker share the same
     compiled plans.
     """

@@ -32,7 +32,6 @@ from repro.core.satisfaction import (
 )
 from repro.core.semantics import Semantics
 from repro.core.repairs import (
-    ALL_REPAIR_METHODS,
     PARALLEL_METHOD,
     REPAIR_METHODS,
     RepairEngine,
@@ -75,7 +74,6 @@ __all__ = [
     "all_violations",
     "is_consistent",
     "Semantics",
-    "ALL_REPAIR_METHODS",
     "PARALLEL_METHOD",
     "REPAIR_METHODS",
     "RepairEngine",

@@ -146,7 +146,7 @@ def consistent_answers_report(
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
     estimate_repairs: bool = True,
-    repair_mode: str = "incremental",
+    repair_mode: str = "parallel",
     workers: int = 0,
     deadline: Optional[float] = None,
 ) -> CQAResult:
@@ -166,12 +166,13 @@ def consistent_answers_report(
         estimate_repairs: only affects the rewriting-based strategies,
             where the repair count is a conflict-graph estimate that
             costs one extra pass; the answer-only wrappers disable it.
-        repair_mode: the direct engine's violation-evaluation method
-            (:data:`repro.core.repairs.ALL_REPAIR_METHODS`); every mode
-            returns the same repairs, so this only affects cost —
-            benchmarks E12 and E14 compare them.
-        workers: processes for ``repair_mode="parallel"`` (``<= 1``
-            runs the same decomposition inline).
+        repair_mode: the direct engine's repair search
+            (:data:`repro.core.repairs.REPAIR_METHODS`): the production
+            ``"parallel"`` search or the ``"naive"`` reference; both
+            return the same repairs, so this only affects cost —
+            benchmark E12 compares them.
+        workers: processes for the repair search (``<= 1`` runs the
+            same decomposition inline).
         deadline: wall-clock seconds for the whole request; past it the
             typed :class:`repro.errors.DeadlineExceededError` is raised
             (exact surfaces never return a silently partial answer set).
@@ -211,7 +212,7 @@ def consistent_answers(
     method: str = "direct",
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
-    repair_mode: str = "incremental",
+    repair_mode: str = "parallel",
     workers: int = 0,
     deadline: Optional[float] = None,
 ) -> FrozenSet[AnswerTuple]:
@@ -252,7 +253,7 @@ def is_consistent_answer(
     method: str = "direct",
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
-    repair_mode: str = "incremental",
+    repair_mode: str = "parallel",
     workers: int = 0,
 ) -> bool:
     """Decision version of CQA: is *candidate* an answer in every repair?
@@ -291,7 +292,7 @@ def consistent_boolean_answer(
     method: str = "direct",
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
-    repair_mode: str = "incremental",
+    repair_mode: str = "parallel",
     workers: int = 0,
 ) -> bool:
     """Consistent answer to a boolean query: *yes* iff it holds in every repair.

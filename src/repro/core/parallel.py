@@ -1,16 +1,19 @@
-"""Parallel, anytime repair search over the mutate/undo DFS frontier.
+"""The production repair search: a delta-carrying mutate/undo DFS frontier.
 
-The incremental engine of :mod:`repro.core.repairs` explores one
-violation-resolution tree depth-first with a single working instance.
-This module splits that tree into **frontier tasks** — unexplored
+The search explores one violation-resolution tree depth-first over a
+single working instance whose violations a
+:class:`~repro.core.repairs.ViolationTracker` keeps current, and reports
+every consistent candidate as its delta ``(path, Δins, Δdel)`` instead of
+an instance.  The tree is split into **frontier tasks** — unexplored
 subtree roots identified by their branch-index *path* from the root —
-and executes them either inline (``workers <= 1``) or on a
-``concurrent.futures.ProcessPoolExecutor``, one seeded
-:class:`~repro.core.repairs.ViolationTracker` and one copy-on-write
-instance per worker process.
+executed either inline (``workers <= 1``, warm-started from the caller's
+tracker when one is given) or on a
+``concurrent.futures.ProcessPoolExecutor``, one tracker and one
+copy-on-write instance per worker process.
 
-Three properties make the result exactly interchangeable with the
-sequential engines:
+Three properties make the result exactly the sequential depth-first
+search's, which the nested-loop ``"naive"`` reference of
+:class:`~repro.core.repairs.RepairEngine` walks:
 
 * **Deterministic decomposition.**  A task explores at most
   ``chunk_states`` states; whatever frontier it could not expand is
@@ -24,8 +27,9 @@ sequential engines:
   candidates by path and keeping the lexicographically least occurrence
   of each fact set reproduces the *discovery order* of the sequential
   depth-first search (a DFS discovers every state at its
-  lexicographically least reachable path), so ``method="parallel"``
-  returns a bit-identical repair list to ``method="incremental"``.
+  lexicographically least reachable path), so the repair list is
+  bit-identical to the reference's for every chunk size and worker
+  count.
 * **Sibling-exclusion partitioning** (denial-only constraint sets).
   When no constraint has consequent atoms, every fix is a deletion of
   an original fact, and branch *i* of a violation can soundly exclude
@@ -89,9 +93,8 @@ from repro.core.repairs import (
     ViolationTracker,
     deletion_fixes,
     insertion_fixes,
-    leq_deltas,
     minimal_flags_counted,
-    minimal_flags_for_deltas,
+    minimal_flags_for_deltas,  # importable here: the benchmark's traced mode wraps it
     violation_choice_key,
 )
 from repro.relational import columnar as _columnar
@@ -339,11 +342,11 @@ class SearchContext:
     """A worker's private search state: instance, tracker, exclusion flag.
 
     One context is built per worker process (and one inline for
-    ``workers <= 1``); it pays the full violation sweep once and then
-    runs any number of tasks against the same working instance by
+    ``workers <= 1``); it pays the full violation sweep once — or copies
+    *seed*'s store, a tracker over an instance with the same facts — and
+    then runs any number of tasks against the same working instance by
     replaying each task's delta before the bounded DFS and undoing it
-    after — the same mutate/undo discipline the incremental engine
-    uses, lifted to task granularity.
+    after: mutate/undo, lifted to task granularity.
     """
 
     def __init__(
@@ -351,6 +354,7 @@ class SearchContext:
         instance: DatabaseInstance,
         constraints: Union[ViolationIndex, ConstraintSet, Iterable[AnyConstraint]],
         exclusions: Optional[bool] = None,
+        seed: Optional[ViolationTracker] = None,
     ):
         self.index = (
             constraints
@@ -358,7 +362,7 @@ class SearchContext:
             else ViolationIndex(constraints)
         )
         self.working = instance.copy()
-        self.tracker = ViolationTracker(self.working, self.index)
+        self.tracker = ViolationTracker(self.working, self.index, seed=seed)
         self.exclusions = (
             exclusion_safe(self.index.constraints) if exclusions is None else exclusions
         )
@@ -631,10 +635,13 @@ class ParallelRepairSearch:
 
     ``workers <= 1`` executes every task inline, in FIFO order — fully
     deterministic, no processes, still anytime (batches surface as each
-    task finishes).  ``workers >= 2`` runs the tasks on a process pool
-    with up to ``2 × workers`` tasks in flight; which tasks exist and
-    what each returns is deterministic either way (only batch arrival
-    order varies).
+    task finishes) — over one context warm-started from *seed_tracker*
+    when given (a tracker over an instance with the same facts and
+    constraints; its store is copied when the search starts).
+    ``workers >= 2`` runs the tasks on a process pool with up to
+    ``2 × workers`` tasks in flight; which tasks exist and what each
+    returns is deterministic either way (only batch arrival order
+    varies).
 
     Aggregate counters accumulate into :attr:`statistics` via
     :meth:`RepairStatistics.merge` as tasks finish; ``states_explored``
@@ -654,6 +661,7 @@ class ParallelRepairSearch:
         violation_index: Optional[ViolationIndex] = None,
         budget: Optional[Budget] = None,
         retry_policy: Optional[RetryPolicy] = None,
+        seed_tracker: Optional[ViolationTracker] = None,
     ):
         self._instance = instance
         self._constraints = (
@@ -671,6 +679,7 @@ class ParallelRepairSearch:
         self._chunk_states = max(chunk_states, 1)
         self._exclusions = exclusion_safe(self._constraints)
         self._request_budget = budget
+        self._seed_tracker = seed_tracker
         self._retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self._executor: Optional[ProcessPoolExecutor] = None
         #: The driver-owned shared-memory segment holding the columnar
@@ -729,6 +738,29 @@ class ParallelRepairSearch:
             )
         return ("facts", facts)
 
+    def request_budget(self) -> Optional[Budget]:
+        """The budget this search answers to: the constructor's, else the ambient one."""
+
+        if self._request_budget is not None:
+            return self._request_budget
+        ambient = _budget.active()
+        return ambient if ambient else None
+
+    def settle(self, budget: Budget, reason: str, open_tasks: int) -> None:
+        """The budget ran out with work left: record the degradation, or raise."""
+
+        if budget.degrade:
+            self.degradation = budget.degradation(
+                detail=f"{open_tasks} frontier tasks unexplored"
+            )
+            return
+        raise budget.error(reason)
+
+    def _context(self, seed: Optional[ViolationTracker] = None) -> SearchContext:
+        return SearchContext(
+            self._instance, self._index, exclusions=self._exclusions, seed=seed
+        )
+
     def batches(self) -> Iterator[SearchBatch]:
         """Run the search, yielding one :class:`SearchBatch` per finished task.
 
@@ -749,10 +781,7 @@ class ParallelRepairSearch:
         budget), so retries cannot change the answer.
         """
 
-        budget = self._request_budget
-        if budget is None:
-            ambient = _budget.active()
-            budget = ambient if ambient else None
+        budget = self.request_budget()
         root = FrontierTask((), _EMPTY_FACTS, _EMPTY_FACTS)
         queue: deque[FrontierTask] = deque([root])
         open_tasks: Dict[Path, FrontierTask] = {root.path: root}
@@ -797,25 +826,13 @@ class ParallelRepairSearch:
                 result.candidates, tuple(open_tasks.values()), total_states
             )
 
-        def settle(reason: str) -> None:
-            """Budget ran out with the frontier still open: degrade or raise."""
-
-            if budget.degrade:
-                self.degradation = budget.degradation(
-                    detail=f"{len(open_tasks)} frontier tasks unexplored"
-                )
-                return
-            raise budget.error(reason)
-
         if self._workers <= 1:
-            context = SearchContext(
-                self._instance, self._index, exclusions=self._exclusions
-            )
+            context = self._context(self._seed_tracker)
             while queue:
                 if budget is not None:
                     reason = budget.exhausted()
                     if reason is not None:
-                        settle(reason)
+                        self.settle(budget, reason, len(open_tasks))
                         return
                 task = queue.popleft()
                 yield absorb(
@@ -871,9 +888,8 @@ class ParallelRepairSearch:
 
             nonlocal inline_context
             if inline_context is None:
-                inline_context = SearchContext(
-                    self._instance, self._index, exclusions=self._exclusions
-                )
+                # Built lazily, when the seed may have moved on: sweep.
+                inline_context = self._context()
             return inline_context.run_task(
                 task, self._chunk_states, request_budget=budget
             )
@@ -921,7 +937,7 @@ class ParallelRepairSearch:
                 if budget is not None:
                     reason = budget.exhausted()
                     if reason is not None:
-                        settle(reason)
+                        self.settle(budget, reason, len(open_tasks))
                         return
                 while (
                     queue
@@ -1153,7 +1169,8 @@ class _StreamCandidate:
     inserted: FrozenSet[Fact]
     deleted: FrozenSet[Fact]
     delta: FrozenSet[Fact]
-    yielded: bool = False
+    #: The materialised repair, built once, when its minimality is proven.
+    repair: Optional[DatabaseInstance] = None
     dominated: bool = False
 
 
@@ -1161,25 +1178,29 @@ class AnytimeRepairStream:
     """Iterate repairs as they are *proven* ``≤_D``-minimal, mid-search.
 
     Wraps a :class:`ParallelRepairSearch` and yields each repair at the
-    earliest moment its minimality is certain: no discovered candidate
-    strictly dominates it, and :func:`frontier_could_dominate` clears
-    every open task.  When the search is exhausted the remaining
-    undecided candidates go through the standard filter, so the yielded
-    set is always exactly the repair set — anytime changes *when* each
-    repair becomes available, never *which*.
+    earliest moment its minimality is certain: :func:`frontier_could_dominate`
+    clears every open task, and no discovered candidate strictly dominates
+    it.  Once the frontier is empty every candidate is decided, so the
+    yielded set is always exactly the repair set — anytime changes *when*
+    each repair becomes available, never *which*.  Each repair is built
+    once, as a copy-on-write copy of the base plus its delta.
+
+    The proof pass checks the request budget before each candidate and,
+    once it is spent, settles exactly as the search does
+    (:meth:`ParallelRepairSearch.settle`): it records the degradation and
+    stops, or raises the typed error.
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in the
-    sequential engines' canonical discovery order (the order
-    ``RepairEngine.repairs`` returns), and :attr:`states_at_first_yield`
-    records how deep into the search the first proof landed.
+    canonical discovery order (the order ``RepairEngine.repairs``
+    returns), and :attr:`states_at_first_yield` records how deep into the
+    search the first proof landed.
     """
 
-    def __init__(self, search: ParallelRepairSearch, schema=None):
+    def __init__(self, search: ParallelRepairSearch):
         self._search = search
-        self._schema = schema
-        self._base_facts = search._instance.fact_set()
         self.ordered_repairs: Optional[List[DatabaseInstance]] = None
         self.states_at_first_yield: Optional[int] = None
+        #: Repairs yielded while frontier tasks were still open.
         self.yields_before_completion = 0
         #: Set when the underlying search degraded: everything yielded is
         #: a proven repair, but the enumeration may be incomplete and
@@ -1198,87 +1219,69 @@ class AnytimeRepairStream:
 
         return self._search.statistics
 
-    def _instance_for(self, entry: "_StreamCandidate") -> DatabaseInstance:
-        facts = (self._base_facts - entry.deleted) | entry.inserted
-        return DatabaseInstance.from_facts(facts, schema=self._schema)
-
     def __iter__(self) -> Iterator[DatabaseInstance]:
+        search = self._search
+        base = search._instance
+        budget = search.request_budget()
         pool: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], _StreamCandidate] = {}
-        search_complete = False
+        yielded = 0
 
-        def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[_StreamCandidate]:
+        def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[DatabaseInstance]:
             candidates = list(pool.values())
-            for entry in candidates:
-                if entry.yielded or entry.dominated:
+            context = DeltaMinimality([entry.delta for entry in candidates])
+            for index, entry in enumerate(candidates):
+                if entry.repair is not None or entry.dominated:
                     continue
-                blocked = False
-                for other in candidates:
-                    if other is entry:
-                        continue
-                    if leq_deltas(other.delta, entry.delta):
-                        if not leq_deltas(entry.delta, other.delta):
-                            entry.dominated = True
-                            blocked = True
-                            break
-                if blocked:
-                    continue
+                if budget is not None:
+                    reason = budget.exhausted()
+                    if reason is not None:
+                        search.settle(budget, reason, len(open_tasks))
+                        return
                 if any(
                     frontier_could_dominate(task.delta(), entry.delta)
                     for task in open_tasks
                 ):
                     continue
-                entry.yielded = True
+                if context.dominated(index):
+                    entry.dominated = True
+                    continue
+                entry.repair = base.with_delta(entry.inserted, entry.deleted)
                 if self.states_at_first_yield is None:
-                    self.states_at_first_yield = self._search.statistics.states_explored
-                if not search_complete:
-                    self.yields_before_completion += 1
-                yield entry
+                    self.states_at_first_yield = search.statistics.states_explored
+                yield entry.repair
 
-        for batch in self._search.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                entry = pool.get(key)
-                if entry is None:
-                    pool[key] = _StreamCandidate(
-                        path, inserted, deleted, inserted | deleted
-                    )
-                elif path < entry.path:
-                    entry.path = path
-            for entry in provable(batch.open_tasks):
-                yield self._instance_for(entry)
+        batches = search.batches()
+        try:
+            for batch in batches:
+                for path, inserted, deleted in batch.candidates:
+                    key = (inserted, deleted)
+                    entry = pool.get(key)
+                    if entry is None:
+                        pool[key] = _StreamCandidate(
+                            path, inserted, deleted, inserted | deleted
+                        )
+                    elif path < entry.path:
+                        entry.path = path
+                for repair in provable(batch.open_tasks):
+                    yielded += 1
+                    if batch.open_tasks:
+                        self.yields_before_completion += 1
+                    yield repair
+                if search.degradation is not None:
+                    break
+        finally:
+            batches.close()
 
-        if self._search.degradation is not None:
-            # The search stopped early under a degrade-mode budget: every
-            # repair yielded above carried a sound minimality proof, but
-            # the tail of the frontier was never explored — flag the
-            # truncation and leave ordered_repairs unset so nothing
+        if search.degradation is not None:
+            # The budget ran out: every repair yielded above carried a sound
+            # minimality proof, but the rest was never explored or decided —
+            # flag the truncation and leave ordered_repairs unset so nothing
             # caches this as the complete repair set.
-            self.degradation = replace(
-                self._search.degradation, proven=self.yields_before_completion
-            )
+            self.degradation = replace(search.degradation, proven=yielded)
             return
-
-        search_complete = True
-        # The search is exhausted: settle the undecided candidates with the
-        # exact pairwise filter and emit whatever was not proven early, in
-        # canonical discovery order.
-        ordered = sorted(pool.values(), key=lambda entry: entry.path)
-        flags = minimal_flags_for_deltas([entry.delta for entry in ordered])
-        self.ordered_repairs = []
-        for entry, minimal in zip(ordered, flags):
-            if not minimal:
-                if entry.yielded:
-                    raise AssertionError(
-                        "anytime certificate yielded a non-minimal candidate "
-                        f"(delta {sorted(map(repr, entry.delta))}); this is a bug"
-                    )
-                continue
-            repair = self._instance_for(entry)
-            self.ordered_repairs.append(repair)
-            if not entry.yielded:
-                entry.yielded = True
-                if self.states_at_first_yield is None:
-                    self.states_at_first_yield = (
-                        self._search.statistics.states_explored
-                    )
-                yield repair
+        # The last batch had no open frontier, so every candidate is decided.
+        self.ordered_repairs = [
+            entry.repair
+            for entry in sorted(pool.values(), key=lambda entry: entry.path)
+            if entry.repair is not None
+        ]

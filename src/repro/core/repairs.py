@@ -32,7 +32,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    TypeVar,
+    Union,
+)
 
 from repro.relational.domain import Constant, NULL, constant_sort_key, is_null
 from repro.relational.instance import DatabaseInstance, Fact
@@ -214,7 +227,7 @@ def violation_choice_key(violation: Violation) -> Tuple:
 class ViolationIndex:
     """Map each predicate to the constraints whose body or head mention it.
 
-    Built once per constraint set; the incremental tracker consults it to
+    Built once per constraint set; the violation tracker consults it to
     recompute only the affected constraints when a single fact changes.
     The index also carries the set's
     :class:`~repro.compile.kernel.CompiledProgram` (``.program``): one
@@ -543,32 +556,33 @@ class RepairSearchBudgetExceeded(StateBudgetExceededError):
 class RepairStatistics:
     """Counters describing one repair enumeration (used by the benchmarks).
 
-    The first four counters describe the search tree; the remaining ones
-    were added with the incremental engine and are documented in the
-    benchmark harness (see ``benchmarks/harness.py`` and ROADMAP):
+    The first four counters describe the search tree (the production
+    search counts states per frontier task, so where subtrees overlap —
+    constraint sets with consequent atoms and more than one task — its
+    ``states_explored`` can exceed the naive reference's); the rest are
+    documented in the benchmark harness (see ``benchmarks/harness.py``):
 
-    * ``violation_updates`` — incremental tracker updates (one per fact
-      add/delete along the search, ``method="incremental"`` only);
+    * ``violation_updates`` — :class:`ViolationTracker` updates, one per
+      fact added or deleted along the search or replayed at a task's
+      start (production search only; the naive reference recomputes);
     * ``constraints_reevaluated`` — per-constraint seeded update passes
       the tracker ran (≤ ``violation_updates × |IC|``; the smaller the
       ratio, the better the predicate → constraint index is pruning);
     * ``leq_d_comparisons`` — pairwise ``≤_D`` checks performed by the
       minimality filter;
     * ``search_seconds`` / ``minimality_seconds`` — **wall-clock** split
-      between candidate enumeration and the ``≤_D`` filter, always
-      measured by the driving engine (never summed across concurrent
-      tasks — see :meth:`merge`);
-    * ``task_cpu_seconds`` — CPU seconds summed across the parallel
-      search's tasks (``method="parallel"`` only; 0.0 for the
-      sequential methods, whose CPU ≈ wall).  With ``workers`` > 1 this
-      legitimately exceeds ``search_seconds``; the ratio is the
+      between candidate enumeration and the ``≤_D`` filter plus the
+      materialisation of its survivors, always measured by the driving
+      engine (never summed across concurrent tasks — see :meth:`merge`);
+    * ``task_cpu_seconds`` — CPU seconds summed across the production
+      search's tasks (0.0 for the naive reference).  With ``workers`` > 1
+      this legitimately exceeds ``search_seconds``; the ratio is the
       effective parallelism.
 
-    The ship-bytes group measures the parallel pool's process-boundary
-    traffic (``method="parallel"`` with ``workers >= 2`` only; all 0
-    otherwise).  ``tasks_shipped`` always counts; the byte fields are
-    only filled when ``REPRO_SHIP_AUDIT=1`` is set, because measuring
-    them costs an extra pickle per shipment:
+    The ship-bytes group measures the process pool's boundary traffic
+    (``workers >= 2`` only; all 0 otherwise).  ``tasks_shipped`` always
+    counts; the byte fields are only filled when ``REPRO_SHIP_AUDIT=1``
+    is set, because measuring them costs an extra pickle per shipment:
 
     * ``tasks_shipped`` — task payloads submitted to pool workers;
     * ``task_ship_bytes`` / ``task_ship_bytes_raw`` — pickled bytes of
@@ -634,52 +648,49 @@ class RepairStatistics:
         return self
 
 
-#: The sequential violation-evaluation strategies of ``RepairEngine(method=)``.
-#: They share one search tree and are asserted state-for-state identical.
-REPAIR_METHODS = ("incremental", "indexed", "naive")
+_T = TypeVar("_T")
 
-#: The work-distributing mode: same repairs, same discovery order, but the
-#: frontier is split into tasks (optionally across processes), so its state
-#: counter may differ from the sequential trio's unique-state count.
+#: The production search: the delta-carrying frontier search of
+#: :mod:`repro.core.parallel`, run inline or on a process pool.
 PARALLEL_METHOD = "parallel"
 
-#: Everything ``RepairEngine(method=)`` accepts.
-ALL_REPAIR_METHODS = REPAIR_METHODS + (PARALLEL_METHOD,)
+#: Everything ``RepairEngine(method=)`` accepts: the production search and
+#: the nested-loop ``"naive"`` reference the property suites compare it
+#: against.  Both return the same repair list, order included.
+REPAIR_METHODS = (PARALLEL_METHOD, "naive")
 
 
 class RepairEngine:
     """Enumerate the repairs of Definition 7 for a fixed constraint set.
 
-    Three violation-evaluation methods are available, all bit-for-bit
-    identical in the repairs they produce (the benchmark E12 and the
-    property tests assert it):
+    Two searches are available.  They pick the same violation to resolve
+    at every state and return the same repair list, order included
+    (benchmark E12 and the property suites assert it):
 
-    * ``"incremental"`` (default) — a mutate/undo depth-first search over
-      a single working instance whose violation set is maintained by a
-      :class:`ViolationTracker`: each search step pays one seeded update
-      for the constraints touching the changed fact instead of a full
-      ``all_violations`` sweep, and no instance is copied per branch;
-    * ``"indexed"`` — recompute ``all_violations`` per state through the
-      compiled kernel plans (copies per branch are copy-on-write);
-    * ``"naive"`` — the seed reference path: full recomputation per state
-      with unindexed nested-loop joins;
-    * ``"parallel"`` — split the mutate/undo frontier into bounded tasks
-      executed inline (``workers <= 1``) or on a process pool
-      (``workers >= 2``), each worker owning a copy-on-write instance
-      and its own :class:`ViolationTracker`; candidates merge back in
-      the sequential discovery order, so the repair list is bit-identical
-      to ``"incremental"`` (see :mod:`repro.core.parallel`).
+    * ``"parallel"`` (default) — the production search of
+      :mod:`repro.core.parallel`: a mutate/undo depth-first search over one
+      working instance whose violations a :class:`ViolationTracker` keeps
+      current, split into bounded frontier tasks run inline
+      (``workers <= 1``) or on a process pool (``workers >= 2``).  Each
+      candidate comes back as its ``∆(D, ·)``, ``≤_D`` is decided on those
+      deltas, and only the minimal ones are materialised, each as a
+      copy-on-write copy of the base plus its delta
+      (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
+      the inline search from a tracker already kept over the same facts,
+      so no full violation sweep runs;
+    * ``"naive"`` — the reference: a full nested-loop violation
+      recomputation and an instance copy per state, minimality through
+      recomputed symmetric differences.
 
     >>> from repro.relational.instance import DatabaseInstance
     >>> from repro.constraints.parser import parse_constraint
     >>> instance = DatabaseInstance.from_dict(
     ...     {"Emp": [("e1", "sales"), ("e1", "hr")]})
     >>> key = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
-    >>> sequential = RepairEngine([key]).repairs(instance)
-    >>> parallel = RepairEngine([key], method="parallel").repairs(instance)
-    >>> parallel == sequential
+    >>> production = RepairEngine([key]).repairs(instance)
+    >>> production == RepairEngine([key], method="naive").repairs(instance)
     True
-    >>> [sorted(map(repr, r.facts())) for r in parallel]
+    >>> [sorted(map(repr, r.facts())) for r in production]
     [['Emp(e1, sales)'], ['Emp(e1, hr)']]
     """
 
@@ -687,14 +698,14 @@ class RepairEngine:
         self,
         constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
         max_states: Optional[int] = 200_000,
-        method: str = "incremental",
+        method: str = PARALLEL_METHOD,
         violation_index: Optional[ViolationIndex] = None,
         workers: int = 0,
         chunk_states: Optional[int] = None,
     ):
-        if method not in ALL_REPAIR_METHODS:
+        if method not in REPAIR_METHODS:
             raise ValueError(
-                f"unknown repair method {method!r}; use one of {', '.join(ALL_REPAIR_METHODS)}"
+                f"unknown repair method {method!r}; use one of {', '.join(REPAIR_METHODS)}"
             )
         self._constraints = (
             constraints
@@ -703,10 +714,10 @@ class RepairEngine:
         )
         self._max_states = max_states
         self._method = method
-        #: Worker processes for ``method="parallel"``: ``<= 1`` executes the
+        #: Worker processes of the production search: ``<= 1`` executes the
         #: same task decomposition inline (deterministic, no processes).
         self._workers = max(workers, 0)
-        #: States one parallel task may explore before deferring the rest of
+        #: States one frontier task may explore before deferring the rest of
         #: its subtree; ``None`` picks :data:`repro.core.parallel.DEFAULT_CHUNK_STATES`.
         self._chunk_states = chunk_states
         #: *violation_index* lets a caller that already indexed the same
@@ -727,7 +738,7 @@ class RepairEngine:
 
     @property
     def method(self) -> str:
-        """The violation-evaluation method the engine uses."""
+        """The repair search the engine runs."""
 
         return self._method
 
@@ -739,24 +750,25 @@ class RepairEngine:
     ) -> List[DatabaseInstance]:
         """All consistent instances reachable by resolving violations.
 
-        The result is a superset of the repairs; :meth:`repairs` filters it
-        through ``≤_D``-minimality.  *seed_tracker* (``"incremental"`` only)
-        warm-starts the search's violation store from a tracker already
-        maintained over an instance with the same facts and constraints,
-        skipping the initial full sweep; the other methods ignore it.
+        The result is a superset of the repairs, in discovery order;
+        :meth:`repairs` filters it through ``≤_D``-minimality.
         """
 
+        if self._method != PARALLEL_METHOD:
+            return self._timed_search(self._candidates_naive, instance)
+        ordered = self._timed_search(self._collect, instance, seed_tracker)
+        return [
+            instance.with_delta(inserted, deleted) for _, inserted, deleted in ordered
+        ]
+
+    def _timed_search(self, search: Callable[..., _T], *args: object) -> _T:
+        """Run *search* from fresh statistics inside the ``repair.search`` span."""
+
         self.statistics = RepairStatistics()
-        with _trace.span("repair.search", method=self._method):
+        with _trace.span("repair.search", method=self._method, workers=self._workers):
             started = _clock.now()
             try:
-                if self._method == "incremental":
-                    return self._candidates_incremental(instance, seed_tracker)
-                if self._method == PARALLEL_METHOD:
-                    return self._candidates_parallel(instance)
-                return self._candidates_recompute(
-                    instance, naive=self._method == "naive"
-                )
+                return search(*args)
             finally:
                 self.statistics.search_seconds = _clock.now() - started
 
@@ -784,9 +796,9 @@ class RepairEngine:
             budget.checkpoint()
         return True
 
-    def _candidates_recompute(
-        self, instance: DatabaseInstance, naive: bool
-    ) -> List[DatabaseInstance]:
+    def _candidates_naive(self, instance: DatabaseInstance) -> List[DatabaseInstance]:
+        """The reference search: nested-loop violations, one copy per state."""
+
         found: Dict[FrozenSet[Fact], DatabaseInstance] = {}
         visited: Set[Tuple[FrozenSet[Fact], FrozenSet[Fact]]] = set()
 
@@ -798,7 +810,7 @@ class RepairEngine:
             if not self._enter_state(visited, inserted, deleted):
                 return
 
-            violations = all_violations(current, self._constraints, naive=naive)
+            violations = all_violations(current, self._constraints, naive=True)
             if not violations:
                 key = current.fact_set()
                 if key not in found:
@@ -828,129 +840,27 @@ class RepairEngine:
         explore(instance.copy(), frozenset(), frozenset())
         return list(found.values())
 
-    def _candidates_incremental(
+    def _collect(
         self,
         instance: DatabaseInstance,
-        seed_tracker: Optional[ViolationTracker] = None,
-    ) -> List[DatabaseInstance]:
-        """Mutate/undo search over one working instance with tracked violations."""
+        seed_tracker: Optional[ViolationTracker],
+    ) -> List[Tuple[Tuple[int, ...], FrozenSet[Fact], FrozenSet[Fact]]]:
+        """The production search's candidates as (path, Δins, Δdel), in discovery order."""
 
-        found: Dict[FrozenSet[Fact], DatabaseInstance] = {}
-        visited: Set[Tuple[FrozenSet[Fact], FrozenSet[Fact]]] = set()
-        working = instance.copy()
-        tracker = ViolationTracker(working, self._violation_index, seed=seed_tracker)
-
-        def explore(inserted: FrozenSet[Fact], deleted: FrozenSet[Fact]) -> None:
-            if not self._enter_state(visited, inserted, deleted):
-                return
-
-            current_violations = tracker.violations()
-            if not current_violations:
-                key = working.fact_set()
-                if key not in found:
-                    found[key] = working.copy()
-                    self.statistics.candidates_found += 1
-                return
-
-            violation = min(current_violations, key=violation_choice_key)
-            branched = False
-            for fact in deletion_fixes(violation):
-                if fact in inserted:
-                    continue  # the program denial: never undo an insertion
-                working.discard(fact)
-                delta = tracker.notify_removed(fact)
-                branched = True
-                explore(inserted, deleted | {fact})
-                tracker.revert(delta)
-                working.add(fact)
-            for fact in insertion_fixes(violation):
-                if fact in deleted or fact in working:
-                    continue
-                working.add(fact)
-                delta = tracker.notify_added(fact)
-                branched = True
-                explore(inserted | {fact}, deleted)
-                tracker.revert(delta)
-                working.discard(fact)
-            if not branched:
-                self.statistics.dead_branches += 1
-
-        try:
-            explore(frozenset(), frozenset())
-        finally:
-            self.statistics.violation_updates = tracker.updates
-            self.statistics.constraints_reevaluated = tracker.constraints_reevaluated
-        return list(found.values())
-
-    def _make_search(self, instance: DatabaseInstance):
         from repro.core.parallel import DEFAULT_CHUNK_STATES, ParallelRepairSearch
 
-        return ParallelRepairSearch(
+        search = ParallelRepairSearch(
             instance,
             self._constraints,
             workers=self._workers,
             max_states=self._max_states,
             chunk_states=self._chunk_states or DEFAULT_CHUNK_STATES,
             violation_index=self._violation_index,
+            seed_tracker=seed_tracker,
         )
-
-    def _candidates_parallel(self, instance: DatabaseInstance) -> List[DatabaseInstance]:
-        """Frontier-task search; candidates come back in discovery order."""
-
-        search = self._make_search(instance)
         ordered = search.collect()
         self.statistics.merge(search.statistics)
-        schema = instance.schema
-        base_facts = instance.fact_set()
-        return [
-            DatabaseInstance.from_facts((base_facts - deleted) | inserted, schema=schema)
-            for _, inserted, deleted in ordered
-        ]
-
-    def _repairs_parallel(self, instance: DatabaseInstance) -> List[DatabaseInstance]:
-        """Parallel search + ``≤_D`` filter on the deltas, then materialise.
-
-        The candidates' deltas are exactly the ``inserted | deleted``
-        pairs the tasks return, so minimality is decided *before* any
-        candidate instance is built — only the surviving repairs pay
-        the O(|D|) materialisation and no symmetric difference is ever
-        recomputed.
-        """
-
-        self.statistics = RepairStatistics()
-        started = _clock.now()
-        search = self._make_search(instance)
-        with _trace.span("repair.search", method=self._method, workers=self._workers):
-            try:
-                ordered = search.collect()
-                self.statistics.merge(search.statistics)
-            finally:
-                self.statistics.search_seconds = _clock.now() - started
-        minimality_started = _clock.now()
-        with _trace.span("repair.minimality", candidates=len(ordered)):
-            deltas = [inserted | deleted for _, inserted, deleted in ordered]
-            if (
-                self._workers >= 2
-                and len(deltas) >= self._PARALLEL_MINIMALITY_MIN
-            ):
-                from repro.core.parallel import parallel_minimal_flags
-
-                flags, comparisons = parallel_minimal_flags(deltas, self._workers)
-            else:
-                flags, comparisons = minimal_flags_counted(deltas)
-            schema = instance.schema
-            base_facts = instance.fact_set()
-            minimal = [
-                DatabaseInstance.from_facts(
-                    (base_facts - deleted) | inserted, schema=schema
-                )
-                for (_, inserted, deleted), keep in zip(ordered, flags)
-                if keep
-            ]
-        self.statistics.minimality_seconds = _clock.now() - minimality_started
-        self.statistics.leq_d_comparisons = comparisons
-        self.statistics.repairs_found = len(minimal)
-        return minimal
+        return ordered
 
     #: Below this many candidates the pairwise filter is cheaper than a pool.
     _PARALLEL_MINIMALITY_MIN = 64
@@ -960,16 +870,34 @@ class RepairEngine:
         instance: DatabaseInstance,
         seed_tracker: Optional[ViolationTracker] = None,
     ) -> List[DatabaseInstance]:
-        """The ``≤_D``-minimal consistent candidates (Definition 7)."""
+        """The ``≤_D``-minimal consistent candidates (Definition 7).
 
-        if self._method == PARALLEL_METHOD:
-            minimal = self._repairs_parallel(instance)
-            _metrics.absorb_repair_statistics(self.statistics)
-            return minimal
-        candidates = self.candidates(instance, seed_tracker=seed_tracker)
-        started = _clock.now()
-        with _trace.span("repair.minimality", candidates=len(candidates)):
-            minimal, comparisons = _minimal_under_leq_d_counted(instance, candidates)
+        *seed_tracker* is a :class:`ViolationTracker` over an instance with
+        the same facts and constraints; the production search copies its
+        violation store instead of sweeping (the naive reference ignores it).
+        """
+
+        if self._method != PARALLEL_METHOD:
+            candidates = self.candidates(instance)
+            started = _clock.now()
+            with _trace.span("repair.minimality", candidates=len(candidates)):
+                minimal, comparisons = _minimal_under_leq_d_counted(instance, candidates)
+        else:
+            ordered = self._timed_search(self._collect, instance, seed_tracker)
+            started = _clock.now()
+            with _trace.span("repair.minimality", candidates=len(ordered)):
+                deltas = [inserted | deleted for _, inserted, deleted in ordered]
+                if self._workers >= 2 and len(deltas) >= self._PARALLEL_MINIMALITY_MIN:
+                    from repro.core.parallel import parallel_minimal_flags
+
+                    flags, comparisons = parallel_minimal_flags(deltas, self._workers)
+                else:
+                    flags, comparisons = minimal_flags_counted(deltas)
+                minimal = [
+                    instance.with_delta(inserted, deleted)
+                    for (_, inserted, deleted), keep in zip(ordered, flags)
+                    if keep
+                ]
         self.statistics.minimality_seconds = _clock.now() - started
         self.statistics.leq_d_comparisons = comparisons
         self.statistics.repairs_found = len(minimal)

@@ -30,7 +30,7 @@ join (:func:`indexed_body_matches` + :func:`violation_filter`) behind
 seeded variants (:func:`seeded_violations`,
 :func:`violations_under_assignment`) restrict the join to matches
 involving one given fact / partial assignment through the compiled
-**delta plans** — the incremental violation maintenance of
+**delta plans** — the violation maintenance of
 :mod:`repro.core.repairs` is built on them, and so is the parallel
 frontier search of :mod:`repro.core.parallel`: every worker process
 keeps its own :class:`~repro.core.repairs.ViolationTracker` warm by
@@ -174,7 +174,7 @@ def indexed_body_matches(
 
     *initial* seeds the assignment (e.g. with the universal variables a
     deleted witness used to pin down); *fixed* pins body atoms (by index)
-    to concrete facts — the basis of the incremental seeded enumeration.
+    to concrete facts — the basis of the tracker's seeded enumeration.
     At every step the join extends the **most-bound** remaining atom
     (most positions already determined, then smallest relation), probing
     the per-position hash indexes instead of scanning.
@@ -385,7 +385,7 @@ def violation_filter(
     Applies, in order, the relevant-null guard, the built-in disjunction
     and the head-atom witness check — the three conditions of ``|=_N`` —
     and yields a :class:`Violation` for every match that fails all of
-    them.  Shared by the full, seeded and incremental enumerations.
+    them.  Shared by the full and the seeded enumerations.
     """
 
     relevant_vars = _cached_relevant_body_variables(constraint)

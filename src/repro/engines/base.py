@@ -48,13 +48,13 @@ class CQAConfig:
     * ``null_is_unknown`` — evaluate queries with SQL-style unknown
       comparisons instead of treating ``null`` as an ordinary constant;
     * ``max_states`` — the repair-search state budget;
-    * ``repair_mode`` — the direct engine's violation-evaluation method
-      (:data:`repro.core.repairs.ALL_REPAIR_METHODS`, including
-      ``"parallel"``);
-    * ``workers`` — worker processes for ``repair_mode="parallel"``
-      (``<= 1`` runs the same deterministic task decomposition inline;
-      every mode returns identical answers, so this is purely a
-      performance knob);
+    * ``repair_mode`` — the direct engine's repair search
+      (:data:`repro.core.repairs.REPAIR_METHODS`): ``"parallel"``, the
+      production delta-carrying frontier search, or ``"naive"``, the
+      nested-loop reference it is pinned to (same repairs, same order);
+    * ``workers`` — worker processes for the repair search (``<= 1``
+      runs the same deterministic task decomposition inline; answers
+      are identical either way, so this is purely a performance knob);
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
       short-circuit through :meth:`CQAEngine.certain_anytime` as soon
       as one streamed repair refutes the candidate;
@@ -83,7 +83,7 @@ class CQAConfig:
     method: str = "auto"
     null_is_unknown: bool = False
     max_states: Optional[int] = 200_000
-    repair_mode: str = "incremental"
+    repair_mode: str = "parallel"
     estimate_repairs: bool = True
     workers: int = 0
     anytime: bool = False

@@ -25,10 +25,10 @@ if TYPE_CHECKING:
 class DirectEngine(CQAEngine):
     """Enumerate repairs with :class:`repro.core.repairs.RepairEngine`.
 
-    The repository's reference implementation of Definition 7; its
-    violation-evaluation method is selected by ``config.repair_mode``
-    (``"parallel"`` distributes the search across
-    ``config.workers`` processes with bit-identical output).
+    The repository's reference implementation of Definition 7, run by
+    the production repair search (``config.workers >= 2`` distributes
+    it across processes with bit-identical output; ``config.repair_mode
+    = "naive"`` selects the nested-loop reference instead).
 
     >>> from repro import ConsistentDatabase, parse_constraint, parse_query
     >>> db = ConsistentDatabase(
@@ -63,11 +63,10 @@ class DirectEngine(CQAEngine):
         """Stream repairs and stop at the first counterexample.
 
         Repairs arrive from :meth:`ConsistentDatabase.stream_repairs` —
-        the anytime frontier when ``repair_mode="parallel"``, the cached
-        list otherwise — so one refuting repair ends the computation
-        without finishing the search.  Open queries without a candidate
-        tuple fall back (``None``): their answer *set* needs every
-        repair anyway.
+        the anytime frontier, or the cached list when one exists — so
+        one refuting repair ends the computation without finishing the
+        search.  Open queries without a candidate tuple fall back
+        (``None``): their answer *set* needs every repair anyway.
 
         Under a ``degrade=True`` budget a truncated stream without a
         counterexample returns the best-known answer ``True`` and

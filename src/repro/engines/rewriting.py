@@ -11,7 +11,6 @@ engine name.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.engines.base import CQAConfig, CQAEngine, get_engine, register_engine
@@ -20,7 +19,6 @@ from repro.obs import trace as _trace
 if TYPE_CHECKING:
     from repro.core.cqa import CQAResult
     from repro.logic.queries import Query
-    from repro.rewriting.planner import CQAPlan
     from repro.session import ConsistentDatabase
 
 
@@ -100,20 +98,9 @@ class AutoEngine(CQAEngine):
     whenever the (constraints, query) pair is inside the tractable
     fragment, otherwise the direct reference enumeration (see the planner
     docstring for why the cheaper-but-divergent program route is reported
-    but never chosen silently).  When the plan recommends the parallel
-    repair search (``config.workers >= 2`` and a large repair estimate),
-    the delegated config's ``repair_mode`` follows it — unless the
-    caller pinned a non-default mode explicitly.  The chosen plan rides
-    along on ``result.plan``.
+    but never chosen silently).  The chosen plan rides along on
+    ``result.plan``.
     """
-
-    @staticmethod
-    def _planned_config(plan: "CQAPlan", config: CQAConfig) -> CQAConfig:
-        """Apply the plan's repair-mode recommendation, respecting overrides."""
-
-        if plan.repair_mode and config.repair_mode == "incremental":
-            return replace(config, repair_mode=plan.repair_mode)
-        return config
 
     def answers_report(
         self, session: "ConsistentDatabase", query: "Query", config: CQAConfig
@@ -122,9 +109,7 @@ class AutoEngine(CQAEngine):
             plan = session.plan(query, config)
             if sp:
                 sp.add(chosen=plan.method)
-            result = get_engine(plan.method).answers_report(
-                session, query, self._planned_config(plan, config)
-            )
+            result = get_engine(plan.method).answers_report(session, query, config)
         result.plan = plan
         return result
 
@@ -139,6 +124,4 @@ class AutoEngine(CQAEngine):
 
         config = config if config is not None else session.config
         plan = session.plan(query, config)
-        return get_engine(plan.method).certain_anytime(
-            session, query, candidate, self._planned_config(plan, config)
-        )
+        return get_engine(plan.method).certain_anytime(session, query, candidate, config)

@@ -4,13 +4,13 @@ For one :class:`ScenarioCase` the runner builds a session (trace
 replayed), runs a configurable set of *probes* — engine/mode pairs —
 under a per-probe budget, and cross-checks:
 
-* **repair lists, order included** — the direct family (incremental /
-  naive / indexed / parallel) documents bit-identical output, so raw
-  list order is part of the contract and any mismatch is a
-  ``repair-order`` divergence; across families (direct vs the
-  stable-model program route) only canonical set-of-repairs equality is
-  required, and a mismatch is a ``repairs`` divergence — the class the
-  open ≤_D null-coverage bug falls into;
+* **repair lists, order included** — the direct family (the production
+  search inline and on a process pool, and the naive reference)
+  documents bit-identical output, so raw list order is part of the
+  contract and any mismatch is a ``repair-order`` divergence; across
+  families (direct vs the stable-model program route) only canonical
+  set-of-repairs equality is required, and a mismatch is a ``repairs``
+  divergence — the class the open ≤_D null-coverage bug falls into;
 * **consistent answers** — every probe that completed must agree with
   the reference (``answers`` divergence otherwise);
 * **certain-answer decisions** — ``session.certain(query, candidate)``
@@ -69,15 +69,15 @@ class ProbeSpec:
         return merged
 
 
-#: The reference probe — the repository's reference implementation of
-#: Definition 7, warm-tracker incremental mode.
-REFERENCE_PROBE = ProbeSpec("direct:incremental", "direct", "incremental", enumerates=True)
+#: The reference probe — the repository's implementation of Definition 7:
+#: the production repair search, inline, warm-started from the session's
+#: violation tracker.
+REFERENCE_PROBE = ProbeSpec("direct:parallel", "direct", "parallel", enumerates=True)
 
 ALL_PROBES: Tuple[ProbeSpec, ...] = (
     REFERENCE_PROBE,
     ProbeSpec("direct:naive", "direct", "naive", enumerates=True),
-    ProbeSpec("direct:indexed", "direct", "indexed", enumerates=True),
-    ProbeSpec("direct:parallel", "direct", "parallel", workers=2, enumerates=True),
+    ProbeSpec("direct:pool", "direct", "parallel", workers=2, enumerates=True),
     ProbeSpec("program", "program", enumerates=True),
     ProbeSpec("rewriting", "rewriting"),
     ProbeSpec("auto", "auto"),
@@ -85,11 +85,11 @@ ALL_PROBES: Tuple[ProbeSpec, ...] = (
     ProbeSpec("independent", "independent"),
 )
 
-#: The default probe set skips ``direct:parallel``: a process pool per
+#: The default probe set skips ``direct:pool``: a process pool per
 #: scenario would dominate the smoke budget.  ``--engines all`` (or an
 #: explicit list) brings it back.
 DEFAULT_PROBES: Tuple[ProbeSpec, ...] = tuple(
-    spec for spec in ALL_PROBES if spec.name != "direct:parallel"
+    spec for spec in ALL_PROBES if spec.name != "direct:pool"
 )
 
 
@@ -185,10 +185,16 @@ DEFAULT_PROBE_BUDGET = CQAConfig(max_states=4000, deadline=5.0)
 
 
 def run_probe(session: Any, case: ScenarioCase, spec: ProbeSpec, budget: CQAConfig) -> ProbeResult:
-    """Execute one probe on an already-built session."""
+    """Execute one probe on an already-built session.
+
+    The session's caches are dropped first: the direct family shares one
+    repair-list entry per generation, so without this every probe after
+    the first would replay the first one's list instead of searching.
+    """
 
     overrides = _budget_config(spec, budget)
     result = ProbeResult(probe=spec.name, status="ok")
+    session.close()
     try:
         if spec.enumerates:
             config = session.config.merged(overrides)

@@ -283,7 +283,7 @@ def absorb_repair_statistics(stats: Any) -> None:
         "repro_repair_dead_branches_total", "states with no applicable fix"
     ).inc(stats.dead_branches)
     reg.counter(
-        "repro_repair_violation_updates_total", "incremental tracker updates"
+        "repro_repair_violation_updates_total", "violation tracker updates"
     ).inc(stats.violation_updates)
     reg.counter(
         "repro_repair_constraints_reevaluated_total",

@@ -492,6 +492,34 @@ class DatabaseInstance:
         self._owned = set()  # the originals are shared now, too
         return clone
 
+    def with_delta(
+        self, inserted: Iterable[Fact], deleted: Iterable[Fact]
+    ) -> "DatabaseInstance":
+        """A copy-on-write copy of ``self`` minus *deleted* plus *inserted*.
+
+        How the repair search materialises a repair from its ``∆(D, ·)``:
+        every relation the change leaves alone shares its rows, hash index
+        and group cache with ``self``; a touched relation gets private rows
+        and *no* index, which is rebuilt lazily only if a query probes it.
+
+        >>> base = DatabaseInstance.from_dict({"P": [(1, 2)], "R": [(3,)]})
+        >>> repair = base.with_delta([Fact("P", (5, 6))], [Fact("P", (1, 2))])
+        >>> (sorted(map(repr, repair.facts())), len(base))
+        (['P(5, 6)', 'R(3)'], 2)
+        """
+
+        additions = tuple(inserted)
+        removals = tuple(deleted)
+        clone = self.copy()
+        for fact in additions + removals:
+            clone._indexes.pop(fact.predicate, None)
+            clone._groups.pop(fact.predicate, None)
+        for fact in removals:
+            clone.discard(fact)
+        for fact in additions:
+            clone.add(fact)
+        return clone
+
     def union(self, other: "DatabaseInstance") -> "DatabaseInstance":
         """Instance containing the facts of both operands."""
 

@@ -44,12 +44,6 @@ if TYPE_CHECKING:
     from repro.analysis.diagnostics import Diagnostic
 
 
-#: Estimated repairs above which the planner recommends the parallel
-#: repair search (when the caller has workers to spend).  Below it the
-#: pool/decomposition overhead outweighs the spread.
-PARALLEL_REPAIR_THRESHOLD = 16
-
-
 @dataclass
 class CQAPlan:
     """The outcome of planning one CQA computation."""
@@ -70,12 +64,6 @@ class CQAPlan:
     estimated_repairs: Optional[int] = None
     costs: Dict[str, float] = field(default_factory=dict)
     rewritten: Optional[RewrittenQuery] = None
-    #: Recommended ``RepairEngine`` method for an enumeration fallback —
-    #: ``"parallel"`` when the caller offered ≥ 2 workers and the repair
-    #: estimate clears :data:`PARALLEL_REPAIR_THRESHOLD`, else ``None``
-    #: (keep the configured mode).  Parallel output is bit-identical to
-    #: incremental, so following the recommendation never changes answers.
-    repair_mode: Optional[str] = None
     #: Filled by ``ConsistentDatabase.explain()``: True when the session
     #: has already cached its constraint set's compiled plans
     #: (:class:`repro.compile.kernel.CompiledProgram`) — a prior
@@ -172,7 +160,6 @@ def plan_cqa(
     constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
     query: Query,
     max_states: Optional[int] = None,
-    workers: int = 0,
 ) -> CQAPlan:
     """Choose the evaluation strategy for one CQA computation.
 
@@ -182,10 +169,6 @@ def plan_cqa(
         query: the query whose consistent answers are wanted.
         max_states: the repair-search budget, used only to warn when
             the repair estimate exceeds it.
-        workers: processes the caller is willing to spend on an
-            enumeration fallback; ``>= 2`` lets the plan recommend the
-            parallel repair search (``plan.repair_mode``) and report
-            its projected cost under ``costs["parallel"]``.
 
     Returns:
         A :class:`CQAPlan`; ``method="auto"`` follows it verbatim.
@@ -229,18 +212,6 @@ def plan_cqa(
         )
         if cheaper != "direct":
             reason += " (the cost model rates the program route cheaper here)"
-        repair_mode: Optional[str] = None
-        if workers >= 2:
-            # The parallel mode is bit-identical to incremental, so the
-            # recommendation is purely a cost call: the search spreads
-            # across the workers, the merge and ≤_D filter mostly too.
-            costs["parallel"] = costs["direct"] / float(workers)
-            if estimated >= PARALLEL_REPAIR_THRESHOLD:
-                repair_mode = "parallel"
-                reason += (
-                    f" (parallel repair search across {workers} workers;"
-                    " identical repairs, shorter wall-clock)"
-                )
         if max_states is not None and estimated > max_states:
             reason += (
                 f"; warning: the estimate exceeds max_states={max_states}, "
@@ -254,7 +225,6 @@ def plan_cqa(
             unsupported_diagnostic=error.diagnostic,
             estimated_repairs=estimated,
             costs=costs,
-            repair_mode=repair_mode,
         )
 
     # Rewriting needs one scan per query atom plus hash lookups per residue;

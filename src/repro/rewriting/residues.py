@@ -35,7 +35,7 @@ The in-memory evaluators execute the **compiled delta plans** of
 violation?" is exactly one early-exit run of the constraint's seeded
 plan with the fact pinned at the relevant body occurrence
 (:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at`), so
-residue checking, constraint checking and the incremental tracker share
+residue checking, constraint checking and the violation tracker share
 one compiled definition of the violation conditions and can never
 drift.
 """
@@ -113,7 +113,7 @@ def _participates(
     """Does *row*, pinned at body *occurrence*, join a live violation?
 
     One early-exit execution of the constraint's compiled seeded plan —
-    shared with the incremental tracker's delta maintenance, so the
+    shared with the violation tracker's delta maintenance, so the
     violation conditions the residues negate are literally the ones the
     repair search resolves.
     """

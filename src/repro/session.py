@@ -72,6 +72,7 @@ from typing import (
 from repro.constraints.ic import AnyConstraint, ConstraintSet
 from repro.core.cqa import AnswerTuple, CQAResult, result_from_repairs
 from repro.core.repairs import (
+    PARALLEL_METHOD,
     RepairEngine,
     RepairStatistics,
     ViolationIndex,
@@ -157,18 +158,45 @@ _SESSION_COMPILED_HITS = _metrics.counter(
 
 
 class _LRUCache:
-    """A small LRU keyed on hashable tuples, with hit/miss counters."""
+    """A small LRU keyed on hashable tuples, with hit/miss counters.
 
-    __slots__ = ("maxsize", "_data", "hits", "misses", "evictions")
+    An entry stored with a *generation* of *instance* can only ever hit
+    at that generation, and the counter never goes back, so the first
+    ``get``/``put`` after the instance moved on drops every such entry —
+    each entry once, O(1) per request — instead of leaving it to age out
+    of the LRU with its repair lists and indexes.  Entries stored without
+    one (keyed by the constraint fingerprint alone) stay until the LRU
+    pushes them out.
+    """
 
-    def __init__(self, maxsize: int):
+    __slots__ = (
+        "maxsize", "_data", "hits", "misses", "evictions",
+        "_instance", "_generation", "_generation_keys",
+    )
+
+    def __init__(self, maxsize: int, instance: DatabaseInstance):
         self.maxsize = max(maxsize, 1)
         self._data: "OrderedDict[Tuple, Any]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._instance = instance
+        self._generation = instance.generation
+        self._generation_keys: List[Tuple] = []
+
+    def _sync(self) -> int:
+        """The instance's generation, after dropping the entries of older ones."""
+
+        generation = self._instance.generation
+        if generation != self._generation:
+            for key in self._generation_keys:
+                self._data.pop(key, None)
+            self._generation_keys = []
+            self._generation = generation
+        return generation
 
     def get(self, key: Tuple) -> Optional[Any]:
+        self._sync()
         try:
             value = self._data[key]
         except KeyError:
@@ -180,9 +208,14 @@ class _LRUCache:
         _CACHE_HITS.inc()
         return value
 
-    def put(self, key: Tuple, value: Any) -> None:
+    def put(self, key: Tuple, value: Any, generation: Optional[int] = None) -> None:
+        current = self._sync()
+        if generation is not None and generation != current:
+            return  # computed for a generation the instance has already left
         if key in self._data:
             self._data.move_to_end(key)
+        elif generation is not None:
+            self._generation_keys.append(key)
         self._data[key] = value
         if len(self._data) > self.maxsize:
             self._data.popitem(last=False)
@@ -191,6 +224,7 @@ class _LRUCache:
 
     def clear(self) -> None:
         self._data.clear()
+        self._generation_keys = []
 
     def info(self) -> CacheInfo:
         return CacheInfo(
@@ -245,7 +279,7 @@ class ConsistentDatabase:
         method: str = "auto",
         null_is_unknown: bool = False,
         max_states: Optional[int] = 200_000,
-        repair_mode: str = "incremental",
+        repair_mode: str = "parallel",
         estimate_repairs: bool = True,
         workers: int = 0,
         anytime: bool = False,
@@ -298,7 +332,7 @@ class ConsistentDatabase:
         self._violation_index = ViolationIndex(self._constraints)
         self._tracker: Optional[ViolationTracker] = None
         self._tracker_generation = -1
-        self._cache = _LRUCache(cache_size)
+        self._cache = _LRUCache(cache_size, self._instance)
         self._journal: Optional[List[_JournalEntry]] = None
         self._sql_backend: Optional["SQLiteBackend"] = None
         self._sql_backend_schema: Optional[DatabaseSchema] = None
@@ -804,13 +838,8 @@ class ConsistentDatabase:
         engine = get_engine(config.method)
         self.statistics.queries += 1
         _SESSION_QUERIES.inc()
-        key = (
-            "answers",
-            query,
-            self._fingerprint,
-            self._instance.generation,
-            config.cache_key(),
-        )
+        generation = self._instance.generation
+        key = ("answers", query, self._fingerprint, generation, config.cache_key())
         cached = self._cache.get(key)
         if cached is not None:
             return self._result_copy(cached)
@@ -819,7 +848,7 @@ class ConsistentDatabase:
                 sp.add(query=str(query), method=config.method)
             with self._execution_scope(config):
                 result = engine.answers_report(self, query, config)
-        self._cache.put(key, result)
+        self._cache.put(key, result, generation)
         return self._result_copy(result)
 
     @staticmethod
@@ -930,9 +959,7 @@ class ConsistentDatabase:
                 wall-clock per phase and the captured span tree
                 (``report.render()`` pretty-prints it).  ``False`` (the
                 default) plans only and executes nothing.
-            **overrides: any :class:`repro.engines.CQAConfig` field —
-                notably ``workers=N`` lets the plan recommend the
-                parallel repair search for enumeration fallbacks.
+            **overrides: any :class:`repro.engines.CQAConfig` field.
 
         Returns:
             The cached-per-generation
@@ -1032,7 +1059,7 @@ class ConsistentDatabase:
     def iter_repairs(
         self,
         method: str = "direct",
-        stream: Optional[bool] = None,
+        stream: bool = False,
         **overrides: Any,
     ) -> Iterator[DatabaseInstance]:
         """Lazily iterate the repairs of the current instance.
@@ -1044,9 +1071,8 @@ class ConsistentDatabase:
                 its ``≤_D``-minimality is *proven*, while the frontier
                 search is still running (see
                 :class:`repro.core.parallel.AnytimeRepairStream`);
-                ``False`` enumerates fully first and then iterates the
-                cached list.  ``None`` (default) streams exactly when
-                the effective ``repair_mode`` is ``"parallel"``.
+                ``False`` (default) enumerates fully first and then
+                iterates the cached list in its canonical order.
             **overrides: any :class:`repro.engines.CQAConfig` field.
 
         Returns:
@@ -1078,21 +1104,12 @@ class ConsistentDatabase:
                 f"'program', not {method!r}"
             )
         config = self._config.merged(overrides)
-        if stream is None:
-            stream = method == "direct" and config.repair_mode == "parallel"
         if stream and method != "direct":
             raise ValueError("stream=True requires method='direct'")
 
-        if stream:
-
-            def generate_streaming() -> Iterator[DatabaseInstance]:
-                for repair in self.stream_repairs(config):
-                    yield repair.copy()
-
-            return generate_streaming()
-
         def generate() -> Iterator[DatabaseInstance]:
-            for repair in self.repairs_list(method, config):
+            repairs = self.stream_repairs(config) if stream else self.repairs_list(method, config)
+            for repair in repairs:
                 yield repair.copy()
 
         return generate()
@@ -1103,22 +1120,14 @@ class ConsistentDatabase:
         The engine-facing sibling of ``iter_repairs(stream=True)``:
         yields the repairs of a copy-on-write snapshot of the current
         instance (safe against concurrent session mutations) without
-        defensive copies.  When a cached repair list already exists for
-        this generation — under the configured repair mode *or* the
-        parallel one; every mode's list is bit-identical — it is
+        defensive copies.  The inline search starts from the session's
+        warm violation tracker, so no full violation sweep runs.  When
+        the repair list of this generation is already cached it is
         replayed instead, already "proven".  A fully drained stream
-        stores the canonical repair list under the **parallel** cache
-        key (the engine that actually produced it, so per-mode
-        statistics and budget semantics stay honest) and updates
-        ``last_repair_statistics``; an abandoned stream (e.g. an
-        anytime ``certain`` that found its counterexample) cancels the
-        remaining frontier tasks.
-
-        Note on budgets: the frontier search's ``max_states`` applies
-        to the *sum* of per-task states, which on constraint sets with
-        consequent atoms can exceed the sequential engines'
-        unique-state count — a streaming call may hit the budget where
-        an incremental enumeration of the same instance would not.
+        caches the canonical repair list and updates
+        ``last_repair_statistics``; an abandoned stream (e.g. an anytime
+        ``certain`` that found its counterexample) cancels the remaining
+        frontier tasks.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
@@ -1126,21 +1135,13 @@ class ConsistentDatabase:
                 distributes the search across processes.
         """
 
-        from repro.core.repairs import PARALLEL_METHOD
-
         config = config if config is not None else self._config
         generation = self._instance.generation
-        parallel_config = (
-            config
-            if config.repair_mode == PARALLEL_METHOD
-            else config.merged({"repair_mode": PARALLEL_METHOD})
-        )
-        parallel_key = self._direct_repairs_key(parallel_config, generation)
-        for key in {self._direct_repairs_key(config, generation), parallel_key}:
-            cached = self._cache.get(key)
-            if cached is not None:
-                yield from cached
-                return
+        key = self._direct_repairs_key(config, generation)
+        cached = self._cache.get(key)
+        if cached is not None:
+            yield from cached
+            return
 
         from repro.core.parallel import AnytimeRepairStream, ParallelRepairSearch
 
@@ -1159,6 +1160,7 @@ class ConsistentDatabase:
                 max_memory=config.max_memory,
                 degrade=config.degrade,
             )
+        seed = self._ensure_tracker()
         snapshot = self._instance.copy()
         search = ParallelRepairSearch(
             snapshot,
@@ -1167,8 +1169,9 @@ class ConsistentDatabase:
             max_states=None if config.degrade else config.max_states,
             violation_index=self._violation_index,
             budget=budget,
+            seed_tracker=seed,
         )
-        stream = AnytimeRepairStream(search, schema=snapshot.schema)
+        stream = AnytimeRepairStream(search)
         self.last_degradation = None
         try:
             # The finally also covers *abandonment*: closing this generator
@@ -1184,7 +1187,7 @@ class ConsistentDatabase:
             search.statistics.repairs_found = len(stream.ordered_repairs)
             self.last_repair_statistics = search.statistics
             _metrics.absorb_repair_statistics(search.statistics)
-            self._cache.put(parallel_key, stream.ordered_repairs)
+            self._cache.put(key, stream.ordered_repairs, generation)
 
     def repair_count(self, method: str = "direct", **overrides: Any) -> int:
         """The exact number of repairs (enumerates them, cached).
@@ -1213,31 +1216,21 @@ class ConsistentDatabase:
     def _direct_repairs_key(self, config: CQAConfig, generation: int) -> Tuple:
         """Cache key of the direct enumeration's repair list.
 
-        Deliberately excludes ``workers``: every repair mode (and any
-        worker count) returns a bit-identical list, so segmenting the
-        cache by it would only recompute identical entries.
-        ``repair_mode`` stays in the key because the modes differ in
-        the statistics they leave behind, which tests inspect.
+        Excludes ``repair_mode`` and ``workers``: every search and any
+        worker count return a bit-identical list, so segmenting the
+        cache by them would only recompute identical entries.
         """
 
-        return (
-            "repairs",
-            "direct",
-            self._fingerprint,
-            generation,
-            config.repair_mode,
-            config.max_states,
-        )
+        return ("repairs", "direct", self._fingerprint, generation, config.max_states)
 
     def repairs_list(self, method: str, config: CQAConfig) -> List[DatabaseInstance]:
         """The repairs of the current instance, cached per generation.
 
-        ``"direct"`` runs :class:`RepairEngine` — warm-started from the
-        session's violation tracker in ``"incremental"`` repair mode, so
-        no full violation sweep happens per query — and ``"program"``
-        the stable-model route.  Engines and the repair iterator share
-        this cache; treat the returned list and its instances as
-        read-only.
+        ``"direct"`` runs :class:`RepairEngine` — its production search
+        warm-started from the session's violation tracker, so no full
+        violation sweep happens per query — and ``"program"`` the
+        stable-model route.  Engines and the repair iterator share this
+        cache; treat the returned list and its instances as read-only.
         """
 
         generation = self._instance.generation
@@ -1259,9 +1252,7 @@ class ConsistentDatabase:
                 violation_index=self._violation_index,
                 workers=config.workers,
             )
-            seed = (
-                self._ensure_tracker() if config.repair_mode == "incremental" else None
-            )
+            seed = self._ensure_tracker() if config.repair_mode == PARALLEL_METHOD else None
             with self._execution_scope(config):
                 found = engine.repairs(self._instance, seed_tracker=seed)
             self.last_repair_statistics = engine.statistics
@@ -1270,7 +1261,7 @@ class ConsistentDatabase:
 
             with self._execution_scope(config):
                 found = program_repairs(self._instance, self._constraints).repairs
-        self._cache.put(key, found)
+        self._cache.put(key, found, generation)
         return found
 
     def rewritten(self, query: Query) -> "RewrittenQuery":
@@ -1313,14 +1304,8 @@ class ConsistentDatabase:
         rewriting once.
         """
 
-        key = (
-            "plan",
-            query,
-            self._fingerprint,
-            self._instance.generation,
-            config.max_states,
-            config.workers,
-        )
+        generation = self._instance.generation
+        key = ("plan", query, self._fingerprint, generation, config.max_states)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -1334,19 +1319,19 @@ class ConsistentDatabase:
                 self._constraints,
                 query,
                 max_states=config.max_states,
-                workers=config.workers,
             )
             if sp:
                 sp.add(method=plan.method, supported=plan.supported)
         if plan.rewritten is not None:
             self._cache.put(("rewrite", query, self._fingerprint), plan.rewritten)
-        self._cache.put(key, plan)
+        self._cache.put(key, plan, generation)
         return plan
 
     def conflict_graph(self) -> "ConflictGraph":
         """The instance's conflict graph, cached per generation."""
 
-        key = ("conflicts", self._fingerprint, self._instance.generation)
+        generation = self._instance.generation
+        key = ("conflicts", self._fingerprint, generation)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -1354,7 +1339,7 @@ class ConsistentDatabase:
 
         with _trace.span("conflicts.build"):
             graph = ConflictGraph.build(self._instance, self._constraints)
-        self._cache.put(key, graph)
+        self._cache.put(key, graph, generation)
         return graph
 
     def sql_backend(self, query: Optional[Query] = None) -> "SQLiteBackend":

@@ -1,7 +1,7 @@
-"""The parallel, anytime repair search (``method="parallel"``).
+"""The production repair search (``method="parallel"``), inline and pooled.
 
 Covers the frontier-task decomposition of :mod:`repro.core.parallel`:
-bit-identical output against the incremental reference (list equality —
+bit-identical output against the naive reference (list equality —
 same repairs, same discovery order), the sibling-exclusion partitioning
 on denial-only constraint sets, deferred-task splitting under tiny
 chunk budgets, process-pool execution, the explicit per-worker
@@ -23,8 +23,8 @@ from repro.core.parallel import (
     frontier_could_dominate,
 )
 from repro.core.repairs import (
-    ALL_REPAIR_METHODS,
     PARALLEL_METHOD,
+    REPAIR_METHODS,
     RepairEngine,
     RepairSearchBudgetExceeded,
     RepairStatistics,
@@ -40,8 +40,8 @@ from repro.workloads import (
 )
 
 
-def incremental_repairs(instance, constraints, **kwargs):
-    return RepairEngine(constraints, **kwargs).repairs(instance)
+def naive_repairs(instance, constraints, **kwargs):
+    return RepairEngine(constraints, method="naive", **kwargs).repairs(instance)
 
 
 def parallel_repairs(instance, constraints, **kwargs):
@@ -52,13 +52,13 @@ def parallel_repairs(instance, constraints, **kwargs):
 
 class TestBitIdenticalOutput:
     @pytest.mark.parametrize("chunk", [1, 3, 1024])
-    def test_every_scenario_matches_incremental_exactly(self, all_scenarios, chunk):
+    def test_every_scenario_matches_naive_exactly(self, all_scenarios, chunk):
         """Same repair *list* — contents and discovery order — per scenario."""
 
         for name, scenario in sorted(all_scenarios.items()):
             if not scenario.constraints.is_non_conflicting():
                 continue
-            reference = incremental_repairs(scenario.instance, scenario.constraints)
+            reference = naive_repairs(scenario.instance, scenario.constraints)
             parallel = parallel_repairs(
                 scenario.instance, scenario.constraints, chunk_states=chunk
             )
@@ -70,7 +70,7 @@ class TestBitIdenticalOutput:
             n_groups=3, group_size=3, n_clean=6, seed=3
         )
         assert exclusion_safe(constraints)
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
 
     @pytest.mark.parametrize("chunk", [5, 64])
@@ -81,14 +81,14 @@ class TestBitIdenticalOutput:
             n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
         )
         assert not exclusion_safe(constraints)
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
 
     def test_process_pool_matches_inline(self):
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=5, seed=0
         )
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         with_processes = parallel_repairs(
             instance, constraints, workers=2, chunk_states=7
         )
@@ -100,7 +100,7 @@ class TestBitIdenticalOutput:
         instance, constraints = foreign_key_workload(
             n_parents=3, n_children=5, violation_ratio=0.5, null_ratio=0.4, seed=7
         )
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         assert (
             parallel_repairs(instance, constraints, workers=2, chunk_states=5)
             == reference
@@ -112,12 +112,16 @@ class TestBitIdenticalOutput:
         instance, constraints = grouped_key_workload(
             n_groups=4, group_size=3, n_clean=4, seed=2
         )
-        reference = incremental_repairs(instance, constraints)
+        reference = naive_repairs(instance, constraints)
         assert len(reference) == 81  # above the slicing threshold
         assert parallel_repairs(instance, constraints, workers=2) == reference
 
     def test_method_validation(self):
-        assert PARALLEL_METHOD in ALL_REPAIR_METHODS
+        assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
+        assert RepairEngine(ConstraintSet()).method == PARALLEL_METHOD
+        for removed in ("incremental", "indexed"):
+            with pytest.raises(ValueError, match=removed):
+                RepairEngine(ConstraintSet(), method=removed)
         with pytest.raises(ValueError, match="turbo"):
             RepairEngine(ConstraintSet(), method="turbo")
         RepairEngine(ConstraintSet(), method=PARALLEL_METHOD)  # accepted
@@ -147,11 +151,11 @@ class TestHypothesisEquivalence:
         st.lists(st.tuples(VALUES, VALUES), max_size=2),
         st.integers(min_value=1, max_value=9),
     )
-    def test_parallel_equals_incremental_on_generated_instances(
+    def test_parallel_equals_naive_on_generated_instances(
         self, p_rows, r_rows, chunk
     ):
         instance = DatabaseInstance.from_dict({"P": p_rows, "R": r_rows})
-        reference = incremental_repairs(instance, self.CONSTRAINTS)
+        reference = naive_repairs(instance, self.CONSTRAINTS)
         assert (
             parallel_repairs(instance, self.CONSTRAINTS, chunk_states=chunk)
             == reference
@@ -245,7 +249,7 @@ class TestAnytimeStream:
         search = ParallelRepairSearch(
             instance, constraints, max_states=2_000_000, chunk_states=50
         )
-        stream = AnytimeRepairStream(search, schema=instance.schema)
+        stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
         assert {r.fact_set() for r in streamed} == {
@@ -260,10 +264,62 @@ class TestAnytimeStream:
         )
         reference = RepairEngine(constraints).repairs(instance)
         search = ParallelRepairSearch(instance, constraints, chunk_states=6)
-        stream = AnytimeRepairStream(search, schema=instance.schema)
+        stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
         assert len(streamed) == len(reference)
+
+    def test_streamed_repairs_are_built_once(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=2, group_size=3, n_clean=3, seed=4
+        )
+        stream = AnytimeRepairStream(ParallelRepairSearch(instance, constraints))
+        streamed = list(stream)
+        assert stream.ordered_repairs == naive_repairs(instance, constraints)
+        assert {id(r) for r in stream.ordered_repairs} == {id(r) for r in streamed}
+
+    @pytest.mark.parametrize("degrade", [True, False])
+    def test_proof_pass_checks_the_budget_per_candidate(self, degrade):
+        """A budget spent mid-pass stops the proofs, as the search would."""
+
+        from repro.errors import QueryCancelledError
+        from repro.resilience import Budget
+
+        instance, constraints = grouped_key_workload(
+            n_groups=2, group_size=3, n_clean=3, seed=4
+        )
+        budget = Budget(degrade=degrade)
+        # One task covers the whole tree, so all 9 repairs arrive in one batch.
+        stream = AnytimeRepairStream(
+            ParallelRepairSearch(instance, constraints, budget=budget)
+        )
+        iterator = iter(stream)
+        next(iterator)
+        budget.cancel()
+        if degrade:
+            assert list(iterator) == []
+            assert stream.degradation.reason == "cancelled"
+            assert stream.degradation.proven == 1
+            assert stream.ordered_repairs is None
+        else:
+            with pytest.raises(QueryCancelledError):
+                next(iterator)
+
+    def test_seeded_search_skips_the_sweep(self):
+        from repro.core.repairs import ViolationTracker
+        from repro.obs import metrics
+
+        instance, constraints = foreign_key_workload(
+            n_parents=4, n_children=6, violation_ratio=0.5, null_ratio=0.3, seed=5
+        )
+        tracker = ViolationTracker(instance, constraints)
+        sweeps = metrics.registry().get("repro_tracker_sweeps_total")
+        before = sweeps.value
+        seeded = ParallelRepairSearch(
+            instance, constraints, chunk_states=6, seed_tracker=tracker
+        ).collect()
+        assert sweeps.value == before
+        assert seeded == ParallelRepairSearch(instance, constraints, chunk_states=6).collect()
 
     def test_frontier_domination_certificate(self):
         fact = Fact("R", ("a", "b"))
@@ -305,17 +361,16 @@ class TestSessionSurface:
         )
         return ConsistentDatabase(instance, constraints, method="direct", **kwargs)
 
-    def test_iter_repairs_streams_under_parallel_mode(self):
+    def test_iter_repairs_defaults_to_the_canonical_list(self):
         db = self.make_grouped(repair_mode="parallel")
-        reference = list(self.make_grouped().iter_repairs())
-        streamed = list(db.iter_repairs())  # stream=None → parallel ⇒ stream
-        assert {r.fact_set() for r in streamed} == {
-            r.fact_set() for r in reference
-        }
+        listed = list(db.iter_repairs())  # no stream unless asked for
+        reference = naive_repairs(db.instance, db.constraints)
+        assert listed == reference
+        assert db.repairs_list("direct", db.config) == reference
 
     def test_stream_warms_the_repair_cache(self):
         db = self.make_grouped(repair_mode="parallel")
-        list(db.iter_repairs())
+        list(db.iter_repairs(stream=True))
         query = parse_query("ans(e) <- Emp(e, d, s)")
         db.consistent_answers(query)
         stats = db.last_repair_statistics
@@ -324,7 +379,16 @@ class TestSessionSurface:
         # enumeration ran, so the counters are still the stream's.
         assert db.cache_info().hits >= 1
 
-    def test_explicit_stream_with_incremental_mode(self):
+    def test_stream_drained_after_a_write_caches_nothing(self):
+        db = self.make_grouped()
+        stream = db.iter_repairs(stream=True)
+        next(stream)
+        db.insert("Emp", ("late", "d", 1))  # the stream's generation is gone
+        assert len(list(stream)) == 26
+        assert not [key for key in db._cache._data if key[0] == "repairs"]
+        assert db.repair_count() == 27
+
+    def test_explicit_stream_matches_the_list(self):
         db = self.make_grouped()
         streamed = list(db.iter_repairs(stream=True))
         listed = list(db.iter_repairs(stream=False))
@@ -386,21 +450,16 @@ class TestAutoPlansParallel:
         )
         return ConsistentDatabase(instance, constraints, method="auto", **kwargs)
 
-    def test_plan_recommends_parallel_with_workers(self):
-        db = self.cyclic(workers=4)
-        query = parse_query("ans(x) <- P(x, y)")  # cyclic RICs: unsupported
-        plan = db.explain(query)
-        assert plan.method == "direct"
-        assert plan.repair_mode == "parallel"
-        assert plan.costs["parallel"] == pytest.approx(plan.costs["direct"] / 4)
-        assert "parallel" in plan.reason
+    def test_plan_does_not_depend_on_workers(self):
+        """One repair search runs either way: the plan picks no repair mode."""
 
-    def test_plan_keeps_serial_without_workers(self):
-        db = self.cyclic()
-        query = parse_query("ans(x) <- P(x, y)")
-        plan = db.explain(query)
-        assert plan.repair_mode is None
-        assert "parallel" not in plan.costs
+        query = parse_query("ans(x) <- P(x, y)")  # cyclic RICs: unsupported
+        pooled = self.cyclic(workers=4).explain(query)
+        inline = self.cyclic().explain(query)
+        assert pooled.method == inline.method == "direct"
+        assert (pooled.costs, pooled.reason) == (inline.costs, inline.reason)
+        assert not hasattr(pooled, "repair_mode")
+        assert "parallel" not in pooled.costs
 
     def test_auto_with_workers_matches_direct(self):
         instance, constraints = grouped_key_workload(

@@ -18,7 +18,9 @@ from repro.core.cqa import (
     consistent_boolean_answer,
     is_consistent_answer,
 )
+from repro.core.repairs import REPAIR_METHODS
 from repro.core.satisfaction import all_violations
+from repro.obs import metrics
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.relational.schema import DatabaseSchema
@@ -122,6 +124,25 @@ class TestMutation:
         db.consistent_answers(QUERY, method="direct")
         assert db.statistics.tracker_rebuilds == 1
 
+    def test_warm_session_never_sweeps_again(self):
+        """Every repair search of a warm session starts from its tracker."""
+
+        instance, constraints = grouped_key_workload(n_groups=3, group_size=2, n_clean=4)
+        db = ConsistentDatabase(instance, constraints)
+        query = parse_query("ans(e, d) <- Emp(e, d, s)")
+        db.is_consistent()
+        sweeps = metrics.registry().get("repro_tracker_sweeps_total")
+        before = sweeps.value
+        for row in (("w1", "dw", 1), ("w2", "dw", 2)):
+            db.insert("Emp", row)
+            db.consistent_answers(query, method="direct")
+            db.insert("Emp", (row[0], "other", 3))
+            db.repair_count()
+            db.delete("Emp", (row[0], "other", 3))
+            db.certain(query, row[:2], method="direct", anytime=True)
+        assert sweeps.value == before
+        assert db.statistics.tracker_rebuilds == 1
+
     def test_out_of_band_mutation_is_detected(self):
         original = DatabaseInstance.from_dict(DATA)
         db = ConsistentDatabase(original, [RIC], copy=False)
@@ -218,6 +239,45 @@ class TestQuerySurface:
         found = {repair.fact_set() for repair in iterator}
         assert found == {repair.fact_set() for repair in example_14.expected_repairs}
         assert {r.fact_set() for r in db.iter_repairs(method="program")} == found
+
+    def test_production_and_naive_sessions_list_the_same_repairs(self, all_scenarios):
+        for name, scenario in sorted(all_scenarios.items()):
+            if not scenario.constraints.is_non_conflicting():
+                continue
+            lists = [
+                ConsistentDatabase(
+                    scenario.instance, scenario.constraints, repair_mode=mode
+                ).repairs_list("direct", CQAConfig(repair_mode=mode))
+                for mode in REPAIR_METHODS
+            ]
+            assert lists[0] == lists[1], name  # order included
+
+    def test_cache_keeps_only_the_current_generation(self):
+        """A write/query loop leaves no entry that can never hit again."""
+
+        instance, constraints = grouped_key_workload(n_groups=2, group_size=2, n_clean=3)
+        db = ConsistentDatabase(instance, constraints, method="auto")
+        queries = [
+            parse_query("ans(e) <- Emp(e, d, s)"),
+            parse_query("ans(e, d) <- Emp(e, d, s), s > 0"),
+        ]
+        sizes = []
+        for step in range(6):
+            db.insert("Emp", (f"w{step}", "dw", step))
+            for query in queries:
+                db.consistent_answers(query)
+                db.consistent_answers(query, method="direct")
+            db.repair_count(method="program")
+            db.conflict_graph()
+            sizes.append(db.cache_info().size)
+        generation_keyed = [
+            key for key in db._cache._data
+            if key[0] in ("answers", "plan", "repairs", "conflicts")
+        ]
+        assert generation_keyed
+        assert all(db.generation in key for key in generation_keyed)
+        assert len(set(sizes)) == 1  # nothing accumulates across generations
+        assert db.cache_info().evictions == 0
 
     def test_iter_repairs_yields_independent_copies(self):
         db = make_session()
@@ -354,7 +414,7 @@ class TestFunctionalWrappers:
 
     def test_is_consistent_answer_threads_repair_mode(self):
         instance = DatabaseInstance.from_dict(DATA)
-        for mode in ("incremental", "indexed", "naive"):
+        for mode in REPAIR_METHODS:
             assert is_consistent_answer(
                 instance, [RIC], QUERY, ("C15",), repair_mode=mode
             )
@@ -365,7 +425,7 @@ class TestFunctionalWrappers:
     def test_consistent_boolean_answer_threads_repair_mode(self):
         instance = DatabaseInstance.from_dict(DATA)
         boolean = parse_query("ans() <- Student(i, n), Course(i, c)")
-        for mode in ("incremental", "indexed", "naive"):
+        for mode in REPAIR_METHODS:
             assert consistent_boolean_answer(
                 instance, [RIC], boolean, repair_mode=mode
             )

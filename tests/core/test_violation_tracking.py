@@ -1,7 +1,8 @@
 """Unit tests for the incremental violation machinery of the repair engine.
 
-Covers the predicate → constraint :class:`ViolationIndex`, the three
-``RepairEngine`` methods (which must produce identical repairs), the
+Covers the predicate → constraint :class:`ViolationIndex`, the two
+``RepairEngine`` searches (which must produce identical repair lists,
+order included), the
 extended :class:`RepairStatistics` counters and the structural,
 name-independent violation chooser key.
 """
@@ -70,13 +71,11 @@ class TestEngineMethods:
             ),
         ]
         for instance, constraints in cases:
-            results = {
-                method: fact_sets(
-                    RepairEngine(constraints, method=method).repairs(instance)
-                )
+            production, naive = (
+                RepairEngine(constraints, method=method).repairs(instance)
                 for method in REPAIR_METHODS
-            }
-            assert results["incremental"] == results["indexed"] == results["naive"]
+            )
+            assert production == naive  # same repairs, same order
 
     def test_methods_explore_identical_search_trees(self, all_scenarios):
         scenario = all_scenarios["example_19"]
@@ -85,7 +84,7 @@ class TestEngineMethods:
             engine = RepairEngine(scenario.constraints, method=method)
             engine.repairs(scenario.instance)
             states.add(engine.statistics.states_explored)
-        assert len(states) == 1  # same chooser, same tree, all three methods
+        assert len(states) == 1  # same chooser, same tree, both searches
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):
@@ -98,7 +97,7 @@ class TestEngineMethods:
         stats = engine.statistics
         assert stats.search_seconds > 0
         assert stats.minimality_seconds >= 0
-        assert stats.violation_updates > 0  # incremental is the default
+        assert stats.violation_updates > 0  # the tracked search is the default
         assert stats.constraints_reevaluated >= stats.violation_updates
         assert stats.leq_d_comparisons > 0
 
@@ -111,7 +110,7 @@ class TestEngineMethods:
             )
             for mode in REPAIR_METHODS
         }
-        assert answers["incremental"] == answers["indexed"] == answers["naive"]
+        assert answers["parallel"] == answers["naive"]
 
 
 class TestStructuralChooserKey:

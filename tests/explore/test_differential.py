@@ -16,10 +16,14 @@ from repro.explore.sources.corpus import corpus_entries
 
 
 class TestProbeSpecs:
-    def test_default_set_skips_the_parallel_probe(self):
+    def test_default_set_skips_the_pool_probe(self):
         names = [spec.name for spec in DEFAULT_PROBES]
-        assert "direct:parallel" not in names
-        assert names[0] == REFERENCE_PROBE.name
+        assert "direct:pool" not in names
+        assert names[0] == REFERENCE_PROBE.name == "direct:parallel"
+        assert "direct:naive" in names
+        assert not {"direct:incremental", "direct:indexed"} & {
+            spec.name for spec in ALL_PROBES
+        }
 
     def test_all_selects_every_probe(self):
         assert probe_specs(["all"]) == ALL_PROBES
@@ -27,7 +31,7 @@ class TestProbeSpecs:
     def test_reference_probe_is_always_first(self):
         specs = probe_specs(["program", "sqlite"])
         assert [spec.name for spec in specs] == [
-            "direct:incremental",
+            "direct:parallel",
             "program",
             "sqlite",
         ]
@@ -45,13 +49,13 @@ class TestProbeSpecs:
 class TestSignatures:
     def test_signature_merges_engine_families(self):
         divergence = Divergence(
-            kind="repairs", left="direct:incremental", right="program"
+            kind="repairs", left="direct:parallel", right="program"
         )
         assert divergence.signature == "repairs:direct/program"
 
     def test_same_family_collapses_to_one_component(self):
         divergence = Divergence(
-            kind="repair-order", left="direct:incremental", right="direct:naive"
+            kind="repair-order", left="direct:parallel", right="direct:naive"
         )
         assert divergence.signature == "repair-order:direct"
 
@@ -61,7 +65,7 @@ class TestSignatures:
 
     def test_mode_suffix_does_not_change_the_signature(self):
         a = Divergence(kind="answers", left="direct:naive", right="program")
-        b = Divergence(kind="answers", left="direct:indexed", right="program")
+        b = Divergence(kind="answers", left="direct:pool", right="program")
         assert a.signature == b.signature
 
 

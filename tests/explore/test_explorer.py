@@ -117,7 +117,7 @@ class TestExplore:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["scenarios_run"] == 3
         assert payload["ok"] is True
-        assert payload["probes"][0] == "direct:incremental"
+        assert payload["probes"][0] == "direct:parallel"
 
     def test_campaign_counters_reach_the_metrics_registry(self, tmp_path):
         from repro.obs import metrics

@@ -62,7 +62,7 @@ class TestRoundTrip:
 class TestDivergenceMetadata:
     RECORD = DivergenceRecord(
         kind="repairs",
-        left="direct:incremental",
+        left="direct:parallel",
         right="program",
         signature="repairs:direct/program",
         detail="3 vs 2 repairs",

@@ -38,7 +38,7 @@ def make_workload():
 
     def run():
         all_violations(instance, constraints)
-        RepairEngine(constraints, method="incremental").repairs(instance)
+        RepairEngine(constraints).repairs(instance)
 
     return run
 

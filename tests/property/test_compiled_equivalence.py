@@ -233,14 +233,10 @@ def test_random_partial_assignments_match(facts, value):
 @given(facts=st.lists(FACTS, max_size=5))
 def test_end_to_end_repairs_and_cqa_match_naive_mode(facts):
     instance = DatabaseInstance.from_facts(facts)
-    kernel_lists = [
-        RepairEngine(CONSTRAINTS, method="incremental").repairs(instance),
-        RepairEngine(CONSTRAINTS, method="indexed").repairs(instance),
-    ]
+    production = RepairEngine(CONSTRAINTS).repairs(instance)
     reference = RepairEngine(CONSTRAINTS, method="naive").repairs(instance)
-    for repaired in kernel_lists:
-        # Bit-for-bit: the same repairs in the same discovery order.
-        assert [r.fact_set() for r in repaired] == [r.fact_set() for r in reference]
+    # Bit-for-bit: the same repairs in the same discovery order.
+    assert [r.fact_set() for r in production] == [r.fact_set() for r in reference]
 
     db = ConsistentDatabase(instance, CONSTRAINTS)
     session_repairs = [r.fact_set() for r in db.iter_repairs()]
@@ -260,9 +256,7 @@ def test_scenario_repairs_identical_across_kernel_and_naive(name):
     reference = RepairEngine(scenario.constraints, method="naive").repairs(
         scenario.instance
     )
-    compiled = RepairEngine(scenario.constraints, method="incremental").repairs(
-        scenario.instance
-    )
+    compiled = RepairEngine(scenario.constraints).repairs(scenario.instance)
     assert [r.fact_set() for r in compiled] == [r.fact_set() for r in reference]
     expected = {r.fact_set() for r in scenario.expected_repairs}
     assert {r.fact_set() for r in compiled} == expected

@@ -206,3 +206,35 @@ class TestCopyOnWrite:
         assert first.fact_set() == frozenset({Fact("P", ("a",))})
         assert len(second) == 0
         assert third.fact_set() == frozenset({Fact("P", ("a",)), Fact("P", ("b",))})
+
+
+class TestWithDelta:
+    def base(self):
+        base = DatabaseInstance.from_dict({"P": [("a", 1), ("b", 2)], "Q": [("c",)]})
+        base.tuples_where("P", 0, "a")  # build both indexes
+        base.tuples_where("Q", 0, "c")
+        return base
+
+    def test_applies_the_delta_and_leaves_the_base_intact(self):
+        base = self.base()
+        repair = base.with_delta([Fact("P", ("d", NULL))], [Fact("P", ("a", 1))])
+        assert repair.fact_set() == frozenset(
+            {Fact("P", ("b", 2)), Fact("P", ("d", NULL)), Fact("Q", ("c",))}
+        )
+        assert base.fact_set() == frozenset(
+            {Fact("P", ("a", 1)), Fact("P", ("b", 2)), Fact("Q", ("c",))}
+        )
+        assert base.tuples_where("P", 0, "a") == {("a", 1)}
+
+    def test_untouched_relations_share_rows_and_index(self):
+        base = self.base()
+        repair = base.with_delta([], [Fact("P", ("a", 1))])
+        assert repair.rows("Q") is base.rows("Q")
+        assert repair._indexes["Q"] is base._indexes["Q"]
+
+    def test_touched_relations_copy_no_index_until_probed(self):
+        base = self.base()
+        repair = base.with_delta([Fact("P", ("e", 5))], [])
+        assert "P" not in repair._indexes
+        assert repair.tuples_where("P", 0, "e") == {("e", 5)}  # rebuilt lazily
+        assert base.tuples_where("P", 0, "e") == frozenset()
