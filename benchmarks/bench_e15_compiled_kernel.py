@@ -5,25 +5,19 @@ schedule per call, copied a ``dict`` per candidate row and re-resolved
 constants/repeated variables per match.  :mod:`repro.compile.kernel`
 lowers each constraint once into a :class:`~repro.compile.plans.JoinPlan`
 (compile-time schedule, slot-based bindings, specialised matchers,
-pushed-down null guards); on top of that sit two further backends added
-with the columnar/codegen layer:
-
-* :mod:`repro.compile.codegen` specialises each plan to generated
-  Python source (nested loops, inlined constants and null guards) —
-  the row-at-a-time executor every consumer uses by default;
-* :mod:`repro.relational.columnar` runs full-plan sweeps
-  column-at-a-time over an interned per-predicate column store with
-  selection-vector joins.
+pushed-down null guards), and :mod:`repro.compile.codegen` specialises
+each plan to generated Python source (nested loops, inlined constants
+and null guards) — the row-at-a-time executor every consumer uses by
+default.
 
 This experiment sweeps the grouped-key workload (the E11/E12 scaling
 instance: ``n_groups`` key-conflict groups over two FDs) and times the
-violation-enumeration hot path five ways:
+violation-enumeration hot path four ways:
 
-* **full kernel** — ``all_violations(instance, constraints)`` (the
-  default: compiled plans + codegen + columnar batch sweeps);
-* **codegen** — columnar disabled, generated row-at-a-time executors;
-* **plan interp** — codegen and columnar disabled: the step
-  interpreter over compiled plans (the pre-codegen default);
+* **kernel** — ``all_violations(instance, constraints)`` (the default:
+  compiled plans run by their generated executors);
+* **plan interp** — codegen disabled: the step interpreter over
+  compiled plans (the pre-codegen default);
 * **interpreted** — ``all_violations(..., compiled=False)`` (dynamic
   per-call scheduling, no compiled plans);
 * **naive** — ``all_violations(..., naive=True)`` (the seed reference:
@@ -36,13 +30,13 @@ pin the end-to-end contract, and a fourth replays the mixed
 random scenarios — small, adversarial, null-heavy) across every
 backend.
 
-**Identity assertions always run** (smoke mode included): all five
+**Identity assertions always run** (smoke mode included): all four
 violation paths return the same violation sets at every sweep point,
 all query paths the same answer sets, and the repair engines built on
 the kernel (the production search) returns a repair list bit-for-bit
 identical — order included — to ``naive``, which never touches the
 kernel.  Acceptance gates, full sweep only, at the sweep's largest
-point: the full kernel is ≥ 10× faster than **naive** and ≥ 3× faster
+point: the kernel is ≥ 10× faster than **naive** and ≥ 3× faster
 than **interpreted** (the ``--smoke`` CI pass keeps the assertions but
 skips in-test wall-clock gates — the CI gate instead reads the emitted
 JSON headline through ``python -m benchmarks.report --check-gates``,
@@ -62,7 +56,6 @@ from repro.compile.kernel import compiler_statistics
 from repro.constraints.parser import parse_query
 from repro.core.repairs import RepairEngine
 from repro.core.satisfaction import all_violations
-from repro.relational import columnar
 from repro.workloads import grouped_key_workload
 from harness import best_of, corpus_workload, emit_json, print_table
 
@@ -70,8 +63,8 @@ from harness import best_of, corpus_workload, emit_json, print_table
 FULL_SWEEP = [10, 25, 60, 100]
 SMOKE_SWEEP = [25]
 
-GATE_MIN_SPEEDUP = 3.0  # interpreted → full kernel
-GATE_MIN_NAIVE_SPEEDUP = 10.0  # naive → full kernel (the JSON headline gate)
+GATE_MIN_SPEEDUP = 3.0  # interpreted → kernel
+GATE_MIN_NAIVE_SPEEDUP = 10.0  # naive → kernel (the JSON headline gate)
 
 QUERY_TEXTS = [
     "ans(e, d, s) <- Emp(e, d, s)",
@@ -103,15 +96,11 @@ def report(request):
     for n_groups in sweep:
         instance, constraints = _workload(n_groups)
 
-        def _sweep_full():
+        def _sweep_kernel():
             return all_violations(instance, constraints)
 
-        def _sweep_codegen():
-            with columnar.overridden(False):
-                return all_violations(instance, constraints)
-
         def _sweep_plan():
-            with codegen.overridden(False), columnar.overridden(False):
+            with codegen.overridden(False):
                 return all_violations(instance, constraints)
 
         def _sweep_interp():
@@ -120,43 +109,40 @@ def report(request):
         def _sweep_naive():
             return all_violations(instance, constraints, naive=True)
 
-        full = _sweep_full()
+        found = _sweep_kernel()
         # The hard guarantee, asserted in smoke mode too: identical
         # violation sets (and no duplicates) on every backend.
         assert (
-            set(full)
-            == set(_sweep_codegen())
+            set(found)
             == set(_sweep_plan())
             == set(_sweep_interp())
             == set(_sweep_naive())
         )
-        assert len(full) == len(set(full))
+        assert len(found) == len(set(found))
 
-        t_full = _best_of(_sweep_full, 12)
-        t_codegen = _best_of(_sweep_codegen, 12)
+        t_kernel = _best_of(_sweep_kernel, 12)
         t_plan = _best_of(_sweep_plan, 12)
         t_interp = _best_of(_sweep_interp, 6)
         t_naive = _best_of(_sweep_naive, 2)
-        speedup = t_interp / t_full if t_full else float("inf")
-        naive_speedup = t_naive / t_full if t_full else float("inf")
+        speedup = t_interp / t_kernel if t_kernel else float("inf")
+        naive_speedup = t_naive / t_kernel if t_kernel else float("inf")
         gate_speedup = speedup  # the sweep is ascending: last point gates
         gate_naive_speedup = naive_speedup
         rows.append(
             [
                 n_groups,
-                len(full),
+                len(found),
                 f"{t_naive * 1000:.1f} ms",
                 f"{t_interp * 1000:.1f} ms",
                 f"{t_plan * 1000:.2f} ms",
-                f"{t_codegen * 1000:.2f} ms",
-                f"{t_full * 1000:.2f} ms",
+                f"{t_kernel * 1000:.2f} ms",
                 f"{speedup:.1f}x",
                 f"{naive_speedup:.1f}x",
             ]
         )
     if not smoke:
         assert gate_speedup is not None and gate_speedup >= GATE_MIN_SPEEDUP, (
-            f"full kernel only {gate_speedup:.1f}x faster than the "
+            f"kernel only {gate_speedup:.1f}x faster than the "
             f"interpreted violation enumeration at the largest sweep point "
             f"(need ≥ {GATE_MIN_SPEEDUP}x)"
         )
@@ -164,7 +150,7 @@ def report(request):
             gate_naive_speedup is not None
             and gate_naive_speedup >= GATE_MIN_NAIVE_SPEEDUP
         ), (
-            f"full kernel only {gate_naive_speedup:.1f}x faster than the "
+            f"kernel only {gate_naive_speedup:.1f}x faster than the "
             f"naive violation enumeration at the largest sweep point "
             f"(need ≥ {GATE_MIN_NAIVE_SPEEDUP}x)"
         )
@@ -175,8 +161,7 @@ def report(request):
         "naive",
         "interpreted",
         "plan interp",
-        "codegen",
-        "full kernel",
+        "kernel (codegen)",
         "interp/kernel",
         "naive/kernel",
     ]
@@ -191,7 +176,7 @@ def report(request):
         compiled_answers = query.answers(instance)
         assert compiled_answers == query.answers(instance, compiled=False)
         assert compiled_answers == query.answers(instance, naive=True)
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert compiled_answers == query.answers(instance)
         t_compiled = _best_of(lambda: query.answers(instance), 12)
         t_interp = _best_of(lambda: query.answers(instance, compiled=False), 6)
@@ -240,13 +225,13 @@ def report(request):
         assert set(case_violations) == set(
             all_violations(case.instance, case.constraints, naive=True)
         )
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert set(case_violations) == set(
                 all_violations(case.instance, case.constraints)
             )
         case_answers = case.query.answers(case.instance)
         assert case_answers == case.query.answers(case.instance, compiled=False)
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             assert case_answers == case.query.answers(case.instance)
         corpus_rows.append(
             [
@@ -295,12 +280,12 @@ def bench_interpreted_violation_enumeration(benchmark):
 
 
 def bench_plan_interpreter_violation_enumeration(benchmark):
-    """The compiled kernel with codegen and columnar disabled."""
+    """The compiled kernel with codegen disabled."""
 
     instance, constraints = _workload(25)
 
     def run():
-        with codegen.overridden(False), columnar.overridden(False):
+        with codegen.overridden(False):
             return all_violations(instance, constraints)
 
     run()

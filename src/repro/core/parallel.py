@@ -97,8 +97,7 @@ from repro.core.repairs import (
     minimal_flags_for_deltas,  # importable here: the benchmark's traced mode wraps it
     violation_choice_key,
 )
-from repro.relational import columnar as _columnar
-from repro.relational.instance import DatabaseInstance, Fact
+from repro.relational.instance import DatabaseInstance, Fact, Row
 
 #: Branch-index path of a search state, relative to the search root.
 Path = Tuple[int, ...]
@@ -119,22 +118,12 @@ _DELTA_COST = 96
 
 _EMPTY_FACTS: FrozenSet[Fact] = frozenset()
 
-#: ``REPRO_SHM=0`` in the environment disables shipping the base
-#: instance to pool workers through ``multiprocessing.shared_memory``
-#: (the pickled facts-tuple fallback is used instead).  Purely a
-#: transport knob — answers are identical either way.
-_SHM_FLAG = "REPRO_SHM"
-
 #: ``REPRO_SHIP_AUDIT=1`` makes the driver measure the pickled size of
 #: every shipped task/result payload — and of the un-encoded objects
 #: they replace — into the ship-bytes fields of
 #: :class:`~repro.core.repairs.RepairStatistics`.  Off by default: the
 #: audit pays one extra pickle per shipment.
 _AUDIT_FLAG = "REPRO_SHIP_AUDIT"
-
-
-def _shm_enabled() -> bool:
-    return os.environ.get(_SHM_FLAG, "") != "0"
 
 
 def _ship_audit() -> bool:
@@ -208,18 +197,79 @@ class TaskResult:
 
 
 # ----------------------------------------------------------------- wire format
+#: A shipped fact: a small integer for base facts, (predicate, values)
+#: for facts outside the base instance (inserted witnesses).
+FactToken = Union[int, Tuple[str, Row]]
+
+
+class FactCodec:
+    """Number the base instance's facts so deltas ship as small integers.
+
+    Both pool ends derive the codec independently — the driver from its
+    live instance, each worker from the facts it was started with — and
+    the numbering is the deterministic sorted ``facts()`` order, so the
+    ids agree without ever shipping the mapping itself.
+    """
+
+    __slots__ = ("_facts", "_ids")
+
+    def __init__(self, facts: Sequence[Fact]) -> None:
+        self._facts: Tuple[Fact, ...] = tuple(facts)
+        self._ids: Dict[Fact, int] = {
+            fact: fact_id for fact_id, fact in enumerate(self._facts)
+        }
+
+    @classmethod
+    def from_instance(cls, instance: DatabaseInstance) -> "FactCodec":
+        return cls(tuple(instance.facts()))
+
+    def __len__(self) -> int:
+        return len(self._facts)
+
+    def encode_fact(self, fact: Fact) -> FactToken:
+        fact_id = self._ids.get(fact)
+        if fact_id is not None:
+            return fact_id
+        return (fact.predicate, fact.values)
+
+    def decode_fact(self, token: FactToken) -> Fact:
+        if isinstance(token, int):
+            return self._facts[token]
+        predicate, values = token
+        return Fact(predicate, values)
+
+    def encode_facts(self, facts: Iterable[Fact]) -> Tuple[FactToken, ...]:
+        """Encode a fact collection (sorted, so equal sets encode equally)."""
+
+        ids: List[int] = []
+        extra: List[Fact] = []
+        for fact in facts:
+            fact_id = self._ids.get(fact)
+            if fact_id is not None:
+                ids.append(fact_id)
+            else:
+                extra.append(fact)
+        tokens: List[FactToken] = sorted(ids)  # type: ignore[assignment]
+        tokens.extend(
+            (fact.predicate, fact.values)
+            for fact in sorted(extra, key=Fact.sort_key)
+        )
+        return tuple(tokens)
+
+    def decode_facts(self, tokens: Iterable[FactToken]) -> FrozenSet[Fact]:
+        return frozenset(self.decode_fact(token) for token in tokens)
+
+
 #: A :class:`FrontierTask` on the wire: its path plus the four fact sets
-#: encoded through the shared :class:`repro.relational.columnar.FactCodec`
-#: — base-instance facts ship as small integers, inserted witnesses as
-#: ``(predicate, values)`` pairs.  Both pool ends derive the codec
-#: independently from the deterministic ``facts()`` order, so the
-#: mapping itself is never shipped.
+#: encoded through the shared :class:`FactCodec` — base-instance facts
+#: ship as small integers, inserted witnesses as ``(predicate, values)``
+#: pairs.
 _TaskWire = Tuple[
     Path,
-    Tuple["_columnar.FactToken", ...],
-    Tuple["_columnar.FactToken", ...],
-    Tuple["_columnar.FactToken", ...],
-    Tuple["_columnar.FactToken", ...],
+    Tuple[FactToken, ...],
+    Tuple[FactToken, ...],
+    Tuple[FactToken, ...],
+    Tuple[FactToken, ...],
 ]
 
 #: A :class:`TaskResult` on the wire.  The task itself never ships back
@@ -232,7 +282,7 @@ _TaskWire = Tuple[
 #: Statistics travel as a bare value tuple — a pickled dataclass would
 #: repeat the class reference and every field name per result.
 _ResultWire = Tuple[
-    List[Tuple[Path, Tuple["_columnar.FactToken", ...], Tuple["_columnar.FactToken", ...]]],
+    List[Tuple[Path, Tuple[FactToken, ...], Tuple[FactToken, ...]]],
     List[_TaskWire],
     Tuple[Any, ...],
     Tuple["_trace.SpanRecord", ...],
@@ -249,7 +299,7 @@ def _decode_statistics(values: Tuple[Any, ...]) -> RepairStatistics:
     return RepairStatistics(*values)
 
 
-def _encode_task(codec: "_columnar.FactCodec", task: FrontierTask) -> _TaskWire:
+def _encode_task(codec: FactCodec, task: FrontierTask) -> _TaskWire:
     return (
         task.path,
         codec.encode_facts(task.inserted),
@@ -259,7 +309,7 @@ def _encode_task(codec: "_columnar.FactCodec", task: FrontierTask) -> _TaskWire:
     )
 
 
-def _decode_task(codec: "_columnar.FactCodec", wire: _TaskWire) -> FrontierTask:
+def _decode_task(codec: FactCodec, wire: _TaskWire) -> FrontierTask:
     path, inserted, deleted, excluded_deletions, excluded_insertions = wire
     return FrontierTask(
         path,
@@ -270,7 +320,7 @@ def _decode_task(codec: "_columnar.FactCodec", wire: _TaskWire) -> FrontierTask:
     )
 
 
-def _encode_result(codec: "_columnar.FactCodec", result: TaskResult) -> _ResultWire:
+def _encode_result(codec: FactCodec, result: TaskResult) -> _ResultWire:
     task = result.task
     prefix = len(task.path)
     encode = codec.encode_facts
@@ -299,7 +349,7 @@ def _encode_result(codec: "_columnar.FactCodec", result: TaskResult) -> _ResultW
 
 
 def _decode_result(
-    codec: "_columnar.FactCodec", wire: _ResultWire, task: FrontierTask
+    codec: FactCodec, wire: _ResultWire, task: FrontierTask
 ) -> TaskResult:
     candidates, deferred, statistics, spans = wire
     prefix = task.path
@@ -536,40 +586,11 @@ _WORKER_CONTEXT: Optional[SearchContext] = None
 
 #: Per-process fact codec, derived from the rebuilt instance (identical
 #: to the driver's: both number the deterministic ``facts()`` order).
-_WORKER_CODEC: Optional["_columnar.FactCodec"] = None
-
-#: The base instance on the wire: ``("shm", name, size)`` — a columnar
-#: pack (:func:`repro.relational.columnar.pack_instance`) living in a
-#: ``multiprocessing.shared_memory`` segment the driver owns — or the
-#: ``("facts", tuple)`` pickle fallback.
-_InstancePayload = Union[Tuple[str, str, int], Tuple[str, Tuple[Fact, ...]]]
-
-
-def _attach_instance(payload: _InstancePayload) -> DatabaseInstance:
-    """Rebuild the base instance from the initializer payload (worker side)."""
-
-    if payload[0] == "shm":
-        from multiprocessing import shared_memory
-
-        _, name, size = payload
-        # Python < 3.13 registers attached segments with the resource
-        # tracker exactly like created ones (bpo-39959).  Pool workers
-        # share the driver's tracker process, where registration is
-        # set-semantics per name — the re-registration is a no-op and
-        # the driver's unlink in ``close()`` clears it, so no
-        # per-worker unregister is needed (and sending one would race
-        # the other workers' attach messages).
-        segment = shared_memory.SharedMemory(name=name)
-        try:
-            data = bytes(segment.buf[:size])
-        finally:
-            segment.close()
-        return _columnar.unpack_instance(data)
-    return DatabaseInstance.from_facts(payload[1])
+_WORKER_CODEC: Optional[FactCodec] = None
 
 
 def _worker_init(
-    instance_payload: _InstancePayload,
+    facts: Tuple[Fact, ...],
     constraints: Tuple[AnyConstraint, ...],
     exclusions: bool,
     tracing: bool = False,
@@ -589,8 +610,8 @@ def _worker_init(
         # Fork-started workers inherit the driver's delay-only injector;
         # start clean (re-armed below when this pool asked for chaos).
         _faults.disarm()
-    instance = _attach_instance(instance_payload)
-    _WORKER_CODEC = _columnar.FactCodec.from_instance(instance)
+    instance = DatabaseInstance.from_facts(facts)
+    _WORKER_CODEC = FactCodec.from_instance(instance)
     _WORKER_CONTEXT = SearchContext(
         instance, ConstraintSet(list(constraints)), exclusions=exclusions
     )
@@ -682,10 +703,6 @@ class ParallelRepairSearch:
         self._seed_tracker = seed_tracker
         self._retry_policy = retry_policy or DEFAULT_RETRY_POLICY
         self._executor: Optional[ProcessPoolExecutor] = None
-        #: The driver-owned shared-memory segment holding the columnar
-        #: instance pack, alive from first pool spawn until :meth:`close`
-        #: (workers only attach; see ``_attach_instance``).
-        self._shm: Optional[Any] = None
         #: Set when a ``degrade=True`` budget ran out mid-search: the
         #: batches yielded so far cover a sound *prefix* of the frontier
         #: and this record says why the rest was never explored.
@@ -697,46 +714,6 @@ class ParallelRepairSearch:
         """True when sibling-exclusion partitioning is active (denial-only)."""
 
         return self._exclusions
-
-    def _instance_payload(self, audit: bool) -> "_InstancePayload":
-        """The base-instance payload for the pool initializer.
-
-        Preferred transport: pack the instance as interned columns
-        (:func:`repro.relational.columnar.pack_instance`) into one
-        driver-owned ``multiprocessing.shared_memory`` segment and ship
-        only ``("shm", name, size)`` — every distinct constant pickles
-        once, and respawned pools re-attach to the same segment instead
-        of re-pickling the facts per worker.  ``REPRO_SHM=0`` (or any
-        shared-memory failure, e.g. an unmounted ``/dev/shm``) falls
-        back to the classic ``("facts", tuple)`` pickle; workers behave
-        identically either way.
-        """
-
-        if audit:
-            self.statistics.instance_ship_bytes_raw += len(
-                pickle.dumps(tuple(self._instance.facts()), pickle.HIGHEST_PROTOCOL)
-            )
-        if _shm_enabled():
-            try:
-                from multiprocessing import shared_memory
-
-                data = _columnar.pack_instance(self._instance)
-                segment = shared_memory.SharedMemory(
-                    create=True, size=max(len(data), 1)
-                )
-                segment.buf[: len(data)] = data
-            except Exception:
-                pass
-            else:
-                self._shm = segment
-                self.statistics.instance_ship_bytes += len(data)
-                return ("shm", segment.name, len(data))
-        facts = tuple(self._instance.facts())
-        if audit:
-            self.statistics.instance_ship_bytes += len(
-                pickle.dumps(facts, pickle.HIGHEST_PROTOCOL)
-            )
-        return ("facts", facts)
 
     def request_budget(self) -> Optional[Budget]:
         """The budget this search answers to: the constructor's, else the ambient one."""
@@ -843,9 +820,13 @@ class ParallelRepairSearch:
         policy = self._retry_policy
         fault_spec = _faults.worker_spec()
         audit = _ship_audit()
-        codec = _columnar.FactCodec.from_instance(self._instance)
+        facts = tuple(self._instance.facts())
+        codec = FactCodec(facts)
+        # Every pool start ships the base instance as its sorted facts;
+        # each worker rebuilds it and derives the same codec from them.
+        payload_bytes = len(pickle.dumps(facts, pickle.HIGHEST_PROTOCOL))
         payload = (
-            self._instance_payload(audit),
+            facts,
             tuple(self._constraints),
             self._exclusions,
             _trace.enabled(),
@@ -895,6 +876,7 @@ class ParallelRepairSearch:
             )
 
         def spawn() -> ProcessPoolExecutor:
+            self.statistics.instance_ship_bytes += payload_bytes
             executor = ProcessPoolExecutor(
                 max_workers=self._workers,
                 initializer=_worker_init,
@@ -1037,13 +1019,6 @@ class ParallelRepairSearch:
         executor, self._executor = self._executor, None
         if executor is not None:
             executor.shutdown(wait=True, cancel_futures=True)
-        segment, self._shm = self._shm, None
-        if segment is not None:
-            try:
-                segment.close()
-                segment.unlink()
-            except Exception:
-                pass
 
     # ------------------------------------------------------------------ collection
     def collect(self) -> List[Tuple[Path, FrozenSet[Fact], FrozenSet[Fact]]]:

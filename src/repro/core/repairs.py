@@ -580,19 +580,18 @@ class RepairStatistics:
       effective parallelism.
 
     The ship-bytes group measures the process pool's boundary traffic
-    (``workers >= 2`` only; all 0 otherwise).  ``tasks_shipped`` always
-    counts; the byte fields are only filled when ``REPRO_SHIP_AUDIT=1``
-    is set, because measuring them costs an extra pickle per shipment:
+    (``workers >= 2`` only; all 0 otherwise).  ``tasks_shipped`` and
+    ``instance_ship_bytes`` always count; the task byte fields are only
+    filled when ``REPRO_SHIP_AUDIT=1`` is set, because measuring them
+    costs an extra pickle per shipment:
 
     * ``tasks_shipped`` — task payloads submitted to pool workers;
     * ``task_ship_bytes`` / ``task_ship_bytes_raw`` — pickled bytes of
       the codec-encoded task+result payloads actually shipped, vs. what
       the un-encoded objects would have cost (benchmark E14 reports the
       ratio);
-    * ``instance_ship_bytes`` / ``instance_ship_bytes_raw`` — the base
-      instance's columnar shared-memory pack per pool spawn, vs. the
-      pickled facts tuple it replaces (``instance_ship_bytes`` is
-      recorded even without the audit flag — the pack size is free).
+    * ``instance_ship_bytes`` — the pickled facts tuple each pool start
+      ships to its workers, summed over pool starts.
     """
 
     states_explored: int = 0
@@ -609,7 +608,6 @@ class RepairStatistics:
     task_ship_bytes: int = 0
     task_ship_bytes_raw: int = 0
     instance_ship_bytes: int = 0
-    instance_ship_bytes_raw: int = 0
 
     #: Fields :meth:`merge` must NOT sum: they are wall-clock measures
     #: owned by the driving engine's parent span — summing them across

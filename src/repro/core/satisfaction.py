@@ -19,10 +19,8 @@ constraint is lowered once (per process) by :mod:`repro.compile.kernel`
 into a join plan with a precomputed atom schedule, slot-based bindings
 and specialised per-atom matchers, and every call after that runs the
 plan — through the per-plan generated executor of
-:mod:`repro.compile.codegen` and, for full sweeps over a stable
-unbudgeted instance, the column-at-a-time batch evaluator of
-:mod:`repro.relational.columnar` (both on by default; see
-``docs/kernel-codegen.md`` for the fallback knobs).  Two interpreted
+:mod:`repro.compile.codegen` (on by default; see
+``docs/kernel-codegen.md`` for the fallback knob).  Two interpreted
 paths survive for cross-validation: the original
 nested-loop joins behind ``naive=True``, and the per-call index-backed
 join (:func:`indexed_body_matches` + :func:`violation_filter`) behind

@@ -74,10 +74,7 @@ class CQAConfig:
       closures of :mod:`repro.compile.codegen` (True by default; False
       falls back to the step interpreter, and ``REPRO_CODEGEN=0`` in
       the environment wins over both).  Purely a performance knob —
-      answers are bit-identical either way;
-    * ``columnar`` — run full-plan sweeps column-at-a-time over the
-      interned store of :mod:`repro.relational.columnar` (same caveats
-      and ``REPRO_COLUMNAR=0`` override; identical answers).
+      answers are bit-identical either way.
     """
 
     method: str = "auto"
@@ -91,7 +88,6 @@ class CQAConfig:
     max_memory: Optional[int] = None
     degrade: bool = False
     codegen: bool = True
-    columnar: bool = True
 
     def merged(self, overrides: Mapping[str, Any]) -> "CQAConfig":
         """A copy with *overrides* applied.
@@ -117,8 +113,8 @@ class CQAConfig:
         Traceback (most recent call last):
             ...
         TypeError: unknown CQA option(s): turbo; valid options are anytime, \
-codegen, columnar, deadline, degrade, estimate_repairs, max_memory, \
-max_states, method, null_is_unknown, repair_mode, workers
+codegen, deadline, degrade, estimate_repairs, max_memory, max_states, \
+method, null_is_unknown, repair_mode, workers
         """
 
         if not overrides:
@@ -141,9 +137,9 @@ max_states, method, null_is_unknown, repair_mode, workers
         resilience knobs (``deadline``, ``max_memory``, ``degrade``)
         are absent for the same reason — a request that *completes*
         returns the same answer under any budget, and a request that
-        does not never reaches the cache.  ``codegen``/``columnar``
-        pick the execution backend, which is pinned bit-identical, so
-        they never split cache entries either.
+        does not never reaches the cache.  ``codegen`` picks the
+        execution backend, which is pinned bit-identical, so it never
+        splits cache entries either.
         """
 
         return (

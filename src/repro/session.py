@@ -287,7 +287,6 @@ class ConsistentDatabase:
         max_memory: Optional[int] = None,
         degrade: bool = False,
         codegen: bool = True,
-        columnar: bool = True,
     ):
         if source is None:
             self._instance = DatabaseInstance()
@@ -319,7 +318,6 @@ class ConsistentDatabase:
             max_memory=max_memory,
             degrade=degrade,
             codegen=codegen,
-            columnar=columnar,
         )
         get_engine(self._config.method)  # fail fast on an unknown default
         #: Name-independent structural fingerprint of the constraint set —
@@ -765,24 +763,21 @@ class ConsistentDatabase:
 
     @contextmanager
     def _execution_scope(self, config: CQAConfig):
-        """Budget plus execution-backend overrides for one request.
+        """Budget plus execution-backend override for one request.
 
         Installs the request budget (see :meth:`_budget_scope`) and, when
-        the config opts *out* of a speed layer (``codegen=False`` /
-        ``columnar=False``), scopes the corresponding fallback override
-        for the duration of the call.  The default ``True`` deliberately
-        forces nothing, so process-wide test/benchmark overrides and the
-        ``REPRO_CODEGEN=0`` / ``REPRO_COLUMNAR=0`` escape hatches keep
-        working underneath a session.
+        the config opts *out* of code generation (``codegen=False``),
+        scopes the step-interpreter fallback for the duration of the
+        call.  The default ``True`` deliberately forces nothing, so
+        process-wide test/benchmark overrides and the ``REPRO_CODEGEN=0``
+        escape hatch keep working underneath a session.
         """
 
         from repro.compile import codegen as _codegen_module
-        from repro.relational import columnar as _columnar_module
 
         with self._budget_scope(config):
             with _codegen_module.overridden(None if config.codegen else False):
-                with _columnar_module.overridden(None if config.columnar else False):
-                    yield
+                yield
 
     def cancel_budget(self) -> bool:
         """Cooperatively cancel the currently running budgeted request.

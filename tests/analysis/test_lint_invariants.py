@@ -120,10 +120,6 @@ class TestINV006CodegenFreeInterpreters:
         ):
             assert rules_for("src/repro/compile/matchers.py", source) == ["INV006"]
 
-    def test_columnar_store_is_codegen_free(self):
-        source = "from repro.compile import codegen\n"
-        assert rules_for("src/repro/relational/columnar.py", source) == ["INV006"]
-
     def test_reference_modules_are_covered_too(self):
         source = "from repro.compile.codegen import matcher\n"
         assert rules_for("src/repro/core/classic.py", source) == ["INV004", "INV006"]

@@ -1,16 +1,13 @@
-"""The parallel pool's wire format: codec round-trips and shm payloads."""
+"""The parallel pool's wire format: codec round-trips and the facts payload."""
 
 import pickle
 
-import pytest
-
 from repro.constraints.parser import parse_constraint
-from repro.core import parallel
 from repro.core.parallel import (
+    FactCodec,
     FrontierTask,
     ParallelRepairSearch,
     TaskResult,
-    _attach_instance,
     _decode_result,
     _decode_statistics,
     _decode_task,
@@ -19,7 +16,6 @@ from repro.core.parallel import (
     _encode_task,
 )
 from repro.core.repairs import RepairStatistics
-from repro.relational import columnar
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 
@@ -34,7 +30,7 @@ def _instance():
 
 
 def _codec():
-    return columnar.FactCodec.from_instance(_instance())
+    return FactCodec.from_instance(_instance())
 
 
 def _task(instance):
@@ -46,6 +42,32 @@ def _task(instance):
         excluded_deletions=frozenset(facts[1:2]),
         excluded_insertions=frozenset(),
     )
+
+
+class TestFactCodec:
+    def test_base_facts_ship_as_integers(self):
+        instance = _instance()
+        codec = FactCodec.from_instance(instance)
+        for fact in instance.facts():
+            token = codec.encode_fact(fact)
+            assert isinstance(token, int)
+            assert codec.decode_fact(token) == fact
+
+    def test_foreign_facts_ship_as_pairs(self):
+        codec = _codec()
+        foreign = Fact("P", ("z", 9))
+        token = codec.encode_fact(foreign)
+        assert token == ("P", ("z", 9))
+        assert codec.decode_fact(token) == foreign
+
+    def test_fact_sets_round_trip(self):
+        instance = _instance()
+        codec = FactCodec.from_instance(instance)
+        facts = frozenset(list(instance.facts())[:2]) | {Fact("P", ("q", 0))}
+        tokens = codec.encode_facts(facts)
+        assert codec.decode_facts(tokens) == facts
+        # Equal sets encode equally (sorted), whatever the input order.
+        assert tokens == codec.encode_facts(sorted(facts, key=Fact.sort_key))
 
 
 class TestTaskWire:
@@ -138,42 +160,34 @@ class TestResultWire:
 class TestInstancePayload:
     CONSTRAINTS = [parse_constraint("P(x, y), P(x, z) -> y = z")]
 
-    def test_shm_payload_round_trips(self):
+    def test_facts_payload_round_trips(self):
+        """A worker rebuilds the base from the shipped facts, and the
+        codec it derives numbers every fact as the driver's does."""
+
         instance = _instance()
+        facts = tuple(instance.facts())
+        rebuilt = DatabaseInstance.from_facts(pickle.loads(pickle.dumps(facts)))
+        assert set(rebuilt.facts()) == set(facts)
+        driver = FactCodec(facts)
+        worker = FactCodec.from_instance(rebuilt)
+        assert len(driver) == len(worker)
+        for fact in facts:
+            assert driver.encode_fact(fact) == worker.encode_fact(fact)
+
+    def test_pool_start_reports_the_payload_size(self):
+        instance = DatabaseInstance.from_dict(
+            {"P": [("a", 1), ("a", 2), ("b", 3), ("b", 4)]}
+        )
         search = ParallelRepairSearch(instance, self.CONSTRAINTS, workers=2)
         try:
-            payload = search._instance_payload(audit=False)
-            if payload[0] != "shm":
-                pytest.skip("shared memory unavailable on this platform")
-            rebuilt = _attach_instance(payload)
-            assert set(rebuilt.facts()) == set(instance.facts())
-            assert search.statistics.instance_ship_bytes == payload[2]
+            found = search.collect()
         finally:
             search.close()
-
-    def test_shm_segment_is_released_on_close(self):
-        search = ParallelRepairSearch(_instance(), self.CONSTRAINTS, workers=2)
-        payload = search._instance_payload(audit=False)
-        if payload[0] != "shm":
-            search.close()
-            pytest.skip("shared memory unavailable on this platform")
-        search.close()
-        from multiprocessing import shared_memory
-
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=payload[1])
-
-    def test_facts_fallback_when_shm_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SHM", "0")
-        instance = _instance()
-        search = ParallelRepairSearch(instance, self.CONSTRAINTS, workers=2)
-        try:
-            payload = search._instance_payload(audit=False)
-            assert payload[0] == "facts"
-            rebuilt = _attach_instance(payload)
-            assert set(rebuilt.facts()) == set(instance.facts())
-        finally:
-            search.close()
+        assert found == ParallelRepairSearch(instance, self.CONSTRAINTS).collect()
+        facts = tuple(instance.facts())
+        assert search.statistics.instance_ship_bytes == len(
+            pickle.dumps(facts, pickle.HIGHEST_PROTOCOL)
+        )
 
 
 class TestEndToEndShipAccounting:

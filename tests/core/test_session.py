@@ -533,3 +533,58 @@ class TestCompiledPlans:
         program = db.compiled_program()
         assert program.constraints == (RIC,)
         assert db._violation_index.program is program
+
+
+class TestRequestReadSet:
+    """A request reads only the relations its query names.
+
+    Each repair shares every untouched relation with the base instance,
+    so evaluating the query on it must not touch relations the query and
+    the constraints never mention — nor may the independence route.
+    """
+
+    KEY = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
+    DATA = {
+        "Emp": [("e1", "sales"), ("e1", "hr"), ("e2", "ops"), ("e2", "it")],
+        "Log": [("u1", "login"), ("u2", "logout")],
+    }
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        seen = []
+        rows = DatabaseInstance.rows
+        matching = DatabaseInstance.tuples_matching
+
+        def recording_rows(instance, predicate):
+            seen.append(predicate)
+            return rows(instance, predicate)
+
+        def recording_matching(instance, predicate, bound):
+            seen.append(predicate)
+            return matching(instance, predicate, bound)
+
+        monkeypatch.setattr(DatabaseInstance, "rows", recording_rows)
+        monkeypatch.setattr(DatabaseInstance, "tuples_matching", recording_matching)
+        return seen
+
+    def test_direct_enumeration_reads_only_the_queried_relation(self, reads):
+        db = ConsistentDatabase(self.DATA, [self.KEY])
+        query = parse_query("ans(e, d) <- Emp(e, d)")
+        db.consistent_answers(query, method="direct")
+        db.insert("Emp", ("e3", "hr"))
+        reads.clear()
+        assert db.consistent_answers(query, method="direct") == {("e3", "hr")}
+        assert set(reads) == {"Emp"}
+
+    def test_independent_route_reads_only_the_queried_relation(self, reads):
+        db = ConsistentDatabase(self.DATA, [self.KEY])
+        query = parse_query("ans(u) <- Log(u, a)")
+        db.insert("Log", ("u3", "login"))
+        assert db.explain(query).method == "independent"
+        reads.clear()
+        assert db.consistent_answers(query, method="auto") == {
+            ("u1",),
+            ("u2",),
+            ("u3",),
+        }
+        assert set(reads) == {"Log"}

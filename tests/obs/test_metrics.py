@@ -148,6 +148,26 @@ class TestModuleRegistry:
         assert metrics.registry().get("repro_test_module_total").value == before + 2
 
 
+class TestColumnStoreCounters:
+    NAMES = ("repro_columnar_store_builds_total", "repro_columnar_store_rows_total")
+
+    def test_registered_on_import_and_never_incremented(self):
+        """Traced benchmark runs read both names; no column store exists."""
+
+        from repro import ConsistentDatabase
+        from repro.constraints.parser import parse_constraint, parse_query
+
+        before = [metrics.registry().get(name).value for name in self.NAMES]
+        db = ConsistentDatabase(
+            {"Emp": [("e1", "sales"), ("e1", "hr")], "Log": [("u1",)]},
+            [parse_constraint("Emp(e, d), Emp(e, f) -> d = f")],
+        )
+        db.consistent_answers(parse_query("ans(e) <- Emp(e, d)"), method="direct")
+        db.consistent_answers(parse_query("ans(u) <- Log(u)"), method="auto")
+        after = [metrics.registry().get(name).value for name in self.NAMES]
+        assert after == before
+
+
 class TestAbsorbAndViews:
     def make_stats(self) -> RepairStatistics:
         return RepairStatistics(

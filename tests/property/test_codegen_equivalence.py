@@ -1,22 +1,17 @@
-"""Generated executors ≡ columnar batches ≡ plan interpreter ≡ naive.
+"""Generated executors ≡ plan interpreter ≡ naive.
 
-The codegen/columnar layer added two more execution backends on top of
-the compiled kernel, and both must be invisible except for speed:
+:mod:`repro.compile.codegen` specialises every join plan to a generated
+Python closure replacing the step interpreter's ``iter_plan_matches``,
+and it must be invisible except for speed.
 
-* :mod:`repro.compile.codegen` — per-plan generated Python closures
-  replacing the step interpreter's ``iter_plan_matches``;
-* :mod:`repro.relational.columnar` — whole-plan batch sweeps over the
-  interned column store.
-
-This suite drives the same public entry points through every backend
-combination (both on — the default, codegen only, columnar only,
-neither — the pre-codegen step interpreter) and pins them against the
-``compiled=False`` interpreter and the ``naive=True`` nested-loop
-reference, which lint rule INV006 keeps codegen-free so the oracle can
-never become circular.  Payloads (bindings, body facts), seeded delta
-plans and query answers under both null conventions are compared, on
-the paper scenarios, the null-heavy generated workloads and
-hypothesis-random instances.
+This suite drives the same public entry points through both executors
+(codegen — the default — and the step interpreter it falls back to) and
+pins them against the ``compiled=False`` interpreter and the
+``naive=True`` nested-loop reference, which lint rule INV006 keeps
+codegen-free so the oracle can never become circular.  Payloads
+(bindings, body facts), seeded delta plans and query answers under both
+null conventions are compared, on the paper scenarios, the null-heavy
+generated workloads and hypothesis-random instances.
 """
 
 import pytest
@@ -27,7 +22,6 @@ from repro.compile import codegen
 from repro.constraints.ic import ConstraintSet, NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.satisfaction import all_violations, seeded_violations, violations
-from repro.relational import columnar
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads import (
@@ -37,15 +31,11 @@ from repro.workloads import (
     scenarios,
 )
 
-#: Every backend combination the kernel can run a full-plan sweep with,
-#: as (codegen enabled, columnar enabled) override pairs.  ``(False,
-#: False)`` is the pre-codegen step interpreter; ``(True, True)`` is
-#: the shipped default.
+#: Every executor the kernel can run a plan with, as codegen overrides:
+#: the shipped default and the step interpreter it falls back to.
 BACKENDS = {
-    "codegen+columnar": (True, True),
-    "codegen": (True, False),
-    "columnar": (False, True),
-    "plan-interp": (False, False),
+    "codegen": True,
+    "plan-interp": False,
 }
 
 WORKLOADS = {
@@ -77,8 +67,8 @@ def per_backend(fn):
     """``{backend name: fn()}`` with the matching overrides active."""
 
     results = {}
-    for name, (use_codegen, use_columnar) in BACKENDS.items():
-        with codegen.overridden(use_codegen), columnar.overridden(use_columnar):
+    for name, use_codegen in BACKENDS.items():
+        with codegen.overridden(use_codegen):
             results[name] = fn()
     return results
 
@@ -196,7 +186,8 @@ def test_random_instances_agree_on_every_backend(facts):
 @common_settings
 @given(facts=st.lists(FACTS, max_size=6), seed=FACTS)
 def test_random_mutations_keep_backends_in_sync(facts, seed):
-    """The column store tracks instance mutations generation by generation."""
+    """Both executors see every mutation: the hash indexes they probe
+    are maintained in place, generation by generation."""
 
     instance = DatabaseInstance.from_facts(facts)
 

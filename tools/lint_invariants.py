@@ -93,7 +93,6 @@ CODEGEN_FREE_MODULES = REFERENCE_MODULES | frozenset(
     {
         "src/repro/compile/plans.py",
         "src/repro/compile/matchers.py",
-        "src/repro/relational/columnar.py",
     }
 )
 #: CLI front ends whose job is to print.
