@@ -128,6 +128,18 @@ class TestINV006CodegenFreeInterpreters:
         source = "from repro.compile import codegen\n"
         assert rules_for("src/repro/compile/kernel.py", source) == []
 
+    def test_every_listed_path_exists(self):
+        """A rule keyed on a deleted module silently guards nothing."""
+
+        listed = (
+            lint.CODEGEN_FREE_MODULES
+            | lint.PRINT_ALLOWED
+            | set(lint.HOT_PATHS)
+            | {lint.CLOCK_OWNER, lint.POOL_OWNER}
+        )
+        missing = sorted(path for path in listed if not (ROOT / path).exists())
+        assert missing == []
+
     def test_other_sibling_imports_stay_allowed(self):
         source = "from .matchers import build_matchers\n"
         assert rules_for("src/repro/compile/plans.py", source) == []

@@ -144,6 +144,15 @@ class TestExecutorEquivalence:
                 )
                 assert generated == interpreted
 
+    def test_missing_relation_yields_nothing(self):
+        plan = compiled_constraint(parse_constraint(FD)).full_plan
+        without_emp = DatabaseInstance.from_dict({"Dept": [("sales",)]})
+        assert _run(plan, codegen.matcher(plan), without_emp) == []
+        assert (
+            _run(plan, lambda *a, **k: iter_plan_matches(plan, *a, **k), without_emp)
+            == []
+        )
+
     def test_seed_row_of_wrong_arity_yields_nothing(self):
         unit = compiled_constraint(parse_constraint(FD))
         seed_plan = unit.seed_plans[0]

@@ -211,3 +211,82 @@ class TestCompiledQueryEdgeCases:
             {"KernelSched": [("a", "b")], "KernelSchedB": [("b", "c")]}
         )
         assert query.answers(instance, compiled=False) == query.answers(instance)
+
+
+class TestQueriesOnRepairs:
+    """Definition 8 evaluates the query in every repair; each repair is the
+    base instance plus its ``∆`` (``DatabaseInstance.with_delta``)."""
+
+    QUERY = "ans(e, n) <- Emp(e, d), Dept(d, n)"
+
+    def base(self):
+        return DatabaseInstance.from_dict(
+            {
+                "Emp": [("a", "d1"), ("a", "d2"), ("b", "d2"), ("c", NULL)],
+                "Dept": [("d1", "sales"), ("d2", "hr"), (NULL, "ops")],
+                "Log": [("u1", "login"), ("u2", "logout")],
+            }
+        )
+
+    def deltas(self, base):
+        for fact in base.facts():
+            yield (), (fact,)
+        yield (Fact("Emp", ("d", "d1")),), ()
+        yield (Fact("Dept", ("d3", "it")), Fact("Emp", ("e", "d3"))), (
+            Fact("Emp", ("a", "d1")),
+        )
+
+    def test_reads_only_the_named_relations(self, monkeypatch):
+        reads = []
+        rows = DatabaseInstance.rows
+        matching = DatabaseInstance.tuples_matching
+
+        def recording_rows(instance, predicate):
+            reads.append(predicate)
+            return rows(instance, predicate)
+
+        def recording_matching(instance, predicate, bound):
+            reads.append(predicate)
+            return matching(instance, predicate, bound)
+
+        monkeypatch.setattr(DatabaseInstance, "rows", recording_rows)
+        monkeypatch.setattr(DatabaseInstance, "tuples_matching", recording_matching)
+        base = self.base()
+        repair = base.with_delta([], [Fact("Emp", ("a", "d2"))])
+        assert compiled_query(parse_query(self.QUERY)).answers(repair) == {
+            ("a", "sales"),
+            ("b", "hr"),
+            ("c", "ops"),  # null joins with itself by default
+        }
+        assert set(reads) == {"Emp", "Dept"}
+
+    def test_untouched_relations_keep_the_base_index(self):
+        base = self.base()
+        query = compiled_query(parse_query(self.QUERY))
+        query.answers(base)  # probes Dept by department: builds its index
+        dept_index = base._indexes["Dept"]
+        repair = base.with_delta([Fact("Emp", ("d", "d1"))], [])
+        assert ("d", "sales") in query.answers(repair)
+        assert repair._indexes["Dept"] is dept_index
+        assert base._indexes["Dept"] is dept_index
+        assert ("d", "sales") not in query.answers(base)
+
+    def test_answers_equal_a_materialised_repair(self):
+        parsed = parse_query(self.QUERY)
+        query = compiled_query(parsed)
+        base = self.base()
+        query.answers(base)  # warm the base's indexes before branching
+        for inserted, deleted in self.deltas(base):
+            repair = base.with_delta(inserted, deleted)
+            materialised = DatabaseInstance.from_facts(
+                (base.fact_set() - set(deleted)) | set(inserted)
+            )
+            assert repair.fact_set() == materialised.fact_set()
+            for null_is_unknown in (False, True):
+                expected = parsed.answers(
+                    materialised, null_is_unknown=null_is_unknown, naive=True
+                )
+                assert query.answers(repair, null_is_unknown) == expected, (
+                    inserted,
+                    deleted,
+                )

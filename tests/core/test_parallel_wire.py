@@ -3,11 +3,14 @@
 import pickle
 
 from repro.constraints.parser import parse_constraint
+from repro.core import parallel
 from repro.core.parallel import (
     FactCodec,
     FrontierTask,
     ParallelRepairSearch,
+    SearchContext,
     TaskResult,
+    exclusion_safe,
     _decode_result,
     _decode_statistics,
     _decode_task,
@@ -59,6 +62,21 @@ class TestFactCodec:
         token = codec.encode_fact(foreign)
         assert token == ("P", ("z", 9))
         assert codec.decode_fact(token) == foreign
+
+    def test_both_ends_derive_the_same_numbering(self):
+        """The numbering follows the sorted facts, not insertion history."""
+
+        driver_instance = _instance()
+        driver_instance.discard(Fact("P", ("a", 1)))
+        driver_instance.add_tuple("P", ("a", 1))
+        worker_instance = DatabaseInstance.from_facts(
+            reversed(list(_instance().facts()))
+        )
+        driver = FactCodec.from_instance(driver_instance)
+        worker = FactCodec.from_instance(worker_instance)
+        assert len(driver) == len(worker)
+        for fact in driver_instance.facts():
+            assert driver.encode_fact(fact) == worker.encode_fact(fact)
 
     def test_fact_sets_round_trip(self):
         instance = _instance()
@@ -173,6 +191,70 @@ class TestInstancePayload:
         assert len(driver) == len(worker)
         for fact in facts:
             assert driver.encode_fact(fact) == worker.encode_fact(fact)
+
+    def test_payload_is_deterministic_for_equal_instances(self):
+        """Equal instances ship equal bytes, however they were built."""
+
+        built = _instance()
+        reordered = DatabaseInstance.from_facts(reversed(list(built.facts())))
+        branched = built.with_delta([Fact("Q", ("z",))], []).with_delta(
+            [], [Fact("Q", ("z",))]
+        )
+        payloads = {
+            pickle.dumps(tuple(instance.facts()), pickle.HIGHEST_PROTOCOL)
+            for instance in (built, reordered, branched)
+        }
+        assert len(payloads) == 1
+
+    def test_a_worker_rebuilt_from_the_payload_runs_tasks_like_the_driver(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(parallel, "_WORKER_CONTEXT", None)
+        monkeypatch.setattr(parallel, "_WORKER_CODEC", None)
+        instance = DatabaseInstance.from_dict(
+            {"P": [("a", 1), ("a", 2), ("b", 3), ("b", NULL), ("c", 4), ("c", 5)]}
+        )
+        facts = tuple(instance.facts())
+        parallel._worker_init(
+            pickle.loads(pickle.dumps(facts, pickle.HIGHEST_PROTOCOL)),
+            tuple(self.CONSTRAINTS),
+            exclusion_safe(self.CONSTRAINTS),
+        )
+        codec = FactCodec(facts)
+        root = FrontierTask((), frozenset(), frozenset())
+        driver = SearchContext(instance, self.CONSTRAINTS).run_task(root, 3)
+        worker = _decode_result(
+            codec, parallel._worker_run(_encode_task(codec, root), 3), root
+        )
+        assert worker.candidates == driver.candidates
+        assert worker.deferred == driver.deferred
+        assert driver.candidates and driver.deferred  # both lists exercised
+
+    def test_inline_search_ships_no_instance(self):
+        instance = DatabaseInstance.from_dict({"P": [("a", 1), ("a", 2)]})
+        for workers in (0, 1):
+            search = ParallelRepairSearch(instance, self.CONSTRAINTS, workers=workers)
+            assert len(search.collect()) == 2
+            assert search.statistics.instance_ship_bytes == 0
+
+    def test_pool_rebuilds_nulls_and_ships_null_witnesses(self):
+        instance = DatabaseInstance.from_dict(
+            {
+                "Course": [(21, "C15"), (34, "C18"), (NULL, "C20")],
+                "Student": [(21, "Ann"), (45, NULL)],
+            }
+        )
+        ric = [parse_constraint("Course(i, c) -> Student(i, n)")]
+        search = ParallelRepairSearch(instance, ric, workers=2, chunk_states=1)
+        try:
+            found = search.collect()
+        finally:
+            search.close()
+        assert found == ParallelRepairSearch(instance, ric).collect()
+        assert any(
+            NULL in fact.values for _, inserted, _ in found for fact in inserted
+        )
+        assert search.statistics.tasks_shipped > 1
 
     def test_pool_start_reports_the_payload_size(self):
         instance = DatabaseInstance.from_dict(

@@ -399,6 +399,17 @@ class TestConfigObject:
         with pytest.raises(TypeError):
             CQAConfig().merged({"no_such_knob": 1})
 
+    def test_the_columnar_knob_is_gone(self):
+        """Every join runs on the row executor; no option selects another."""
+
+        with pytest.raises(TypeError, match="columnar"):
+            CQAConfig().merged({"columnar": False})
+        with pytest.raises(TypeError, match="columnar"):
+            ConsistentDatabase({"P": [("a",)]}, columnar=False)
+        db = ConsistentDatabase({"P": [("a",)]})
+        with pytest.raises(TypeError, match="columnar"):
+            db.consistent_answers(parse_query("ans(x) <- P(x)"), columnar=False)
+
     def test_merged_is_a_copy(self):
         config = CQAConfig()
         merged = config.merged({"method": "direct"})
@@ -574,6 +585,34 @@ class TestRequestReadSet:
         db.insert("Emp", ("e3", "hr"))
         reads.clear()
         assert db.consistent_answers(query, method="direct") == {("e3", "hr")}
+        assert set(reads) == {"Emp"}
+
+    @pytest.mark.parametrize(
+        "route",
+        [
+            {"method": "direct", "repair_mode": "naive"},
+            {"method": "program"},
+            {"method": "rewriting"},
+            {"method": "direct", "candidate": ("e3", "hr")},
+            {"method": "direct", "candidate": ("e1", "hr"), "anytime": True},
+        ],
+        ids=["naive-search", "program", "rewriting", "certain", "certain-anytime"],
+    )
+    def test_every_route_reads_only_the_queried_relation(self, reads, route):
+        route = dict(route)
+        db = ConsistentDatabase(self.DATA, [self.KEY])
+        query = parse_query("ans(e, d) <- Emp(e, d)")
+        if "candidate" in route:
+            candidate = route.pop("candidate")
+            ask = lambda: db.certain(query, candidate, **route)  # noqa: E731
+            expected = candidate == ("e3", "hr")
+        else:
+            ask = lambda: db.consistent_answers(query, **route)  # noqa: E731
+            expected = {("e3", "hr")}
+        ask()
+        db.insert("Emp", ("e3", "hr"))
+        reads.clear()
+        assert ask() == expected
         assert set(reads) == {"Emp"}
 
     def test_independent_route_reads_only_the_queried_relation(self, reads):

@@ -167,6 +167,10 @@ class TestColumnStoreCounters:
         after = [metrics.registry().get(name).value for name in self.NAMES]
         assert after == before
 
+    def test_batch_run_counter_is_unregistered(self):
+        assert metrics.registry().get("repro_columnar_batch_runs_total") is None
+        assert all(name in metrics.registry().names() for name in self.NAMES)
+
 
 class TestAbsorbAndViews:
     def make_stats(self) -> RepairStatistics:
