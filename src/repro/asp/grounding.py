@@ -15,7 +15,9 @@ queries: each rule's positive body is lowered once
 possible-atom set — slot-based matching instead of one dictionary copy
 per candidate atom.  ``compiled=False`` on :func:`possible_atoms` /
 :func:`ground_program` keeps the original per-atom interpreted matching
-as the cross-validation reference.
+(through the shared :func:`repro.compile.matchers.extend_match`) as the
+cross-validation reference — the grounder has no naive path, so this is
+its only reference.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.relational.domain import Constant
+from repro.compile.matchers import extend_match
 from repro.constraints.atoms import Atom, BuiltinEvaluationError, Comparison
-from repro.constraints.terms import Variable, is_variable
+from repro.constraints.terms import Variable
 from repro.asp.syntax import Program, Rule
 
 
@@ -82,29 +85,6 @@ def _atoms_by_predicate(atoms: Iterable[Atom]) -> Dict[Tuple[str, int], Set[Atom
     return grouped
 
 
-def _match_atom(atom: Atom, ground: Atom, assignment: Assignment) -> Optional[Assignment]:
-    if atom.predicate != ground.predicate or atom.arity != ground.arity:
-        return None
-    extended = dict(assignment)
-    for term, value in zip(atom.terms, ground.terms):
-        if is_variable(term):
-            bound = extended.get(term, _UNBOUND)
-            if bound is _UNBOUND:
-                extended[term] = value
-            elif bound != value:
-                return None
-        elif term != value:
-            return None
-    return extended
-
-
-class _Unbound:
-    """Sentinel distinguishing 'unbound' from a variable bound to None."""
-
-
-_UNBOUND = _Unbound()
-
-
 def _comparisons_hold(comparisons: Sequence[Comparison], assignment: Assignment) -> bool:
     for comparison in comparisons:
         try:
@@ -128,7 +108,7 @@ def _body_instantiations_interpreted(
         atom = rule.positive[index]
         candidates = available.get((atom.predicate, atom.arity), set())
         for ground in candidates:
-            extended = _match_atom(atom, ground, assignment)
+            extended = extend_match(atom, ground.terms, assignment)
             if extended is not None:
                 yield from extend(index + 1, extended)
 

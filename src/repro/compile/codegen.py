@@ -1,62 +1,45 @@
-"""Per-plan code generation: specialize each :class:`JoinPlan` to source.
+"""Per-plan code generation: each :class:`JoinPlan` becomes its own executor.
 
-The interpreter of :func:`repro.compile.plans.iter_plan_matches` pays a
-per-row price for its generality — attribute loads on the current
-:class:`~repro.compile.plans.AtomStep`, inner loops over ``eq``/
-``writes``/``guard`` tuples, a probe ``dict`` rebuilt per descent.  This
-module eliminates that dispatch by emitting a *specialized Python
-generator* per plan: the step schedule unrolls into nested ``for``
-loops, constants and slot indices become literals, the null guards
-inline to identity checks, and constant-only probes hoist to
-module-level dicts.  The generated source is ``compile()``d once and
-cached on the plan object itself, which lives in the process-wide
-compile memo next to :class:`repro.compile.kernel.CompiledConstraint`
-— so every engine and every session in the process shares one build.
+Every compiled plan runs through a *specialized Python generator*
+emitted here: the step schedule unrolls into nested ``for`` loops,
+constants and slot indices become literals, the null guards inline to
+identity checks, and constant-only probes hoist to module-level dicts.
+The generated source is ``compile()``d once and cached on the plan
+object itself, which lives in the process-wide compile memo next to
+:class:`repro.compile.kernel.CompiledConstraint` — so every engine and
+every session in the process shares one build.
 
-The contract is *exactly* :func:`iter_plan_matches`: same signature
-(minus the leading plan), same yields in the same order, same per-
-descent budget checkpoints, same seed/initial handling.  The property
-suite pins ``codegen == interpreted`` on every workload; the reference
-interpreter itself must never import this module (lint rule INV006),
-so the cross-validation cannot become circular.
+Executor contract: ``executor(relations, slots, rows, seed_row=None,
+initial_values=None)`` yields once per full match; on every yield the
+caller-owned ``slots`` hold the variable values at the plan's slots and
+``rows`` the matched row per original atom index (both arrays are
+reused across matches).  A delta plan's seed row is matched first and a
+binding pattern's values are written first; a guard or seed mismatch
+yields nothing.  The ambient request budget is checked once per join
+*descent*.
 
-Fallback knobs:
-
-* ``REPRO_CODEGEN=0`` in the environment disables generation globally
-  (checked per call, so worker processes and tests see it live);
-* :func:`overridden` installs a scoped override — the session threads
-  ``CQAConfig.codegen`` through it per request;
-* :func:`set_enabled` flips the process default.
+The generated executors are the only fast path; the ``naive=True``
+nested-loop joins of :mod:`repro.core.satisfaction` and
+:mod:`repro.logic.queries` are the reference the property suite pins
+them to.  Lint rule INV006 keeps the IR (:mod:`repro.compile.plans`,
+:mod:`repro.compile.matchers`) and the kernel-free reference modules
+from importing this module, so the dependency only points codegen → IR.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import partial
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Tuple,
-)
+from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from repro.compile.plans import JoinPlan, Relations, Row, iter_plan_matches
-from repro.constraints.terms import Variable
+from repro.compile.plans import JoinPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.relational.domain import NULL, Constant
 from repro.resilience import budget as _budget
 
-#: A plan executor: the generated generator function (or the interpreter
-#: partially applied to its plan).  Yields once per match, writing the
-#: caller-owned ``slots``/``rows`` arrays exactly like
-#: :func:`iter_plan_matches`.
+#: A plan executor: the generated generator function.  Yields once per
+#: match, writing the caller-owned ``slots``/``rows`` arrays (see the
+#: module docstring for the contract).
 PlanExecutor = Callable[..., Iterator[None]]
 
 _EMPTY_PROBE: Dict[int, Constant] = {}
@@ -68,16 +51,10 @@ _CODEGEN_SOURCE_BYTES = _metrics.counter(
     "repro_codegen_source_bytes_total", "bytes of generated plan source compiled"
 )
 
-#: Attribute names used to cache executors on the (frozen) plan objects.
+#: Attribute name used to cache the executor on the (frozen) plan object.
 #: ``object.__setattr__`` writes through the frozen dataclass guard; the
-#: attributes never participate in equality or hashing.
+#: attribute never participates in equality or hashing.
 _GENERATED_ATTR = "_codegen_executor"
-_INTERPRETED_ATTR = "_codegen_fallback"
-
-_ENV_FLAG = "REPRO_CODEGEN"
-
-_DEFAULT_ENABLED = True
-_FORCED: Optional[bool] = None
 
 
 @dataclass
@@ -97,56 +74,13 @@ def codegen_statistics() -> CodegenStatistics:
     return _STATISTICS
 
 
-def enabled() -> bool:
-    """Is plan code generation active for the current call?
-
-    ``REPRO_CODEGEN=0`` wins over everything; otherwise a scoped
-    :func:`overridden` value, then the process default.
-    """
-
-    if os.environ.get(_ENV_FLAG, "") == "0":
-        return False
-    if _FORCED is not None:
-        return _FORCED
-    return _DEFAULT_ENABLED
-
-
-def set_enabled(on: bool) -> None:
-    """Flip the process-wide default (``REPRO_CODEGEN=0`` still wins)."""
-
-    global _DEFAULT_ENABLED
-    _DEFAULT_ENABLED = on
-
-
-@contextmanager
-def overridden(on: Optional[bool]) -> Iterator[None]:
-    """Scoped enable/disable override; ``None`` leaves the state alone."""
-
-    global _FORCED
-    if on is None:
-        yield
-        return
-    previous = _FORCED
-    _FORCED = on
-    try:
-        yield
-    finally:
-        _FORCED = previous
-
-
 def matcher(plan: JoinPlan) -> PlanExecutor:
-    """The executor for *plan*: generated when codegen is on, else interpreted.
+    """The generated executor for *plan*, built on first use.
 
-    Both variants are cached on the plan object, so the steady-state
-    cost of this call is one flag check and one ``__dict__`` probe.
+    The executor is cached on the plan object, so the steady-state cost
+    of this call is one ``__dict__`` probe.
     """
 
-    if not enabled():
-        fallback = plan.__dict__.get(_INTERPRETED_ATTR)
-        if fallback is None:
-            fallback = partial(iter_plan_matches, plan)
-            object.__setattr__(plan, _INTERPRETED_ATTR, fallback)
-        return fallback  # type: ignore[no-any-return]
     executor = plan.__dict__.get(_GENERATED_ATTR)
     if executor is None:
         executor = _build(plan)
@@ -161,11 +95,7 @@ def generated_source(plan: JoinPlan) -> str:
     render real generated sources through this.
     """
 
-    executor = plan.__dict__.get(_GENERATED_ATTR)
-    if executor is None:
-        executor = _build(plan)
-        object.__setattr__(plan, _GENERATED_ATTR, executor)
-    return getattr(executor, "__repro_source__")  # type: ignore[no-any-return]
+    return getattr(matcher(plan), "__repro_source__")  # type: ignore[no-any-return]
 
 
 # --------------------------------------------------------------------- emitter
@@ -224,7 +154,7 @@ def _emit_row_checks(
     guard: Tuple[int, ...],
     reject: str,
 ) -> None:
-    """The shared per-row body: arity, eq, writes, guards (interpreter order)."""
+    """The shared per-row body: arity, eq, writes, then guards."""
 
     out.put(depth, f"if len({row}) != {arity}:")
     out.put(depth + 1, reject)
@@ -304,9 +234,10 @@ def _generate(plan: JoinPlan) -> Tuple[str, Dict[str, Any]]:
     for index, step in enumerate(steps):
         depth = index
         if index > 0:
-            # Mirror the interpreter: one budget checkpoint per join
-            # *descent* — after a row matched at the enclosing depth,
-            # before the next iterator opens.
+            # One budget checkpoint per join *descent* — after a row
+            # matched at the enclosing depth, before the next iterator
+            # opens — bounds a runaway cross product without taxing the
+            # innermost per-row loop.
             out.put(depth, "if _budget:")
             out.put(depth + 1, "_budget.checkpoint()")
         row = f"_r{index}"

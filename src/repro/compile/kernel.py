@@ -26,10 +26,11 @@ Compilation chooses the atom schedule statically (most statically-bound
 positions first, from the schema and binding pattern — never re-derived
 per call) and resolves constants, repeated variables and
 relevant-attribute null guards into specialised per-atom matchers over a
-flat slot array.  Execution is **bit-for-bit equivalent** to the
-interpreted paths it replaces: the same violation sets (bindings and
-``body_facts`` included), the same query answer sets, and therefore the
-same repairs and consistent answers — the property suite
+flat slot array; :mod:`repro.compile.codegen` then turns each plan into
+its generated executor.  Execution is **bit-for-bit equivalent** to the
+``naive=True`` nested-loop reference: the same violation sets (bindings
+and ``body_facts`` included), the same query answer sets, and therefore
+the same repairs and consistent answers — the property suite
 (``tests/property/test_compiled_equivalence.py``) pins this on every
 scenario and generator.
 
@@ -263,7 +264,7 @@ def _value_spec(
 
     ``None`` (the whole spec) marks a variable without a slot — an
     unbound comparison variable, which can never be satisfied (mirrors
-    the interpreter's "not ground" :class:`BuiltinEvaluationError`).
+    the reference evaluator's "not ground" :class:`BuiltinEvaluationError`).
     """
 
     if is_variable(term):
@@ -322,7 +323,7 @@ def compile_query_comparison(
     False (SQL), otherwise null supports (in)equality only; genuinely
     incomparable non-null values still raise
     :class:`~repro.constraints.atoms.BuiltinEvaluationError`, exactly
-    like the interpreter.
+    like the naive evaluator.
     """
 
     op = comparison.op
@@ -331,7 +332,7 @@ def compile_query_comparison(
     right_spec = _value_spec(comparison.right, var_slots)
     if left_spec is None or right_spec is None:
         # Unreachable for safe queries (every comparison variable occurs
-        # in a positive atom); mirror the interpreter's hard failure.
+        # in a positive atom); mirror the naive evaluator's hard failure.
         def unbound(slots: Sequence[Constant], null_is_unknown: bool) -> bool:
             raise BuiltinEvaluationError(f"comparison {comparison!r} is not ground")
 
@@ -523,12 +524,11 @@ class CompiledConstraint:
     ) -> Iterator[None]:
         """Body matches that survive the built-in and witness conditions.
 
-        *matches* is any plan-match iterator over caller-owned arrays —
-        the code-generated executor or the step interpreter.  The
-        relevant-null guard already ran inside the join (pushed down to
-        the binding step); the remaining ``|=_N`` conditions run here, in
-        the interpreter's order: built-in disjunction, then head-atom
-        witnesses.
+        *matches* is a generated executor's match iterator over
+        caller-owned arrays.  The relevant-null guard already ran inside
+        the join (pushed down to the binding step); the remaining
+        ``|=_N`` conditions run here, in the reference's order: built-in
+        disjunction, then head-atom witnesses.
         """
 
         comparisons = self.comparisons
@@ -591,7 +591,7 @@ class CompiledConstraint:
 
         Runs the seeded plan of every body occurrence with the fact's
         shape; matches reached through several occurrences are
-        deduplicated, exactly like the interpreted enumeration.
+        deduplicated.
         """
 
         plans = self._seed_plans_by_shape.get((fact.predicate, fact.arity))
@@ -603,11 +603,6 @@ class CompiledConstraint:
                 if violation not in seen:
                     seen.add(violation)
                     yield violation
-
-    def covers_partial(self, partial: Mapping[Variable, Constant]) -> bool:
-        """Can a binding-pattern plan serve *partial*?  (Keys ⊆ body vars.)"""
-
-        return all(variable in self._var_slots for variable in partial)
 
     def _partial_plan(self, pattern: FrozenSet[Variable]) -> JoinPlan:
         plan = self._partial_plans.get(pattern)
@@ -638,7 +633,11 @@ class CompiledConstraint:
     def violations_under(
         self, relations: Relations, partial: Mapping[Variable, Constant]
     ) -> Iterator[Violation]:
-        """Violations compatible with the *partial* assignment (delta plan)."""
+        """Violations compatible with the *partial* assignment (delta plan).
+
+        Every key of *partial* must be a body variable: the tracker's
+        lost-witness assignments pin only universal variables.
+        """
 
         plan = self._partial_plan(frozenset(partial))
         yield from self._emit(relations, plan, initial=partial)
@@ -687,10 +686,6 @@ class CompiledQuery:
         self.n_slots = len(self._var_slots)
         empty: FrozenSet[Variable] = frozenset()
         order = _static_schedule(atoms, empty, skip=None)
-        #: The static schedule, also reused by the interpreted reference
-        #: path (`ConjunctiveQuery._indexed_bindings`) so it stops
-        #: re-sorting atoms per invocation.
-        self.order: Tuple[int, ...] = tuple(order)
         self.plan = JoinPlan(
             steps=_build_steps(atoms, order, self._var_slots, empty, empty),
             n_slots=self.n_slots,
@@ -719,7 +714,7 @@ class CompiledQuery:
     def answers(
         self, instance: DatabaseInstance, null_is_unknown: bool = False
     ) -> FrozenSet[Tuple[Constant, ...]]:
-        """The query's answer set — same set as the interpreted paths."""
+        """The query's answer set — the same set as the naive evaluator's."""
 
         results: Set[Tuple[Constant, ...]] = set()
         slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]

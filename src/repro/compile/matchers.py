@@ -1,8 +1,9 @@
 """The one atom-matching routine shared by every evaluator.
 
 Constraint checking (:mod:`repro.core.satisfaction`), conjunctive-query
-answering (:mod:`repro.logic.queries`) and the rewriting residues
-(:mod:`repro.rewriting.residues`) all need the same primitive: extend a
+answering (:mod:`repro.logic.queries`), the rewriting residues
+(:mod:`repro.rewriting.residues`) and the ASP grounder's reference path
+(:mod:`repro.asp.grounding`) all need the same primitive: extend a
 variable assignment so that an atom matches a concrete row, failing on a
 constant mismatch or an inconsistent repeated variable.  Those modules
 used to carry private copies of the routine; they now share this one, so

@@ -18,25 +18,23 @@ lowers a constraint antecedent or a query body to:
   pushed down to the step that first binds the variable, so a doomed
   partial match is abandoned as early as possible.
 
-Plans execute against anything that speaks the relation protocol of
-:class:`repro.relational.instance.DatabaseInstance` —
+A plan is data: :mod:`repro.compile.codegen` turns each one into its
+executor.  Plans execute against anything that speaks the relation
+protocol of :class:`repro.relational.instance.DatabaseInstance` —
 ``tuples_matching(predicate, bound)`` — which is how the ASP grounder
 joins through the same kernel over its ground-atom sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.relational.domain import Constant, is_null
+from repro.relational.domain import Constant
 from repro.constraints.terms import Variable
-from repro.resilience import budget as _budget
 
 
 Row = Tuple[Constant, ...]
-
-_EMPTY_BOUND: Dict[int, Constant] = {}
 
 
 class Relations:
@@ -74,16 +72,6 @@ class AtomStep:
     writes: Tuple[Tuple[int, int], ...]  #: (position, slot)
     guard: Tuple[int, ...]  #: slots written here that must not be null
 
-    def probe(self, slots: Sequence[Constant]) -> Dict[int, Constant]:
-        """The position → value map probing the relation index."""
-
-        if not self.const and not self.bound:
-            return _EMPTY_BOUND
-        bound = dict(self.const)
-        for position, slot in self.bound:
-            bound[position] = slots[slot]
-        return bound
-
 
 @dataclass(frozen=True)
 class SeedMatcher:
@@ -100,24 +88,6 @@ class SeedMatcher:
     eq: Tuple[Tuple[int, int], ...]
     writes: Tuple[Tuple[int, int], ...]
     guard: Tuple[int, ...]
-
-    def match(self, row: Row, slots: List[Constant]) -> bool:
-        """Write the seed row into *slots*; False on any mismatch or guard."""
-
-        if len(row) != self.arity:
-            return False
-        for position, value in self.const:
-            if row[position] != value:
-                return False
-        for position, first in self.eq:
-            if row[position] != row[first]:
-                return False
-        for position, slot in self.writes:
-            slots[slot] = row[position]
-        for slot in self.guard:
-            if is_null(slots[slot]):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -140,139 +110,6 @@ class JoinPlan:
     seed: Optional[SeedMatcher] = None
 
 
-def iter_plan_matches(
-    plan: JoinPlan,
-    relations: Relations,
-    slots: List[Constant],
-    rows: List[Optional[Row]],
-    seed_row: Optional[Row] = None,
-    initial_values: Optional[Mapping[Variable, Constant]] = None,
-) -> Iterator[None]:
-    """Enumerate the matches of *plan*, yielding once per full match.
-
-    The caller owns *slots* (length ``plan.n_slots``) and *rows* (length
-    ``plan.n_atoms``); on every yield they hold the current match — the
-    variable values at the plan's slots and the matched row per original
-    atom index.  Both arrays are reused across matches: read them during
-    the yield, copy what must survive.
-
-    *seed_row* feeds the plan's :class:`SeedMatcher` (delta plans);
-    *initial_values* feeds the binding pattern.  A guard or seed
-    mismatch yields nothing.
-    """
-
-    if plan.seed is not None:
-        if seed_row is None or not plan.seed.match(seed_row, slots):
-            return
-        rows[plan.seed.atom_index] = seed_row
-    if plan.initial:
-        assert initial_values is not None
-        for variable, slot in plan.initial:
-            slots[slot] = initial_values[variable]
-        for slot in plan.initial_guard:
-            if is_null(slots[slot]):
-                return
-
-    steps = plan.steps
-    count = len(steps)
-    if count == 0:
-        yield
-        return
-
-    # The ambient request budget, read once per plan execution.  Checked
-    # at every join *descent* (a new iterator opening) rather than in the
-    # deepest drain loop: descents bound how long a runaway cross product
-    # can run between checks without taxing the per-row fast path — with
-    # no budget active the cost is one falsy check per descent.
-    budget = _budget.active()
-    iterators: List[Optional[Iterator[Row]]] = [None] * count
-    depth = 0
-    last = count - 1
-    iterators[0] = iter(relations.tuples_matching(steps[0].predicate, steps[0].probe(slots)))
-    while depth >= 0:
-        step = steps[depth]
-        iterator = iterators[depth]
-        arity = step.arity
-        eq = step.eq
-        writes = step.writes
-        guard = step.guard
-        atom_index = step.atom_index
-        if depth == last:
-            # Deepest step: drain the iterator in one tight loop,
-            # yielding once per surviving row.
-            for row in iterator:  # type: ignore[union-attr]
-                if len(row) != arity:
-                    continue
-                rejected = False
-                for position, first in eq:
-                    if row[position] != row[first]:
-                        rejected = True
-                        break
-                if rejected:
-                    continue
-                for position, slot in writes:
-                    slots[slot] = row[position]
-                for slot in guard:
-                    if is_null(slots[slot]):
-                        rejected = True
-                        break
-                if rejected:
-                    continue
-                rows[atom_index] = row
-                yield
-            iterators[depth] = None
-            depth -= 1
-            continue
-        matched = False
-        for row in iterator:  # type: ignore[union-attr]
-            if len(row) != arity:
-                continue
-            rejected = False
-            for position, first in eq:
-                if row[position] != row[first]:
-                    rejected = True
-                    break
-            if rejected:
-                continue
-            for position, slot in writes:
-                slots[slot] = row[position]
-            for slot in guard:
-                if is_null(slots[slot]):
-                    rejected = True
-                    break
-            if rejected:
-                continue
-            rows[atom_index] = row
-            matched = True
-            break
-        if not matched:
-            iterators[depth] = None
-            depth -= 1
-            continue
-        if budget:
-            budget.checkpoint()
-        depth += 1
-        next_step = steps[depth]
-        iterators[depth] = iter(
-            relations.tuples_matching(next_step.predicate, next_step.probe(slots))
-        )
-
-
-def plan_has_match(
-    plan: JoinPlan,
-    relations: Relations,
-    seed_row: Optional[Row] = None,
-    initial_values: Optional[Mapping[Variable, Constant]] = None,
-) -> bool:
-    """Does the plan have at least one match?  (Early-exit execution.)"""
-
-    slots: List[Constant] = [None] * plan.n_slots  # type: ignore[list-item]
-    rows: List[Optional[Row]] = [None] * plan.n_atoms
-    for _ in iter_plan_matches(plan, relations, slots, rows, seed_row, initial_values):
-        return True
-    return False
-
-
 class CountingRelations(Relations):
     """A :class:`Relations` adapter that counts probes and rows served.
 
@@ -281,9 +118,8 @@ class CountingRelations(Relations):
     how many rows the executor actually consumed — rows an index probe
     filtered out or an early-exiting step never pulled are *not*
     counted, so ``rows`` is exactly the "rows scanned" figure an
-    EXPLAIN ANALYZE report wants.  The hot executor
-    (:func:`iter_plan_matches`) is untouched: all accounting lives in
-    this wrapper, which only exists while a caller (the session's
+    EXPLAIN ANALYZE report wants.  The generated executors are
+    untouched: all accounting lives in this wrapper, which only exists while a caller (the session's
     ``explain(analyze=True)``) asked for it.
     """
 

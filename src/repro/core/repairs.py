@@ -318,8 +318,8 @@ class ViolationTracker:
     by every tracker over the same index):
 
     * a fact added to a **body** predicate can only create violations
-      that use the fact itself (the seeded delta plans, the compiled
-      form of :func:`repro.core.satisfaction.seeded_violations`);
+      that use the fact itself (the seeded delta plans,
+      :meth:`~repro.compile.kernel.CompiledConstraint.seeded_violations`);
     * a fact removed from a **body** predicate only destroys the stored
       violations listing it among their ``body_facts``;
     * a fact added to a **head** predicate can only resolve stored
@@ -328,8 +328,7 @@ class ViolationTracker:
     * a fact removed from a **head** predicate can only surface matches
       whose witness it was — re-enumerated under the partial assignment
       the deleted witness pins down (the binding-pattern delta plans,
-      the compiled form of
-      :func:`repro.core.satisfaction.violations_under_assignment`).
+      :meth:`~repro.compile.kernel.CompiledConstraint.violations_under`).
 
     Every update returns a :class:`ViolationDelta` that :meth:`revert`
     undoes exactly, which is what lets the repair search run as a
@@ -860,8 +859,12 @@ class RepairEngine:
         self.statistics.merge(search.statistics)
         return ordered
 
-    #: Below this many candidates the pairwise filter is cheaper than a pool.
-    _PARALLEL_MINIMALITY_MIN = 64
+    #: Below this many candidates the in-process pairwise filter beats a
+    #: second pool, whose start alone costs more than filtering ~100
+    #: candidates (2 CPUs: 81 candidates 6.5 ms in-process against 25 ms
+    #: sliced, 243 candidates 43 against 50 ms, 729 candidates 260
+    #: against 240 ms).
+    _PARALLEL_MINIMALITY_MIN = 512
 
     def repairs(
         self,

@@ -14,26 +14,22 @@ Two implementations are provided:
 The two are equivalent and cross-validated by the test-suite:
 ``satisfies(D, ψ)`` (no violations) iff ``satisfies_via_projection(D, ψ)``.
 
-The direct enumeration executes **compiled plans** by default: each
-constraint is lowered once (per process) by :mod:`repro.compile.kernel`
-into a join plan with a precomputed atom schedule, slot-based bindings
-and specialised per-atom matchers, and every call after that runs the
-plan — through the per-plan generated executor of
-:mod:`repro.compile.codegen` (on by default; see
-``docs/kernel-codegen.md`` for the fallback knob).  Two interpreted
-paths survive for cross-validation: the original
-nested-loop joins behind ``naive=True``, and the per-call index-backed
-join (:func:`indexed_body_matches` + :func:`violation_filter`) behind
-``compiled=False``.  All three produce the same violation sets.  The
-seeded variants (:func:`seeded_violations`,
-:func:`violations_under_assignment`) restrict the join to matches
-involving one given fact / partial assignment through the compiled
-**delta plans** — the violation maintenance of
-:mod:`repro.core.repairs` is built on them, and so is the parallel
-frontier search of :mod:`repro.core.parallel`: every worker process
-keeps its own :class:`~repro.core.repairs.ViolationTracker` warm by
-replaying task deltas through exactly these seeded updates, so a task
-never pays a full violation sweep.
+The direct enumeration has one fast path and one reference.  By
+default each constraint is lowered once (per process) by
+:mod:`repro.compile.kernel` into a join plan with a precomputed atom
+schedule, slot-based bindings and specialised per-atom matchers, and
+every call after that runs the plan's generated executor
+(:mod:`repro.compile.codegen`).  ``naive=True`` keeps the original
+unindexed nested-loop joins as the reference the property suite pins the
+compiled plans to; both produce the same violation sets.  The seeded
+enumerations — violations involving one changed fact or one partial
+assignment — are the compiled **delta plans** of
+:class:`repro.compile.kernel.CompiledConstraint`, which the
+:class:`~repro.core.repairs.ViolationTracker` of
+:mod:`repro.core.repairs` calls directly; so does the parallel frontier
+search of :mod:`repro.core.parallel`, where every worker process keeps
+its own tracker warm by replaying task deltas through those seeded
+updates, so a task never pays a full violation sweep.
 
 (Paper cross-reference: Definition 4 is
 :func:`satisfies_via_projection`, Definition 3's witness-relevant
@@ -45,7 +41,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Sequence, Tuple, Union
 
 from repro.obs import trace as _trace
 from repro.relational.domain import Constant, is_null
@@ -114,7 +110,6 @@ def body_matches(
     instance: DatabaseInstance,
     body: Sequence[Atom],
     naive: bool = False,
-    compiled: Optional[bool] = None,
 ) -> Iterator[Tuple[Assignment, Tuple[Fact, ...]]]:
     """Enumerate the matches of the antecedent atoms against the instance.
 
@@ -124,23 +119,18 @@ def body_matches(
     By default the body is lowered once into a compiled join plan
     (:func:`repro.compile.kernel.compiled_body` — schedule, slots and
     per-atom matchers fixed at compile time) and every call executes the
-    plan.  ``compiled=False`` selects the per-call index-backed
-    interpreter, ``naive=True`` the original left-to-right nested-loop
-    join — both kept as reference paths for cross-validation.  All
-    paths produce the same set of matches (``body_facts`` always in
-    antecedent-atom order); only the enumeration order may differ.
+    plan.  ``naive=True`` selects the original left-to-right nested-loop
+    join, the reference for cross-validation.  Both produce the same set
+    of matches (``body_facts`` always in antecedent-atom order); only the
+    enumeration order may differ.
     """
 
-    if compiled is None:
-        compiled = not naive
     if naive:
         yield from _body_matches_naive(instance, body)
-    elif compiled:
+    else:
         from repro.compile.kernel import compiled_body
 
         yield from compiled_body(tuple(body)).iter_matches(instance)
-    else:
-        yield from indexed_body_matches(instance, body)
 
 
 def _body_matches_naive(
@@ -160,65 +150,6 @@ def _body_matches_naive(
             yield from extend(index + 1, extended, facts + (Fact(atom.predicate, row),))
 
     yield from extend(0, {}, ())
-
-
-def indexed_body_matches(
-    instance: DatabaseInstance,
-    body: Sequence[Atom],
-    initial: Optional[Mapping[Variable, Constant]] = None,
-    fixed: Optional[Mapping[int, Fact]] = None,
-) -> Iterator[Tuple[Assignment, Tuple[Fact, ...]]]:
-    """Index-backed enumeration of the antecedent matches.
-
-    *initial* seeds the assignment (e.g. with the universal variables a
-    deleted witness used to pin down); *fixed* pins body atoms (by index)
-    to concrete facts — the basis of the tracker's seeded enumeration.
-    At every step the join extends the **most-bound** remaining atom
-    (most positions already determined, then smallest relation), probing
-    the per-position hash indexes instead of scanning.
-    """
-
-    count = len(body)
-    facts: List[Optional[Fact]] = [None] * count
-    assignment: Assignment = dict(initial) if initial else {}
-    remaining = []
-    for index, atom in enumerate(body):
-        if fixed is not None and index in fixed:
-            fact = fixed[index]
-            extended = _match_atom(atom, fact.values, assignment)
-            if extended is None:
-                return
-            assignment = extended
-            facts[index] = fact
-        else:
-            remaining.append(index)
-
-    def extend(
-        remaining: Sequence[int], assignment: Assignment
-    ) -> Iterator[Tuple[Assignment, Tuple[Fact, ...]]]:
-        if not remaining:
-            yield dict(assignment), tuple(facts)  # type: ignore[arg-type]
-            return
-        best = min(
-            remaining,
-            key=lambda i: (
-                -len(body[i].bound_positions(assignment)),
-                instance.row_count(body[i].predicate),
-                i,
-            ),
-        )
-        atom = body[best]
-        rest = [i for i in remaining if i != best]
-        bound = atom.bound_positions(assignment)
-        for row in instance.tuples_matching(atom.predicate, bound):
-            extended = _match_atom(atom, row, assignment)
-            if extended is None:
-                continue
-            facts[best] = Fact(atom.predicate, row)
-            yield from extend(rest, extended)
-        facts[best] = None
-
-    yield from extend(remaining, assignment)
 
 
 #: The one atom-matching routine, shared with :mod:`repro.logic.queries`
@@ -312,27 +243,23 @@ def violations(
     instance: DatabaseInstance,
     constraint: AnyConstraint,
     naive: bool = False,
-    compiled: Optional[bool] = None,
 ) -> List[Violation]:
     """All ground violations of *constraint* in *instance* under ``|=_N``.
 
     The default executes the constraint's compiled plan
     (:func:`repro.compile.kernel.compiled_constraint` — lowered once per
-    process).  ``compiled=False`` selects the per-call index-backed
-    interpreter and ``naive=True`` the unindexed nested-loop joins (the
-    original reference implementation).  All three return the same
+    process); ``naive=True`` selects the unindexed nested-loop joins (the
+    original reference implementation).  Both return the same
     violations, possibly in a different order.
     """
 
     if isinstance(constraint, NotNullConstraint):
         return not_null_violations(instance, constraint)
-    if compiled is None:
-        compiled = not naive
-    if compiled and not naive:
-        from repro.compile.kernel import compiled_constraint
+    if naive:
+        return _naive_violations(instance, constraint)
+    from repro.compile.kernel import compiled_constraint
 
-        return compiled_constraint(constraint).violations(instance)
-    return _ic_violations(instance, constraint, naive=naive)
+    return compiled_constraint(constraint).violations(instance)
 
 
 def not_null_violations(
@@ -372,116 +299,34 @@ def witness_positions(constraint: IntegrityConstraint, atom: Atom) -> Tuple[int,
     return positions.get(atom.predicate, tuple(range(atom.arity)))
 
 
-def violation_filter(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    matches: Iterable[Tuple[Assignment, Tuple[Fact, ...]]],
-    naive: bool = False,
-) -> Iterator[Violation]:
-    """Keep the body *matches* that are genuine ground violations.
+def _naive_violations(
+    instance: DatabaseInstance, constraint: IntegrityConstraint
+) -> List[Violation]:
+    """The nested-loop reference: every body match that is a ground violation.
 
     Applies, in order, the relevant-null guard, the built-in disjunction
     and the head-atom witness check — the three conditions of ``|=_N`` —
-    and yields a :class:`Violation` for every match that fails all of
-    them.  Shared by the full and the seeded enumerations.
+    and keeps every match that fails all of them.  Nothing here touches
+    the compiled kernel, so the cross-validation is never circular.
     """
 
     relevant_vars = _cached_relevant_body_variables(constraint)
-    for assignment, facts in matches:
+    found: List[Violation] = []
+    for assignment, facts in _body_matches_naive(instance, constraint.body):
         if any(is_null(assignment[v]) for v in relevant_vars):
             continue  # a null in a relevant antecedent attribute: satisfied
         if _comparison_disjunction_holds(constraint.head_comparisons, assignment):
             continue
-        witnessed = False
-        for atom in constraint.head_atoms:
-            kept = witness_positions(constraint, atom)
-            if _head_atom_has_witness(instance, atom, assignment, kept, naive=naive):
-                witnessed = True
-                break
-        if witnessed:
+        if any(
+            _head_atom_has_witness(
+                instance, atom, assignment, witness_positions(constraint, atom), naive=True
+            )
+            for atom in constraint.head_atoms
+        ):
             continue
         bindings = tuple(sorted(assignment.items(), key=lambda item: item[0].name))
-        yield Violation(constraint, bindings, facts)
-
-
-def _ic_violations(
-    instance: DatabaseInstance, constraint: IntegrityConstraint, naive: bool = False
-) -> List[Violation]:
-    # The interpreted reference paths: compiled=False keeps the body
-    # join interpreted too, so cross-validation against the kernel is
-    # never circular.
-    return list(
-        violation_filter(
-            instance,
-            constraint,
-            body_matches(instance, constraint.body, naive=naive, compiled=False),
-            naive=naive,
-        )
-    )
-
-
-# ------------------------------------------------------------------- seeded
-def seeded_violations(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    fact: Fact,
-    compiled: bool = True,
-) -> Iterator[Violation]:
-    """The violations of *constraint* whose body involves *fact*.
-
-    Pins *fact* at every antecedent atom of the same predicate in turn
-    and joins the remaining atoms; matches using the fact at several
-    occurrences are deduplicated.  After inserting *fact* this yields
-    exactly the violations created by the insertion.  The default runs
-    the constraint's compiled **delta plans** (one per body occurrence,
-    schedule seeded from the pinned atom's bindings);
-    ``compiled=False`` keeps the per-call interpreted enumeration as
-    the cross-validation reference.
-    """
-
-    if compiled:
-        from repro.compile.kernel import compiled_constraint
-
-        yield from compiled_constraint(constraint).seeded_violations(instance, fact)
-        return
-    seen: Set[Violation] = set()
-    for index, atom in enumerate(constraint.body):
-        if atom.predicate != fact.predicate or atom.arity != fact.arity:
-            continue
-        matches = indexed_body_matches(instance, constraint.body, fixed={index: fact})
-        for violation in violation_filter(instance, constraint, matches):
-            if violation not in seen:
-                seen.add(violation)
-                yield violation
-
-
-def violations_under_assignment(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    partial: Mapping[Variable, Constant],
-    compiled: bool = True,
-) -> Iterator[Violation]:
-    """The violations of *constraint* compatible with the *partial* assignment.
-
-    Used after deleting a fact of a consequent predicate: the partial
-    assignment pins the universal variables the deleted witness agreed
-    on, so only the body matches that may have lost their witness are
-    re-examined.  The default runs a compiled binding-pattern plan
-    (memoised per set of pre-bound variables); a partial assignment
-    mentioning a non-body variable — possible only through direct API
-    use, never from the tracker — falls back to the interpreter, whose
-    reported bindings include such extra variables.
-    """
-
-    if compiled:
-        from repro.compile.kernel import compiled_constraint
-
-        unit = compiled_constraint(constraint)
-        if unit.covers_partial(partial):
-            yield from unit.violations_under(instance, partial)
-            return
-    matches = indexed_body_matches(instance, constraint.body, initial=partial)
-    yield from violation_filter(instance, constraint, matches)
+        found.append(Violation(constraint, bindings, facts))
+    return found
 
 
 def satisfies(instance: DatabaseInstance, constraint: AnyConstraint) -> bool:
@@ -504,12 +349,11 @@ def all_violations(
     instance: DatabaseInstance,
     constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
     naive: bool = False,
-    compiled: Optional[bool] = None,
 ) -> List[Violation]:
     """Violations of every constraint, in constraint order.
 
-    ``naive``/``compiled`` select the evaluation path per constraint
-    exactly as in :func:`violations`.
+    ``naive`` selects the evaluation path per constraint exactly as in
+    :func:`violations`.
     """
 
     budget = _budget.active()
@@ -519,9 +363,7 @@ def all_violations(
         for constraint in constraints:
             if budget:  # cooperative deadline/cancel check, once per constraint
                 budget.checkpoint()
-            found.extend(
-                violations(instance, constraint, naive=naive, compiled=compiled)
-            )
+            found.extend(violations(instance, constraint, naive=naive))
             count += 1
         if sp:
             sp.add(constraints=count, violations=len(found))

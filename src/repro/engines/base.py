@@ -69,12 +69,7 @@ class CQAConfig:
       result with a :class:`repro.resilience.Degradation` record
       instead of raising the typed
       :class:`repro.errors.BudgetExceededError` (only anytime/streaming
-      surfaces can degrade; exact surfaces always raise);
-    * ``codegen`` — execute join plans through the per-plan generated
-      closures of :mod:`repro.compile.codegen` (True by default; False
-      falls back to the step interpreter, and ``REPRO_CODEGEN=0`` in
-      the environment wins over both).  Purely a performance knob —
-      answers are bit-identical either way.
+      surfaces can degrade; exact surfaces always raise).
     """
 
     method: str = "auto"
@@ -87,7 +82,6 @@ class CQAConfig:
     deadline: Optional[float] = None
     max_memory: Optional[int] = None
     degrade: bool = False
-    codegen: bool = True
 
     def merged(self, overrides: Mapping[str, Any]) -> "CQAConfig":
         """A copy with *overrides* applied.
@@ -113,8 +107,8 @@ class CQAConfig:
         Traceback (most recent call last):
             ...
         TypeError: unknown CQA option(s): turbo; valid options are anytime, \
-codegen, deadline, degrade, estimate_repairs, max_memory, max_states, \
-method, null_is_unknown, repair_mode, workers
+deadline, degrade, estimate_repairs, max_memory, max_states, method, \
+null_is_unknown, repair_mode, workers
         """
 
         if not overrides:
@@ -137,9 +131,7 @@ method, null_is_unknown, repair_mode, workers
         resilience knobs (``deadline``, ``max_memory``, ``degrade``)
         are absent for the same reason — a request that *completes*
         returns the same answer under any budget, and a request that
-        does not never reaches the cache.  ``codegen`` picks the
-        execution backend, which is pinned bit-identical, so it never
-        splits cache entries either.
+        does not never reaches the cache.
         """
 
         return (

@@ -3,8 +3,10 @@
 Consistent query answering (Definition 8) evaluates a fixed query in every
 repair and keeps the answers common to all of them.  The repair sets can
 be sizeable, so the per-repair evaluation must be cheap; conjunctive
-queries therefore get a dedicated join-based evaluator, while arbitrary
-first-order queries fall back to the generic active-domain evaluator of
+queries therefore get a dedicated join-based evaluator — the query's
+compiled plan (:mod:`repro.compile.kernel`), pinned to the nested-loop
+join behind ``naive=True`` — while arbitrary first-order queries fall
+back to the generic active-domain evaluator of
 :mod:`repro.logic.evaluation`.
 
 Following Section 4 of the paper, the query-answering semantics ``|=^q_N``
@@ -16,8 +18,8 @@ comparisons to the SQL behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
 
 from repro.relational.domain import Constant, is_null
 from repro.relational.instance import DatabaseInstance
@@ -113,49 +115,38 @@ class ConjunctiveQuery(Query):
         instance: DatabaseInstance,
         null_is_unknown: bool = False,
         naive: bool = False,
-        compiled: Optional[bool] = None,
     ) -> AnswerSet:
         """Join-based evaluation of the query over *instance*.
 
         The default executes the query's **compiled plan**
         (:func:`repro.compile.kernel.compiled_query`): the atom schedule,
         the variable→slot layout and the specialised per-atom matchers
-        are fixed once per process, and each call runs the plan over the
-        instance's hash indexes with no per-row dictionary copies.  Two
-        interpreted paths remain for cross-validation: ``naive=True``
-        keeps the original smallest-relation-first nested-loop join (the
-        reference interpreter), and ``compiled=False`` keeps the
-        index-backed interpreter whose schedule is memoised per query
-        (see :meth:`_indexed_bindings`).  All three produce identical
-        answer sets.
+        are fixed once per process, and each call runs the plan's
+        generated executor over the instance's hash indexes with no
+        per-row dictionary copies.  ``naive=True`` keeps the original
+        smallest-relation-first nested-loop join, the reference the
+        compiled plan is pinned to.  Both produce identical answer sets.
         """
 
-        if compiled is None:
-            compiled = not naive
-        if compiled and not naive:
+        if not naive:
             from repro.compile.kernel import compiled_query
 
             return compiled_query(self).answers(instance, null_is_unknown)
 
+        # Order positive atoms by the number of tuples (cheap greedy join order).
+        ordered = sorted(
+            self.positive_atoms, key=lambda atom: len(instance.tuples(atom.predicate))
+        )
         bindings: List[Dict[Variable, Constant]] = [{}]
-        if naive:
-            # Order positive atoms by the number of tuples (cheap greedy join order).
-            ordered = sorted(
-                self.positive_atoms, key=lambda atom: len(instance.tuples(atom.predicate))
-            )
-            for atom in ordered:
-                rows = instance.tuples(atom.predicate)
-                new_bindings: List[Dict[Variable, Constant]] = []
-                for binding in bindings:
-                    for row in rows:
-                        extended = _match(atom, row, binding)
-                        if extended is not None:
-                            new_bindings.append(extended)
-                bindings = new_bindings
-                if not bindings:
-                    return frozenset()
-        else:
-            bindings = self._indexed_bindings(instance)
+        for atom in ordered:
+            rows = instance.tuples(atom.predicate)
+            new_bindings: List[Dict[Variable, Constant]] = []
+            for binding in bindings:
+                for row in rows:
+                    extended = _match(atom, row, binding)
+                    if extended is not None:
+                        new_bindings.append(extended)
+            bindings = new_bindings
             if not bindings:
                 return frozenset()
 
@@ -167,38 +158,6 @@ class ConjunctiveQuery(Query):
                 continue
             results.add(tuple(binding[v] for v in self.head_variables))
         return frozenset(results)
-
-    def _indexed_bindings(
-        self, instance: DatabaseInstance
-    ) -> List[Dict[Variable, Constant]]:
-        """Index-backed interpreted join of the positive atoms.
-
-        The atom schedule is **not** re-derived per call any more: it is
-        the compile-time most-statically-bound-first order of the
-        query's compiled plan, memoised per (query, binding pattern) by
-        :func:`repro.compile.kernel.compiled_query` — so even the
-        interpreted reference path stops re-sorting atoms (the old
-        per-step ``bound_score`` scan) on every invocation.  Each
-        binding probes the per-position hash indexes for its candidate
-        rows instead of scanning the relation.
-        """
-
-        from repro.compile.kernel import compiled_query
-
-        bindings: List[Dict[Variable, Constant]] = [{}]
-        for index in compiled_query(self).order:
-            atom = self.positive_atoms[index]
-            new_bindings: List[Dict[Variable, Constant]] = []
-            for binding in bindings:
-                bound = atom.bound_positions(binding)
-                for row in instance.tuples_matching(atom.predicate, bound):
-                    extended = _match(atom, row, binding)
-                    if extended is not None:
-                        new_bindings.append(extended)
-            bindings = new_bindings
-            if not bindings:
-                return []
-        return bindings
 
     def __repr__(self) -> str:
         head = f"{self.name}({', '.join(v.name for v in self.head_variables)})"

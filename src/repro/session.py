@@ -286,7 +286,6 @@ class ConsistentDatabase:
         deadline: Optional[float] = None,
         max_memory: Optional[int] = None,
         degrade: bool = False,
-        codegen: bool = True,
     ):
         if source is None:
             self._instance = DatabaseInstance()
@@ -317,7 +316,6 @@ class ConsistentDatabase:
             deadline=deadline,
             max_memory=max_memory,
             degrade=degrade,
-            codegen=codegen,
         )
         get_engine(self._config.method)  # fail fast on an unknown default
         #: Name-independent structural fingerprint of the constraint set —
@@ -761,24 +759,6 @@ class ConsistentDatabase:
             Budget(deadline=config.deadline, max_memory=config.max_memory)
         )
 
-    @contextmanager
-    def _execution_scope(self, config: CQAConfig):
-        """Budget plus execution-backend override for one request.
-
-        Installs the request budget (see :meth:`_budget_scope`) and, when
-        the config opts *out* of code generation (``codegen=False``),
-        scopes the step-interpreter fallback for the duration of the
-        call.  The default ``True`` deliberately forces nothing, so
-        process-wide test/benchmark overrides and the ``REPRO_CODEGEN=0``
-        escape hatch keep working underneath a session.
-        """
-
-        from repro.compile import codegen as _codegen_module
-
-        with self._budget_scope(config):
-            with _codegen_module.overridden(None if config.codegen else False):
-                yield
-
     def cancel_budget(self) -> bool:
         """Cooperatively cancel the currently running budgeted request.
 
@@ -841,7 +821,7 @@ class ConsistentDatabase:
         with _trace.span("session.report") as sp:
             if sp:
                 sp.add(query=str(query), method=config.method)
-            with self._execution_scope(config):
+            with self._budget_scope(config):
                 result = engine.answers_report(self, query, config)
         self._cache.put(key, result, generation)
         return self._result_copy(result)
@@ -1248,13 +1228,13 @@ class ConsistentDatabase:
                 workers=config.workers,
             )
             seed = self._ensure_tracker() if config.repair_mode == PARALLEL_METHOD else None
-            with self._execution_scope(config):
+            with self._budget_scope(config):
                 found = engine.repairs(self._instance, seed_tracker=seed)
             self.last_repair_statistics = engine.statistics
         else:
             from repro.core.repair_program import program_repairs
 
-            with self._execution_scope(config):
+            with self._budget_scope(config):
                 found = program_repairs(self._instance, self._constraints).repairs
         self._cache.put(key, found, generation)
         return found

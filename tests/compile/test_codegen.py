@@ -1,13 +1,14 @@
-"""repro.compile.codegen: generated executors, caching and the enable gates."""
+"""repro.compile.codegen: generated executors, their caching and the naive join."""
 
-import pytest
+from collections import Counter
 
 from repro.compile import codegen
 from repro.compile.kernel import compiled_constraint, compiled_query
-from repro.compile.plans import iter_plan_matches
 from repro.constraints.parser import parse_constraint, parse_query
-from repro.relational.domain import NULL
-from repro.relational.instance import DatabaseInstance
+from repro.core.relevant import relevant_body_variables
+from repro.core.satisfaction import body_matches
+from repro.relational.domain import NULL, is_null
+from repro.relational.instance import DatabaseInstance, Fact
 
 
 FD = "Emp(e, d, s), Emp(e, f, t) -> d = f"
@@ -26,46 +27,36 @@ def _instance():
     )
 
 
-def _run(plan, executor, instance, seed_row=None):
-    """Every match an executor yields, as (slots, rows) snapshots."""
+def _named(assignment):
+    return tuple(sorted(((v.name, value) for v, value in assignment), key=lambda kv: kv[0]))
+
+
+def _generated(plan, constraint, instance, seed_row=None):
+    """Every match the generated executor yields, as (bindings, facts)."""
 
     slots = [None] * plan.n_slots
     rows = [None] * plan.n_atoms
-    return [
-        (tuple(slots), tuple(rows))
-        for _ in executor(instance, slots, rows, seed_row=seed_row)
-    ]
+    found = Counter()
+    for _ in codegen.matcher(plan)(instance, slots, rows, seed_row=seed_row):
+        bindings = _named((v, slots[slot]) for v, slot in plan.var_slots)
+        facts = tuple(Fact(atom.predicate, row) for atom, row in zip(constraint.body, rows))
+        found[(bindings, facts)] += 1
+    return found
 
 
-class TestEnableGates:
-    def test_env_flag_wins_over_everything(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CODEGEN", "0")
-        assert not codegen.enabled()
-        with codegen.overridden(True):
-            assert not codegen.enabled()
+def _naive(constraint, instance, pinned=None):
+    """The naive body join, minus the matches the pushed-down relevant-null
+    guards reject; *pinned* = (atom index, fact) keeps the seeded ones."""
 
-    def test_overridden_is_scoped_and_restores(self):
-        assert codegen.enabled()
-        with codegen.overridden(False):
-            assert not codegen.enabled()
-            with codegen.overridden(True):
-                assert codegen.enabled()
-            assert not codegen.enabled()
-        assert codegen.enabled()
-
-    def test_overridden_none_is_a_no_op(self):
-        with codegen.overridden(None):
-            assert codegen.enabled()
-
-    def test_set_enabled_flips_the_default(self):
-        try:
-            codegen.set_enabled(False)
-            assert not codegen.enabled()
-            with codegen.overridden(True):
-                assert codegen.enabled()
-        finally:
-            codegen.set_enabled(True)
-        assert codegen.enabled()
+    relevant = relevant_body_variables(constraint)
+    expected = Counter()
+    for assignment, facts in body_matches(instance, constraint.body, naive=True):
+        if any(is_null(assignment[v]) for v in relevant):
+            continue
+        if pinned is not None and facts[pinned[0]] != pinned[1]:
+            continue
+        expected[(_named(assignment.items()), facts)] += 1
+    return expected
 
 
 class TestMatcherCaching:
@@ -75,13 +66,11 @@ class TestMatcherCaching:
         assert codegen.matcher(plan) is first
         assert hasattr(first, "__repro_source__")
 
-    def test_disabled_matcher_is_the_interpreter(self):
+    def test_environment_selects_no_other_executor(self, monkeypatch):
         plan = compiled_constraint(parse_constraint(FD)).full_plan
-        with codegen.overridden(False):
-            fallback = codegen.matcher(plan)
-            assert codegen.matcher(plan) is fallback
-        assert fallback.func is iter_plan_matches
-        assert fallback.args == (plan,)
+        generated = codegen.matcher(plan)
+        monkeypatch.setenv("REPRO_CODEGEN", "0")
+        assert codegen.matcher(plan) is generated
 
     def test_statistics_count_each_plan_once(self):
         constraint = parse_constraint("Uniq(u, v), Uniq(u, w) -> v = w")
@@ -101,7 +90,7 @@ class TestGeneratedSource:
         assert source.startswith("def _plan_matches(")
         # Two body atoms unroll to two nested loops over the same relation.
         assert source.count("in _tm(") == 2
-        # One budget checkpoint per join descent, like the interpreter.
+        # One budget checkpoint per join descent.
         assert "_budget.checkpoint()" in source
         assert "yield" in source
 
@@ -118,42 +107,31 @@ class TestGeneratedSource:
 
 
 class TestExecutorEquivalence:
-    def test_full_plan_matches_the_interpreter(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
+    def test_full_plan_matches_the_naive_join(self):
+        constraint = parse_constraint(FD)
+        plan = compiled_constraint(constraint).full_plan
         instance = _instance()
-        generated = _run(plan, codegen.matcher(plan), instance)
-        interpreted = _run(
-            plan, lambda *a, **k: iter_plan_matches(plan, *a, **k), instance
-        )
-        assert generated == interpreted
+        generated = _generated(plan, constraint, instance)
+        assert generated == _naive(constraint, instance)
         assert generated  # the instance has an FD conflict
 
-    def test_seed_plans_match_the_interpreter(self):
-        unit = compiled_constraint(parse_constraint(FD))
+    def test_seed_plans_match_the_naive_join(self):
+        constraint = parse_constraint(FD)
+        unit = compiled_constraint(constraint)
         instance = _instance()
-        for seed_plan in unit.seed_plans.values():
+        for index, seed_plan in unit.seed_plans.items():
             for fact in instance.facts():
-                generated = _run(
-                    seed_plan, codegen.matcher(seed_plan), instance, seed_row=fact.values
-                )
-                interpreted = _run(
-                    seed_plan,
-                    lambda *a, **k: iter_plan_matches(seed_plan, *a, **k),
-                    instance,
-                    seed_row=fact.values,
-                )
-                assert generated == interpreted
+                generated = _generated(seed_plan, constraint, instance, fact.values)
+                assert generated == _naive(constraint, instance, (index, fact))
 
     def test_missing_relation_yields_nothing(self):
-        plan = compiled_constraint(parse_constraint(FD)).full_plan
+        constraint = parse_constraint(FD)
+        plan = compiled_constraint(constraint).full_plan
         without_emp = DatabaseInstance.from_dict({"Dept": [("sales",)]})
-        assert _run(plan, codegen.matcher(plan), without_emp) == []
-        assert (
-            _run(plan, lambda *a, **k: iter_plan_matches(plan, *a, **k), without_emp)
-            == []
-        )
+        assert _generated(plan, constraint, without_emp) == Counter()
+        assert _naive(constraint, without_emp) == Counter()
 
     def test_seed_row_of_wrong_arity_yields_nothing(self):
-        unit = compiled_constraint(parse_constraint(FD))
-        seed_plan = unit.seed_plans[0]
-        assert _run(seed_plan, codegen.matcher(seed_plan), _instance(), seed_row=("x",)) == []
+        constraint = parse_constraint(FD)
+        seed_plan = compiled_constraint(constraint).seed_plans[0]
+        assert _generated(seed_plan, constraint, _instance(), ("x",)) == Counter()

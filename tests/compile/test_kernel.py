@@ -201,17 +201,6 @@ class TestCompiledQueryEdgeCases:
                 instance, null_is_unknown=null_is_unknown
             ) == query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
 
-    def test_interpreted_path_uses_memoised_schedule(self):
-        query = parse_query("ans(x) <- KernelSched(x, y), KernelSchedB(y, z)")
-        plan = compiled_query(query)
-        assert plan.order == tuple(
-            step.atom_index for step in plan.plan.steps
-        )
-        instance = DatabaseInstance.from_dict(
-            {"KernelSched": [("a", "b")], "KernelSchedB": [("b", "c")]}
-        )
-        assert query.answers(instance, compiled=False) == query.answers(instance)
-
 
 class TestQueriesOnRepairs:
     """Definition 8 evaluates the query in every repair; each repair is the

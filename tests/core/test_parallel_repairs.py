@@ -13,6 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.parallel as parallel_module
 from repro.constraints.ic import ConstraintSet
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.parallel import (
@@ -21,6 +22,7 @@ from repro.core.parallel import (
     ParallelRepairSearch,
     exclusion_safe,
     frontier_could_dominate,
+    parallel_minimal_flags,
 )
 from repro.core.repairs import (
     PARALLEL_METHOD,
@@ -28,6 +30,7 @@ from repro.core.repairs import (
     RepairEngine,
     RepairSearchBudgetExceeded,
     RepairStatistics,
+    minimal_flags_counted,
 )
 from repro.engines import CQAConfig
 from repro.relational.domain import NULL
@@ -107,14 +110,67 @@ class TestBitIdenticalOutput:
         )
 
     def test_parallel_minimality_slicing_matches(self):
-        """≥ 64 candidates triggers the sliced ≤_D filter across processes."""
+        """An 81-candidate pool search (≤_D filtered in-process) equals naive."""
 
         instance, constraints = grouped_key_workload(
             n_groups=4, group_size=3, n_clean=4, seed=2
         )
         reference = naive_repairs(instance, constraints)
-        assert len(reference) == 81  # above the slicing threshold
+        assert len(reference) == 81  # below the sliced-filter threshold
         assert parallel_repairs(instance, constraints, workers=2) == reference
+
+
+class TestMinimalityThreshold:
+    """``RepairEngine.repairs`` slices ``≤_D`` across a pool only from
+    ``_PARALLEL_MINIMALITY_MIN`` candidates up; smaller sets stay in-process."""
+
+    @staticmethod
+    def _deltas(instance, constraints):
+        ordered = ParallelRepairSearch(instance, constraints).collect()
+        return [inserted | deleted for _, inserted, deleted in ordered]
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            lambda: grouped_key_workload(n_groups=4, group_size=3, n_clean=4, seed=2),
+            lambda: foreign_key_workload(
+                n_parents=4, n_children=10, violation_ratio=0.5, null_ratio=0.4, seed=5
+            ),
+        ],
+        ids=["grouped_key", "foreign_key_nulls"],
+    )
+    def test_sliced_filter_matches_the_sequential_one(self, factory):
+        deltas = self._deltas(*factory())
+        assert len(deltas) > 8  # several slices per worker
+        assert parallel_minimal_flags(deltas, 2) == minimal_flags_counted(deltas)
+
+    def test_small_pool_search_never_starts_the_minimality_pool(self, monkeypatch):
+        def refuse(deltas, workers):
+            raise AssertionError(f"minimality pool started for {len(deltas)} candidates")
+
+        monkeypatch.setattr(parallel_module, "parallel_minimal_flags", refuse)
+        instance, constraints = grouped_key_workload(
+            n_groups=4, group_size=3, n_clean=4, seed=2
+        )
+        found = parallel_repairs(instance, constraints, workers=2)
+        assert len(found) == 81 < RepairEngine._PARALLEL_MINIMALITY_MIN
+
+    def test_search_at_the_threshold_slices_the_filter(self, monkeypatch):
+        calls = []
+        real = parallel_module.parallel_minimal_flags
+
+        def spy(deltas, workers):
+            calls.append((len(deltas), workers))
+            return real(deltas, workers)
+
+        monkeypatch.setattr(parallel_module, "parallel_minimal_flags", spy)
+        monkeypatch.setattr(RepairEngine, "_PARALLEL_MINIMALITY_MIN", 81)
+        instance, constraints = grouped_key_workload(
+            n_groups=4, group_size=3, n_clean=4, seed=2
+        )
+        found = parallel_repairs(instance, constraints, workers=2)
+        assert calls == [(81, 2)]
+        assert found == naive_repairs(instance, constraints)
 
     def test_method_validation(self):
         assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")

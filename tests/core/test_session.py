@@ -399,16 +399,18 @@ class TestConfigObject:
         with pytest.raises(TypeError):
             CQAConfig().merged({"no_such_knob": 1})
 
-    def test_the_columnar_knob_is_gone(self):
-        """Every join runs on the row executor; no option selects another."""
+    @pytest.mark.parametrize("knob", ["columnar", "codegen"])
+    def test_removed_executor_knob_is_rejected(self, knob):
+        """Every join runs on the generated row executor; no option selects
+        another."""
 
-        with pytest.raises(TypeError, match="columnar"):
-            CQAConfig().merged({"columnar": False})
-        with pytest.raises(TypeError, match="columnar"):
-            ConsistentDatabase({"P": [("a",)]}, columnar=False)
+        with pytest.raises(TypeError, match=knob):
+            CQAConfig().merged({knob: False})
+        with pytest.raises(TypeError, match=knob):
+            ConsistentDatabase({"P": [("a",)]}, **{knob: False})
         db = ConsistentDatabase({"P": [("a",)]})
-        with pytest.raises(TypeError, match="columnar"):
-            db.consistent_answers(parse_query("ans(x) <- P(x)"), columnar=False)
+        with pytest.raises(TypeError, match=knob):
+            db.consistent_answers(parse_query("ans(x) <- P(x)"), **{knob: False})
 
     def test_merged_is_a_copy(self):
         config = CQAConfig()

@@ -1,20 +1,23 @@
-"""Compiled kernel ≡ interpreted evaluation, everywhere.
+"""Compiled kernel ≡ the naive reference, everywhere.
 
-The compiled plans of :mod:`repro.compile.kernel` must be bit-for-bit
-equivalent to the interpreted paths they replaced:
+Every compiled plan of :mod:`repro.compile.kernel` runs through its
+generated executor (:mod:`repro.compile.codegen`), the one fast path.
+It must be bit-for-bit equivalent to the ``naive=True`` nested-loop
+reference, which never executes a compiled plan (checked last, so the
+cross-validation cannot become circular):
 
 * **violations** — per constraint, the compiled enumeration equals the
-  index-backed interpreter (``compiled=False``) and the nested-loop
-  reference (``naive=True``), as sets *and* in count, on every paper
-  scenario and generated workload;
-* **seeded / binding-pattern delta plans** — after any mutation the
-  seeded enumeration equals the interpreted one, for every fact;
-* **query answers** — compiled, interpreted (memoised-schedule) and
-  naive paths agree on every query, under both null conventions;
+  nested-loop reference, as sets *and* in count, bindings and body facts
+  included, on every paper scenario and null-heavy generated workload;
+* **seeded delta plans** — the violations seeded from one fact equal
+  the naive violations whose ``body_facts`` contain that fact;
+* **binding-pattern delta plans** — the violations under a partial
+  assignment equal the naive violations whose bindings agree with it;
+* **query answers** — compiled and naive paths agree on every query,
+  under both null conventions;
 * **end-to-end** — repairs and CQA through ``ConsistentDatabase``
   (whose tracker and engines execute compiled plans) equal the
-  ``naive`` repair mode (which never touches the kernel), repair lists
-  including order.
+  ``naive`` repair mode, repair lists including order.
 """
 
 import pytest
@@ -22,16 +25,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import ConsistentDatabase
+from repro.compile import codegen
+from repro.compile.kernel import compiled_constraint
 from repro.constraints.ic import ConstraintSet, NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.cqa import consistent_answers
-from repro.core.repairs import RepairEngine
-from repro.core.satisfaction import (
-    all_violations,
-    seeded_violations,
-    violations,
-    violations_under_assignment,
-)
+from repro.core.repairs import RepairEngine, _lost_witness_assignments
+from repro.core.satisfaction import all_violations, violations
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads import (
@@ -76,19 +76,36 @@ def generic_queries(instance):
     return queries
 
 
+def naive_seeded(instance, constraint, fact):
+    """The naive violations a fact takes part in."""
+
+    return {
+        v for v in violations(instance, constraint, naive=True) if fact in v.body_facts
+    }
+
+
+def naive_under(instance, constraint, partial):
+    """The naive violations whose bindings agree with *partial*."""
+
+    return {
+        v
+        for v in violations(instance, constraint, naive=True)
+        if all(v.assignment[variable] == value for variable, value in partial.items())
+    }
+
+
 # --------------------------------------------------------------------------- violations
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_compiled_violations_match_both_interpreters(name, instance, constraints):
+def test_compiled_violations_match_naive(name, instance, constraints):
     for constraint in constraints:
         compiled = violations(instance, constraint)
-        interpreted = violations(instance, constraint, compiled=False)
         naive = violations(instance, constraint, naive=True)
-        assert set(compiled) == set(interpreted) == set(naive)
+        assert set(compiled) == set(naive)
         # Same count too: no duplicates appear or disappear.
         assert len(compiled) == len(set(compiled))
-        assert len(interpreted) == len(set(interpreted))
+        assert len(naive) == len(set(naive))
     assert set(all_violations(instance, constraints)) == set(
-        all_violations(instance, constraints, compiled=False)
+        all_violations(instance, constraints, naive=True)
     )
 
 
@@ -99,7 +116,7 @@ def test_compiled_violation_payloads_are_identical(name, instance, constraints):
     for constraint in constraints:
         by_key = {
             (v.bindings, v.body_facts): v
-            for v in violations(instance, constraint, compiled=False)
+            for v in violations(instance, constraint, naive=True)
         }
         for violation in violations(instance, constraint):
             assert (violation.bindings, violation.body_facts) in by_key
@@ -113,31 +130,48 @@ def test_compiled_violation_payloads_are_identical(name, instance, constraints):
 
 
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_seeded_delta_plans_match_interpreter(name, instance, constraints):
+def test_seeded_delta_plans_match_naive(name, instance, constraints):
     for constraint in constraints:
         if isinstance(constraint, NotNullConstraint):
             continue
+        unit = compiled_constraint(constraint)
         for fact in instance.facts():
-            compiled = set(seeded_violations(instance, constraint, fact))
-            interpreted = set(
-                seeded_violations(instance, constraint, fact, compiled=False)
+            seeded = set(unit.seeded_violations(instance, fact))
+            assert seeded == naive_seeded(instance, constraint, fact), (
+                name,
+                constraint,
+                fact,
             )
-            assert compiled == interpreted, (name, constraint, fact)
+
+
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_binding_pattern_delta_plans_match_naive(name, instance, constraints):
+    """The partial assignments a deleted witness pins (the tracker's own)."""
+
+    for constraint in constraints:
+        if isinstance(constraint, NotNullConstraint):
+            continue
+        unit = compiled_constraint(constraint)
+        for fact in instance.facts():
+            for partial in _lost_witness_assignments(constraint, fact):
+                found = set(unit.violations_under(instance, partial))
+                assert found == naive_under(instance, constraint, partial), (
+                    name,
+                    constraint,
+                    partial,
+                )
 
 
 # --------------------------------------------------------------------------- queries
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
-def test_compiled_query_answers_match_both_interpreters(name, instance, constraints):
+def test_compiled_query_answers_match_naive(name, instance, constraints):
     for query in generic_queries(instance):
         for null_is_unknown in (False, True):
             compiled = query.answers(instance, null_is_unknown=null_is_unknown)
-            interpreted = query.answers(
-                instance, null_is_unknown=null_is_unknown, compiled=False
-            )
             naive = query.answers(
                 instance, null_is_unknown=null_is_unknown, naive=True
             )
-            assert compiled == interpreted == naive, (name, query, null_is_unknown)
+            assert compiled == naive, (name, query, null_is_unknown)
 
 
 def test_compiled_query_with_negation_and_comparisons():
@@ -159,6 +193,21 @@ def test_compiled_query_with_negation_and_comparisons():
             assert query.answers(instance, null_is_unknown=null_is_unknown) == (
                 query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
             ), (text, null_is_unknown)
+
+
+def test_generated_executors_are_built_once():
+    """Re-running a sweep generates nothing new: the executor memo is
+    process-wide, next to the compiled plans."""
+
+    instance, constraints = grouped_key_workload(
+        n_groups=2, group_size=3, n_clean=4, seed=13
+    )
+    first = all_violations(instance, constraints)
+    stats = codegen.codegen_statistics()
+    generated = stats.plans_generated
+    again = all_violations(instance, constraints)
+    assert set(first) == set(again)
+    assert codegen.codegen_statistics().plans_generated == generated
 
 
 # --------------------------------------------------------------------------- hypothesis
@@ -183,13 +232,12 @@ common_settings = settings(
 
 @common_settings
 @given(facts=st.lists(FACTS, max_size=8))
-def test_random_instances_compiled_equals_interpreted(facts):
+def test_random_instances_compiled_equals_naive(facts):
     instance = DatabaseInstance.from_facts(facts)
     for constraint in CONSTRAINTS:
         compiled = violations(instance, constraint)
-        interpreted = violations(instance, constraint, compiled=False)
         naive = violations(instance, constraint, naive=True)
-        assert set(compiled) == set(interpreted) == set(naive)
+        assert set(compiled) == set(naive)
 
 
 @common_settings
@@ -198,34 +246,54 @@ def test_random_seeded_enumeration_matches(facts, seed):
     instance = DatabaseInstance.from_facts(facts)
     instance.add(seed)
     for constraint in CONSTRAINTS:
-        compiled = set(seeded_violations(instance, constraint, seed))
-        interpreted = set(seeded_violations(instance, constraint, seed, compiled=False))
-        assert compiled == interpreted
+        seeded = set(compiled_constraint(constraint).seeded_violations(instance, seed))
+        assert seeded == naive_seeded(instance, constraint, seed)
 
 
 @common_settings
 @given(facts=st.lists(FACTS, max_size=6), value=VALUES)
 def test_random_partial_assignments_match(facts, value):
-    from repro.constraints.terms import Variable
-
     instance = DatabaseInstance.from_facts(facts)
     for constraint in CONSTRAINTS:
+        unit = compiled_constraint(constraint)
         for variable in sorted(constraint.body_variables(), key=lambda v: v.name):
             partial = {variable: value}
-            compiled = set(violations_under_assignment(instance, constraint, partial))
-            interpreted = set(
-                violations_under_assignment(instance, constraint, partial, compiled=False)
-            )
-            assert compiled == interpreted
-    # A partial mentioning a non-body variable falls back to the
-    # interpreter and keeps its extra-binding semantics.
-    constraint = CONSTRAINTS[0]
-    foreign = {Variable("zz_not_in_body"): value}
-    compiled = list(violations_under_assignment(instance, constraint, foreign))
-    interpreted = list(
-        violations_under_assignment(instance, constraint, foreign, compiled=False)
-    )
-    assert set(compiled) == set(interpreted)
+            found = set(unit.violations_under(instance, partial))
+            assert found == naive_under(instance, constraint, partial)
+
+
+@common_settings
+@given(facts=st.lists(FACTS, max_size=6), seed=FACTS)
+def test_random_mutations_keep_compiled_in_sync(facts, seed):
+    """The generated executors see every mutation: the hash indexes they
+    probe are maintained in place, generation by generation."""
+
+    instance = DatabaseInstance.from_facts(facts)
+
+    def snapshot():
+        reference = set(all_violations(instance, CONSTRAINTS, naive=True))
+        assert set(all_violations(instance, CONSTRAINTS)) == reference
+        return reference
+
+    was_present = seed in set(instance.facts())
+    before = snapshot()
+    instance.add(seed)
+    snapshot()
+    instance.remove(seed)
+    restored = snapshot()
+    if not was_present:  # set semantics: removing a pre-existing seed shrinks
+        assert restored == before
+
+
+@common_settings
+@given(facts=st.lists(FACTS, max_size=6))
+def test_random_join_queries_match_naive(facts):
+    instance = DatabaseInstance.from_facts(facts)
+    query = parse_query("ans(x, y) <- P(x, y), R(y, z)")
+    for null_is_unknown in (False, True):
+        assert query.answers(instance, null_is_unknown=null_is_unknown) == (
+            query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
+        ), null_is_unknown
 
 
 # --------------------------------------------------------------------------- end to end
@@ -260,3 +328,27 @@ def test_scenario_repairs_identical_across_kernel_and_naive(name):
     assert [r.fact_set() for r in compiled] == [r.fact_set() for r in reference]
     expected = {r.fact_set() for r in scenario.expected_repairs}
     assert {r.fact_set() for r in compiled} == expected
+
+
+# --------------------------------------------------------------------------- the oracle
+@pytest.mark.parametrize("name", sorted(scenarios.all_scenarios()))
+def test_naive_reference_executes_no_compiled_plan(name, monkeypatch):
+    """``naive=True`` shares its modules with the fast path, so a per-module
+    import rule cannot keep it kernel-free; forbidding plan execution can."""
+
+    scenario = scenarios.all_scenarios()[name]
+    instance, constraints = scenario.instance, scenario.constraints
+    # Building the engine compiles the program (ViolationIndex); allowed.
+    engine = RepairEngine(constraints, method="naive")
+
+    def refuse(plan):
+        raise AssertionError("the naive reference executed a compiled plan")
+
+    monkeypatch.setattr(codegen, "matcher", refuse)
+    all_violations(instance, constraints, naive=True)
+    for query in generic_queries(instance):
+        for null_is_unknown in (False, True):
+            query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
+    engine.repairs(instance)
+    with pytest.raises(AssertionError, match="compiled plan"):  # the patch bites
+        violations(instance, parse_constraint("Probe(x) -> false"))

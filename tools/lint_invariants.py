@@ -24,11 +24,11 @@ INV004    kernel-free reference paths: the naive/interpreted modules that
           would be circular
 INV005    no ``print()`` under ``src/repro`` outside the CLI front ends —
           library output goes through tracing/metrics
-INV006    codegen-free interpreters: the reference modules *and* the plan
-          step interpreter (``repro.compile.plans`` / ``matchers``) must
-          never import ``repro.compile.codegen`` — the interpreter is the
-          oracle the generated executors are cross-validated against, so
-          the dependency must only ever point codegen → interpreter
+INV006    codegen-free IR and references: the reference modules *and* the
+          plan IR (``repro.compile.plans`` / ``matchers``) must never
+          import ``repro.compile.codegen`` — codegen consumes the IR and
+          is cross-validated against the naive reference, so the
+          dependency must only ever point codegen → IR
 ========  ====================================================================
 
 A line may opt out with the pragma comment ``lint: allow(INVxxx)`` and a
@@ -85,10 +85,8 @@ REFERENCE_MODULES = frozenset(
     }
 )
 #: Modules that must never import the generated-executor path: every
-#: kernel-free reference module, plus the plan step interpreter itself —
-#: ``codegen.matcher`` falls back to (and is cross-validated against)
-#: ``iter_plan_matches``, so an interpreter → codegen import would make
-#: that oracle circular.
+#: kernel-free reference module, plus the plan IR that codegen consumes —
+#: an IR → codegen import would make the layering circular.
 CODEGEN_FREE_MODULES = REFERENCE_MODULES | frozenset(
     {
         "src/repro/compile/plans.py",
@@ -285,7 +283,7 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                     )
                 )
 
-        # INV006 — codegen-free interpreters
+        # INV006 — codegen-free IR and references
         if rel_path in CODEGEN_FREE_MODULES and not allowed(node, "INV006"):
             imported = []
             if isinstance(node, ast.Import):
@@ -305,9 +303,9 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         rel_path,
                         node.lineno,
                         "codegen-free module imports repro.compile.codegen; "
-                        "the interpreter is the oracle the generated "
-                        "executors are validated against — the dependency "
-                        "must only point codegen → interpreter",
+                        "codegen consumes the plan IR and is validated "
+                        "against the naive reference — the dependency "
+                        "must only point codegen → IR",
                     )
                 )
 
