@@ -119,6 +119,23 @@ class TestBitIdenticalOutput:
         assert len(reference) == 81  # below the sliced-filter threshold
         assert parallel_repairs(instance, constraints, workers=2) == reference
 
+    def test_method_validation(self):
+        assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
+        assert RepairEngine(ConstraintSet()).method == PARALLEL_METHOD
+        for removed in ("incremental", "indexed"):
+            with pytest.raises(ValueError, match=removed):
+                RepairEngine(ConstraintSet(), method=removed)
+        with pytest.raises(ValueError, match="turbo"):
+            RepairEngine(ConstraintSet(), method="turbo")
+        RepairEngine(ConstraintSet(), method=PARALLEL_METHOD)  # accepted
+
+    def test_budget_applies_to_the_task_sum(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=3, group_size=3, n_clean=5, seed=0
+        )
+        with pytest.raises(RepairSearchBudgetExceeded):
+            parallel_repairs(instance, constraints, max_states=10, chunk_states=4)
+
 
 class TestMinimalityThreshold:
     """``RepairEngine.repairs`` slices ``≤_D`` across a pool only from
@@ -171,23 +188,6 @@ class TestMinimalityThreshold:
         found = parallel_repairs(instance, constraints, workers=2)
         assert calls == [(81, 2)]
         assert found == naive_repairs(instance, constraints)
-
-    def test_method_validation(self):
-        assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
-        assert RepairEngine(ConstraintSet()).method == PARALLEL_METHOD
-        for removed in ("incremental", "indexed"):
-            with pytest.raises(ValueError, match=removed):
-                RepairEngine(ConstraintSet(), method=removed)
-        with pytest.raises(ValueError, match="turbo"):
-            RepairEngine(ConstraintSet(), method="turbo")
-        RepairEngine(ConstraintSet(), method=PARALLEL_METHOD)  # accepted
-
-    def test_budget_applies_to_the_task_sum(self):
-        instance, constraints = grouped_key_workload(
-            n_groups=3, group_size=3, n_clean=5, seed=0
-        )
-        with pytest.raises(RepairSearchBudgetExceeded):
-            parallel_repairs(instance, constraints, max_states=10, chunk_states=4)
 
 
 class TestHypothesisEquivalence:

@@ -10,10 +10,15 @@ cross-validation cannot become circular):
   nested-loop reference, as sets *and* in count, bindings and body facts
   included, on every paper scenario and null-heavy generated workload;
 * **seeded delta plans** — the violations seeded from one fact equal
-  the naive violations whose ``body_facts`` contain that fact;
+  the naive violations whose ``body_facts`` contain that fact, for the
+  instance's facts and for null-carrying variants inserted as seeds;
 * **binding-pattern delta plans** — the violations under a partial
   assignment equal the naive violations whose bindings agree with it;
+* **the tracker** — deleting and restoring every fact in turn through a
+  ``ViolationTracker`` (which runs both kinds of delta plan) keeps its
+  store equal to the naive sweep;
 * **query answers** — compiled and naive paths agree on every query,
+  single-atom scans and the joins of every constraint antecedent alike,
   under both null conventions;
 * **end-to-end** — repairs and CQA through ``ConsistentDatabase``
   (whose tracker and engines execute compiled plans) equal the
@@ -30,8 +35,13 @@ from repro.compile.kernel import compiled_constraint
 from repro.constraints.ic import ConstraintSet, NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.cqa import consistent_answers
-from repro.core.repairs import RepairEngine, _lost_witness_assignments
+from repro.core.repairs import (
+    RepairEngine,
+    ViolationTracker,
+    _lost_witness_assignments,
+)
 from repro.core.satisfaction import all_violations, violations
+from repro.logic.queries import ConjunctiveQuery
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads import (
@@ -74,6 +84,47 @@ def generic_queries(instance):
         queries.append(parse_query(f"ans({variables}) <- {predicate}({variables})"))
         queries.append(parse_query(f"ans(x0) <- {predicate}({variables})"))
     return queries
+
+
+def body_join_queries(constraint):
+    """Conjunctive queries over a constraint's antecedent: the join itself,
+    its projection on one variable, the join filtered by the consequent's
+    built-ins and the join minus the consequent atoms it fully binds."""
+
+    head = tuple(sorted(constraint.body_variables(), key=lambda v: v.name))
+    queries = [
+        ConjunctiveQuery(head_variables=head, positive_atoms=constraint.body),
+        ConjunctiveQuery(head_variables=head[:1], positive_atoms=constraint.body),
+    ]
+    if constraint.head_comparisons:
+        queries.append(
+            ConjunctiveQuery(
+                head_variables=head,
+                positive_atoms=constraint.body,
+                comparisons=constraint.head_comparisons,
+            )
+        )
+    bound = tuple(a for a in constraint.head_atoms if a.variables() <= set(head))
+    if bound:
+        queries.append(
+            ConjunctiveQuery(
+                head_variables=head,
+                positive_atoms=constraint.body,
+                negative_atoms=bound,
+            )
+        )
+    return queries
+
+
+def null_variants(fact):
+    """*fact* with one position replaced by ``NULL``, for each position
+    that is not null already."""
+
+    for position, value in enumerate(fact.values):
+        if value is not NULL:
+            values = list(fact.values)
+            values[position] = NULL
+            yield Fact(fact.predicate, values)
 
 
 def naive_seeded(instance, constraint, fact):
@@ -145,6 +196,34 @@ def test_seeded_delta_plans_match_naive(name, instance, constraints):
 
 
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_seeded_delta_plans_match_naive_on_null_seeds(name, instance, constraints):
+    """A seed carrying a null goes through the seed atom's null guards."""
+
+    working = instance.copy()
+    checked = 0
+    for fact in list(instance.facts()):
+        for variant in null_variants(fact):
+            inserted = variant not in working
+            if inserted:
+                working.add(variant)
+            for constraint in constraints:
+                if isinstance(constraint, NotNullConstraint):
+                    continue
+                unit = compiled_constraint(constraint)
+                seeded = set(unit.seeded_violations(working, variant))
+                assert seeded == naive_seeded(working, constraint, variant), (
+                    name,
+                    constraint,
+                    variant,
+                )
+                checked += 1
+            if inserted:
+                working.discard(variant)
+    assert checked
+    assert set(working.facts()) == set(instance.facts())
+
+
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
 def test_binding_pattern_delta_plans_match_naive(name, instance, constraints):
     """The partial assignments a deleted witness pins (the tracker's own)."""
 
@@ -162,6 +241,32 @@ def test_binding_pattern_delta_plans_match_naive(name, instance, constraints):
                 )
 
 
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_tracker_matches_naive_on_every_deletion(name, instance, constraints):
+    """Each fact deleted, then restored: deletions from a consequent
+    predicate re-enumerate through the binding-pattern plans, insertions
+    into an antecedent predicate through the seeded plans."""
+
+    working = instance.copy()
+    tracker = ViolationTracker(working, constraints)
+
+    def check(step, fact):
+        tracked = tracker.violations()
+        assert len(tracked) == len(set(tracked)), (name, step, fact)
+        assert set(tracked) == set(
+            all_violations(working, constraints, naive=True)
+        ), (name, step, fact)
+
+    check("initial", None)
+    for fact in list(instance.facts()):
+        working.discard(fact)
+        tracker.notify_removed(fact)
+        check("deleted", fact)
+        working.add(fact)
+        tracker.notify_added(fact)
+        check("restored", fact)
+
+
 # --------------------------------------------------------------------------- queries
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
 def test_compiled_query_answers_match_naive(name, instance, constraints):
@@ -172,6 +277,23 @@ def test_compiled_query_answers_match_naive(name, instance, constraints):
                 instance, null_is_unknown=null_is_unknown, naive=True
             )
             assert compiled == naive, (name, query, null_is_unknown)
+
+
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_constraint_body_joins_match_naive(name, instance, constraints):
+    """Multi-atom joins on each case's own data, nulls in join positions
+    included."""
+
+    for constraint in constraints:
+        if isinstance(constraint, NotNullConstraint):
+            continue
+        for query in body_join_queries(constraint):
+            for null_is_unknown in (False, True):
+                compiled = query.answers(instance, null_is_unknown=null_is_unknown)
+                naive = query.answers(
+                    instance, null_is_unknown=null_is_unknown, naive=True
+                )
+                assert compiled == naive, (name, query, null_is_unknown)
 
 
 def test_compiled_query_with_negation_and_comparisons():
