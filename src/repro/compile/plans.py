@@ -28,7 +28,7 @@ joins through the same kernel over its ground-atom sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Iterable, Mapping, Optional, Tuple
 
 from repro.relational.domain import Constant
 from repro.constraints.terms import Variable
@@ -108,55 +108,3 @@ class JoinPlan:
     initial: Tuple[Tuple[Variable, int], ...] = ()
     initial_guard: Tuple[int, ...] = ()
     seed: Optional[SeedMatcher] = None
-
-
-class CountingRelations(Relations):
-    """A :class:`Relations` adapter that counts probes and rows served.
-
-    Wraps any relation provider (a ``DatabaseInstance`` included) and
-    tallies, per predicate, how many index probes each plan issued and
-    how many rows the executor actually consumed — rows an index probe
-    filtered out or an early-exiting step never pulled are *not*
-    counted, so ``rows`` is exactly the "rows scanned" figure an
-    EXPLAIN ANALYZE report wants.  The generated executors are
-    untouched: all accounting lives in this wrapper, which only exists while a caller (the session's
-    ``explain(analyze=True)``) asked for it.
-    """
-
-    __slots__ = ("base", "probes", "rows")
-
-    def __init__(self, base: Relations) -> None:
-        self.base = base
-        self.probes: Dict[str, int] = {}
-        self.rows: Dict[str, int] = {}
-
-    def tuples_matching(
-        self, predicate: str, bound: Mapping[int, Constant]
-    ) -> Iterator[Row]:
-        self.probes[predicate] = self.probes.get(predicate, 0) + 1
-        rows = self.rows
-        for row in self.base.tuples_matching(predicate, bound):
-            rows[predicate] = rows.get(predicate, 0) + 1
-            yield row
-
-    def facts(self, predicate: Optional[str] = None) -> Iterator[object]:
-        """Counted passthrough for consumers that scan whole relations."""
-
-        rows = self.rows
-        for fact in self.base.facts(predicate):  # type: ignore[attr-defined]
-            key = getattr(fact, "predicate", predicate or "*")
-            rows[key] = rows.get(key, 0) + 1
-            yield fact
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.base, name)
-
-    def total_probes(self) -> int:
-        """All index probes issued through this adapter."""
-
-        return sum(self.probes.values())
-
-    def total_rows(self) -> int:
-        """All rows consumed through this adapter."""
-
-        return sum(self.rows.values())

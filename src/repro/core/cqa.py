@@ -117,23 +117,30 @@ def result_from_repairs(
         if sp:
             sp.add(repairs=len(repairs), query=str(query))
         per_repair: List[FrozenSet[AnswerTuple]] = []
-        if query.is_boolean:
-            for repair in repairs:
-                holds = query.holds(repair, null_is_unknown=null_is_unknown)
-                per_repair.append(frozenset({()}) if holds else frozenset())
-        else:
-            for repair in repairs:
-                per_repair.append(query.answers(repair, null_is_unknown=null_is_unknown))
+        with _trace.span("query.eval"):
+            if query.is_boolean:
+                for repair in repairs:
+                    holds = query.holds(repair, null_is_unknown=null_is_unknown)
+                    per_repair.append(frozenset({()}) if holds else frozenset())
+            else:
+                for repair in repairs:
+                    per_repair.append(
+                        query.answers(repair, null_is_unknown=null_is_unknown)
+                    )
 
         answers = set(per_repair[0])
         for answer_set in per_repair[1:]:
             answers &= answer_set
+        counts = [len(a) for a in per_repair]
+        # Free the per-repair answer sets inside the span that built them,
+        # so their deallocation is not left to the caller's time.
+        del per_repair
         if sp:
             sp.add(answers=len(answers))
     return CQAResult(
         answers=frozenset(answers),
         repair_count=len(repairs),
-        per_repair_answer_counts=[len(a) for a in per_repair],
+        per_repair_answer_counts=counts,
         method=method,
     )
 

@@ -1202,8 +1202,11 @@ class AnytimeRepairStream:
         yielded = 0
 
         def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[DatabaseInstance]:
+            # Every span below closes before the yield: the consumer runs
+            # while this generator is suspended, outside the proof.
             candidates = list(pool.values())
-            context = DeltaMinimality([entry.delta for entry in candidates])
+            with _trace.span("repair.minimality", candidates=len(candidates)):
+                context = DeltaMinimality([entry.delta for entry in candidates])
             for index, entry in enumerate(candidates):
                 if entry.repair is not None or entry.dominated:
                     continue
@@ -1212,15 +1215,17 @@ class AnytimeRepairStream:
                     if reason is not None:
                         search.settle(budget, reason, len(open_tasks))
                         return
-                if any(
-                    frontier_could_dominate(task.delta(), entry.delta)
-                    for task in open_tasks
-                ):
+                with _trace.span("repair.minimality"):
+                    if any(
+                        frontier_could_dominate(task.delta(), entry.delta)
+                        for task in open_tasks
+                    ):
+                        continue
+                    entry.dominated = context.dominated(index)
+                if entry.dominated:
                     continue
-                if context.dominated(index):
-                    entry.dominated = True
-                    continue
-                entry.repair = base.with_delta(entry.inserted, entry.deleted)
+                with _trace.span("repair.materialise"):
+                    entry.repair = base.with_delta(entry.inserted, entry.deleted)
                 if self.states_at_first_yield is None:
                     self.states_at_first_yield = search.statistics.states_explored
                 yield entry.repair

@@ -377,13 +377,6 @@ class ViolationTracker:
         #: Counters surfaced through :class:`RepairStatistics`.
         self.updates = 0
         self.constraints_reevaluated = 0
-        #: Delta-plan effectiveness counters (``explain(analyze=True)``):
-        #: how many seeded updates changed the store at all, and how many
-        #: violations the delta plans added/removed in total.  Cumulative
-        #: over the tracker's lifetime; ``revert`` does not roll them back.
-        self.delta_hits = 0
-        self.delta_violations_added = 0
-        self.delta_violations_removed = 0
 
     # ------------------------------------------------------------------ queries
     def violations(self) -> List[Violation]:
@@ -450,7 +443,6 @@ class ViolationTracker:
                     if violation not in store:
                         store[violation] = None
                         delta.added.append((index, violation))
-        self._count_delta(delta)
         return delta
 
     def notify_removed(self, fact: Fact) -> ViolationDelta:
@@ -482,14 +474,7 @@ class ViolationTracker:
                         if violation not in store:
                             store[violation] = None
                             delta.added.append((index, violation))
-        self._count_delta(delta)
         return delta
-
-    def _count_delta(self, delta: ViolationDelta) -> None:
-        if delta.added or delta.removed:
-            self.delta_hits += 1
-            self.delta_violations_added += len(delta.added)
-            self.delta_violations_removed += len(delta.removed)
 
     def revert(self, delta: ViolationDelta) -> None:
         """Undo one update (used when the search backtracks)."""
@@ -894,6 +879,7 @@ class RepairEngine:
                     flags, comparisons = parallel_minimal_flags(deltas, self._workers)
                 else:
                     flags, comparisons = minimal_flags_counted(deltas)
+            with _trace.span("repair.materialise"):
                 minimal = [
                     instance.with_delta(inserted, deleted)
                     for (_, inserted, deleted), keep in zip(ordered, flags)

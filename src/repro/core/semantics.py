@@ -20,6 +20,11 @@ The paper positions its semantics against four others:
 reference-shaped constraints (one antecedent atom, one consequent atom);
 for any other constraint they fall back to the paper's semantics, which
 the paper itself presents as their generalisation.
+
+Every semantics but ``PAPER`` is a reference: it runs the ``naive=True``
+nested-loop joins of :mod:`repro.core.satisfaction` and never a compiled
+plan, so comparing one of them with ``PAPER`` (the compiled fast path)
+never puts the kernel on both sides.
 """
 
 from __future__ import annotations
@@ -71,7 +76,7 @@ def violations_under(
     if semantics in (Semantics.SIMPLE_MATCH, Semantics.PARTIAL_MATCH, Semantics.FULL_MATCH):
         if _is_reference_shaped(constraint):
             return _match_violations(instance, constraint, semantics)
-        return paper_satisfaction.violations(instance, constraint)
+        return paper_satisfaction.violations(instance, constraint, naive=True)
     raise ValueError(f"unknown semantics {semantics!r}")
 
 
@@ -119,7 +124,7 @@ def _witness_all_positions(
     """Classical witness check: the atom must match on *every* position."""
 
     return paper_satisfaction._head_atom_has_witness(  # noqa: SLF001 - shared helper
-        instance, atom, dict(assignment), tuple(range(atom.arity))
+        instance, atom, dict(assignment), tuple(range(atom.arity)), naive=True
     )
 
 
@@ -127,7 +132,7 @@ def _classical_violations(
     instance: DatabaseInstance, constraint: IntegrityConstraint
 ) -> List[Violation]:
     found: List[Violation] = []
-    for assignment, facts in body_matches(instance, constraint.body):
+    for assignment, facts in body_matches(instance, constraint.body, naive=True):
         if paper_satisfaction._comparison_disjunction_holds(  # noqa: SLF001
             constraint.head_comparisons, assignment
         ):
@@ -147,7 +152,7 @@ def _liberal_violations(
     instance: DatabaseInstance, constraint: IntegrityConstraint
 ) -> List[Violation]:
     found: List[Violation] = []
-    for assignment, facts in body_matches(instance, constraint.body):
+    for assignment, facts in body_matches(instance, constraint.body, naive=True):
         if any(fact.has_null() for fact in facts):
             continue  # a null anywhere in an antecedent tuple: never inconsistent
         if paper_satisfaction._comparison_disjunction_holds(  # noqa: SLF001
@@ -205,7 +210,7 @@ def _match_violations(
     parent_rows = instance.tuples(head_atom.predicate)
 
     found: List[Violation] = []
-    for assignment, facts in body_matches(instance, (body_atom,)):
+    for assignment, facts in body_matches(instance, (body_atom,), naive=True):
         fact = facts[0]
         ref_values = tuple(fact.values[p] for p in referencing)
         nulls = [is_null(v) for v in ref_values]

@@ -82,12 +82,16 @@ class DirectEngine(CQAEngine):
         repair_count = 0
         for repair in session.stream_repairs(config):
             repair_count += 1
-            if candidate is not None:
-                if tuple(candidate) not in query.answers(
-                    repair, null_is_unknown=config.null_is_unknown
-                ):
-                    return False
-            elif not query.holds(repair, null_is_unknown=config.null_is_unknown):
+            with _trace.span("query.eval"):
+                if candidate is not None:
+                    refuted = tuple(candidate) not in query.answers(
+                        repair, null_is_unknown=config.null_is_unknown
+                    )
+                else:
+                    refuted = not query.holds(
+                        repair, null_is_unknown=config.null_is_unknown
+                    )
+            if refuted:
                 return False
         if session.last_degradation is not None:
             # Truncated without a counterexample: report the certified

@@ -12,7 +12,8 @@ Three layers, all stdlib-only and strictly no-op unless asked for:
   objects (which remain as typed views), with Prometheus text-format
   exposition.
 * :mod:`repro.obs.analyze` — the EXPLAIN ANALYZE report behind
-  ``ConsistentDatabase.explain(query, analyze=True)``.
+  ``ConsistentDatabase.explain(query, analyze=True)``, built from the
+  request's own span tree.
 
 :mod:`repro.obs.clock` supplies the single injectable wall/CPU clock
 every timed code path (engine timings, spans, benchmarks) reads, so a
@@ -51,12 +52,7 @@ from repro.obs.trace import (
     tracer,
     tracing,
 )
-from repro.obs.analyze import (
-    ConstraintAnalysis,
-    DeltaPlanStats,
-    ExplainReport,
-    StepAnalysis,
-)
+from repro.obs.analyze import ExplainReport
 
 __all__ = [
     # clock
@@ -85,8 +81,5 @@ __all__ = [
     "tracer",
     "tracing",
     # analyze
-    "ConstraintAnalysis",
-    "DeltaPlanStats",
     "ExplainReport",
-    "StepAnalysis",
 ]

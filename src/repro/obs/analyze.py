@@ -1,32 +1,29 @@
 """EXPLAIN ANALYZE for the CQA stack.
 
 :func:`analyze_request` is the engine behind
-``ConsistentDatabase.explain(query, analyze=True)``: it *executes* one
-full request under instrumentation and returns an
-:class:`ExplainReport` that annotates the advisory
-:class:`~repro.rewriting.planner.CQAPlan` with what actually happened —
-wall-clock per phase, per-constraint ``JoinPlan``/``AtomStep`` rows
-scanned (measured through a
-:class:`~repro.compile.plans.CountingRelations` adapter, so the hot
-executor is untouched), the warm tracker's delta-plan hit rates, the
-session cache's generation and counters, and the repair search's
-statistics when an enumeration ran.
+``ConsistentDatabase.explain(query, analyze=True)``: it executes one
+request with tracing on and returns an :class:`ExplainReport`, a view of
+that request's own span tree.  Nothing is re-run or timed by hand:
 
-Reconciliation is part of the contract: the analyze pass is the only
-publisher of the ``repro_analyze_rows_scanned_total`` /
-``repro_analyze_violations_total`` metrics, and the report carries the
-registry's deltas over the call (:attr:`ExplainReport.metrics_delta`) —
-so ``report.total_rows_scanned`` and ``report.total_violations`` equal
-the registry movement *exactly*, a property the tier-1 suite asserts on
-every pinned scenario.
+* :attr:`ExplainReport.phases` is the self time of each span name — a
+  span's duration minus its children's — summed over the tree, so the
+  phases and :attr:`ExplainReport.unattributed` (the root span's own
+  self time, which no library span claimed) partition the root span;
+* :attr:`ExplainReport.repair_statistics` is the
+  :class:`~repro.core.repairs.RepairStatistics` of the search this
+  request ran, or ``None`` when it ran none (a cached answer or repair
+  list, or an engine that does not enumerate repairs).
+
+Spans that pool workers ship home stay in the tree but out of the
+partition: they ran concurrently in other processes, and the driver's
+wait for them is the ``repair.search`` span's own time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
-from repro.obs import clock as _clock
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
@@ -38,68 +35,20 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class StepAnalysis:
-    """Actuals for one :class:`~repro.compile.plans.AtomStep` of a plan.
-
-    Row accounting is per predicate: when several steps of one plan scan
-    the same predicate the counter cannot be split between them, so each
-    such step reports the shared figure with ``shared=True``.
-    """
-
-    index: int
-    predicate: str
-    probes: int
-    rows: int
-    shared: bool = False
-
-
-@dataclass
-class ConstraintAnalysis:
-    """Actuals for one constraint's violation enumeration."""
-
-    constraint: str
-    violations: int
-    probes: int
-    rows: int
-    steps: List[StepAnalysis] = field(default_factory=list)
-
-
-@dataclass
-class DeltaPlanStats:
-    """The warm tracker's seeded-update ("delta plan") effectiveness."""
-
-    updates: int  #: fact-level notify calls since the tracker was built
-    constraints_reevaluated: int  #: per-constraint seeded passes
-    hits: int  #: updates that actually changed the violation store
-    violations_added: int
-    violations_removed: int
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of updates that touched the store (0.0 when idle)."""
-
-        return self.hits / self.updates if self.updates else 0.0
-
-
-@dataclass
 class ExplainReport:
-    """The result of one instrumented request (``explain(analyze=True)``)."""
+    """The result of one traced request (``explain(analyze=True)``)."""
 
     query: str
     plan: "CQAPlan"
     generation: int
-    phases: Dict[str, float]  #: phase name → wall-clock seconds, in order
-    constraints: List[ConstraintAnalysis]
-    total_violations: int
-    total_rows_scanned: int
-    total_probes: int
-    delta_plans: DeltaPlanStats
+    phases: Dict[str, float]  #: span name → self seconds, in first-opened order
+    unattributed: float  #: the root span's self seconds
     cache: "CacheInfo"
     answer_cache_hit: bool
-    repair_statistics: Optional["RepairStatistics"]
+    repair_statistics: Optional["RepairStatistics"]  #: this request's search, if any
     result: "CQAResult"
     metrics_delta: Dict[str, float]
-    trace: Optional[_trace.SpanRecord]
+    trace: _trace.SpanRecord
 
     def render(self) -> str:
         """The report as an EXPLAIN ANALYZE-style text block."""
@@ -119,41 +68,21 @@ class ExplainReport:
             f"compiled_hits={self.cache.compiled_hits} "
             f"answer_cache_hit={self.answer_cache_hit}"
         )
-        lines.append("Phases (wall clock):")
-        for name, seconds in self.phases.items():
-            lines.append(f"  {name:<12} {seconds * 1e3:9.3f} ms")
-        lines.append(
-            f"Violations: {self.total_violations} total, "
-            f"{self.total_rows_scanned} rows scanned over "
-            f"{self.total_probes} index probes"
-        )
-        for analysis in self.constraints:
-            lines.append(
-                f"  {analysis.constraint}: {analysis.violations} violations, "
-                f"{analysis.rows} rows / {analysis.probes} probes"
-            )
-            for step in analysis.steps:
-                shared = " (shared counter)" if step.shared else ""
-                lines.append(
-                    f"    step {step.index}: {step.predicate} "
-                    f"rows={step.rows} probes={step.probes}{shared}"
-                )
-        dp = self.delta_plans
-        lines.append(
-            f"Delta plans: {dp.updates} updates, "
-            f"{dp.constraints_reevaluated} constraint re-evaluations, "
-            f"hit rate {dp.hit_rate:.1%} "
-            f"(+{dp.violations_added}/-{dp.violations_removed} violations)"
-        )
-        if self.repair_statistics is not None:
+        total = self.trace.duration
+        lines.append(f"Phases (self time of {total * 1e3:.3f} ms):")
+        for name, seconds in [*self.phases.items(), ("(unattributed)", self.unattributed)]:
+            share = seconds / total if total > 0 else 0.0
+            lines.append(f"  {name:<20} {seconds * 1e3:9.3f} ms {share:6.1%}")
+        if self.repair_statistics is None:
+            lines.append("Repair search: none run by this request")
+        else:
             rs = self.repair_statistics
             lines.append(
                 f"Repair search: {rs.states_explored} states, "
                 f"{rs.repairs_found} repairs, "
-                f"search {rs.search_seconds * 1e3:.3f} ms wall / "
-                f"{rs.task_cpu_seconds * 1e3:.3f} ms task CPU, "
-                f"minimality {rs.minimality_seconds * 1e3:.3f} ms "
-                f"({rs.leq_d_comparisons} ≤_D comparisons)"
+                f"{rs.violation_updates} tracker updates, "
+                f"{rs.constraints_reevaluated} constraint re-evaluations, "
+                f"{rs.leq_d_comparisons} ≤_D comparisons"
             )
         lines.append(
             f"Answers: {len(self.result.answers)} "
@@ -162,60 +91,28 @@ class ExplainReport:
         return "\n".join(lines)
 
 
-def _analyze_violations(
-    session: "ConsistentDatabase",
-) -> tuple:
-    """Run every compiled plan over a counting adapter; returns actuals."""
+def _self_seconds(span: _trace.SpanRecord) -> float:
+    """The span's duration minus its in-process children's, dropped ones included."""
 
-    from repro.compile.plans import CountingRelations
+    children = sum(child.duration for child in span.children if child.pid == span.pid)
+    return span.duration - children - sum(span.dropped_seconds.values())
 
-    program = session.compiled_program()
-    counting = CountingRelations(session.instance)
-    analyses: List[ConstraintAnalysis] = []
-    total_violations = 0
-    for constraint, unit in zip(session.constraints, program.units):
-        probes_before = dict(counting.probes)
-        rows_before = dict(counting.rows)
-        violations = unit.violations(counting)
-        probe_delta = {
-            predicate: count - probes_before.get(predicate, 0)
-            for predicate, count in counting.probes.items()
-            if count != probes_before.get(predicate, 0)
-        }
-        row_delta = {
-            predicate: count - rows_before.get(predicate, 0)
-            for predicate, count in counting.rows.items()
-            if count != rows_before.get(predicate, 0)
-        }
-        steps: List[StepAnalysis] = []
-        full_plan = getattr(unit, "full_plan", None)
-        if full_plan is not None:
-            predicate_uses: Dict[str, int] = {}
-            for step in full_plan.steps:
-                predicate_uses[step.predicate] = (
-                    predicate_uses.get(step.predicate, 0) + 1
-                )
-            for step in full_plan.steps:
-                steps.append(
-                    StepAnalysis(
-                        index=step.atom_index,
-                        predicate=step.predicate,
-                        probes=probe_delta.get(step.predicate, 0),
-                        rows=row_delta.get(step.predicate, 0),
-                        shared=predicate_uses[step.predicate] > 1,
-                    )
-                )
-        total_violations += len(violations)
-        analyses.append(
-            ConstraintAnalysis(
-                constraint=str(getattr(unit, "constraint", constraint)),
-                violations=len(violations),
-                probes=sum(probe_delta.values()),
-                rows=sum(row_delta.values()),
-                steps=steps,
-            )
-        )
-    return analyses, total_violations, counting.total_rows(), counting.total_probes()
+
+def _phases(root: _trace.SpanRecord) -> Dict[str, float]:
+    """Self seconds per span name below *root*, in first-opened order."""
+
+    phases: Dict[str, float] = {}
+
+    def visit(span: _trace.SpanRecord) -> None:
+        for child in span.children:
+            if child.pid == span.pid:
+                phases[child.name] = phases.get(child.name, 0.0) + _self_seconds(child)
+                visit(child)
+        for name, seconds in span.dropped_seconds.items():
+            phases[name] = phases.get(name, 0.0) + seconds
+
+    visit(root)
+    return phases
 
 
 def analyze_request(
@@ -223,7 +120,7 @@ def analyze_request(
     query,
     overrides: Mapping[str, Any],
 ) -> ExplainReport:
-    """Execute one request under instrumentation (see module docstring).
+    """Execute one request under tracing (see module docstring).
 
     Tracing is force-enabled for the duration of the call; when the
     process-wide tracer was off, the captured span tree lives only in
@@ -232,86 +129,42 @@ def analyze_request(
 
     registry = _metrics.registry()
     tracer = _trace.tracer()
-    was_enabled = tracer.enabled
-    tracer.enabled = True
     before = registry.snapshot()
     config = session.config.merged(dict(overrides))
-    phases: Dict[str, float] = {}
+    searched_before = session.last_repair_statistics
+    was_enabled = tracer.enabled
+    tracer.enabled = True
     root_span = _trace.span("explain.analyze", query=str(query), method=config.method)
     try:
         with root_span:
-            started = _clock.now()
-            plan = session.plan(query, config)
-            phases["plan"] = _clock.now() - started
-
-            started = _clock.now()
-            session.compiled_program()
-            phases["compile"] = _clock.now() - started
-
-            started = _clock.now()
-            analyses, violations, rows_scanned, probes = _analyze_violations(session)
-            phases["violations"] = _clock.now() - started
-            registry.counter(
-                "repro_analyze_rows_scanned_total",
-                "rows scanned by explain(analyze=True) passes",
-            ).inc(rows_scanned)
-            registry.counter(
-                "repro_analyze_violations_total",
-                "violations enumerated by explain(analyze=True) passes",
-            ).inc(violations)
-
-            tracker = session._ensure_tracker()
-
-            answers_key = (
-                "answers",
-                query,
-                session._fingerprint,
-                session.instance.generation,
-                config.cache_key(),
-            )
-            answer_cache_hit = answers_key in session._cache._data
-            started = _clock.now()
+            plan = session.explain(query, **dict(overrides))
             result = session.report(query, **dict(overrides))
-            phases["execute"] = _clock.now() - started
     finally:
         tracer.enabled = was_enabled
-
-    record = root_span.to_record() if isinstance(root_span, _trace.Span) else None
-    if not was_enabled and isinstance(root_span, _trace.Span):
+    if not was_enabled and root_span in tracer.roots:
         # The tracer was only on for this call: keep the span out of the
         # process-wide roots, it lives in the report.
-        if root_span in tracer.roots:
-            tracer.roots.remove(root_span)
+        tracer.roots.remove(root_span)
+    record = root_span.to_record()
+    phases = _phases(record)
 
-    delta_plans = DeltaPlanStats(
-        updates=tracker.updates,
-        constraints_reevaluated=tracker.constraints_reevaluated,
-        hits=tracker.delta_hits,
-        violations_added=tracker.delta_violations_added,
-        violations_removed=tracker.delta_violations_removed,
-    )
+    searched = session.last_repair_statistics
     after = registry.snapshot()
-    metrics_delta = {
-        name: value - before.get(name, 0.0)
-        for name, value in after.items()
-        if value != before.get(name, 0.0)
-    }
-    from dataclasses import replace
-
     return ExplainReport(
         query=str(query),
-        plan=replace(plan, compiled_program_cached=True),
+        plan=plan,
         generation=session.generation,
         phases=phases,
-        constraints=analyses,
-        total_violations=violations,
-        total_rows_scanned=rows_scanned,
-        total_probes=probes,
-        delta_plans=delta_plans,
+        unattributed=_self_seconds(record),
         cache=session.cache_info(),
-        answer_cache_hit=answer_cache_hit,
-        repair_statistics=session.last_repair_statistics,
+        # ``report()`` opens its span only when the answer cache misses.
+        answer_cache_hit="session.report" not in phases,
+        repair_statistics=searched if searched is not searched_before else None,
         result=result,
-        metrics_delta=metrics_delta,
+        metrics_delta={
+            name: value - before.get(name, 0.0)
+            for name, value in after.items()
+            if value != before.get(name, 0.0)
+        },
         trace=record,
     )

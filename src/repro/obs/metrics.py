@@ -182,8 +182,9 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, float]:
         """A flat name → value view (histograms expand to ``_count``/``_sum``).
 
-        This is the reconciliation and artifact format: plain floats,
-        JSON-serialisable, diffable between two instants.
+        This is the artifact format: plain floats, JSON-serialisable,
+        diffable between two instants (``ExplainReport.metrics_delta`` is
+        such a difference).
         """
 
         values: Dict[str, float] = {}

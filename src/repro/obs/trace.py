@@ -33,7 +33,10 @@ Three properties carry the design:
   tracing through entire test sessions; the tracer caps both retained
   root spans (:data:`MAX_ROOT_SPANS`, oldest dropped first) and
   children per span (:data:`MAX_CHILD_SPANS`), counting what it drops,
-  so instrumentation can never grow memory without bound.
+  so instrumentation can never grow memory without bound.  A dropped
+  child's duration stays on its parent under the child's name
+  (``dropped_seconds``), so self times computed from a capped tree
+  still partition the root exactly.
 
 Exports: :func:`render_tree` (human-readable, durations in ms) and
 :func:`chrome_trace_events` / :func:`dump_chrome_trace` (Chrome
@@ -54,8 +57,9 @@ from repro.obs import clock as _clock
 #: in ``Tracer.dropped_roots``) once the cap is hit.
 MAX_ROOT_SPANS = 256
 
-#: Children retained per span; further children are dropped and counted
-#: in ``Span.dropped_children``.
+#: Children retained per span; further children are dropped, counted in
+#: ``Span.dropped_children`` and their durations summed per name in
+#: ``Span.dropped_seconds``.
 MAX_CHILD_SPANS = 1024
 
 #: Environment variable that force-enables tracing at import time.
@@ -79,6 +83,7 @@ class SpanRecord:
     children: Tuple["SpanRecord", ...] = ()
     pid: int = 0
     dropped_children: int = 0
+    dropped_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def duration(self) -> float:
@@ -103,6 +108,7 @@ class Span:
         "children",
         "pid",
         "dropped_children",
+        "dropped_seconds",
         "_tracer",
     )
 
@@ -117,6 +123,7 @@ class Span:
         self.children: List["Span"] = []
         self.pid = os.getpid()
         self.dropped_children = 0
+        self.dropped_seconds: Dict[str, float] = {}
 
     def __enter__(self) -> "Span":
         self.start = _clock.now()
@@ -149,10 +156,19 @@ class Span:
         return self
 
     def add_child(self, child: "Span") -> None:
-        """File *child* under this span, honouring the retention cap."""
+        """File *child* under this span, honouring the retention cap.
+
+        A dropped child from this process keeps its duration here, under
+        its name; one from a pool worker ran concurrently elsewhere and
+        took none of this span's wall time.
+        """
 
         if len(self.children) >= MAX_CHILD_SPANS:
             self.dropped_children += 1
+            if child.pid == self.pid:
+                self.dropped_seconds[child.name] = (
+                    self.dropped_seconds.get(child.name, 0.0) + child.duration
+                )
         else:
             self.children.append(child)
 
@@ -173,6 +189,7 @@ class Span:
             children=tuple(child.to_record() for child in self.children),
             pid=self.pid,
             dropped_children=self.dropped_children,
+            dropped_seconds=dict(self.dropped_seconds),
         )
 
 
@@ -208,6 +225,7 @@ def _span_from_record(record: SpanRecord, shift: float) -> Span:
     span.end = record.end + shift
     span.pid = record.pid
     span.dropped_children = record.dropped_children
+    span.dropped_seconds = dict(record.dropped_seconds)
     span.children = [_span_from_record(child, shift) for child in record.children]
     return span
 

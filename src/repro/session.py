@@ -901,18 +901,21 @@ class ConsistentDatabase:
 
         overrides.setdefault("estimate_repairs", False)
         config = self._config.merged(overrides)
-        if config.anytime:
-            engine = get_engine(config.method)
-            queries_before = self.statistics.queries
-            outcome = engine.certain_anytime(self, query, candidate, config)
-            if outcome is not None:
-                # Count the call exactly once: engines that route through
-                # report() (e.g. the rewriting path) already did.
-                if self.statistics.queries == queries_before:
-                    self.statistics.queries += 1
-                    _SESSION_QUERIES.inc()
-                return outcome
-        result = self.report(query, **overrides)
+        with _trace.span("session.certain") as sp:
+            if sp:
+                sp.add(query=str(query), anytime=config.anytime)
+            if config.anytime:
+                engine = get_engine(config.method)
+                queries_before = self.statistics.queries
+                outcome = engine.certain_anytime(self, query, candidate, config)
+                if outcome is not None:
+                    # Count the call exactly once: engines that route through
+                    # report() (e.g. the rewriting path) already did.
+                    if self.statistics.queries == queries_before:
+                        self.statistics.queries += 1
+                        _SESSION_QUERIES.inc()
+                    return outcome
+            result = self.report(query, **overrides)
         if candidate is not None:
             return tuple(candidate) in result.answers
         if result.repair_count == 0 and not result.repair_count_estimated:
@@ -926,14 +929,16 @@ class ConsistentDatabase:
 
         Args:
             query: the query to plan.
-            analyze: ``True`` *executes* one full request under
-                instrumentation — EXPLAIN ANALYZE — and returns an
-                :class:`repro.obs.analyze.ExplainReport` annotating the
-                plan with actual rows scanned per ``JoinPlan`` step,
-                violations found, delta-plan hit rates, cache state,
-                wall-clock per phase and the captured span tree
-                (``report.render()`` pretty-prints it).  ``False`` (the
-                default) plans only and executes nothing.
+            analyze: ``True`` *executes* one full request with
+                tracing on — EXPLAIN ANALYZE — and returns an
+                :class:`repro.obs.analyze.ExplainReport` built from the
+                request's own span tree: the self time of each span
+                name, the time no span claimed, the request's repair
+                search statistics (states, tracker updates, constraint
+                re-evaluations, ≤_D comparisons), the cache state and
+                the tree itself (``report.render()`` pretty-prints
+                it).  ``False`` (the default) plans only and executes
+                nothing.
             **overrides: any :class:`repro.engines.CQAConfig` field.
 
         Returns:

@@ -1,6 +1,6 @@
 """Structural checks over the ``docs/`` tree.
 
-Three guarantees, also enforced by the CI docs job:
+Four guarantees, also enforced by the CI docs job:
 
 * every relative markdown link in ``docs/*.md`` and ``README.md``
   resolves to a file in the repository;
@@ -9,7 +9,9 @@ Three guarantees, also enforced by the CI docs job:
   ``paper-map.md`` points at code without rotting line numbers);
 * ``paper-map.md`` covers every numbered Definition / Theorem /
   Proposition / Corollary the source code cites — new paper machinery
-  cannot land without its row in the map.
+  cannot land without its row in the map;
+* the span table of ``observability.md`` lists exactly the span names
+  the library opens, so EXPLAIN ANALYZE phases are all documented.
 """
 
 import re
@@ -25,6 +27,7 @@ LINK = re.compile(r"\[[^\]]+\]\(([^)#\s]+)(?:#[^)\s]*)?\)")
 ANCHOR = re.compile(r"`([\w/.-]+\.py)::([\w.]+)`")
 FILE_REF = re.compile(r"`((?:src|tests|benchmarks|docs|examples)/[\w/.-]+\.(?:py|md))`")
 CITATION = re.compile(r"\b(Definition|Theorem|Proposition|Corollary) (\d+)\b")
+SPAN_OPEN = re.compile(r'\bspan\(\s*"([^"]+)"')
 
 
 def test_docs_tree_exists():
@@ -86,3 +89,17 @@ def test_paper_map_covers_every_cited_item():
         if not re.search(rf"\b{re.escape(item)}\b", paper_map)
     )
     assert not missing, f"docs/paper-map.md lacks rows for: {', '.join(missing)}"
+
+
+def test_span_table_lists_exactly_the_spans_the_library_opens():
+    opened = set()
+    for source_file in (REPO / "src" / "repro").rglob("*.py"):
+        opened.update(SPAN_OPEN.findall(source_file.read_text()))
+    text = (REPO / "docs" / "observability.md").read_text()
+    table = text.split("### Span taxonomy", 1)[1].split("\n#", 1)[0]
+    documented = set()
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            documented.update(re.findall(r"`([^`]+)`", line.split("|")[1]))
+    assert sorted(opened - documented) == [], "spans missing from the table"
+    assert sorted(documented - opened) == [], "table rows no library code opens"

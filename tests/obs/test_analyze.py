@@ -1,10 +1,11 @@
-"""``ConsistentDatabase.explain(analyze=True)`` and its reconciliation.
+"""``ConsistentDatabase.explain(analyze=True)``: a view of the request's spans.
 
-The acceptance property the ISSUE pins: on every pinned scenario the
-report's row/violation actuals equal the metrics registry's movement
-over the call **exactly** — the analyze pass is the only publisher of
-the ``repro_analyze_*`` counters, so the two accountings can never
-drift apart silently.
+The report's phases are the self times of the request's own span tree,
+so together with ``unattributed`` (the root span's own self time) they
+partition the root span exactly — on every pinned scenario, on the
+729-repair reference request, and when the tracer's child cap drops
+spans.  The repair-search line is the request's own
+``RepairStatistics``.
 """
 
 import pytest
@@ -25,6 +26,26 @@ def scenario_query(scenario):
     return parse_query(f"ans({variables}) <- {fact.predicate}({variables})")
 
 
+def span_names(record):
+    """Every span name below *record*, dropped children's included."""
+
+    names = set(record.dropped_seconds)
+    for child in record.children:
+        names.add(child.name)
+        names |= span_names(child)
+    return names
+
+
+def assert_partition(report, label=""):
+    """Phases plus unattributed add up to the root span; none is negative."""
+
+    total = sum(report.phases.values()) + report.unattributed
+    assert total == pytest.approx(report.trace.duration, abs=1e-6), label
+    for name, seconds in report.phases.items():
+        assert seconds >= 0.0, f"{label}: phase {name} is negative ({seconds})"
+    assert report.unattributed >= 0.0, label
+
+
 class TestExplainAnalyze:
     def make_session(self):
         instance, constraints = grouped_key_workload(
@@ -41,22 +62,38 @@ class TestExplainAnalyze:
         assert isinstance(report, ExplainReport)
         assert report.plan.method == plan.method
 
-    def test_phases_cover_the_request_in_order(self):
+    def test_phases_are_the_self_times_of_the_span_tree(self):
         db = self.make_session()
         report = db.explain(
-            parse_query("ans(e, d, s) <- Emp(e, d, s)"), analyze=True
+            parse_query("ans(e, d) <- Emp(e, d, s)"), analyze=True, method="direct"
         )
-        assert list(report.phases) == ["plan", "compile", "violations", "execute"]
-        assert all(seconds >= 0.0 for seconds in report.phases.values())
+        assert set(report.phases) == span_names(report.trace)
+        assert list(report.phases)[:2] == ["session.plan", "session.report"]
+        assert_partition(report)
 
-    def test_actuals_match_the_executed_result(self):
+    def test_repair_statistics_are_the_requests_own_search(self):
         db = self.make_session()
-        query = parse_query("ans(e, d, s) <- Emp(e, d, s)")
-        report = db.explain(query, analyze=True)
-        assert report.result.answers == db.report(query).answers
-        assert report.total_violations == len(db.violations())
-        assert report.total_rows_scanned >= report.total_violations
-        assert len(report.constraints) == len(list(db.constraints))
+        query = parse_query("ans(e, d) <- Emp(e, d, s)")
+        report = db.explain(query, analyze=True, method="direct")
+        assert report.result.answers == db.report(query, method="direct").answers
+        statistics = report.repair_statistics
+        assert statistics is db.last_repair_statistics
+        assert statistics.repairs_found == report.result.repair_count == 4
+        assert statistics.violation_updates > 0
+        assert statistics.constraints_reevaluated > 0
+
+    def test_a_request_served_without_a_search_reports_none(self):
+        db = self.make_session()
+        query = parse_query("ans(e, d) <- Emp(e, d, s)")
+        first = db.explain(query, analyze=True, method="direct")
+        assert first.repair_statistics is not None
+        # The answer cache serves the repeat: no search runs, and the
+        # previous request's statistics are not reported as this one's.
+        second = db.explain(query, analyze=True, method="direct")
+        assert second.answer_cache_hit is True
+        assert second.repair_statistics is None
+        assert "session.report" not in second.phases
+        assert_partition(second)
 
     def test_answer_cache_hit_flips_on_the_second_call(self):
         db = self.make_session()
@@ -93,13 +130,16 @@ class TestExplainAnalyze:
     def test_render_is_a_complete_text_block(self):
         db = self.make_session()
         report = db.explain(
-            parse_query("ans(e, d, s) <- Emp(e, d, s)"), analyze=True
+            parse_query("ans(e, d) <- Emp(e, d, s)"), analyze=True, method="direct"
         )
         rendered = report.render()
         assert rendered.startswith("EXPLAIN ANALYZE")
-        assert "Phases (wall clock):" in rendered
-        assert "Violations:" in rendered
-        assert "Delta plans:" in rendered
+        assert "Phases (self time of" in rendered
+        assert "(unattributed)" in rendered
+        for name in report.phases:
+            assert f"  {name} " in rendered
+        assert "Repair search: " in rendered
+        assert "tracker updates" in rendered
         assert "Answers:" in rendered
 
     def test_overrides_reach_the_executed_request(self):
@@ -114,46 +154,66 @@ class TestExplainAnalyze:
         assert report.result.method == "direct"
 
 
-class TestReconciliation:
-    def test_exact_reconciliation_on_every_pinned_scenario(self, all_scenarios):
-        """``total_rows_scanned`` / ``total_violations`` equal the registry
-        deltas exactly, scenario by scenario — no sampling, no drift."""
-
+class TestPartition:
+    @pytest.mark.parametrize("method", ["auto", "direct"])
+    def test_phases_partition_the_root_on_every_pinned_scenario(
+        self, all_scenarios, method
+    ):
         for name, scenario in sorted(all_scenarios.items()):
             db = ConsistentDatabase(scenario.instance, scenario.constraints)
-            report = db.explain(scenario_query(scenario), analyze=True)
-            rows_delta = report.metrics_delta.get(
-                "repro_analyze_rows_scanned_total", 0.0
-            )
-            violations_delta = report.metrics_delta.get(
-                "repro_analyze_violations_total", 0.0
-            )
-            assert report.total_rows_scanned == rows_delta, (
-                f"{name}: report counted {report.total_rows_scanned} rows "
-                f"but the registry moved by {rows_delta}"
-            )
-            assert report.total_violations == violations_delta, (
-                f"{name}: report counted {report.total_violations} violations "
-                f"but the registry moved by {violations_delta}"
-            )
-            if scenario.expected_consistent is True:
-                assert report.total_violations == 0, name
-            elif scenario.expected_consistent is False:
-                assert report.total_violations > 0, name
+            report = db.explain(scenario_query(scenario), analyze=True, method=method)
+            assert_partition(report, f"{name}/{method}")
 
-    def test_consecutive_analyzes_keep_reconciling(self):
-        # The counters are cumulative across calls; each report's delta must
-        # still equal its own actuals.
+    def test_dropped_children_keep_their_time(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_CHILD_SPANS", 2)
         instance, constraints = grouped_key_workload(
-            n_groups=2, group_size=2, n_clean=4, seed=3
+            n_groups=3, group_size=3, n_clean=20, seed=1
         )
         db = ConsistentDatabase(instance, constraints)
-        query = parse_query("ans(e, d, s) <- Emp(e, d, s)")
-        for _ in range(3):
-            report = db.explain(query, analyze=True)
-            assert report.total_rows_scanned == report.metrics_delta.get(
-                "repro_analyze_rows_scanned_total", 0.0
-            )
-            assert report.total_violations == report.metrics_delta.get(
-                "repro_analyze_violations_total", 0.0
-            )
+        report = db.explain(
+            parse_query("ans(e, d) <- Emp(e, d, s)"), analyze=True, method="direct"
+        )
+        engine = report.trace.children[1].children[0]
+        assert engine.name == "engine.direct"
+        assert engine.dropped_children > 0
+        # Dropped spans leave the tree but keep their phase.
+        assert "answers.assemble" in engine.dropped_seconds
+        assert "answers.assemble" in report.phases
+        assert_partition(report)
+
+
+class TestReferenceRequest:
+    """The 729-repair request: search, ≤_D, materialisation and evaluation
+    are separate phases, and almost nothing is left unattributed."""
+
+    @pytest.fixture(scope="class")
+    def report(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=6, group_size=3, n_clean=200
+        )
+        db = ConsistentDatabase(instance, constraints)
+        return db.explain(
+            parse_query("ans(e, d) <- Emp(e, d, s)"), analyze=True, method="direct"
+        )
+
+    def test_phases_and_unattributed_add_up_to_the_root(self, report):
+        assert_partition(report)
+
+    def test_unattributed_is_at_most_five_percent(self, report):
+        assert report.unattributed <= 0.05 * report.trace.duration
+
+    def test_every_repair_layer_is_its_own_phase(self, report):
+        for name in (
+            "repair.task",
+            "repair.minimality",
+            "repair.materialise",
+            "query.eval",
+            "answers.assemble",
+        ):
+            assert report.phases.get(name, 0.0) > 0.0, name
+
+    def test_the_search_line_shows_the_searchs_own_tracker_updates(self, report):
+        statistics = report.repair_statistics
+        assert statistics.repairs_found == 729
+        assert statistics.violation_updates == 1878
+        assert "1878 tracker updates" in report.render()

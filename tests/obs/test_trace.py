@@ -6,11 +6,13 @@ search — has every span closed, every child interval nested inside its
 parent and every worker span re-parented under the driver's.
 """
 
+import gc
 import json
 import os
 
 import pytest
 
+from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.repairs import RepairEngine
 from repro.obs import clock, trace
 from repro.obs.trace import Span, SpanRecord, _NULL_SPAN
@@ -131,6 +133,38 @@ class TestRetentionCaps:
         assert len(parent.children) == 3
         assert parent.dropped_children == 2
         assert "(+2 children dropped)" in trace.render_tree()
+
+    def test_dropped_children_keep_their_time_under_their_name(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_CHILD_SPANS", 1)
+        with clock.using_clock(clock.FakeClock()) as fake:
+            with trace.tracing(True):
+                trace.reset()
+                with trace.span("parent"):
+                    for name, seconds in (("a", 1.0), ("b", 0.5), ("b", 0.25)):
+                        with trace.span(name):
+                            fake.advance(seconds)
+                parent = trace.tracer().roots[0]
+                record = parent.to_record()
+                with trace.span("driver"):
+                    trace.attach([record])
+        assert [child.name for child in parent.children] == ["a"]
+        assert parent.dropped_seconds == {"b": pytest.approx(0.75)}
+        assert record.dropped_seconds == parent.dropped_seconds
+        attached = trace.tracer().roots[-1].children[0]
+        assert attached.dropped_seconds == parent.dropped_seconds
+
+    def test_a_dropped_worker_span_takes_no_time_from_its_parent(self, monkeypatch):
+        # Worker spans ran concurrently in another process: dropping one
+        # must not charge its duration to the driver's span.
+        monkeypatch.setattr(trace, "MAX_CHILD_SPANS", 0)
+        record = SpanRecord(name="repair.task", start=0.0, end=1.0, pid=os.getpid() + 1)
+        with trace.tracing(True):
+            trace.reset()
+            with trace.span("driver"):
+                trace.attach([record])
+        driver = trace.tracer().roots[0]
+        assert driver.dropped_children == 1
+        assert driver.dropped_seconds == {}
 
     def test_root_cap_drops_oldest_first(self, monkeypatch):
         monkeypatch.setattr(trace, "MAX_ROOT_SPANS", 2)
@@ -327,3 +361,65 @@ class TestWellFormedOnEveryScenario:
         # Re-parented spans sit under the driver's search span, not as roots.
         for task in task_spans:
             assert task not in roots
+
+
+def self_seconds(span):
+    """The span's duration minus its children's, dropped ones included."""
+
+    return (
+        span.duration
+        - sum(child.duration for child in span.children)
+        - sum(span.dropped_seconds.values())
+    )
+
+
+def traced_anytime_certain():
+    """A traced ``certain(anytime=True)`` proving every repair of an 81-repair
+    key+check session (4 key groups of 3 plus a check on ``Emp``) after a
+    write, so no cached repair list serves it."""
+
+    instance, constraints = grouped_key_workload(n_groups=4, group_size=3, n_clean=100)
+    db = ConsistentDatabase(
+        instance, [*constraints, parse_constraint("Emp(e, d, s) -> s > 0")]
+    )
+    db.insert("Emp", ("w1", "dept1", 10))
+    query = parse_query("ans(e, d) <- Emp(e, d, s)")
+    clean = next(fact for fact in instance.facts() if fact.values[0] == "e0")
+    gc.collect()
+    with trace.tracing(True):
+        trace.reset()
+        assert db.certain(query, clean.values[:2], anytime=True)
+        (root,) = trace.tracer().roots
+    assert db.last_repair_statistics.repairs_found == 81
+    return root
+
+
+def best_unattributed_share(roots):
+    """The smallest root self-time share: shares are wall-clock, and the
+    best of a few runs filters a preemption landing in the root's own
+    few percent."""
+
+    return min(self_seconds(root) / root.duration for root in roots)
+
+
+class TestAnytimeAttribution:
+    def test_the_certain_span_leaves_at_most_five_percent_unattributed(self):
+        roots = [traced_anytime_certain() for _ in range(3)]
+        for root in roots:
+            assert root.name == "session.certain"
+            assert {
+                "repair.task",
+                "repair.minimality",
+                "repair.materialise",
+                "query.eval",
+            } <= {node.name for node in span_nodes(root)}
+            assert_well_formed(root)
+        assert best_unattributed_share(roots) <= 0.05
+
+    def test_attribution_survives_the_child_cap(self, monkeypatch):
+        monkeypatch.setattr(trace, "MAX_CHILD_SPANS", 8)
+        roots = [traced_anytime_certain() for _ in range(3)]
+        for root in roots:
+            assert root.dropped_children > 0
+            assert_well_formed(root)
+        assert best_unattributed_share(roots) <= 0.05

@@ -41,6 +41,7 @@ from repro.core.repairs import (
     _lost_witness_assignments,
 )
 from repro.core.satisfaction import all_violations, violations
+from repro.core.semantics import Semantics, violations_under
 from repro.logic.queries import ConjunctiveQuery
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
@@ -472,5 +473,11 @@ def test_naive_reference_executes_no_compiled_plan(name, monkeypatch):
         for null_is_unknown in (False, True):
             query.answers(instance, null_is_unknown=null_is_unknown, naive=True)
     engine.repairs(instance)
+    # The alternative semantics are references too: the property suites
+    # compare them with the compiled PAPER semantics.
+    for semantics in Semantics:
+        if semantics is not Semantics.PAPER:
+            for constraint in constraints:
+                violations_under(instance, constraint, semantics)
     with pytest.raises(AssertionError, match="compiled plan"):  # the patch bites
         violations(instance, parse_constraint("Probe(x) -> false"))
