@@ -6,10 +6,10 @@ single working instance whose violations a
 every consistent candidate as its delta ``(path, Δins, Δdel)`` instead of
 an instance.  The tree is split into **frontier tasks** — unexplored
 subtree roots identified by their branch-index *path* from the root —
-executed either inline (``workers <= 1``, warm-started from the caller's
-tracker when one is given) or on a
-``concurrent.futures.ProcessPoolExecutor``, one tracker and one
-copy-on-write instance per worker process.
+executed inline, warm-started from the caller's tracker when one is
+given, until the frontier splits; a ``workers >= 2`` search then runs
+the rest on a ``concurrent.futures.ProcessPoolExecutor``, one tracker
+and one copy-on-write instance per worker process.
 
 Three properties make the result exactly the sequential depth-first
 search's, which the nested-loop ``"naive"`` reference of
@@ -389,12 +389,12 @@ class SearchBatch:
 
 
 class SearchContext:
-    """A worker's private search state: instance, tracker, exclusion flag.
+    """A private search state: instance, tracker, exclusion flag.
 
-    One context is built per worker process (and one inline for
-    ``workers <= 1``); it pays the full violation sweep once — or copies
-    *seed*'s store, a tracker over an instance with the same facts — and
-    then runs any number of tasks against the same working instance by
+    Every search builds one in the driver and every pool worker one of
+    its own; it pays the full violation sweep once — or copies *seed*'s
+    store, a tracker over an instance with the same facts — and then
+    runs any number of tasks against the same working instance by
     replaying each task's delta before the bounded DFS and undoing it
     after: mutate/undo, lifted to task granularity.
     """
@@ -654,15 +654,16 @@ def _worker_run(
 class ParallelRepairSearch:
     """Schedule the frontier tasks of one repair search.
 
-    ``workers <= 1`` executes every task inline, in FIFO order — fully
-    deterministic, no processes, still anytime (batches surface as each
-    task finishes) — over one context warm-started from *seed_tracker*
-    when given (a tracker over an instance with the same facts and
-    constraints; its store is copied when the search starts).
-    ``workers >= 2`` runs the tasks on a process pool with up to
-    ``2 × workers`` tasks in flight; which tasks exist and what each
-    returns is deterministic either way (only batch arrival order
-    varies).
+    Tasks run inline, in FIFO order — fully deterministic, still anytime
+    (batches surface as each task finishes) — over one context
+    warm-started from *seed_tracker* when given (a tracker over an
+    instance with the same facts and constraints; its store is copied
+    when the search starts).  ``workers <= 1`` never leaves that lane.
+    ``workers >= 2`` starts a process pool the first time the open
+    frontier holds ``_POOL_MIN_OPEN_TASKS`` tasks and runs the rest
+    there, with up to ``2 × workers`` tasks in flight.  Which tasks
+    exist and what each returns is deterministic either way (only
+    batch arrival order varies).
 
     Aggregate counters accumulate into :attr:`statistics` via
     :meth:`RepairStatistics.merge` as tasks finish; ``states_explored``
@@ -670,6 +671,12 @@ class ParallelRepairSearch:
     denial-only constraints) it may exceed the sequential engines'
     unique-state count — the ``max_states`` budget applies to that sum.
     """
+
+    #: The pool starts the first time the open frontier holds this many
+    #: tasks, so a search whose root task fits one chunk never pays for
+    #: a pool start and the facts payload.  Tests lower it to 1 to put
+    #: every task, the root included, on the pool.
+    _POOL_MIN_OPEN_TASKS = 2
 
     def __init__(
         self,
@@ -709,12 +716,6 @@ class ParallelRepairSearch:
         self.degradation: Optional[Degradation] = None
         self.statistics = RepairStatistics()
 
-    @property
-    def uses_exclusions(self) -> bool:
-        """True when sibling-exclusion partitioning is active (denial-only)."""
-
-        return self._exclusions
-
     def request_budget(self) -> Optional[Budget]:
         """The budget this search answers to: the constructor's, else the ambient one."""
 
@@ -733,13 +734,16 @@ class ParallelRepairSearch:
             return
         raise budget.error(reason)
 
-    def _context(self, seed: Optional[ViolationTracker] = None) -> SearchContext:
-        return SearchContext(
-            self._instance, self._index, exclusions=self._exclusions, seed=seed
-        )
-
     def batches(self) -> Iterator[SearchBatch]:
         """Run the search, yielding one :class:`SearchBatch` per finished task.
+
+        Every task runs inline, on one :class:`SearchContext`
+        warm-started from *seed_tracker* (else swept), until the open
+        frontier first holds ``_POOL_MIN_OPEN_TASKS`` tasks; only then
+        does a ``workers >= 2`` search start its process pool, so a
+        search that fits one chunk never starts one.  From then on up
+        to ``2 × workers`` tasks are in flight, and the driver's context
+        stays the quarantine lane.
 
         Closing the generator early (e.g. an anytime consumer that
         short-circuited) shuts the pool down and cancels queued tasks.
@@ -753,9 +757,10 @@ class ParallelRepairSearch:
         cleanly, leaving the batches yielded so far as a sound partial
         frontier.  Worker failures never surface to the consumer: a
         crashed pool is respawned with exponential backoff (tasks
-        retried), and tasks that keep failing are quarantined and
-        re-run inline — task results are pure functions of (task, chunk
-        budget), so retries cannot change the answer.
+        retried), tasks that keep failing are quarantined inline, and
+        once respawns run out the rest of the frontier finishes inline
+        — task results are pure functions of (task, chunk budget), so
+        where a task runs can never change the answer.
         """
 
         budget = self.request_budget()
@@ -764,6 +769,12 @@ class ParallelRepairSearch:
         open_tasks: Dict[Path, FrontierTask] = {root.path: root}
         total_states = 0
         started = _clock.now()
+        context = SearchContext(
+            self._instance,
+            self._index,
+            exclusions=self._exclusions,
+            seed=self._seed_tracker,
+        )
 
         def absorb(result: TaskResult, remote: bool = False) -> SearchBatch:
             nonlocal total_states
@@ -803,36 +814,16 @@ class ParallelRepairSearch:
                 result.candidates, tuple(open_tasks.values()), total_states
             )
 
-        if self._workers <= 1:
-            context = self._context(self._seed_tracker)
-            while queue:
-                if budget is not None:
-                    reason = budget.exhausted()
-                    if reason is not None:
-                        self.settle(budget, reason, len(open_tasks))
-                        return
-                task = queue.popleft()
-                yield absorb(
-                    context.run_task(task, self._chunk_states, request_budget=budget)
-                )
-            return
+        def run_inline(task: FrontierTask) -> TaskResult:
+            return context.run_task(task, self._chunk_states, request_budget=budget)
 
         policy = self._retry_policy
         fault_spec = _faults.worker_spec()
         audit = _ship_audit()
-        facts = tuple(self._instance.facts())
-        codec = FactCodec(facts)
-        # Every pool start ships the base instance as its sorted facts;
-        # each worker rebuilds it and derives the same codec from them.
-        payload_bytes = len(pickle.dumps(facts, pickle.HIGHEST_PROTOCOL))
-        payload = (
-            facts,
-            tuple(self._constraints),
-            self._exclusions,
-            _trace.enabled(),
-            fault_spec,
-        )
-        inline_context: Optional[SearchContext] = None
+        # Built when the pool first starts; ``codec is None`` until then.
+        codec: Optional[FactCodec] = None
+        payload: Tuple[Any, ...] = ()
+        payload_bytes = 0
 
         def charge_shipment(wire: Any, raw: Any) -> None:
             """Ship-bytes audit: what crossed the pool boundary vs. what
@@ -859,22 +850,6 @@ class ParallelRepairSearch:
                 pickle.dumps(raw, pickle.HIGHEST_PROTOCOL)
             )
 
-        def run_inline(task: FrontierTask) -> TaskResult:
-            """Quarantine lane: execute a repeat-offender task in-process.
-
-            The result is bit-identical to a worker's — run_task is a
-            pure function of (task, chunk budget) — so falling back
-            never changes the answer, only where it was computed.
-            """
-
-            nonlocal inline_context
-            if inline_context is None:
-                # Built lazily, when the seed may have moved on: sweep.
-                inline_context = self._context()
-            return inline_context.run_task(
-                task, self._chunk_states, request_budget=budget
-            )
-
         def spawn() -> ProcessPoolExecutor:
             self.statistics.instance_ship_bytes += payload_bytes
             executor = ProcessPoolExecutor(
@@ -885,7 +860,7 @@ class ParallelRepairSearch:
             self._executor = executor
             return executor
 
-        executor: Optional[ProcessPoolExecutor] = spawn()
+        executor: Optional[ProcessPoolExecutor] = None
         respawns = 0
         attempts: Dict[Path, int] = {}
         in_flight: Dict[Future, FrontierTask] = {}
@@ -921,6 +896,31 @@ class ParallelRepairSearch:
                     if reason is not None:
                         self.settle(budget, reason, len(open_tasks))
                         return
+                if (
+                    codec is None
+                    and self._workers >= 2
+                    and len(open_tasks) >= self._POOL_MIN_OPEN_TASKS
+                ):
+                    # The frontier split: start the pool.  It ships the
+                    # base instance as its sorted facts; each worker
+                    # rebuilds it and derives the same codec from them.
+                    facts = tuple(self._instance.facts())
+                    codec = FactCodec(facts)
+                    payload_bytes = len(pickle.dumps(facts, pickle.HIGHEST_PROTOCOL))
+                    payload = (
+                        facts,
+                        tuple(self._constraints),
+                        self._exclusions,
+                        _trace.enabled(),
+                        fault_spec,
+                    )
+                    executor = spawn()
+                if executor is None:
+                    # No pool: not started yet, never (workers <= 1), or
+                    # broken past its respawn allowance.
+                    yield absorb(run_inline(queue.popleft()))
+                    continue
+                assert codec is not None
                 while (
                     queue
                     and executor is not None
@@ -960,14 +960,10 @@ class ParallelRepairSearch:
                         pool_broke([task])
                         break
                     in_flight[future] = task
-                if executor is None and queue:
-                    # The pool broke past its respawn allowance: finish the
-                    # remaining frontier inline (budget checks continue at
-                    # the loop top).
-                    task = queue.popleft()
-                    yield absorb(run_inline(task))
-                    continue
                 if not in_flight:
+                    # Everything left ran inline, or the pool broke past
+                    # its respawn allowance (the loop top finishes the
+                    # frontier inline; budget checks continue there).
                     continue
                 # A finite wait (when a budget is active) keeps deadline and
                 # cancellation checks live even while every worker is deep

@@ -214,13 +214,22 @@ def violation_choice_key(violation: Violation) -> Tuple:
     then the bound values — so two runs (and all three engine methods)
     always resolve the same violation first, whatever the constraints are
     called and in whatever order the joins enumerated the matches.
+
+    The search asks for the key of every current violation at every
+    state, and a violation object stays in the tracker's store from one
+    state to the next, so the key is memoised on the (frozen) violation
+    the way its hash is; it takes no part in equality or hashing.
     """
 
-    return (
-        constraint_structural_key(violation.constraint),
-        tuple(fact.sort_key() for fact in violation.body_facts),
-        tuple(constant_sort_key(value) for _, value in violation.bindings),
-    )
+    cached = violation.__dict__.get("_choice_key")
+    if cached is None:
+        cached = (
+            constraint_structural_key(violation.constraint),
+            tuple(fact.sort_key() for fact in violation.body_facts),
+            tuple(constant_sort_key(value) for _, value in violation.bindings),
+        )
+        object.__setattr__(violation, "_choice_key", cached)
+    return cached
 
 
 # --------------------------------------------------------------------------- tracking
@@ -652,13 +661,13 @@ class RepairEngine:
     * ``"parallel"`` (default) — the production search of
       :mod:`repro.core.parallel`: a mutate/undo depth-first search over one
       working instance whose violations a :class:`ViolationTracker` keeps
-      current, split into bounded frontier tasks run inline
-      (``workers <= 1``) or on a process pool (``workers >= 2``).  Each
+      current, split into bounded frontier tasks run inline until the
+      frontier splits, then on a process pool (``workers >= 2``).  Each
       candidate comes back as its ``∆(D, ·)``, ``≤_D`` is decided on those
       deltas, and only the minimal ones are materialised, each as a
       copy-on-write copy of the base plus its delta
       (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
-      the inline search from a tracker already kept over the same facts,
+      the driver's search from a tracker already kept over the same facts,
       so no full violation sweep runs;
     * ``"naive"`` — the reference: a full nested-loop violation
       recomputation and an instance copy per state, minimality through
@@ -921,7 +930,14 @@ class DeltaMinimality:
     """
 
     def __init__(self, deltas: Sequence[FrozenSet[Fact]]):
-        self.deltas: List[FrozenSet[Fact]] = list(deltas)
+        # Intern equal facts to one object, so the subset checks below
+        # match by identity instead of calling ``Fact.__eq__``: deltas
+        # built by different tasks hold equal but distinct objects.
+        interned: Dict[Fact, Fact] = {}
+        self.deltas: List[FrozenSet[Fact]] = [
+            frozenset([interned.setdefault(fact, fact) for fact in delta])
+            for delta in deltas
+        ]
         count = len(self.deltas)
         self.plain: List[FrozenSet[Fact]] = [
             frozenset(fact for fact in d if not fact.has_null()) for d in self.deltas

@@ -7,8 +7,9 @@ The system invariant under test, per schedule:
 * the answer is **exact** — bit-identical to the fault-free run — or,
   under a ``degrade=True`` budget, a **flagged partial**: a subset of
   the exact repair set with ``last_degradation`` set;
-* no worker process outlives the run (the ``chaos_hygiene`` fixture
-  fails the test on leaks).
+* no worker process outlives the run, and some search of the test
+  started a pool (the ``chaos_hygiene`` fixture fails the test
+  otherwise).
 
 A handful of schedules run in tier-1 as a smoke; the full ≥50-schedule
 matrix runs in CI's ``tests-chaos`` job under ``REPRO_CHAOS=1``.
@@ -75,7 +76,12 @@ def run_schedule(seed: int, exact) -> None:
 
 
 def run_degraded_schedule(seed: int, exact) -> None:
-    """One schedule against a degrade-budget stream: exact or flagged subset."""
+    """One schedule against a degrade-budget stream: exact or flagged subset.
+
+    The budget runs out inside the root task, before the frontier could
+    split, so the tests run it with ``pool_from_the_root`` to reach the
+    pool.
+    """
 
     exact_deltas = {(inserted, deleted) for _, inserted, deleted in exact}
     db = ConsistentDatabase(make_rows(), [KEY], repair_mode="parallel", workers=2)
@@ -105,7 +111,9 @@ class TestChaosSmoke:
         run_schedule(seed, exact)
 
     @pytest.mark.parametrize("seed", [7, 19])
-    def test_degraded_schedule_is_exact_or_flagged(self, seed, exact):
+    def test_degraded_schedule_is_exact_or_flagged(
+        self, seed, exact, pool_from_the_root
+    ):
         run_degraded_schedule(seed, exact)
 
 
@@ -118,5 +126,7 @@ class TestChaosMatrix:
         run_schedule(seed, exact)
 
     @pytest.mark.parametrize("seed", range(41, 56))
-    def test_degraded_schedule_is_exact_or_flagged(self, seed, exact):
+    def test_degraded_schedule_is_exact_or_flagged(
+        self, seed, exact, pool_from_the_root
+    ):
         run_degraded_schedule(seed, exact)

@@ -5,6 +5,12 @@ the answer or leak a process: failed tasks are retried with backoff on a
 respawned pool, repeat offenders run inline, and results stay
 bit-identical to the no-fault run (task results are pure functions of
 (task, chunk budget), so where a task runs can never matter).
+
+Every test here must reach the pool, which starts only once the root
+task's frontier splits: each asserts a pool start
+(``instance_ship_bytes > 0``), from a chunk small enough for the root to
+split or with ``_POOL_MIN_OPEN_TASKS`` lowered to 1 so that the root
+task itself ships.
 """
 
 import multiprocessing
@@ -34,6 +40,18 @@ def expected_candidates(instance):
 FAST_RETRY = RetryPolicy(backoff_base=0.001, backoff_max=0.01)
 
 
+def assert_pool_started(search):
+    assert search.statistics.instance_ship_bytes > 0, "the search never started a pool"
+
+
+def advance_until_the_pool_starts(search, batches):
+    """Drive the generator until its pool is up (the root runs inline)."""
+
+    next(batches)
+    while not search.statistics.instance_ship_bytes:
+        next(batches)
+
+
 def assert_no_leaked_children(grace=1.0):
     """Every pool child must be reaped shortly after a search ends."""
 
@@ -58,9 +76,10 @@ class TestWorkerExceptions:
             )
             got = search.collect()
         assert got == expected
+        assert_pool_started(search)
         assert_no_leaked_children()
 
-    def test_permanent_failure_quarantines_inline(self):
+    def test_permanent_failure_quarantines_inline(self, pool_from_the_root):
         # rate=1.0, no fault cap: every pooled attempt of every task dies.
         # The scheduler must quarantine each task inline and still finish
         # with the exact answer.
@@ -74,6 +93,7 @@ class TestWorkerExceptions:
             )
             got = search.collect()
         assert got == expected
+        assert_pool_started(search)
         assert_no_leaked_children()
 
 
@@ -88,9 +108,10 @@ class TestWorkerKills:
             )
             got = search.collect()
         assert got == expected
+        assert_pool_started(search)
         assert_no_leaked_children()
 
-    def test_respawn_exhaustion_falls_back_inline(self):
+    def test_respawn_exhaustion_falls_back_inline(self, pool_from_the_root):
         # Unlimited kills: pools keep breaking until the respawn allowance
         # runs out, then the whole frontier finishes inline — still exact.
         instance = make_instance(3)
@@ -104,6 +125,7 @@ class TestWorkerKills:
             )
             got = search.collect()
         assert got == expected
+        assert_pool_started(search)
         assert_no_leaked_children()
 
 
@@ -119,14 +141,16 @@ class TestMixedChaos:
             )
             got = search.collect()
         assert got == expected
+        assert_pool_started(search)
         assert_no_leaked_children()
 
 
 class TestPoolLifecycle:
     def test_close_is_idempotent(self):
-        search = ParallelRepairSearch(make_instance(2), [KEY], workers=2)
+        search = ParallelRepairSearch(make_instance(2), [KEY], workers=2,
+                                      chunk_states=1)
         batches = search.batches()
-        next(batches)
+        advance_until_the_pool_starts(search, batches)
         batches.close()
         search.close()
         search.close()  # second close is a no-op
@@ -138,7 +162,7 @@ class TestPoolLifecycle:
         search = ParallelRepairSearch(make_instance(), [KEY], workers=2,
                                       chunk_states=4)
         batches = search.batches()
-        next(batches)
+        advance_until_the_pool_starts(search, batches)
         with pytest.raises(ValueError):
             batches.throw(ValueError("merge failed"))
         assert_no_leaked_children()
@@ -147,6 +171,6 @@ class TestPoolLifecycle:
         search = ParallelRepairSearch(make_instance(), [KEY], workers=2,
                                       chunk_states=4)
         batches = search.batches()
-        next(batches)
+        advance_until_the_pool_starts(search, batches)
         del batches  # GeneratorExit through the finally
         assert_no_leaked_children()

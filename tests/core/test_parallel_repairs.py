@@ -9,6 +9,9 @@ chunk budgets, process-pool execution, the explicit per-worker
 surface of the session.
 """
 
+import os
+import pickle
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,9 +33,13 @@ from repro.core.repairs import (
     RepairEngine,
     RepairSearchBudgetExceeded,
     RepairStatistics,
+    ViolationTracker,
     minimal_flags_counted,
+    violation_choice_key,
 )
+from repro.core.satisfaction import Violation
 from repro.engines import CQAConfig
+from repro.obs import trace
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.session import ConsistentDatabase
@@ -117,7 +124,12 @@ class TestBitIdenticalOutput:
         )
         reference = naive_repairs(instance, constraints)
         assert len(reference) == 81  # below the sliced-filter threshold
-        assert parallel_repairs(instance, constraints, workers=2) == reference
+        # A chunk below the 121-state tree splits the root onto the pool.
+        engine = RepairEngine(
+            constraints, method=PARALLEL_METHOD, workers=2, chunk_states=27
+        )
+        assert engine.repairs(instance) == reference
+        assert engine.statistics.instance_ship_bytes > 0
 
     def test_method_validation(self):
         assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
@@ -188,6 +200,126 @@ class TestMinimalityThreshold:
         found = parallel_repairs(instance, constraints, workers=2)
         assert calls == [(81, 2)]
         assert found == naive_repairs(instance, constraints)
+
+
+def span_nodes(span):
+    yield span
+    for child in span.children:
+        yield from span_nodes(child)
+
+
+class TestPoolSchedule:
+    """Tasks run inline until the frontier first holds
+    ``_POOL_MIN_OPEN_TASKS`` tasks; only then does the pool start."""
+
+    @staticmethod
+    def _workload():
+        return grouped_key_workload(n_groups=3, group_size=3, n_clean=5, seed=0)
+
+    def test_a_search_that_fits_its_root_chunk_starts_no_pool(self):
+        instance, constraints = self._workload()
+        engine = RepairEngine(constraints, method=PARALLEL_METHOD, workers=2)
+        assert engine.repairs(instance) == naive_repairs(instance, constraints)
+        assert engine.statistics.instance_ship_bytes == 0
+        assert engine.statistics.tasks_shipped == 0
+
+    @pytest.mark.parametrize("chunk", [1, 3, 8])
+    def test_a_split_search_runs_its_root_in_the_driver(self, chunk):
+        instance, constraints = self._workload()
+        engine = RepairEngine(
+            constraints, method=PARALLEL_METHOD, workers=2, chunk_states=chunk
+        )
+        with trace.tracing(True):
+            trace.reset()
+            pooled = engine.repairs(instance)
+            roots = trace.tracer().roots
+        trace.reset()
+        tasks = [
+            node
+            for root in roots
+            for node in span_nodes(root)
+            if node.name == "repair.task"
+        ]
+        (root_task,) = [node for node in tasks if node.attributes["path"] == "()"]
+        assert root_task.pid == os.getpid()
+        assert any(node.pid != os.getpid() for node in tasks)
+        # Exactly one pool start: one facts payload, no respawn.
+        assert engine.statistics.instance_ship_bytes == len(
+            pickle.dumps(tuple(instance.facts()), pickle.HIGHEST_PROTOCOL)
+        )
+        assert engine.statistics.tasks_shipped > 0
+        inline = parallel_repairs(instance, constraints, chunk_states=chunk)
+        assert pooled == inline == naive_repairs(instance, constraints)
+
+    @pytest.mark.parametrize("pool_min_open_tasks", [1, 2])
+    def test_a_pooled_session_query_starts_from_the_warm_tracker(
+        self, monkeypatch, pool_min_open_tasks
+    ):
+        monkeypatch.setattr(
+            ParallelRepairSearch, "_POOL_MIN_OPEN_TASKS", pool_min_open_tasks
+        )
+        instance, constraints = self._workload()
+        db = ConsistentDatabase(instance, constraints, method="direct", workers=2)
+        assert db.violation_count() > 0  # the session's own sweep, once
+        seeds = []
+        original = ViolationTracker.__init__
+
+        def recording(self, instance, constraints, seed=None):
+            seeds.append(seed)
+            original(self, instance, constraints, seed=seed)
+
+        monkeypatch.setattr(ViolationTracker, "__init__", recording)
+        query = parse_query("ans(e) <- Emp(e, d, s)")
+        answers = db.consistent_answers(query)
+        assert seeds, "the driver built no tracker"
+        assert all(seed is not None for seed in seeds), "a driver tracker swept"
+        assert db.last_repair_statistics.instance_ship_bytes == (
+            0 if pool_min_open_tasks == 2 else len(
+                pickle.dumps(tuple(instance.facts()), pickle.HIGHEST_PROTOCOL)
+            )
+        )
+        assert answers == ConsistentDatabase(
+            instance, constraints, method="direct"
+        ).consistent_answers(query)
+
+
+class TestChoiceKeyMemo:
+    @staticmethod
+    def _violations():
+        instance, constraints = foreign_key_workload(
+            n_parents=4, n_children=6, violation_ratio=0.5, null_ratio=0.3, seed=5
+        )
+        return ViolationTracker(instance, constraints).violations()
+
+    def test_the_key_is_built_once_per_violation(self, monkeypatch):
+        violations = self._violations()
+        assert violations
+        keyed = []
+        real = Fact.sort_key
+
+        def counting(fact):
+            keyed.append(fact)
+            return real(fact)
+
+        monkeypatch.setattr(Fact, "sort_key", counting)
+        keys = [violation_choice_key(violation) for violation in violations]
+        for _ in range(3):
+            assert [violation_choice_key(v) for v in violations] == keys
+        assert len(keyed) == sum(len(v.body_facts) for v in violations)
+
+    def test_the_memo_changes_neither_equality_nor_hashing(self):
+        violations = self._violations()
+        keys = [violation_choice_key(violation) for violation in violations]
+        fresh = [
+            Violation(v.constraint, v.bindings, v.body_facts) for v in violations
+        ]
+        for violation, copy, key in zip(violations, fresh, keys):
+            assert copy == violation and hash(copy) == hash(violation)
+            assert violation_choice_key(copy) == key
+        assert set(fresh) == set(violations)
+        assert min(fresh, key=violation_choice_key) == min(
+            violations, key=violation_choice_key
+        )
 
 
 class TestHypothesisEquivalence:

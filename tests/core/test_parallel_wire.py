@@ -1,4 +1,8 @@
-"""The parallel pool's wire format: codec round-trips and the facts payload."""
+"""The parallel pool's wire format: codec round-trips and the facts payload.
+
+A search starts its pool only once the root task's frontier splits, so
+every pool test here uses a chunk small enough for the root to split.
+"""
 
 import pickle
 
@@ -18,7 +22,11 @@ from repro.core.parallel import (
     _encode_statistics,
     _encode_task,
 )
-from repro.core.repairs import RepairStatistics
+from repro.core.repairs import (
+    DeltaMinimality,
+    RepairStatistics,
+    minimal_flags_counted,
+)
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 
@@ -260,7 +268,9 @@ class TestInstancePayload:
         instance = DatabaseInstance.from_dict(
             {"P": [("a", 1), ("a", 2), ("b", 3), ("b", 4)]}
         )
-        search = ParallelRepairSearch(instance, self.CONSTRAINTS, workers=2)
+        search = ParallelRepairSearch(
+            instance, self.CONSTRAINTS, workers=2, chunk_states=1
+        )
         try:
             found = search.collect()
         finally:
@@ -280,7 +290,7 @@ class TestEndToEndShipAccounting:
         )
         constraints = [parse_constraint("P(x, y), P(x, z) -> y = z")]
         search = ParallelRepairSearch(
-            instance, constraints, workers=2, chunk_states=4
+            instance, constraints, workers=2, chunk_states=1
         )
         try:
             seen = set()
@@ -293,8 +303,56 @@ class TestEndToEndShipAccounting:
                     break
             assert seen  # the FD conflicts have repairs
             stats = search.statistics
+            assert stats.instance_ship_bytes > 0
             assert stats.tasks_shipped > 0
             assert stats.task_ship_bytes > 0
             assert stats.task_ship_bytes_raw > stats.task_ship_bytes
         finally:
             search.close()
+
+
+class TestDeltaInterning:
+    """Inline tasks build fresh ``Fact`` objects for their deltas, while
+    codec-decoded ones share the base's: ``≤_D`` must not care."""
+
+    #: Every non-empty subset of these is a delta: null atoms with and
+    #: without a cover, and plain facts, so both conditions of
+    #: Definition 6 decide some verdicts.
+    POOL = (
+        Fact("R", ("a", 1)),
+        Fact("R", ("b", 2)),
+        Fact("S", ("a", NULL)),
+        Fact("S", ("a", 1)),
+        Fact("S", ("b", NULL)),
+    )
+
+    @classmethod
+    def _distinct_deltas(cls):
+        """Every delta built from its own, fresh ``Fact`` objects."""
+
+        return [
+            frozenset(
+                Fact(fact.predicate, fact.values)
+                for bit, fact in enumerate(cls.POOL)
+                if mask >> bit & 1
+            )
+            for mask in range(1, 2 ** len(cls.POOL))
+        ]
+
+    def test_distinct_and_shared_facts_give_the_same_verdicts(self):
+        distinct = self._distinct_deltas()
+        shared = [
+            frozenset(fact for fact in self.POOL if fact in delta)
+            for delta in distinct
+        ]
+        flags, comparisons = minimal_flags_counted(shared)
+        assert 1 < sum(flags) < len(flags)  # both verdicts occur
+        assert minimal_flags_counted(distinct) == (flags, comparisons)
+
+    def test_equal_facts_become_one_object(self):
+        distinct = self._distinct_deltas()
+        seen = {}
+        for delta in DeltaMinimality(distinct).deltas:
+            for fact in delta:
+                assert seen.setdefault(fact, fact) is fact
+        assert len(seen) == len(self.POOL)
