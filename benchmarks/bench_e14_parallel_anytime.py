@@ -1,18 +1,21 @@
-"""E14 — the repair search on a process pool, and anytime streaming CQA.
+"""E14 — the ``≤_D`` filter on a process pool, and anytime streaming CQA.
 
 After E12 (the delta-carrying production search against the naive
 reference) and E13 (warm sessions) the repair search dominates every
 workload the rewriting fragment cannot take.  The production search
 splits the mutate/undo frontier into deterministic, budget-bounded tasks
-(see :mod:`repro.core.parallel`); this experiment runs them on a process
-pool (``workers >= 2``) against the same search inline (``workers=0``),
-and exercises the anytime surface built on top of it.
+run in the calling process (see :mod:`repro.core.parallel`); with
+``workers >= 2`` its quadratic ``≤_D`` filter is sliced across a process
+pool from 512 candidates.  This experiment times whole
+``RepairEngine.repairs`` calls with ``workers >= 2`` against
+``workers=0``, and exercises the anytime surface built on the search.
 
 Three contracts, checked in every configuration (smoke included):
 
-* **bit-identical repairs** — the pool must return the *same list*
-  (contents and discovery order) as the inline search on every sweep
-  point, and both the naive reference's on every paper scenario;
+* **bit-identical repairs** — the pooled filter must return the *same
+  list* (contents and discovery order) as the inline one on every sweep
+  point, and the production search the naive reference's on every paper
+  scenario;
 * **identical answers** — consistent answers agree between the
   production search and ``repair_mode="naive"`` on every scenario;
 * **anytime streaming** — on a ≥100-repair instance,
@@ -20,22 +23,15 @@ Three contracts, checked in every configuration (smoke included):
   before the frontier search completes.
 
 Acceptance gate, full sweep only and only on machines with ≥ 4 CPUs:
-on the grouped-key workload at the gate configuration, the pool with 4
-workers enumerates repairs ≥ 2× faster than the inline search (wall
-clock, end to end — search, merge and the sliced ``≤_D`` filter).
+on the grouped-key workload at the gate configuration, 4 workers
+enumerate repairs ≥ 2× faster than the inline engine (wall clock, end
+to end — search, merge, the sliced ``≤_D`` filter and
+materialisation).
 The ``--smoke`` CI pass keeps every identity assertion but skips the
 wall-clock gate, exactly like E12: shared or single-core runners make
 timing ratios meaningless, and the smoke contract is "same repairs,
 same answers, streaming yields early", not "same speedup as a 4-core
 dev box".
-
-A fourth table (E14d) audits the pool's process-boundary traffic under
-``REPRO_SHIP_AUDIT=1``: the codec-encoded task/result wire format (see
-:mod:`repro.core.parallel`) against what pickling the raw objects would
-have shipped, plus the facts payload each pool start ships.
-Byte counts are deterministic, so its ≥ 5× acceptance gate runs in
-every mode — smoke and single-core included — and the JSON artifact is
-re-checked in CI by ``python -m benchmarks.report --check-gates``.
 """
 
 import os
@@ -68,17 +64,6 @@ GATE_MIN_SPEEDUP = 2.0
 
 #: The streaming demonstration instance: 125 repairs.
 STREAM_CONFIG = (3, 5, 8)
-
-#: Ship-bytes audit: workload, chunk budget and the acceptance ratio —
-#: the wire encoding (codec-interned tasks and results, relative paths,
-#: tuple statistics) must ship ≥ 5× fewer bytes than pickling the raw
-#: ``FrontierTask``/``TaskResult`` objects would.  Byte counts are
-#: deterministic, so unlike the wall-clock gate this one runs in smoke
-#: mode (and on single-core runners) too.
-SHIP_CONFIG = (5, 3, 40)
-SHIP_SMOKE_CONFIG = (3, 3, 10)
-SHIP_CHUNK_STATES = 16
-SHIP_GATE_MIN_RATIO = 5.0
 
 
 def _workload(n_groups, group_size, n_clean):
@@ -119,7 +104,7 @@ def report(request):
     gate_checked = False
     for n_groups, group_size, n_clean in sweep:
         instance, constraints = _workload(n_groups, group_size, n_clean)
-        # The inline search (workers=0): the same task decomposition
+        # The inline engine (workers=0): the same search and filter
         # without processes — the reference the pool must match.
         reference, t_inline, stats_inline = _timed_repairs(
             instance, constraints, PARALLEL_METHOD
@@ -128,12 +113,12 @@ def report(request):
         pooled, t_pool, stats_pool = _timed_repairs(
             instance, constraints, PARALLEL_METHOD, workers=workers
         )
-        assert pooled == reference, "the pool diverged from the inline search"
+        assert pooled == reference, "the pooled filter diverged from the inline one"
         speedup = t_inline / t_pool if t_pool else float("inf")
         if can_gate and (n_groups, group_size, n_clean) == GATE_CONFIG:
             assert speedup >= GATE_MIN_SPEEDUP, (
-                f"the pool at {GATE_WORKERS} workers only {speedup:.2f}x over "
-                f"the inline search on the gate workload (need ≥ {GATE_MIN_SPEEDUP}x)"
+                f"{GATE_WORKERS} workers only {speedup:.2f}x over the inline "
+                f"engine on the gate workload (need ≥ {GATE_MIN_SPEEDUP}x)"
             )
             gate_checked = True
         rows.append(
@@ -164,7 +149,7 @@ def report(request):
         "pool",
         "inline/pool",
     ]
-    title = "E14: the repair search on a process pool vs inline"
+    title = "E14: repair enumeration with the ≤_D filter on a process pool vs inline"
     print_table(title, headers, rows)
     emit_json(title, headers, rows)
 
@@ -226,67 +211,6 @@ def report(request):
         scenario_rows,
     )
 
-    # ---------------------------------------------------------------- shipping
-    # What actually crosses the pool's process boundary.  The driver
-    # ships tasks/results through the shared FactCodec (base facts as
-    # integers, paths as subtree-relative suffixes, statistics as a
-    # value tuple) and the base instance as its pickled facts tuple, once
-    # per pool start; REPRO_SHIP_AUDIT=1 makes it also pickle the raw
-    # task objects purely to measure what the old encoding would have
-    # cost.  Byte counts are deterministic, so the ≥5x gate runs in every
-    # mode.
-    ship_config = SHIP_SMOKE_CONFIG if smoke else SHIP_CONFIG
-    instance, constraints = _workload(*ship_config)
-    reference, _, _ = _timed_repairs(instance, constraints, PARALLEL_METHOD)
-    previous_audit = os.environ.get("REPRO_SHIP_AUDIT")
-    os.environ["REPRO_SHIP_AUDIT"] = "1"
-    try:
-        search = ParallelRepairSearch(
-            instance,
-            constraints,
-            workers=2,
-            max_states=5_000_000,
-            chunk_states=SHIP_CHUNK_STATES,
-        )
-        first_paths = {}
-        for batch in search.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                if key not in first_paths or path < first_paths[key]:
-                    first_paths[key] = path
-    finally:
-        if previous_audit is None:
-            del os.environ["REPRO_SHIP_AUDIT"]
-        else:
-            os.environ["REPRO_SHIP_AUDIT"] = previous_audit
-    assert len(first_paths) >= len(reference)
-    ship = search.statistics
-    assert ship.tasks_shipped > 0 and ship.task_ship_bytes > 0
-    ship_ratio = ship.task_ship_bytes_raw / ship.task_ship_bytes
-    assert ship.instance_ship_bytes > 0  # filled on every pool start
-    assert ship_ratio >= SHIP_GATE_MIN_RATIO, (
-        f"task shipment only {ship_ratio:.2f}x smaller than raw pickling "
-        f"(need ≥ {SHIP_GATE_MIN_RATIO}x)"
-    )
-    ship_headers = [
-        "tasks shipped",
-        "wire bytes",
-        "raw bytes",
-        "raw/wire",
-        "instance wire (facts)",
-    ]
-    ship_rows = [
-        [
-            ship.tasks_shipped,
-            ship.task_ship_bytes,
-            ship.task_ship_bytes_raw,
-            f"{ship_ratio:.1f}x",
-            ship.instance_ship_bytes,
-        ]
-    ]
-    ship_title = "E14d: task ship bytes across the pool boundary"
-    print_table(ship_title, ship_headers, ship_rows)
-    emit_json(ship_title, ship_headers, ship_rows)
     yield
 
 

@@ -144,10 +144,7 @@ def render(
 #: artifacts: (experiment match, gating column, minimum value).  The
 #: gated number is read from the *last* row — the sweeps are ascending,
 #: so the last row is the largest point.
-GATES = (
-    ("e15", "naive/kernel", 10.0),
-    ("e14d", "raw/wire", 5.0),
-)
+GATES = (("e15", "naive/kernel", 10.0),)
 
 
 def _gate_value(record: Dict[str, object], column: str) -> float:
@@ -229,7 +226,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--check-gates",
         action="store_true",
-        help="re-verify the E15/E14 acceptance gates from the JSON artifacts "
+        help="re-verify the E15 acceptance gate from the JSON artifacts "
         "(exit 1 on regression or missing record) instead of rendering",
     )
     arguments = parser.parse_args(argv)

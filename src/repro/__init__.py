@@ -88,10 +88,11 @@ Every call can also carry a **budget** (:mod:`repro.resilience`):
 surfaces raise a typed :class:`BudgetExceededError` subclass on
 exhaustion, and anytime surfaces (``iter_repairs(stream=True, degrade=True)``,
 ``certain(anytime=True, degrade=True)``) return what was proven tagged
-with a :class:`Degradation` record.  The parallel repair scheduler
-survives worker crashes (retry, pool respawn, inline quarantine) and a
-seeded fault-injection harness (:func:`repro.resilience.chaos`) drives
-the chaos suite in ``tests/chaos/``.  See ``docs/robustness.md``.
+with a :class:`Degradation` record.  The sliced ``≤_D`` filter, the
+library's one process pool, survives worker crashes by recomputing a
+failed slice inline, and a seeded fault-injection harness
+(:func:`repro.resilience.chaos`) drives the chaos suite in
+``tests/chaos/``.  See ``docs/robustness.md``.
 """
 
 from repro.relational import (
@@ -200,13 +201,11 @@ from repro.errors import (
     QueryCancelledError,
     ReproError,
     StateBudgetExceededError,
-    WorkerCrashedError,
 )
 from repro.resilience import (
     Budget,
     Degradation,
     FaultSpec,
-    RetryPolicy,
     chaos,
     using_budget,
 )
@@ -319,10 +318,9 @@ __all__ = [
     "tracing",
     "obs_metrics",
     "obs_trace",
-    # resilience: budgets, degradation, retries, chaos
+    # resilience: budgets, degradation, chaos
     "Budget",
     "Degradation",
-    "RetryPolicy",
     "FaultSpec",
     "chaos",
     "using_budget",
@@ -333,6 +331,5 @@ __all__ = [
     "StateBudgetExceededError",
     "MemoryBudgetExceededError",
     "QueryCancelledError",
-    "WorkerCrashedError",
     "FaultInjectedError",
 ]

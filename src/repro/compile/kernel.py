@@ -20,7 +20,7 @@ subsequent evaluation executes the compiled artifact:
   protocol, so grounding joins through the same kernel);
 * :class:`CompiledProgram` — one unit per constraint of a set, shared
   by :class:`repro.core.repairs.ViolationIndex`, the session façade and
-  (per worker process) the parallel repair search.
+  the production repair search.
 
 Compilation chooses the atom schedule statically (most statically-bound
 positions first, from the schema and binding pattern — never re-derived
@@ -825,9 +825,8 @@ class CompiledProgram:
 
     Built once per constraint set per process (see
     :func:`compile_program`); :class:`repro.core.repairs.ViolationIndex`
-    carries it so the violation tracker, the repair search and —
-    via the per-process memo — every parallel worker share the same
-    compiled plans.
+    carries it so the violation tracker and the repair search share
+    the same compiled plans.
     """
 
     def __init__(self, constraints: Tuple[AnyConstraint, ...]) -> None:

@@ -178,8 +178,9 @@ def consistent_answers_report(
             ``"parallel"`` search or the ``"naive"`` reference; both
             return the same repairs, so this only affects cost —
             benchmark E12 compares them.
-        workers: processes for the repair search (``<= 1`` runs the
-            same decomposition inline).
+        workers: processes for the repair search's ``≤_D`` filter
+            (``>= 2`` slices it from 512 candidates; the search itself
+            runs in this process).
         deadline: wall-clock seconds for the whole request; past it the
             typed :class:`repro.errors.DeadlineExceededError` is raised
             (exact surfaces never return a silently partial answer set).

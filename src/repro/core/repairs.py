@@ -242,9 +242,9 @@ class ViolationIndex:
     :class:`~repro.compile.kernel.CompiledProgram` (``.program``): one
     compiled unit per constraint — full plan, seeded delta plans,
     witness probes — resolved through the process-wide memo cache, so a
-    session, its repair engines and (per worker process) the parallel
-    search of :mod:`repro.core.parallel` all execute the same compiled
-    plans and each constraint set is compiled at most once, ever.
+    session, its repair engines and the production search of
+    :mod:`repro.core.parallel` all execute the same compiled plans and
+    each constraint set is compiled at most once, ever.
     """
 
     def __init__(self, constraints: Union[ConstraintSet, Iterable[AnyConstraint]]):
@@ -566,25 +566,15 @@ class RepairStatistics:
     * ``search_seconds`` / ``minimality_seconds`` — **wall-clock** split
       between candidate enumeration and the ``≤_D`` filter plus the
       materialisation of its survivors, always measured by the driving
-      engine (never summed across concurrent tasks — see :meth:`merge`);
+      engine (never summed across tasks — see :meth:`merge`);
     * ``task_cpu_seconds`` — CPU seconds summed across the production
-      search's tasks (0.0 for the naive reference).  With ``workers`` > 1
-      this legitimately exceeds ``search_seconds``; the ratio is the
-      effective parallelism.
-
-    The ship-bytes group measures the process pool's boundary traffic
-    (``workers >= 2`` only; all 0 otherwise).  ``tasks_shipped`` and
-    ``instance_ship_bytes`` always count; the task byte fields are only
-    filled when ``REPRO_SHIP_AUDIT=1`` is set, because measuring them
-    costs an extra pickle per shipment:
-
-    * ``tasks_shipped`` — task payloads submitted to pool workers;
-    * ``task_ship_bytes`` / ``task_ship_bytes_raw`` — pickled bytes of
-      the codec-encoded task+result payloads actually shipped, vs. what
-      the un-encoded objects would have cost (benchmark E14 reports the
-      ratio);
-    * ``instance_ship_bytes`` — the pickled facts tuple each pool start
-      ships to its workers, summed over pool starts.
+      search's tasks (0.0 for the naive reference).  The tasks run one
+      after another in this process, so it stays within
+      ``search_seconds``; the rest is scheduling and merging.
+    * ``instance_ship_bytes`` — always 0: the search runs in this process
+      and ships no instance anywhere.  Kept because the benchmark's
+      traced mode reads it, as it reads the ``repro_columnar_store_*``
+      counters.
     """
 
     states_explored: int = 0
@@ -597,29 +587,23 @@ class RepairStatistics:
     search_seconds: float = 0.0
     minimality_seconds: float = 0.0
     task_cpu_seconds: float = 0.0
-    tasks_shipped: int = 0
-    task_ship_bytes: int = 0
-    task_ship_bytes_raw: int = 0
     instance_ship_bytes: int = 0
 
     #: Fields :meth:`merge` must NOT sum: they are wall-clock measures
-    #: owned by the driving engine's parent span — summing them across
-    #: concurrent tasks would overstate elapsed time by up to the worker
-    #: count.  Per-task CPU time sums meaningfully and has its own field.
+    #: owned by the driving engine's parent span, measured around the
+    #: whole run.  Per-task CPU time sums meaningfully and has its own
+    #: field.
     _WALL_CLOCK_FIELDS = ("search_seconds", "minimality_seconds")
 
     def merge(self, other: "RepairStatistics") -> "RepairStatistics":
         """Fold another run's counters into this one, in place, and return it.
 
-        The parallel engine gives every worker task its **own**
-        statistics object — incrementing a shared one from several
-        workers would race (and across processes would silently update
-        a copy) — and the scheduler folds the per-task objects together
-        as results arrive.  Every counter sums, ``task_cpu_seconds``
-        included; the two wall-clock fields do **not** (concurrent
-        intervals overlap, so their sum overstates elapsed time) — they
-        keep this object's value, and the driving engine assigns them
-        from its own clock around the whole run.
+        The production search gives every frontier task its **own**
+        statistics object and folds the per-task objects together as
+        tasks finish.  Every counter sums, ``task_cpu_seconds``
+        included; the two wall-clock fields do **not** — they keep this
+        object's value, and the driving engine assigns them from its
+        own clock around the whole run.
 
         >>> a = RepairStatistics(states_explored=3, search_seconds=0.5)
         >>> b = RepairStatistics(states_explored=2, search_seconds=0.4,
@@ -642,7 +626,7 @@ class RepairStatistics:
 _T = TypeVar("_T")
 
 #: The production search: the delta-carrying frontier search of
-#: :mod:`repro.core.parallel`, run inline or on a process pool.
+#: :mod:`repro.core.parallel`.
 PARALLEL_METHOD = "parallel"
 
 #: Everything ``RepairEngine(method=)`` accepts: the production search and
@@ -661,10 +645,11 @@ class RepairEngine:
     * ``"parallel"`` (default) — the production search of
       :mod:`repro.core.parallel`: a mutate/undo depth-first search over one
       working instance whose violations a :class:`ViolationTracker` keeps
-      current, split into bounded frontier tasks run inline until the
-      frontier splits, then on a process pool (``workers >= 2``).  Each
-      candidate comes back as its ``∆(D, ·)``, ``≤_D`` is decided on those
-      deltas, and only the minimal ones are materialised, each as a
+      current, split into bounded frontier tasks.  Each candidate comes
+      back as its ``∆(D, ·)``, ``≤_D`` is decided on those deltas (sliced
+      across ``workers`` processes from ``_PARALLEL_MINIMALITY_MIN``
+      candidates when ``workers >= 2``), and only the minimal ones are
+      materialised, each as a
       copy-on-write copy of the base plus its delta
       (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
       the driver's search from a tracker already kept over the same facts,
@@ -705,8 +690,10 @@ class RepairEngine:
         )
         self._max_states = max_states
         self._method = method
-        #: Worker processes of the production search: ``<= 1`` executes the
-        #: same task decomposition inline (deterministic, no processes).
+        #: Worker processes of the production search's ``≤_D`` filter:
+        #: ``>= 2`` slices it across a process pool from
+        #: ``_PARALLEL_MINIMALITY_MIN`` candidates; the search itself
+        #: always runs in this process.
         self._workers = max(workers, 0)
         #: States one frontier task may explore before deferring the rest of
         #: its subtree; ``None`` picks :data:`repro.core.parallel.DEFAULT_CHUNK_STATES`.
@@ -843,7 +830,6 @@ class RepairEngine:
         search = ParallelRepairSearch(
             instance,
             self._constraints,
-            workers=self._workers,
             max_states=self._max_states,
             chunk_states=self._chunk_states or DEFAULT_CHUNK_STATES,
             violation_index=self._violation_index,
@@ -853,10 +839,10 @@ class RepairEngine:
         self.statistics.merge(search.statistics)
         return ordered
 
-    #: Below this many candidates the in-process pairwise filter beats a
-    #: second pool, whose start alone costs more than filtering ~100
-    #: candidates (2 CPUs: 81 candidates 6.5 ms in-process against 25 ms
-    #: sliced, 243 candidates 43 against 50 ms, 729 candidates 260
+    #: Below this many candidates the in-process pairwise filter beats
+    #: the process pool, whose start alone costs more than filtering
+    #: ~100 candidates (2 CPUs: 81 candidates 6.5 ms in-process against
+    #: 25 ms sliced, 243 candidates 43 against 50 ms, 729 candidates 260
     #: against 240 ms).
     _PARALLEL_MINIMALITY_MIN = 512
 
@@ -923,7 +909,7 @@ class DeltaMinimality:
     arity, non-null positions) → projected values — turning the
     O(|∆|²) rescan of condition (b) into an indexed lookup.
 
-    The class is constructed from the deltas alone so that the parallel
+    The class is constructed from the deltas alone so that the sliced
     minimality filter can rebuild identical contexts inside worker
     processes and check disjoint index ranges (:meth:`dominated` only
     reads shared-by-construction state plus a per-context lazy cache).
@@ -1003,14 +989,28 @@ def minimal_flags_counted(
     """Per-candidate minimality flags plus the number of pairwise checks.
 
     The in-process filter over one :class:`DeltaMinimality` context.
-    (The parallel filter's worker-side slicing lives in
-    :func:`repro.core.parallel._minimality_run`, which reuses a
-    process-local context across its slice instead.)
+    (The sliced filter, :func:`repro.core.parallel.parallel_minimal_flags`,
+    decides index ranges of the same context in worker processes.)
     """
 
     context = DeltaMinimality(deltas)
-    flags = [not context.dominated(index) for index in range(len(context.deltas))]
-    return flags, context.comparisons
+    return _undominated(context), context.comparisons
+
+
+def _undominated(context: DeltaMinimality) -> List[bool]:
+    """True per candidate of *context* iff no other strictly dominates it.
+
+    Checkpoints the ambient budget before each candidate: the filter is
+    quadratic in the candidate count, so a deadline or cancellation must
+    be able to stop it.
+    """
+
+    budget = _budget.active()
+    flags = []
+    for index in range(len(context.deltas)):
+        budget.checkpoint()
+        flags.append(not context.dominated(index))
+    return flags
 
 
 def minimal_flags_for_deltas(deltas: Sequence[FrozenSet[Fact]]) -> List[bool]:
@@ -1033,8 +1033,8 @@ def _minimal_under_leq_d_counted(
     )
     minimal = [
         candidate
-        for index, candidate in enumerate(candidates)
-        if not context.dominated(index)
+        for candidate, keep in zip(candidates, _undominated(context))
+        if keep
     ]
     return minimal, context.comparisons
 

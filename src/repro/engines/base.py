@@ -52,9 +52,11 @@ class CQAConfig:
       (:data:`repro.core.repairs.REPAIR_METHODS`): ``"parallel"``, the
       production delta-carrying frontier search, or ``"naive"``, the
       nested-loop reference it is pinned to (same repairs, same order);
-    * ``workers`` — worker processes for the repair search (``<= 1``
-      runs the same deterministic task decomposition inline; answers
-      are identical either way, so this is purely a performance knob);
+    * ``workers`` — worker processes for the repair search's ``≤_D``
+      filter: ``>= 2`` slices it across a process pool from 512
+      candidates (the search itself always runs in this process);
+      answers are identical either way, so this is purely a performance
+      knob;
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
       short-circuit through :meth:`CQAEngine.certain_anytime` as soon
       as one streamed repair refutes the candidate;
@@ -192,7 +194,7 @@ class CQAEngine(ABC):
 
         An engine that can refute a candidate without materialising the
         full answer set — the direct engine streams repairs from the
-        parallel frontier and stops at the first counterexample, the
+        frontier search and stops at the first counterexample, the
         rewriting engines are one polynomial pass anyway — overrides
         this.  Returning ``None`` (the default) tells the session to
         fall back to the ordinary :meth:`answers_report` route.

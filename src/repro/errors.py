@@ -23,8 +23,6 @@ exceptions.  The taxonomy is small and layered:
   - :class:`QueryCancelledError` — the budget was cancelled
     cooperatively (:meth:`repro.resilience.Budget.cancel`).
 
-* :class:`WorkerCrashedError` — a parallel-search worker process died
-  and the retry policy gave up on recovering its task.
 * :class:`FaultInjectedError` — raised *only* by the chaos harness
   (:class:`repro.resilience.FaultInjector`); seeing one outside a
   chaos run is a bug.
@@ -82,21 +80,12 @@ class QueryCancelledError(BudgetExceededError):
     reason = "cancelled"
 
 
-class WorkerCrashedError(ReproError):
-    """A parallel-search worker died and its task could not be recovered.
-
-    In practice the fault-tolerant scheduler retries crashed tasks on a
-    respawned pool and quarantines repeat offenders to inline execution,
-    so this surfaces only when even the inline re-run is impossible.
-    """
-
-
 class FaultInjectedError(ReproError):
     """An artificial failure injected by the chaos harness.
 
     Carries no recovery semantics: production code never raises it, and
-    the fault-tolerant machinery treats it like any other worker
-    failure.
+    the sliced ``≤_D`` filter treats it like any other worker failure
+    (the slice is recomputed inline).
     """
 
 

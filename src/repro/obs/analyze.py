@@ -13,10 +13,6 @@ that request's own span tree.  Nothing is re-run or timed by hand:
   :class:`~repro.core.repairs.RepairStatistics` of the search this
   request ran, or ``None`` when it ran none (a cached answer or repair
   list, or an engine that does not enumerate repairs).
-
-Spans that pool workers ship home stay in the tree but out of the
-partition: they ran concurrently in other processes, and the driver's
-wait for them is the ``repair.search`` span's own time.
 """
 
 from __future__ import annotations
@@ -92,9 +88,9 @@ class ExplainReport:
 
 
 def _self_seconds(span: _trace.SpanRecord) -> float:
-    """The span's duration minus its in-process children's, dropped ones included."""
+    """The span's duration minus its children's, dropped ones included."""
 
-    children = sum(child.duration for child in span.children if child.pid == span.pid)
+    children = sum(child.duration for child in span.children)
     return span.duration - children - sum(span.dropped_seconds.values())
 
 
@@ -105,9 +101,8 @@ def _phases(root: _trace.SpanRecord) -> Dict[str, float]:
 
     def visit(span: _trace.SpanRecord) -> None:
         for child in span.children:
-            if child.pid == span.pid:
-                phases[child.name] = phases.get(child.name, 0.0) + _self_seconds(child)
-                visit(child)
+            phases[child.name] = phases.get(child.name, 0.0) + _self_seconds(child)
+            visit(child)
         for name, seconds in span.dropped_seconds.items():
             phases[name] = phases.get(name, 0.0) + seconds
 

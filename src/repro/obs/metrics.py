@@ -295,7 +295,7 @@ def absorb_repair_statistics(stats: Any) -> None:
     ).inc(stats.leq_d_comparisons)
     reg.counter(
         "repro_repair_task_cpu_seconds_total",
-        "CPU seconds summed across parallel search tasks",
+        "CPU seconds summed across the repair search's frontier tasks",
     ).inc(max(stats.task_cpu_seconds, 0.0))
     reg.histogram(
         "repro_repair_search_seconds", "wall-clock seconds per candidate search"

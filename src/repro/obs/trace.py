@@ -19,16 +19,10 @@ Three properties carry the design:
   attribute check (the overhead gate in ``tests/obs`` holds it to ≤ 5%
   on the E15 smoke sweep).  Because the null span is *falsy*, call
   sites guard expensive attributes with ``if sp: sp.add(...)``.
-* **Cross-process capture.**  A ``ProcessPoolExecutor`` worker records
-  spans into its own process-local tracer; :func:`capture_records`
-  freezes them into picklable :class:`SpanRecord` trees that ship back
-  with the task's result, and :func:`attach` re-parents them under the
-  driver's currently open span.  Worker monotonic clocks share no
-  epoch with the parent's, so attach *shifts* each record's timebase
-  to end at the merge instant — durations are preserved exactly, and
-  the clamp in :meth:`Span.__exit__` (a parent never ends before its
-  last child) keeps the nesting invariant ``child ⊆ parent`` true for
-  every exported trace.
+* **One process.**  Every span is recorded in the process that runs
+  the request.  The library's one process pool (the sliced ``≤_D``
+  filter) traces nothing in its workers; the driver's wait for them is
+  its ``repair.minimality`` span's own time.
 * **Bounded retention.**  Force-enabled runs (``REPRO_TRACE=1``) keep
   tracing through entire test sessions; the tracer caps both retained
   root spans (:data:`MAX_ROOT_SPANS`, oldest dropped first) and
@@ -41,7 +35,7 @@ Three properties carry the design:
 Exports: :func:`render_tree` (human-readable, durations in ms) and
 :func:`chrome_trace_events` / :func:`dump_chrome_trace` (Chrome
 ``chrome://tracing`` / Perfetto "trace event" JSON, one complete
-``"ph": "X"`` event per span, worker spans on their own ``tid`` lane).
+``"ph": "X"`` event per span).
 """
 
 from __future__ import annotations
@@ -70,10 +64,10 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 @dataclass(frozen=True)
 class SpanRecord:
-    """A frozen, picklable snapshot of one finished span (and its subtree).
+    """A frozen snapshot of one finished span (and its subtree).
 
-    This is the wire format for shipping worker-side spans across the
-    process boundary: plain data, no tracer reference, tuple children.
+    Plain data, no tracer reference, tuple children: what an EXPLAIN
+    ANALYZE report keeps of its request's span tree.
     """
 
     name: str
@@ -81,7 +75,6 @@ class SpanRecord:
     end: float
     attributes: Dict[str, Any] = field(default_factory=dict)
     children: Tuple["SpanRecord", ...] = ()
-    pid: int = 0
     dropped_children: int = 0
     dropped_seconds: Dict[str, float] = field(default_factory=dict)
 
@@ -106,7 +99,6 @@ class Span:
         "end",
         "attributes",
         "children",
-        "pid",
         "dropped_children",
         "dropped_seconds",
         "_tracer",
@@ -121,29 +113,31 @@ class Span:
         self.end: Optional[float] = None
         self.attributes = attributes
         self.children: List["Span"] = []
-        self.pid = os.getpid()
         self.dropped_children = 0
         self.dropped_seconds: Dict[str, float] = {}
 
+    # Enter and exit inline the tracer's stack bookkeeping: they run twice
+    # per span, and a traced request's time outside any span is mostly
+    # this overhead.
     def __enter__(self) -> "Span":
         self.start = _clock.now()
         if self._tracer is not None:
-            self._tracer._push(self)
+            self._tracer._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        end = _clock.now()
-        # Clamp: attached worker spans end at their merge instant, which can
-        # land after this span's own close on a fast exit — a parent must
-        # never end before its last child or the nesting invariant breaks.
-        for child in self.children:
-            if child.end is not None and child.end > end:
-                end = child.end
-        self.end = end
+        self.end = _clock.now()
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        if self._tracer is not None:
-            self._tracer._pop(self)
+        tracer = self._tracer
+        if tracer is not None:
+            stack = tracer._stack
+            if stack and stack[-1] is self:
+                stack.pop()
+            if stack:
+                stack[-1].add_child(self)
+            else:
+                tracer._file_root(self)
         return False
 
     def __bool__(self) -> bool:
@@ -158,17 +152,14 @@ class Span:
     def add_child(self, child: "Span") -> None:
         """File *child* under this span, honouring the retention cap.
 
-        A dropped child from this process keeps its duration here, under
-        its name; one from a pool worker ran concurrently elsewhere and
-        took none of this span's wall time.
+        A dropped child keeps its duration here, under its name.
         """
 
         if len(self.children) >= MAX_CHILD_SPANS:
             self.dropped_children += 1
-            if child.pid == self.pid:
-                self.dropped_seconds[child.name] = (
-                    self.dropped_seconds.get(child.name, 0.0) + child.duration
-                )
+            self.dropped_seconds[child.name] = (
+                self.dropped_seconds.get(child.name, 0.0) + child.end - child.start
+            )
         else:
             self.children.append(child)
 
@@ -187,7 +178,6 @@ class Span:
             end=self.end if self.end is not None else self.start,
             attributes=dict(self.attributes),
             children=tuple(child.to_record() for child in self.children),
-            pid=self.pid,
             dropped_children=self.dropped_children,
             dropped_seconds=dict(self.dropped_seconds),
         )
@@ -217,25 +207,11 @@ class _NullSpan:
 _NULL_SPAN = _NullSpan()
 
 
-def _span_from_record(record: SpanRecord, shift: float) -> Span:
-    """Rebuild a detached :class:`Span` tree from a record, timebase-shifted."""
-
-    span = Span(None, record.name, dict(record.attributes))
-    span.start = record.start + shift
-    span.end = record.end + shift
-    span.pid = record.pid
-    span.dropped_children = record.dropped_children
-    span.dropped_seconds = dict(record.dropped_seconds)
-    span.children = [_span_from_record(child, shift) for child in record.children]
-    return span
-
-
 class Tracer:
     """The process-wide span collector.
 
-    Not thread-safe by design: the repository's concurrency is process
-    based (each pool worker owns its own tracer instance), so a lock on
-    the hot path would buy nothing.
+    Not thread-safe by design: the repository runs requests on one
+    thread, so a lock on the hot path would buy nothing.
     """
 
     def __init__(self) -> None:
@@ -257,54 +233,11 @@ class Tracer:
 
         return self._stack[-1] if self._stack else None
 
-    def _push(self, span: Span) -> None:
-        self._stack.append(span)
-
-    def _pop(self, span: Span) -> None:
-        if self._stack and self._stack[-1] is span:
-            self._stack.pop()
-        parent = self._stack[-1] if self._stack else None
-        if parent is not None:
-            parent.add_child(span)
-        else:
-            self._file_root(span)
-
     def _file_root(self, span: Span) -> None:
         if len(self.roots) >= MAX_ROOT_SPANS:
             self.roots.pop(0)
             self.dropped_roots += 1
         self.roots.append(span)
-
-    # ------------------------------------------------------------------ merging
-    def attach(self, records: Sequence[SpanRecord]) -> None:
-        """Re-parent worker-captured *records* under the current open span.
-
-        Worker clocks share no epoch with this process, so each record
-        tree is shifted to end "now" — its duration is exact, its wall
-        position the merge instant — and clamped to start no earlier
-        than the enclosing span.
-        """
-
-        if not self.enabled or not records:
-            return
-        parent = self.current()
-        now = _clock.now()
-        for record in records:
-            span = _span_from_record(record, shift=now - record.end)
-            if parent is not None:
-                if span.start < parent.start:
-                    span.start = parent.start
-                parent.add_child(span)
-            else:
-                self._file_root(span)
-
-    def capture_records(self, clear: bool = True) -> Tuple[SpanRecord, ...]:
-        """Freeze the finished root spans for shipping; optionally clear them."""
-
-        records = tuple(span.to_record() for span in self.roots if span.end is not None)
-        if clear:
-            self.roots = [span for span in self.roots if span.end is None]
-        return records
 
     def reset(self) -> None:
         """Drop every recorded span and open-stack entry."""
@@ -367,18 +300,6 @@ def reset() -> None:
     """Clear every recorded span (the enabled flag is untouched)."""
 
     _TRACER.reset()
-
-
-def attach(records: Sequence[SpanRecord]) -> None:
-    """Module-level shorthand for :meth:`Tracer.attach`."""
-
-    _TRACER.attach(records)
-
-
-def capture_records(clear: bool = True) -> Tuple[SpanRecord, ...]:
-    """Module-level shorthand for :meth:`Tracer.capture_records`."""
-
-    return _TRACER.capture_records(clear=clear)
 
 
 class tracing:
@@ -444,9 +365,8 @@ def chrome_trace_events(
 ) -> List[Dict[str, Any]]:
     """The spans as Chrome trace-event "complete" (``ph: X``) events.
 
-    Timestamps and durations are microseconds (the format's unit); the
-    span's origin process becomes the ``tid`` so re-parented worker
-    spans render on their own lane under the driver's process.
+    Timestamps and durations are microseconds (the format's unit), on
+    one ``pid``/``tid`` lane: every span ran in this process.
     """
 
     spans = _TRACER.roots if spans is None else list(spans)
@@ -461,7 +381,7 @@ def chrome_trace_events(
                     "ts": node.start * 1e6,
                     "dur": node.duration * 1e6,
                     "pid": pid,
-                    "tid": node.pid,
+                    "tid": pid,
                     "args": dict(node.attributes),
                 }
             )

@@ -472,8 +472,8 @@ class DatabaseInstance:
         cache with ``self``; both sides privatise a relation the first time
         they mutate it (see :meth:`_writable_rows`), so copying is O(number
         of relations) regardless of instance size.  This is what lets the
-        repair search branch thousands of times — and the parallel search
-        of :mod:`repro.core.parallel` hand every worker its own working
+        repair search branch thousands of times — and every search of
+        :mod:`repro.core.parallel` work on its own copy of the base
         instance — without ever duplicating unchanged relations.
 
         >>> original = DatabaseInstance.from_dict({"P": [(1, 2)]})

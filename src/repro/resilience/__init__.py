@@ -1,16 +1,16 @@
-"""Deadlines, budgets, degradation, retries and chaos testing.
+"""Deadlines, budgets, degradation and chaos testing.
 
 The resilience layer is the substrate the ROADMAP's service front door
 sits on: every request gets a :class:`Budget` (wall-clock deadline,
 state budget, memory estimate, cooperative cancel) that propagates from
 the session boundary through the engines, the repair search, the
-compiled kernel and into parallel workers and the SQLite backend; on
+compiled kernel, the sliced ``≤_D`` filter and the SQLite backend; on
 exhaustion the request either raises a typed
 :class:`~repro.errors.BudgetExceededError` (strict mode) or returns the
 partial answer already proven, tagged with a :class:`Degradation`
-record (``degrade=True``).  :class:`RetryPolicy` governs how the
-parallel scheduler survives worker crashes, and the
-:class:`FaultInjector` chaos harness drives the failure paths in tests.
+record (``degrade=True``).  The :class:`FaultInjector` chaos harness
+drives the failure paths of the sliced ``≤_D`` filter's process pool in
+tests.
 
 See ``docs/robustness.md`` for the semantics and
 ``tests/chaos/`` for the invariant suite.
@@ -35,7 +35,6 @@ from repro.resilience.faults import (
     disarm,
     worker_spec,
 )
-from repro.resilience.retry import DEFAULT_RETRY_POLICY, RetryPolicy
 
 __all__ = [
     "Budget",
@@ -43,8 +42,6 @@ __all__ = [
     "NULL_BUDGET",
     "active",
     "using_budget",
-    "RetryPolicy",
-    "DEFAULT_RETRY_POLICY",
     "FaultSpec",
     "FaultInjector",
     "CHAOS_ENV_VAR",

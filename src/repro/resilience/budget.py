@@ -14,9 +14,9 @@ request) and carries everything a long computation must respect:
 Checks are *cooperative*: the hot loops of the repair search, the
 compiled kernel and the SQL backend call :meth:`Budget.exhausted` (or
 :meth:`Budget.checkpoint`, which raises the matching typed error from
-:mod:`repro.errors`) at natural boundaries — per search state, per join
-descent, per SQLite progress callback.  Nothing preempts; granularity
-is documented in ``docs/robustness.md``.
+:mod:`repro.errors`) at natural boundaries — per search state, per
+``≤_D`` candidate, per join descent, per SQLite progress callback.
+Nothing preempts; granularity is documented in ``docs/robustness.md``.
 
 The module mirrors the tracer's disabled-path design
 (:mod:`repro.obs.trace`): when no budget is active, :func:`active`
@@ -221,18 +221,6 @@ used of 2
             return None
         return max(self.deadline_at - _clock.now(), 0.0)
 
-    def remaining_states(self) -> Optional[int]:
-        """States left before the cap (never negative), or ``None``.
-
-        The parallel scheduler clamps each task's chunk to this, so a
-        state cap far below the chunk size still truncates the first
-        task instead of being noticed only after it returns.
-        """
-
-        if self.max_states is None:
-            return None
-        return max(self.max_states - self.states, 0)
-
     def degradation(self, proven: int = 0, detail: str = "") -> Degradation:
         """The structured :class:`Degradation` record for the current state."""
 
@@ -246,16 +234,6 @@ used of 2
             max_memory=self.max_memory,
             detail=detail,
         )
-
-    def task_deadline(self) -> Optional[float]:
-        """The *remaining* deadline to ship to a worker process.
-
-        Monotonic clocks share no epoch across processes, so a worker
-        cannot compare against the driver's ``deadline_at``; it rebuilds
-        a fresh budget from the seconds still left at submit time.
-        """
-
-        return self.remaining_seconds()
 
 
 class _NullBudget:
@@ -296,19 +274,14 @@ class _NullBudget:
     def remaining_seconds(self) -> Optional[float]:
         return None
 
-    def remaining_states(self) -> Optional[int]:
-        return None
-
-    def task_deadline(self) -> Optional[float]:
-        return None
-
 
 #: The one falsy stand-in used whenever no budget is active.
 NULL_BUDGET = _NullBudget()
 
 #: The ambient budget of the current request (the process-global slot the
-#: hot loops read).  Concurrency is process-based here — each pool worker
-#: installs its own — so a module global is the cheapest correct store.
+#: hot loops read).  The one process pool's workers run no budgeted code
+#: — the driver checks between slices — so a module global is the
+#: cheapest correct store.
 _ACTIVE: Any = NULL_BUDGET
 
 

@@ -16,10 +16,11 @@ The split of fault kinds is deliberate:
   fault tolerance; delays perturb scheduling, which is what the driver
   contributes to a schedule.
 * **worker processes** — exceptions, kills and delays.  Exactly the
-  failures the fault-tolerant scheduler of :mod:`repro.core.parallel`
-  must absorb: a raised exception surfaces through ``Future.result()``
-  and is retried; a kill breaks the pool (``BrokenProcessPool``) and
-  forces a respawn.
+  failures the sliced ``≤_D`` filter of :mod:`repro.core.parallel`
+  (:func:`~repro.core.parallel.parallel_minimal_flags`) must absorb: a
+  raised exception fails one slice, a kill breaks the pool
+  (``BrokenProcessPool``) and with it every unfinished slice; either
+  way the lost slices are recomputed inline.
 
 A schedule is identified by a :class:`FaultSpec` — seed, per-span
 probability, kinds, delay — and is deterministic per process given the
@@ -30,7 +31,7 @@ a ``with`` block::
     from repro.resilience import FaultSpec, chaos
 
     with chaos(FaultSpec(seed=17, rate=0.02)):
-        db.report(query, repair_mode="parallel", workers=2)
+        db.report(query, workers=2)   # ≤_D sliced from 512 candidates
 
 The chaos test suite (``tests/chaos/``, run in CI under
 ``REPRO_CHAOS=1``) drives ≥ 50 such schedules and asserts the system
@@ -59,7 +60,7 @@ WORKER_KINDS = ("exception", "kill", "delay")
 
 @dataclass(frozen=True)
 class FaultSpec:
-    """One seeded fault schedule (picklable: ships to pool workers).
+    """One seeded fault schedule (picklable: handed to pool workers).
 
     ``rate`` is the per-span-event probability of a fault; ``kinds``
     the kinds workers may draw (the driver only ever delays);
@@ -120,7 +121,7 @@ class FaultInjector:
 
 
 #: The armed injector of *this* process (None when chaos is off) and the
-#: spec the parallel scheduler ships to freshly spawned pool workers.
+#: spec the sliced ``≤_D`` filter hands to the workers of its pool.
 _INJECTOR: Optional[FaultInjector] = None
 _WORKER_SPEC: Optional[FaultSpec] = None
 

@@ -455,7 +455,7 @@ class ConsistentDatabase:
         eviction merely re-caches the same object, it never recompiles),
         and the process-wide memo of :mod:`repro.compile.kernel` dedupes
         even across sessions.  Every violation-path consumer — the warm
-        tracker, the repair engines, the parallel workers — executes
+        tracker, the repair engines, the frontier search — executes
         these plans.
 
         >>> from repro import ConsistentDatabase, parse_constraint
@@ -1107,12 +1107,13 @@ class ConsistentDatabase:
         caches the canonical repair list and updates
         ``last_repair_statistics``; an abandoned stream (e.g. an anytime
         ``certain`` that found its counterexample) cancels the remaining
-        frontier tasks.
+        frontier tasks.  The stream runs in this process whatever
+        ``workers`` says: it proves minimality per candidate, with no
+        ``≤_D`` filter to slice.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
-                defaults to the session config.  ``workers >= 2``
-                distributes the search across processes.
+                defaults to the session config.
         """
 
         config = config if config is not None else self._config
@@ -1145,7 +1146,6 @@ class ConsistentDatabase:
         search = ParallelRepairSearch(
             snapshot,
             self._constraints,
-            workers=config.workers,
             max_states=None if config.degrade else config.max_states,
             violation_index=self._violation_index,
             budget=budget,
@@ -1153,14 +1153,7 @@ class ConsistentDatabase:
         )
         stream = AnytimeRepairStream(search)
         self.last_degradation = None
-        try:
-            # The finally also covers *abandonment*: closing this generator
-            # early (GeneratorExit) must reap the search's worker pool, not
-            # leak it — AnytimeRepairStream's own teardown runs first via
-            # the yield-from chain, this is the defensive second layer.
-            yield from stream
-        finally:
-            search.close()
+        yield from stream
         if stream.degradation is not None:
             self.last_degradation = stream.degradation
         if stream.ordered_repairs is not None:

@@ -9,12 +9,11 @@ from repro.resilience import disarm
 
 
 @pytest.fixture(autouse=True)
-def chaos_hygiene(recorded_searches):
-    """Every chaos test reaches a pool, ends disarmed and reaps every worker.
+def chaos_hygiene(minimality_pool):
+    """Every chaos test reaches the ``≤_D`` pool, ends disarmed and reaps every worker.
 
-    A search runs inline until its frontier splits, so a schedule whose
-    searches never started a pool would pass without injecting a single
-    worker fault.
+    Worker faults fire only inside the pool, so a schedule that never
+    started one would pass without injecting a single worker fault.
     """
 
     yield
@@ -27,5 +26,5 @@ def chaos_hygiene(recorded_searches):
         child.terminate()
     if leaked:
         pytest.fail(f"chaos test leaked worker processes: {leaked}")
-    if not any(search.statistics.instance_ship_bytes > 0 for search in recorded_searches):
-        pytest.fail("chaos test never started a search pool: its schedule ran inline")
+    if not minimality_pool:
+        pytest.fail("chaos test never started the ≤_D pool: its schedule ran inline")

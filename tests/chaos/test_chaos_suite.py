@@ -1,15 +1,17 @@
-"""The chaos suite: every seeded fault schedule ends exact or flagged-partial.
+"""The chaos suite: every seeded fault schedule ends exact.
 
+The library's one process pool is the sliced ``≤_D`` filter
+(:func:`repro.core.parallel.parallel_minimal_flags`), and the autouse
+``chaos_hygiene`` fixture lowers ``RepairEngine._PARALLEL_MINIMALITY_MIN``
+so that every ``workers=2`` request on these small instances slices it.
 The system invariant under test, per schedule:
 
-* the run **terminates** (``max_faults`` bounds injection; retries,
-  respawns and the inline quarantine bound the scheduler);
-* the answer is **exact** — bit-identical to the fault-free run — or,
-  under a ``degrade=True`` budget, a **flagged partial**: a subset of
-  the exact repair set with ``last_degradation`` set;
-* no worker process outlives the run, and some search of the test
-  started a pool (the ``chaos_hygiene`` fixture fails the test
-  otherwise).
+* the run **terminates** (``max_faults`` bounds injection, and a lost
+  slice is recomputed inline once, never resubmitted);
+* the answer is **exact** — bit-identical to the fault-free run —
+  whether workers raised, were killed or only slowed down;
+* no worker process outlives the run, and the test started a pool
+  (the ``chaos_hygiene`` fixture fails the test otherwise).
 
 A handful of schedules run in tier-1 as a smoke; the full ≥50-schedule
 matrix runs in CI's ``tests-chaos`` job under ``REPRO_CHAOS=1``.
@@ -18,15 +20,16 @@ matrix runs in CI's ``tests-chaos`` job under ``REPRO_CHAOS=1``.
 import pytest
 
 from repro import ConsistentDatabase, parse_constraint
-from repro.core.parallel import ParallelRepairSearch
-from repro.relational.instance import DatabaseInstance
-from repro.resilience import FaultSpec, RetryPolicy, chaos, chaos_enabled
+from repro.core.parallel import parallel_minimal_flags
+from repro.core.repairs import minimal_flags_counted
+from repro.resilience import FaultSpec, chaos, chaos_enabled
 
-KEY = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
-PAIRS = 6  # 2^6 = 64 repairs, a dozen frontier tasks at chunk_states=8
-
-#: Keep injected-failure backoffs negligible so 50+ schedules stay fast.
-FAST_RETRY = RetryPolicy(backoff_base=0.001, backoff_max=0.01)
+#: Two denials chained through ``Q``: per value, deleting ``P`` first and
+#: then ``Q`` yields a candidate that deleting ``Q`` alone dominates, so
+#: ``LINKS`` values give 3^LINKS candidates and 2^LINKS repairs.
+CHAIN = [parse_constraint("P(x), Q(x) -> false"),
+         parse_constraint("Q(x), R(x) -> false")]
+LINKS = 4  # 81 candidates in 8 ≤_D slices on two workers, 16 repairs
 
 requires_chaos = pytest.mark.skipif(
     not chaos_enabled(),
@@ -34,18 +37,14 @@ requires_chaos = pytest.mark.skipif(
 )
 
 
-def make_rows(pairs=PAIRS):
-    return {"Emp": [(f"e{i}", d) for i in range(pairs) for d in ("a", "b")]}
-
-
-def exact_candidates():
-    instance = DatabaseInstance.from_dict(make_rows())
-    return ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8).collect()
+def make_rows(links=LINKS):
+    return {predicate: [(f"a{i}",) for i in range(links)] for predicate in "PQR"}
 
 
 @pytest.fixture(scope="module")
-def exact():
-    return exact_candidates()
+def exact_repairs():
+    db = ConsistentDatabase(make_rows(), CHAIN, repair_mode="naive")
+    return [repair.fact_set() for repair in db.iter_repairs()]
 
 
 def spec_for(seed: int) -> FaultSpec:
@@ -63,58 +62,38 @@ def spec_for(seed: int) -> FaultSpec:
     )
 
 
-def run_schedule(seed: int, exact) -> None:
-    """One schedule against the raw search: must be exactly the baseline."""
+def run_schedule(seed: int, deltas) -> None:
+    """One schedule against the sliced filter: flags and checks exact."""
 
-    instance = DatabaseInstance.from_dict(make_rows())
+    exact = minimal_flags_counted(deltas)
     with chaos(spec_for(seed)):
-        search = ParallelRepairSearch(
-            instance, [KEY], workers=2, chunk_states=8, retry_policy=FAST_RETRY
-        )
-        got = search.collect()
-    assert got == exact, f"schedule {seed} changed the answer"
+        got = parallel_minimal_flags(deltas, 2)
+    assert got == exact, f"schedule {seed} changed the flags"
 
 
-def run_degraded_schedule(seed: int, exact) -> None:
-    """One schedule against a degrade-budget stream: exact or flagged subset.
+def run_session_schedule(seed: int, exact_repairs) -> None:
+    """One schedule against a budgeted session request: the exact list.
 
-    The budget runs out inside the root task, before the frontier could
-    split, so the tests run it with ``pool_from_the_root`` to reach the
-    pool.
+    The generous deadline installs a live budget, so the filter polls it
+    between slices without ever running out.
     """
 
-    exact_deltas = {(inserted, deleted) for _, inserted, deleted in exact}
-    db = ConsistentDatabase(make_rows(), [KEY], repair_mode="parallel", workers=2)
-    base = set(db.instance.fact_set())
+    db = ConsistentDatabase(make_rows(), CHAIN, workers=2, deadline=60.0)
     with chaos(spec_for(seed)):
-        yielded = list(
-            db.iter_repairs(stream=True, max_states=40 + seed, degrade=True)
-        )
-    got_fact_sets = {r.fact_set() for r in yielded}
-    exact_fact_sets = {
-        frozenset((base - deleted) | inserted) for inserted, deleted in exact_deltas
-    }
-    if db.last_degradation is None:
-        assert got_fact_sets == exact_fact_sets, f"schedule {seed}: wrong complete answer"
-    else:
-        assert got_fact_sets <= exact_fact_sets, f"schedule {seed}: unsound partial"
-        assert db.last_degradation.reason in {
-            "states", "deadline", "memory", "cancelled"
-        }
+        got = [repair.fact_set() for repair in db.iter_repairs()]
+    assert got == exact_repairs, f"schedule {seed} changed the repair list"
 
 
 class TestChaosSmoke:
     """A handful of schedules that always run (tier-1)."""
 
     @pytest.mark.parametrize("seed", [7, 19, 23])
-    def test_schedule_is_exact(self, seed, exact):
-        run_schedule(seed, exact)
+    def test_schedule_is_exact(self, seed, mixed_verdict_deltas):
+        run_schedule(seed, mixed_verdict_deltas)
 
     @pytest.mark.parametrize("seed", [7, 19])
-    def test_degraded_schedule_is_exact_or_flagged(
-        self, seed, exact, pool_from_the_root
-    ):
-        run_degraded_schedule(seed, exact)
+    def test_session_schedule_is_exact(self, seed, exact_repairs):
+        run_session_schedule(seed, exact_repairs)
 
 
 @requires_chaos
@@ -122,11 +101,9 @@ class TestChaosMatrix:
     """The full matrix: ≥50 seeded schedules (CI: REPRO_CHAOS=1)."""
 
     @pytest.mark.parametrize("seed", range(1, 41))
-    def test_schedule_is_exact(self, seed, exact):
-        run_schedule(seed, exact)
+    def test_schedule_is_exact(self, seed, mixed_verdict_deltas):
+        run_schedule(seed, mixed_verdict_deltas)
 
     @pytest.mark.parametrize("seed", range(41, 56))
-    def test_degraded_schedule_is_exact_or_flagged(
-        self, seed, exact, pool_from_the_root
-    ):
-        run_degraded_schedule(seed, exact)
+    def test_session_schedule_is_exact(self, seed, exact_repairs):
+        run_session_schedule(seed, exact_repairs)

@@ -1,43 +1,72 @@
 """Shared fixtures: the paper's scenarios, a couple of tiny instances and
-the repair-search pool hooks."""
+the hooks that reach the sliced ``≤_D`` filter's process pool."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.parallel import ParallelRepairSearch
+import repro.core.parallel as parallel
+from repro.core.repairs import RepairEngine
+from repro.relational.domain import NULL
+from repro.relational.instance import Fact
 from repro.workloads import scenarios
 
 
 @pytest.fixture
-def pool_from_the_root(monkeypatch):
-    """Start a ``workers >= 2`` search's pool before its root task.
+def pool_starts(monkeypatch):
+    """Every process pool the library starts during the test, in order.
 
-    A search runs inline until its frontier splits; with the threshold
-    at 1 every task ships, the root included.
+    The sliced ``≤_D`` filter (``parallel_minimal_flags``) is the
+    library's one process pool; this records each executor it builds.
     """
 
-    monkeypatch.setattr(ParallelRepairSearch, "_POOL_MIN_OPEN_TASKS", 1)
+    starts = []
+
+    # A spy on the owner's pool class; it starts no pool of its own.
+    class Recording(parallel.ProcessPoolExecutor):  # lint: allow(INV002)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            starts.append(self)
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Recording)
+    return starts
 
 
 @pytest.fixture
-def recorded_searches(monkeypatch):
-    """Every :class:`ParallelRepairSearch` the test builds, in order.
+def minimality_pool(monkeypatch, pool_starts):
+    """Slice ``≤_D`` across the pool from two candidates up.
 
-    A search runs inline until its frontier splits, so pool tests read
-    ``statistics.instance_ship_bytes`` of the recorded searches to see
-    whether a pool started.
+    ``RepairEngine(workers >= 2)`` starts the pool only from
+    ``_PARALLEL_MINIMALITY_MIN`` candidates, far more than a test
+    instance has.  Returns the recorded pool starts.
     """
 
-    searches = []
-    original = ParallelRepairSearch.__init__
+    monkeypatch.setattr(RepairEngine, "_PARALLEL_MINIMALITY_MIN", 2)
+    return pool_starts
 
-    def recording(self, *args, **kwargs):
-        original(self, *args, **kwargs)
-        searches.append(self)
 
-    monkeypatch.setattr(ParallelRepairSearch, "__init__", recording)
-    return searches
+#: Every non-empty subset of these facts is a delta: null atoms with and
+#: without a cover, and plain facts, so both conditions of Definition 6
+#: decide some ``≤_D`` verdicts.
+MIXED_VERDICT_FACTS = (
+    Fact("R", ("a", 1)),
+    Fact("R", ("b", 2)),
+    Fact("S", ("a", NULL)),
+    Fact("S", ("a", 1)),
+    Fact("S", ("b", NULL)),
+)
+
+
+@pytest.fixture(scope="session")
+def mixed_verdict_deltas():
+    """31 deltas of which some are ``<_D``-dominated and some are not."""
+
+    return [
+        frozenset(
+            fact for bit, fact in enumerate(MIXED_VERDICT_FACTS) if mask >> bit & 1
+        )
+        for mask in range(1, 2 ** len(MIXED_VERDICT_FACTS))
+    ]
 
 
 @pytest.fixture(scope="session")

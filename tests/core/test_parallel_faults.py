@@ -1,16 +1,12 @@
-"""Fault tolerance of the parallel repair search scheduler.
+"""Fault tolerance of the sliced ``≤_D`` filter, the library's one process pool.
 
-Worker crashes, injected exceptions and pool breakage must never change
-the answer or leak a process: failed tasks are retried with backoff on a
-respawned pool, repeat offenders run inline, and results stay
-bit-identical to the no-fault run (task results are pure functions of
-(task, chunk budget), so where a task runs can never matter).
-
-Every test here must reach the pool, which starts only once the root
-task's frontier splits: each asserts a pool start
-(``instance_ship_bytes > 0``), from a chunk small enough for the root to
-split or with ``_POOL_MIN_OPEN_TASKS`` lowered to 1 so that the root
-task itself ships.
+Worker exceptions, kills and pool breakage must never change the flags
+or leak a process: a slice that raised, and every unfinished slice of a
+broken pool, is recomputed inline, and slice flags are a pure function
+of the deltas.  Every test here asserts that a pool started (the
+``pool_starts`` fixture records each one); the request-level tests reach
+it through ``minimality_pool``, which lowers
+``RepairEngine._PARALLEL_MINIMALITY_MIN``.
 """
 
 import multiprocessing
@@ -18,42 +14,16 @@ import time
 
 import pytest
 
-from repro import parse_constraint
-from repro.core.parallel import ParallelRepairSearch
+import repro.core.parallel as parallel_module
+from repro.core.parallel import parallel_minimal_flags
+from repro.core.repairs import RepairEngine, minimal_flags_counted
+from repro.constraints.parser import parse_constraint
+from repro.errors import QueryCancelledError
 from repro.relational.instance import DatabaseInstance
-from repro.resilience import FaultSpec, RetryPolicy, chaos
-
-KEY = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
-
-
-def make_instance(pairs=6):
-    return DatabaseInstance.from_dict(
-        {"Emp": [(f"e{i}", d) for i in range(pairs) for d in ("a", "b")]}
-    )
-
-
-def expected_candidates(instance):
-    return ParallelRepairSearch(instance, [KEY], workers=0, chunk_states=8).collect()
-
-
-#: Fast-backoff policy so fault tests do not sleep their way through CI.
-FAST_RETRY = RetryPolicy(backoff_base=0.001, backoff_max=0.01)
-
-
-def assert_pool_started(search):
-    assert search.statistics.instance_ship_bytes > 0, "the search never started a pool"
-
-
-def advance_until_the_pool_starts(search, batches):
-    """Drive the generator until its pool is up (the root runs inline)."""
-
-    next(batches)
-    while not search.statistics.instance_ship_bytes:
-        next(batches)
-
+from repro.resilience import Budget, FaultSpec, chaos, using_budget
 
 def assert_no_leaked_children(grace=1.0):
-    """Every pool child must be reaped shortly after a search ends."""
+    """Every pool child must be reaped shortly after a filter returns."""
 
     deadline = time.monotonic() + grace
     while time.monotonic() < deadline:
@@ -64,113 +34,119 @@ def assert_no_leaked_children(grace=1.0):
     assert not leaked, f"leaked worker processes: {leaked}"
 
 
+def sliced_under(spec, deltas):
+    with chaos(spec):
+        return parallel_minimal_flags(deltas, 2)
+
+
 class TestWorkerExceptions:
-    def test_injected_exceptions_are_retried_to_the_same_answer(self):
-        instance = make_instance()
-        expected = expected_candidates(instance)
-        with chaos(FaultSpec(seed=101, rate=0.3, kinds=("exception",),
-                             max_faults=5)):
-            search = ParallelRepairSearch(
-                instance, [KEY], workers=2, chunk_states=8,
-                retry_policy=FAST_RETRY,
-            )
-            got = search.collect()
-        assert got == expected
-        assert_pool_started(search)
+    def test_failed_slices_are_recomputed_to_the_same_flags(
+        self, pool_starts, mixed_verdict_deltas
+    ):
+        spec = FaultSpec(seed=101, rate=0.3, kinds=("exception",), max_faults=5)
+        got = sliced_under(spec, mixed_verdict_deltas)
+        assert got == minimal_flags_counted(mixed_verdict_deltas)
+        assert len(pool_starts) == 1
         assert_no_leaked_children()
 
-    def test_permanent_failure_quarantines_inline(self, pool_from_the_root):
-        # rate=1.0, no fault cap: every pooled attempt of every task dies.
-        # The scheduler must quarantine each task inline and still finish
-        # with the exact answer.
-        instance = make_instance(3)
-        expected = expected_candidates(instance)
-        with chaos(FaultSpec(seed=102, rate=1.0, kinds=("exception",),
-                             max_faults=10**9)):
-            search = ParallelRepairSearch(
-                instance, [KEY], workers=2, chunk_states=8,
-                retry_policy=FAST_RETRY,
-            )
-            got = search.collect()
-        assert got == expected
-        assert_pool_started(search)
+    def test_permanent_failure_recomputes_every_slice_inline(
+        self, pool_starts, mixed_verdict_deltas
+    ):
+        # rate=1.0, no fault cap: every slice raises in its worker.
+        spec = FaultSpec(seed=102, rate=1.0, kinds=("exception",), max_faults=10**9)
+        got = sliced_under(spec, mixed_verdict_deltas)
+        assert got == minimal_flags_counted(mixed_verdict_deltas)
+        assert len(pool_starts) == 1
         assert_no_leaked_children()
 
 
 class TestWorkerKills:
-    def test_killed_workers_respawn_and_finish(self):
-        instance = make_instance()
-        expected = expected_candidates(instance)
-        with chaos(FaultSpec(seed=103, rate=0.2, kinds=("kill",), max_faults=2)):
-            search = ParallelRepairSearch(
-                instance, [KEY], workers=2, chunk_states=8,
-                retry_policy=FAST_RETRY,
-            )
-            got = search.collect()
-        assert got == expected
-        assert_pool_started(search)
+    def test_a_killed_worker_loses_only_slices_recomputed_inline(
+        self, pool_starts, mixed_verdict_deltas
+    ):
+        spec = FaultSpec(seed=103, rate=0.2, kinds=("kill",), max_faults=2)
+        got = sliced_under(spec, mixed_verdict_deltas)
+        assert got == minimal_flags_counted(mixed_verdict_deltas)
+        assert len(pool_starts) == 1
         assert_no_leaked_children()
 
-    def test_respawn_exhaustion_falls_back_inline(self, pool_from_the_root):
-        # Unlimited kills: pools keep breaking until the respawn allowance
-        # runs out, then the whole frontier finishes inline — still exact.
-        instance = make_instance(3)
-        expected = expected_candidates(instance)
-        with chaos(FaultSpec(seed=104, rate=1.0, kinds=("kill",),
-                             max_faults=10**9)):
-            search = ParallelRepairSearch(
-                instance, [KEY], workers=2, chunk_states=8,
-                retry_policy=RetryPolicy(backoff_base=0.001, backoff_max=0.01,
-                                         max_pool_respawns=1),
-            )
-            got = search.collect()
-        assert got == expected
-        assert_pool_started(search)
+    def test_a_pool_broken_at_once_finishes_inline(
+        self, pool_starts, mixed_verdict_deltas
+    ):
+        # Every slice kills its worker: the pool breaks on the first one
+        # and the whole filter runs inline — no respawn, still exact.
+        spec = FaultSpec(seed=104, rate=1.0, kinds=("kill",), max_faults=10**9)
+        got = sliced_under(spec, mixed_verdict_deltas)
+        assert got == minimal_flags_counted(mixed_verdict_deltas)
+        assert len(pool_starts) == 1
         assert_no_leaked_children()
 
 
 class TestMixedChaos:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
-    def test_mixed_fault_schedules_stay_exact(self, seed):
-        instance = make_instance()
-        expected = expected_candidates(instance)
-        with chaos(FaultSpec(seed=seed, rate=0.15, max_faults=4)):
-            search = ParallelRepairSearch(
-                instance, [KEY], workers=2, chunk_states=8,
-                retry_policy=FAST_RETRY,
-            )
-            got = search.collect()
-        assert got == expected
-        assert_pool_started(search)
+    def test_mixed_fault_schedules_stay_exact(
+        self, seed, pool_starts, mixed_verdict_deltas
+    ):
+        got = sliced_under(FaultSpec(seed=seed, rate=0.15, max_faults=4),
+                           mixed_verdict_deltas)
+        assert got == minimal_flags_counted(mixed_verdict_deltas)
+        assert len(pool_starts) == 1
+        assert_no_leaked_children()
+
+    def test_a_request_under_faults_returns_the_naive_list(self, minimality_pool):
+        # Chained denials: 81 candidates, of which 65 are dominated.
+        constraints = [parse_constraint("P(x), Q(x) -> false"),
+                       parse_constraint("Q(x), R(x) -> false")]
+        instance = DatabaseInstance.from_dict(
+            {predicate: [(f"a{i}",) for i in range(4)] for predicate in "PQR"}
+        )
+        reference = RepairEngine(constraints, method="naive").repairs(instance)
+        assert len(reference) == 16
+        with chaos(FaultSpec(seed=6, rate=0.5, max_faults=10**9)):
+            got = RepairEngine(constraints, workers=2).repairs(instance)
+        assert got == reference
+        assert len(minimality_pool) == 1
         assert_no_leaked_children()
 
 
 class TestPoolLifecycle:
-    def test_close_is_idempotent(self):
-        search = ParallelRepairSearch(make_instance(2), [KEY], workers=2,
-                                      chunk_states=1)
-        batches = search.batches()
-        advance_until_the_pool_starts(search, batches)
-        batches.close()
-        search.close()
-        search.close()  # second close is a no-op
+    def test_a_budget_spent_mid_filter_cancels_the_rest_and_reaps(
+        self, monkeypatch, pool_starts, mixed_verdict_deltas
+    ):
+        budget = Budget()
+        waits = []
+        real_wait = parallel_module.wait
+
+        def cancel_while_waiting(*args, **kwargs):
+            waits.append(1)
+            budget.cancel()  # spent while the first slices run
+            return real_wait(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "wait", cancel_while_waiting)
+        with using_budget(budget), pytest.raises(QueryCancelledError):
+            parallel_minimal_flags(mixed_verdict_deltas, 2)
+        assert len(pool_starts) == 1
+        assert waits == [1]  # the next check between slices raised
         assert_no_leaked_children()
 
-    def test_merge_error_reaps_the_pool(self):
-        # A consumer exploding mid-iteration (any exception thrown into the
-        # generator) must still reap the workers via the finally.
-        search = ParallelRepairSearch(make_instance(), [KEY], workers=2,
-                                      chunk_states=4)
-        batches = search.batches()
-        advance_until_the_pool_starts(search, batches)
+    def test_a_budget_spent_before_the_filter_starts_no_pool(
+        self, pool_starts, mixed_verdict_deltas
+    ):
+        budget = Budget()
+        budget.cancel()
+        with using_budget(budget), pytest.raises(QueryCancelledError):
+            parallel_minimal_flags(mixed_verdict_deltas, 2)
+        assert pool_starts == []
+
+    def test_an_error_while_waiting_reaps_the_pool(
+        self, monkeypatch, pool_starts, mixed_verdict_deltas
+    ):
+        # Any exception escaping the wait loop still shuts the pool down.
+        def exploding_wait(*args, **kwargs):
+            raise ValueError("merge failed")
+
+        monkeypatch.setattr(parallel_module, "wait", exploding_wait)
         with pytest.raises(ValueError):
-            batches.throw(ValueError("merge failed"))
-        assert_no_leaked_children()
-
-    def test_abandoned_generator_reaps_on_close(self):
-        search = ParallelRepairSearch(make_instance(), [KEY], workers=2,
-                                      chunk_states=4)
-        batches = search.batches()
-        advance_until_the_pool_starts(search, batches)
-        del batches  # GeneratorExit through the finally
+            parallel_minimal_flags(mixed_verdict_deltas, 2)
+        assert len(pool_starts) == 1
         assert_no_leaked_children()

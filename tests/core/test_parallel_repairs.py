@@ -1,16 +1,13 @@
-"""The production repair search (``method="parallel"``), inline and pooled.
+"""The production repair search (``method="parallel"``).
 
 Covers the frontier-task decomposition of :mod:`repro.core.parallel`:
 bit-identical output against the naive reference (list equality —
 same repairs, same discovery order), the sibling-exclusion partitioning
 on denial-only constraint sets, deferred-task splitting under tiny
-chunk budgets, process-pool execution, the explicit per-worker
-:meth:`RepairStatistics.merge`, and the anytime stream/short-circuit
-surface of the session.
+chunk budgets, the ``≤_D`` filter sliced across a process pool, the
+per-task :meth:`RepairStatistics.merge`, and the anytime
+stream/short-circuit surface of the session.
 """
-
-import os
-import pickle
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,7 +36,6 @@ from repro.core.repairs import (
 )
 from repro.core.satisfaction import Violation
 from repro.engines import CQAConfig
-from repro.obs import trace
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
 from repro.session import ConsistentDatabase
@@ -94,7 +90,7 @@ class TestBitIdenticalOutput:
         reference = naive_repairs(instance, constraints)
         assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
 
-    def test_process_pool_matches_inline(self):
+    def test_process_pool_matches_inline(self, minimality_pool):
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=5, seed=0
         )
@@ -103,9 +99,10 @@ class TestBitIdenticalOutput:
             instance, constraints, workers=2, chunk_states=7
         )
         assert with_processes == reference
+        assert len(minimality_pool) == 1
 
-    def test_process_pool_with_null_insertions(self):
-        """Null facts and constraint objects round-trip through pickling."""
+    def test_process_pool_with_null_insertions(self, minimality_pool):
+        """Null facts in the deltas reach the pool's workers intact."""
 
         instance, constraints = foreign_key_workload(
             n_parents=3, n_children=5, violation_ratio=0.5, null_ratio=0.4, seed=7
@@ -115,21 +112,56 @@ class TestBitIdenticalOutput:
             parallel_repairs(instance, constraints, workers=2, chunk_states=5)
             == reference
         )
+        assert len(minimality_pool) == 1
 
-    def test_parallel_minimality_slicing_matches(self):
-        """An 81-candidate pool search (≤_D filtered in-process) equals naive."""
+    def test_parallel_minimality_slicing_matches(self, pool_starts):
+        """An 81-candidate ``workers=2`` search (≤_D filtered in-process) equals naive."""
 
         instance, constraints = grouped_key_workload(
             n_groups=4, group_size=3, n_clean=4, seed=2
         )
         reference = naive_repairs(instance, constraints)
         assert len(reference) == 81  # below the sliced-filter threshold
-        # A chunk below the 121-state tree splits the root onto the pool.
         engine = RepairEngine(
             constraints, method=PARALLEL_METHOD, workers=2, chunk_states=27
         )
         assert engine.repairs(instance) == reference
-        assert engine.statistics.instance_ship_bytes > 0
+        assert pool_starts == []
+        assert engine.statistics.instance_ship_bytes == 0
+
+    def test_sliced_filter_matches_inline_and_naive_everywhere(
+        self, all_scenarios, minimality_pool
+    ):
+        """Every scenario and null-heavy workload, order included."""
+
+        cases = [
+            (name, scenario.instance, scenario.constraints)
+            for name, scenario in sorted(all_scenarios.items())
+            if scenario.constraints.is_non_conflicting()
+        ]
+        for seed in range(3):
+            cases.append(
+                (f"foreign_key_{seed}",)
+                + foreign_key_workload(
+                    n_parents=4, n_children=8, violation_ratio=0.5,
+                    null_ratio=0.5, seed=seed,
+                )
+            )
+        # Chained denials: 27 candidates, 19 of them dominated.
+        cases.append((
+            "denial_chain",
+            DatabaseInstance.from_dict(
+                {predicate: [(f"a{i}",) for i in range(3)] for predicate in "PQR"}
+            ),
+            [parse_constraint("P(x), Q(x) -> false"),
+             parse_constraint("Q(x), R(x) -> false")],
+        ))
+        for name, instance, constraints in cases:
+            reference = naive_repairs(instance, constraints)
+            inline = parallel_repairs(instance, constraints)
+            pooled = parallel_repairs(instance, constraints, workers=2)
+            assert pooled == inline == reference, f"{name} diverged"
+        assert minimality_pool, "no case reached the pool"
 
     def test_method_validation(self):
         assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
@@ -200,87 +232,6 @@ class TestMinimalityThreshold:
         found = parallel_repairs(instance, constraints, workers=2)
         assert calls == [(81, 2)]
         assert found == naive_repairs(instance, constraints)
-
-
-def span_nodes(span):
-    yield span
-    for child in span.children:
-        yield from span_nodes(child)
-
-
-class TestPoolSchedule:
-    """Tasks run inline until the frontier first holds
-    ``_POOL_MIN_OPEN_TASKS`` tasks; only then does the pool start."""
-
-    @staticmethod
-    def _workload():
-        return grouped_key_workload(n_groups=3, group_size=3, n_clean=5, seed=0)
-
-    def test_a_search_that_fits_its_root_chunk_starts_no_pool(self):
-        instance, constraints = self._workload()
-        engine = RepairEngine(constraints, method=PARALLEL_METHOD, workers=2)
-        assert engine.repairs(instance) == naive_repairs(instance, constraints)
-        assert engine.statistics.instance_ship_bytes == 0
-        assert engine.statistics.tasks_shipped == 0
-
-    @pytest.mark.parametrize("chunk", [1, 3, 8])
-    def test_a_split_search_runs_its_root_in_the_driver(self, chunk):
-        instance, constraints = self._workload()
-        engine = RepairEngine(
-            constraints, method=PARALLEL_METHOD, workers=2, chunk_states=chunk
-        )
-        with trace.tracing(True):
-            trace.reset()
-            pooled = engine.repairs(instance)
-            roots = trace.tracer().roots
-        trace.reset()
-        tasks = [
-            node
-            for root in roots
-            for node in span_nodes(root)
-            if node.name == "repair.task"
-        ]
-        (root_task,) = [node for node in tasks if node.attributes["path"] == "()"]
-        assert root_task.pid == os.getpid()
-        assert any(node.pid != os.getpid() for node in tasks)
-        # Exactly one pool start: one facts payload, no respawn.
-        assert engine.statistics.instance_ship_bytes == len(
-            pickle.dumps(tuple(instance.facts()), pickle.HIGHEST_PROTOCOL)
-        )
-        assert engine.statistics.tasks_shipped > 0
-        inline = parallel_repairs(instance, constraints, chunk_states=chunk)
-        assert pooled == inline == naive_repairs(instance, constraints)
-
-    @pytest.mark.parametrize("pool_min_open_tasks", [1, 2])
-    def test_a_pooled_session_query_starts_from_the_warm_tracker(
-        self, monkeypatch, pool_min_open_tasks
-    ):
-        monkeypatch.setattr(
-            ParallelRepairSearch, "_POOL_MIN_OPEN_TASKS", pool_min_open_tasks
-        )
-        instance, constraints = self._workload()
-        db = ConsistentDatabase(instance, constraints, method="direct", workers=2)
-        assert db.violation_count() > 0  # the session's own sweep, once
-        seeds = []
-        original = ViolationTracker.__init__
-
-        def recording(self, instance, constraints, seed=None):
-            seeds.append(seed)
-            original(self, instance, constraints, seed=seed)
-
-        monkeypatch.setattr(ViolationTracker, "__init__", recording)
-        query = parse_query("ans(e) <- Emp(e, d, s)")
-        answers = db.consistent_answers(query)
-        assert seeds, "the driver built no tracker"
-        assert all(seed is not None for seed in seeds), "a driver tracker swept"
-        assert db.last_repair_statistics.instance_ship_bytes == (
-            0 if pool_min_open_tasks == 2 else len(
-                pickle.dumps(tuple(instance.facts()), pickle.HIGHEST_PROTOCOL)
-            )
-        )
-        assert answers == ConsistentDatabase(
-            instance, constraints, method="direct"
-        ).consistent_answers(query)
 
 
 class TestChoiceKeyMemo:

@@ -5,18 +5,14 @@ garbage-collected iterator) must not leak worker processes, must not
 corrupt the session's live violation tracker, and must leave the session
 fully usable — the next call recomputes from a clean slate.
 
-The ``workers=2`` tests must reach the pool, but their searches fit one
-chunk, and the pool starts only once the frontier splits: the
-``pooled_searches`` fixture lowers ``_POOL_MIN_OPEN_TASKS`` to 1, so the
-root task ships, and records every search so that each test can assert
-a pool start.
+The stream runs in this process whatever ``workers`` says (its proofs
+need no ``≤_D`` filter to slice): the ``workers=2`` tests assert that
+no pool and no child process ever starts.
 """
 
 import gc
 import multiprocessing
 import time
-
-import pytest
 
 from repro import ConsistentDatabase, parse_constraint
 
@@ -32,17 +28,9 @@ def wide_db(pairs=8, **kwargs):
     )
 
 
-@pytest.fixture
-def pooled_searches(pool_from_the_root, recorded_searches):
-    """Every search started from the root on the pool, recorded."""
-
-    return recorded_searches
-
-
-def assert_pool_started(searches):
-    assert any(
-        search.statistics.instance_ship_bytes > 0 for search in searches
-    ), "no search started a pool"
+def assert_no_pool_started(pool_starts):
+    assert pool_starts == [], "the stream started a process pool"
+    assert not multiprocessing.active_children(), "the stream started a child"
 
 
 def assert_no_leaked_children(grace=1.0):
@@ -56,21 +44,19 @@ def assert_no_leaked_children(grace=1.0):
 
 
 class TestAbandonment:
-    def test_break_after_first_repair_reaps_workers(self, pooled_searches):
+    def test_break_after_first_repair_reaps_workers(self, pool_starts):
         db = wide_db(workers=2)
         for repair in db.iter_repairs(stream=True):
             break
         gc.collect()  # drop the suspended generator
-        assert_pool_started(pooled_searches)
-        assert_no_leaked_children()
+        assert_no_pool_started(pool_starts)
 
-    def test_explicit_close_reaps_workers(self, pooled_searches):
+    def test_explicit_close_reaps_workers(self, pool_starts):
         db = wide_db(workers=2)
         stream = db.iter_repairs(stream=True)
         next(stream)
         stream.close()
-        assert_pool_started(pooled_searches)
-        assert_no_leaked_children()
+        assert_no_pool_started(pool_starts)
 
     def test_close_before_first_next_is_safe(self):
         db = wide_db(workers=2)
@@ -105,7 +91,7 @@ class TestAbandonment:
         db.insert("Emp", ("fresh", "only"))
         assert len(list(db.iter_repairs(stream=True))) == 16  # fresh row is clean
 
-    def test_exception_mid_consumption_reaps_workers(self, pooled_searches):
+    def test_exception_mid_consumption_reaps_workers(self, pool_starts):
         db = wide_db(workers=2)
         try:
             for index, repair in enumerate(db.iter_repairs(stream=True)):
@@ -113,5 +99,4 @@ class TestAbandonment:
         except RuntimeError:
             pass
         gc.collect()
-        assert_pool_started(pooled_searches)
-        assert_no_leaked_children()
+        assert_no_pool_started(pool_starts)

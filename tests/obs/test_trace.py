@@ -1,9 +1,9 @@
 """The hierarchical span tracer (``repro.obs.trace``).
 
-Ends with the well-formedness property the ISSUE pins: every trace the
-stack emits — one per pinned scenario, plus a real two-process parallel
-search — has every span closed, every child interval nested inside its
-parent and every worker span re-parented under the driver's.
+Ends with the well-formedness property: every trace the stack emits —
+one per pinned scenario, plus a request whose ``≤_D`` filter runs on the
+process pool — has every span closed and every child interval nested
+inside its parent.
 """
 
 import gc
@@ -15,7 +15,7 @@ import pytest
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.repairs import RepairEngine
 from repro.obs import clock, trace
-from repro.obs.trace import Span, SpanRecord, _NULL_SPAN
+from repro.obs.trace import _NULL_SPAN
 from repro.session import ConsistentDatabase
 from repro.workloads import grouped_key_workload
 
@@ -106,19 +106,6 @@ class TestRecording:
         assert failing.end is not None
         assert failing.attributes["error"] == "ValueError"
 
-    def test_parent_end_clamps_to_the_last_child_end(self):
-        with clock.using_clock(clock.FakeClock()) as fake:
-            with trace.tracing(True):
-                trace.reset()
-                with trace.span("parent") as parent:
-                    late = Span(None, "late-child", {})
-                    late.start = fake.now()
-                    late.end = fake.now() + 5.0  # beyond the parent's own exit
-                    parent.add_child(late)
-        parent = trace.tracer().roots[0]
-        assert parent.end == pytest.approx(parent.children[0].end)
-        assert_well_formed(parent)
-
 
 class TestRetentionCaps:
     def test_child_cap_drops_and_counts(self, monkeypatch):
@@ -145,26 +132,9 @@ class TestRetentionCaps:
                             fake.advance(seconds)
                 parent = trace.tracer().roots[0]
                 record = parent.to_record()
-                with trace.span("driver"):
-                    trace.attach([record])
         assert [child.name for child in parent.children] == ["a"]
         assert parent.dropped_seconds == {"b": pytest.approx(0.75)}
         assert record.dropped_seconds == parent.dropped_seconds
-        attached = trace.tracer().roots[-1].children[0]
-        assert attached.dropped_seconds == parent.dropped_seconds
-
-    def test_a_dropped_worker_span_takes_no_time_from_its_parent(self, monkeypatch):
-        # Worker spans ran concurrently in another process: dropping one
-        # must not charge its duration to the driver's span.
-        monkeypatch.setattr(trace, "MAX_CHILD_SPANS", 0)
-        record = SpanRecord(name="repair.task", start=0.0, end=1.0, pid=os.getpid() + 1)
-        with trace.tracing(True):
-            trace.reset()
-            with trace.span("driver"):
-                trace.attach([record])
-        driver = trace.tracer().roots[0]
-        assert driver.dropped_children == 1
-        assert driver.dropped_seconds == {}
 
     def test_root_cap_drops_oldest_first(self, monkeypatch):
         monkeypatch.setattr(trace, "MAX_ROOT_SPANS", 2)
@@ -176,92 +146,6 @@ class TestRetentionCaps:
         tracer = trace.tracer()
         assert [root.name for root in tracer.roots] == ["root-2", "root-3"]
         assert tracer.dropped_roots == 2
-
-
-class TestCaptureAndAttach:
-    def test_capture_records_freezes_and_clears_finished_roots(self):
-        with trace.tracing(True):
-            trace.reset()
-            with trace.span("finished", rows=1):
-                with trace.span("child"):
-                    pass
-            records = trace.capture_records()
-        assert len(records) == 1
-        record = records[0]
-        assert isinstance(record, SpanRecord)
-        assert record.name == "finished"
-        assert record.attributes == {"rows": 1}
-        assert [child.name for child in record.children] == ["child"]
-        assert record.pid == os.getpid()
-        assert trace.tracer().roots == []  # cleared by default
-
-    def test_capture_keeps_open_roots(self):
-        with trace.tracing(True):
-            trace.reset()
-            open_span = trace.span("still-open").__enter__()
-            try:
-                with trace.span("finished"):
-                    pass
-            finally:
-                # "finished" nested under the open span, so nothing is a
-                # finished *root* yet.
-                assert trace.capture_records() == ()
-                open_span.__exit__(None, None, None)
-            assert [record.name for record in trace.capture_records()] == [
-                "still-open"
-            ]
-
-    def test_attach_preserves_duration_and_shifts_to_the_merge_instant(self):
-        # Worker monotonic clocks share no epoch with the driver's: a
-        # record from "the past of another process" must land under the
-        # current span ending now, duration intact.
-        record = SpanRecord(
-            name="repair.task",
-            start=5.0,
-            end=5.5,
-            attributes={"states": 7},
-            pid=4242,
-        )
-        with clock.using_clock(clock.FakeClock(start=100.0)) as fake:
-            with trace.tracing(True):
-                trace.reset()
-                with trace.span("driver"):
-                    fake.advance(1.0)
-                    trace.attach([record])
-        child = trace.tracer().roots[0].children[0]
-        assert child.name == "repair.task"
-        assert child.pid == 4242
-        assert child.end == pytest.approx(101.0)  # the merge instant
-        assert child.duration == pytest.approx(0.5)
-        assert child.attributes == {"states": 7}
-        assert_well_formed(trace.tracer().roots[0])
-
-    def test_attach_clamps_starts_to_the_enclosing_span(self):
-        # A worker span longer than the driver span's lifetime so far gets
-        # its start clamped; nesting beats exact duration in that corner.
-        record = SpanRecord(name="repair.task", start=0.0, end=9.0, pid=4242)
-        with clock.using_clock(clock.FakeClock(start=50.0)) as fake:
-            with trace.tracing(True):
-                trace.reset()
-                with trace.span("driver"):
-                    fake.advance(1.0)
-                    trace.attach([record])
-        root = trace.tracer().roots[0]
-        assert root.children[0].start == pytest.approx(root.start)
-        assert_well_formed(root)
-
-    def test_attach_outside_any_span_files_roots(self):
-        record = SpanRecord(name="repair.task", start=0.0, end=1.0, pid=4242)
-        with trace.tracing(True):
-            trace.reset()
-            trace.attach([record])
-            assert [root.name for root in trace.tracer().roots] == ["repair.task"]
-
-    def test_attach_is_a_no_op_when_disabled(self):
-        record = SpanRecord(name="repair.task", start=0.0, end=1.0)
-        with trace.tracing(False):
-            trace.attach([record])
-        assert trace.tracer().roots == []
 
 
 class TestExporters:
@@ -331,36 +215,26 @@ class TestWellFormedOnEveryScenario:
                 for root in roots:
                     assert_well_formed(root)
 
-    def test_parallel_workers_ship_spans_home(self, all_scenarios):
-        """A real two-process pool: worker ``repair.task`` spans arrive as
-        records, re-parented under the driver's ``repair.search`` span, and
-        the merged tree is still well-formed."""
+    def test_a_pooled_filter_traces_in_the_driver_only(self, minimality_pool):
+        """A ``≤_D`` filter sliced across a real two-process pool: its
+        workers ship no spans, and the driver's tree stays well-formed."""
 
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=6, seed=3
         )
         with trace.tracing(True):
             trace.reset()
-            engine = RepairEngine(
-                constraints, method="parallel", workers=2, chunk_states=3
-            )
+            engine = RepairEngine(constraints, method="parallel", workers=2)
             engine.repairs(instance)
             roots = trace.tracer().roots
+        assert len(minimality_pool) == 1
         nodes = [node for root in roots for node in span_nodes(root)]
-        search_spans = [node for node in nodes if node.name == "repair.search"]
-        assert search_spans, "driver recorded no repair.search span"
-        task_spans = [node for node in nodes if node.name == "repair.task"]
-        assert task_spans, "no worker task spans were attached"
-        worker_pids = {node.pid for node in task_spans}
-        assert any(pid != os.getpid() for pid in worker_pids), (
-            "every task span claims the driver's pid — worker capture "
-            "did not ship across the process boundary"
-        )
+        names = [node.name for node in nodes]
+        assert names.count("repair.search") == 1
+        # One filter span in the driver; the slices ran in the workers.
+        assert names.count("repair.minimality") == 1
         for root in roots:
             assert_well_formed(root)
-        # Re-parented spans sit under the driver's search span, not as roots.
-        for task in task_spans:
-            assert task not in roots
 
 
 def self_seconds(span):

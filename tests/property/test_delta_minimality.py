@@ -100,3 +100,50 @@ DELTAS = st.frozensets(FACTS, max_size=5)
 @given(deltas=st.lists(DELTAS, min_size=1, max_size=6))
 def test_cover_tables_decide_leq_d_on_null_bearing_deltas(deltas):
     assert_matches_definition_6(deltas)
+
+
+class TestDeltaInterning:
+    """Frontier tasks build fresh ``Fact`` objects for their deltas, while
+    deleted facts are the base instance's own: ``≤_D`` must not care."""
+
+    #: Every non-empty subset of these is a delta: null atoms with and
+    #: without a cover, and plain facts, so both conditions of
+    #: Definition 6 decide some verdicts.
+    POOL = (
+        Fact("R", ("a", 1)),
+        Fact("R", ("b", 2)),
+        Fact("S", ("a", NULL)),
+        Fact("S", ("a", 1)),
+        Fact("S", ("b", NULL)),
+    )
+
+    @classmethod
+    def _distinct_deltas(cls):
+        """Every delta built from its own, fresh ``Fact`` objects."""
+
+        return [
+            frozenset(
+                Fact(fact.predicate, fact.values)
+                for bit, fact in enumerate(cls.POOL)
+                if mask >> bit & 1
+            )
+            for mask in range(1, 2 ** len(cls.POOL))
+        ]
+
+    def test_distinct_and_shared_facts_give_the_same_verdicts(self):
+        distinct = self._distinct_deltas()
+        shared = [
+            frozenset(fact for fact in self.POOL if fact in delta)
+            for delta in distinct
+        ]
+        flags, comparisons = minimal_flags_counted(shared)
+        assert 1 < sum(flags) < len(flags)  # both verdicts occur
+        assert minimal_flags_counted(distinct) == (flags, comparisons)
+
+    def test_equal_facts_become_one_object(self):
+        distinct = self._distinct_deltas()
+        seen = {}
+        for delta in DeltaMinimality(distinct).deltas:
+            for fact in delta:
+                assert seen.setdefault(fact, fact) is fact
+        assert len(seen) == len(self.POOL)

@@ -13,7 +13,6 @@ from repro.errors import (
     QueryCancelledError,
     ReproError,
     StateBudgetExceededError,
-    WorkerCrashedError,
     budget_error,
 )
 from repro.resilience import NULL_BUDGET, Budget, Degradation, active, using_budget
@@ -45,9 +44,7 @@ class TestErrorTaxonomy:
         assert isinstance(error, BudgetExceededError)
 
     def test_non_budget_errors(self):
-        assert issubclass(WorkerCrashedError, ReproError)
         assert issubclass(FaultInjectedError, ReproError)
-        assert not issubclass(WorkerCrashedError, BudgetExceededError)
 
 
 class TestBudget:
@@ -113,12 +110,6 @@ class TestBudget:
         assert budget.remaining_seconds() == 0.0
         assert Budget().remaining_seconds() is None
 
-    def test_task_deadline_ships_remainder(self):
-        budget = Budget(deadline=60.0)
-        remaining = budget.task_deadline()
-        assert remaining is not None and 0 < remaining <= 60.0
-        assert Budget().task_deadline() is None
-
     def test_error_carries_reason(self):
         budget = Budget(max_states=0)
         budget.charge_states(1)
@@ -183,7 +174,6 @@ class TestAmbientBudget:
         NULL_BUDGET.checkpoint()
         assert NULL_BUDGET.exhausted() is None
         assert NULL_BUDGET.remaining_seconds() is None
-        assert NULL_BUDGET.task_deadline() is None
         assert NULL_BUDGET.elapsed() == 0.0
 
     def test_hot_loops_see_ambient_budget(self):

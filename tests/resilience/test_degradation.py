@@ -4,7 +4,8 @@ The contract under test:
 
 * exact surfaces (``report``, ``consistent_answers``, ``collect``)
   never return a silently partial answer — a budget running out raises
-  the typed error whatever the ``degrade`` flag says;
+  the typed error whatever the ``degrade`` flag says, in the search and
+  in the ``≤_D`` filter after it;
 * the streaming surfaces (``iter_repairs(stream=True)``, anytime
   ``certain``) degrade soundly: everything yielded carries its usual
   minimality proof, the truncation is flagged on
@@ -58,7 +59,7 @@ class TestStrictSurfaces:
         instance = DatabaseInstance.from_dict(wide_instance())
         budget = Budget(max_states=5, degrade=True)
         search = ParallelRepairSearch(
-            instance, [KEY], workers=0, max_states=None, budget=budget
+            instance, [KEY], max_states=None, budget=budget
         )
         with pytest.raises(BudgetExceededError):
             search.collect()
@@ -81,6 +82,36 @@ class TestStrictSurfaces:
         db = ConsistentDatabase(wide_instance(), [KEY], method="direct")
         with pytest.raises(RuntimeError):
             db.report(parse_query("ans(e) <- Emp(e, d)"), deadline=1e-9)
+
+
+class TestMinimalityBudget:
+    """The ``≤_D`` filter answers to the request budget too: it is
+    quadratic in the candidates, so a budget spent after the search
+    returned must still stop it, inline and sliced alike."""
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_a_budget_spent_after_the_search_stops_the_filter(
+        self, monkeypatch, minimality_pool, workers
+    ):
+        import multiprocessing
+
+        from repro.core.repairs import RepairEngine
+
+        budget = Budget()
+        collect = ParallelRepairSearch.collect
+
+        def collect_then_cancel(search):
+            found = collect(search)
+            budget.cancel()
+            return found
+
+        monkeypatch.setattr(ParallelRepairSearch, "collect", collect_then_cancel)
+        instance = DatabaseInstance.from_dict(wide_instance(4))
+        engine = RepairEngine([KEY], workers=workers)
+        with using_budget(budget), pytest.raises(QueryCancelledError):
+            engine.repairs(instance)
+        assert engine.statistics.candidates_found == 16
+        assert not multiprocessing.active_children()
 
 
 class TestDegradedStream:

@@ -52,9 +52,6 @@ class _CountingBudget:
         self.checks += 1
         return None
 
-    def task_deadline(self):
-        return None
-
     def remaining_seconds(self):
         return None
 

@@ -13,7 +13,7 @@ INV001    clock discipline: no ``time.perf_counter`` / ``time.process_time``
           swappable clock so tests can use the deterministic ``FakeClock``
 INV002    pool ownership: no ``ProcessPoolExecutor`` / ``multiprocessing.Pool``
           outside ``src/repro/core/parallel.py`` — one owner for worker
-          lifecycle, warm reuse and fault-tolerant respawn
+          lifecycle and fault tolerance (the sliced ``≤_D`` filter)
 INV003    no broad exception handlers (bare ``except`` / ``except Exception``
           / ``except BaseException``) in the hot evaluation paths — they
           swallow the typed budget/cancellation errors the resilience layer
@@ -232,7 +232,7 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         rel_path,
                         node.lineno,
                         "ProcessPoolExecutor outside repro.core.parallel; worker "
-                        "pools have one owner (warm reuse, fault-tolerant respawn)",
+                        "pools have one owner (the fault-tolerant sliced ≤_D filter)",
                     )
                 )
             elif (
