@@ -68,10 +68,9 @@ def observability_artifacts():
 def no_leaked_workers():
     """The sweep must end with zero live child processes.
 
-    The parallel benchmarks (E14) spin up process pools; every exit
-    path of the scheduler is supposed to reap them.  A leak here would
-    hang CI runners and skew later timings, so the whole session fails
-    if any child survives a short grace period.
+    The library starts no process, so a child left behind is a
+    regression; it would hang CI runners and skew later timings, so the
+    whole session fails if any child survives a short grace period.
     """
 
     yield

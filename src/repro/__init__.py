@@ -88,11 +88,9 @@ Every call can also carry a **budget** (:mod:`repro.resilience`):
 surfaces raise a typed :class:`BudgetExceededError` subclass on
 exhaustion, and anytime surfaces (``iter_repairs(stream=True, degrade=True)``,
 ``certain(anytime=True, degrade=True)``) return what was proven tagged
-with a :class:`Degradation` record.  The sliced ``≤_D`` filter, the
-library's one process pool, survives worker crashes by recomputing a
-failed slice inline, and a seeded fault-injection harness
-(:func:`repro.resilience.chaos`) drives the chaos suite in
-``tests/chaos/``.  See ``docs/robustness.md``.
+with a :class:`Degradation` record.  Everything runs in the calling
+process; the library starts no process of its own.  See
+``docs/robustness.md``.
 """
 
 from repro.relational import (
@@ -196,7 +194,6 @@ from repro.obs import trace as obs_trace
 from repro.errors import (
     BudgetExceededError,
     DeadlineExceededError,
-    FaultInjectedError,
     MemoryBudgetExceededError,
     QueryCancelledError,
     ReproError,
@@ -205,8 +202,6 @@ from repro.errors import (
 from repro.resilience import (
     Budget,
     Degradation,
-    FaultSpec,
-    chaos,
     using_budget,
 )
 
@@ -318,11 +313,9 @@ __all__ = [
     "tracing",
     "obs_metrics",
     "obs_trace",
-    # resilience: budgets, degradation, chaos
+    # resilience: budgets and degradation
     "Budget",
     "Degradation",
-    "FaultSpec",
-    "chaos",
     "using_budget",
     # error taxonomy
     "ReproError",
@@ -331,5 +324,4 @@ __all__ = [
     "StateBudgetExceededError",
     "MemoryBudgetExceededError",
     "QueryCancelledError",
-    "FaultInjectedError",
 ]

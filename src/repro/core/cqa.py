@@ -154,7 +154,6 @@ def consistent_answers_report(
     max_states: Optional[int] = 200_000,
     estimate_repairs: bool = True,
     repair_mode: str = "parallel",
-    workers: int = 0,
     deadline: Optional[float] = None,
 ) -> CQAResult:
     """Full report: consistent answers plus repair statistics.
@@ -178,9 +177,6 @@ def consistent_answers_report(
             ``"parallel"`` search or the ``"naive"`` reference; both
             return the same repairs, so this only affects cost —
             benchmark E12 compares them.
-        workers: processes for the repair search's ``≤_D`` filter
-            (``>= 2`` slices it from 512 candidates; the search itself
-            runs in this process).
         deadline: wall-clock seconds for the whole request; past it the
             typed :class:`repro.errors.DeadlineExceededError` is raised
             (exact surfaces never return a silently partial answer set).
@@ -208,7 +204,6 @@ def consistent_answers_report(
         max_states=max_states,
         estimate_repairs=estimate_repairs,
         repair_mode=repair_mode,
-        workers=workers,
         deadline=deadline,
     )
 
@@ -221,7 +216,6 @@ def consistent_answers(
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
     repair_mode: str = "parallel",
-    workers: int = 0,
     deadline: Optional[float] = None,
 ) -> FrozenSet[AnswerTuple]:
     """The consistent answers to *query* in *instance* w.r.t. *constraints*.
@@ -248,7 +242,6 @@ def consistent_answers(
         max_states=max_states,
         estimate_repairs=False,
         repair_mode=repair_mode,
-        workers=workers,
         deadline=deadline,
     ).answers
 
@@ -262,7 +255,6 @@ def is_consistent_answer(
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
     repair_mode: str = "parallel",
-    workers: int = 0,
 ) -> bool:
     """Decision version of CQA: is *candidate* an answer in every repair?
 
@@ -289,7 +281,6 @@ def is_consistent_answer(
         null_is_unknown=null_is_unknown,
         max_states=max_states,
         repair_mode=repair_mode,
-        workers=workers,
     )
 
 
@@ -301,7 +292,6 @@ def consistent_boolean_answer(
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
     repair_mode: str = "parallel",
-    workers: int = 0,
 ) -> bool:
     """Consistent answer to a boolean query: *yes* iff it holds in every repair.
 
@@ -328,7 +318,6 @@ def consistent_boolean_answer(
         max_states=max_states,
         estimate_repairs=False,
         repair_mode=repair_mode,
-        workers=workers,
     )
     if result.repair_count == 0 and not result.repair_count_estimated:
         return False

@@ -49,16 +49,13 @@ deleted facts never return, so if ``∆_f`` already contains a null-free
 atom outside ``∆(D, C)`` — or a null atom with no cover in ``∆(D, C)``
 (Definition 6(b)) — nothing below ``f`` can be ``≤_D C``.
 
-The library's one process pool is :func:`parallel_minimal_flags`: the
-``≤_D`` filter sliced across worker processes, the one step where
-``workers >= 2`` pays.  The search itself always runs in this process.
+Everything runs in the calling process: the search, the anytime proofs
+and the ``≤_D`` filter of :class:`~repro.core.repairs.DeltaMinimality`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from typing import (
     Dict,
@@ -78,7 +75,6 @@ from repro.errors import budget_error
 from repro.obs import clock as _clock
 from repro.obs import trace as _trace
 from repro.resilience import budget as _budget
-from repro.resilience import faults as _faults
 from repro.resilience.budget import Budget, Degradation
 from repro.core.repairs import (
     DeltaMinimality,
@@ -88,11 +84,15 @@ from repro.core.repairs import (
     ViolationTracker,
     deletion_fixes,
     insertion_fixes,
-    minimal_flags_counted,
+    minimal_flags_counted,  # importable here: the benchmark's traced mode wraps it
     minimal_flags_for_deltas,  # importable here: the benchmark's traced mode wraps it
     violation_choice_key,
 )
 from repro.relational.instance import DatabaseInstance, Fact
+
+#: Nothing calls this name; it stays importable here because the
+#: benchmark's traced mode wraps it by name.
+parallel_minimal_flags = minimal_flags_counted
 
 #: Branch-index path of a search state, relative to the search root.
 Path = Tuple[int, ...]
@@ -100,11 +100,6 @@ Path = Tuple[int, ...]
 #: Default number of states one task may explore before it must defer
 #: the rest of its subtree back to the scheduler.
 DEFAULT_CHUNK_STATES = 1024
-
-#: How long the sliced ``≤_D`` filter blocks on its workers between
-#: budget checks — bounds how stale a deadline/cancellation verdict can
-#: get while every worker is deep inside a slice.
-_BUDGET_POLL_SECONDS = 0.05
 
 #: Coarse per-fact cost (bytes) used to charge candidate and frontier
 #: deltas against a memory budget.  Deliberately rough: the budget is a
@@ -529,121 +524,6 @@ class ParallelRepairSearch:
         ordered = sorted(first_paths.items(), key=lambda item: item[1])
         self.statistics.candidates_found = len(ordered)
         return [(path, key[0], key[1]) for key, path in ordered]
-
-
-# --------------------------------------------------------------------------- minimality
-#: Per-process minimality context (all deltas), built by the initializer.
-_MINIMALITY_CONTEXT: Optional[DeltaMinimality] = None
-
-
-def _minimality_init(
-    deltas: Tuple[FrozenSet[Fact], ...],
-    fault_spec: Optional["_faults.FaultSpec"] = None,
-) -> None:
-    """Process-pool initializer: build the worker's context, arm chaos faults."""
-
-    global _MINIMALITY_CONTEXT
-    # Fork-started workers inherit the driver's tracer mid-request and its
-    # delay-only injector.  Nothing ships spans home, so trace nothing.
-    _trace.disable()
-    _trace.reset()
-    _faults.disarm()
-    _MINIMALITY_CONTEXT = DeltaMinimality(list(deltas))
-    if fault_spec is not None:
-        # Chaos harness: this worker draws (salted, seeded) faults at each
-        # slice's span — including kills, which it is allowed to serve.
-        # Armed after the context build, so every fault lands in a slice.
-        _faults.arm_worker(fault_spec)
-
-
-def _slice_flags(
-    context: DeltaMinimality, start: int, stop: int
-) -> Tuple[List[bool], int]:
-    """Minimality flags of candidates ``start..stop-1`` plus the checks spent."""
-
-    with _trace.span("repair.minimality", candidates=stop - start):
-        before = context.comparisons
-        flags = [not context.dominated(index) for index in range(start, stop)]
-    return flags, context.comparisons - before
-
-
-def _minimality_run(start: int, stop: int) -> Tuple[List[bool], int]:
-    assert _MINIMALITY_CONTEXT is not None, "worker used before initialization"
-    return _slice_flags(_MINIMALITY_CONTEXT, start, stop)
-
-
-def parallel_minimal_flags(
-    deltas: Sequence[FrozenSet[Fact]], workers: int
-) -> Tuple[List[bool], int]:
-    """``≤_D``-minimality flags with the pairwise checks sliced across processes.
-
-    Each worker receives every candidate's delta once (via the pool
-    initializer) and decides domination for contiguous index slices,
-    reusing its process-local :class:`DeltaMinimality` context across
-    them; the flags concatenate in index order, so the verdicts are
-    identical to the sequential filter's.  Returns the per-candidate
-    flags plus the total number of pairwise checks.
-
-    Worker failures never surface: a slice that raised, and every
-    unfinished slice of a broken pool (a killed worker), is recomputed
-    inline on one :class:`DeltaMinimality`.  Slice flags are a pure
-    function of the deltas, so the list stays exact.  The ambient
-    budget is checked between slices; once it is spent, the remaining
-    slices are cancelled and its typed error raised.  The pool is
-    reaped on every exit path.
-    """
-
-    count = len(deltas)
-    if count <= 1 or workers < 2:
-        return minimal_flags_counted(deltas)
-    budget = _budget.active()
-    budget.checkpoint()
-    slice_size = max(1, -(-count // (workers * 4)))  # ceil; ~4 slices per worker
-    ranges = [
-        (start, min(start + slice_size, count))
-        for start in range(0, count, slice_size)
-    ]
-    done: Dict[int, Tuple[List[bool], int]] = {}
-    executor = ProcessPoolExecutor(
-        max_workers=workers,
-        initializer=_minimality_init,
-        initargs=(tuple(deltas), _faults.worker_spec()),
-    )
-    try:
-        pending: Dict[Future, int] = {}
-        for start, stop in ranges:
-            try:
-                pending[executor.submit(_minimality_run, start, stop)] = start
-            except BrokenProcessPool:
-                # A worker died before the last submit; the slices never
-                # submitted are recomputed below.
-                break
-        while pending:
-            finished, _ = wait(
-                set(pending),
-                timeout=_BUDGET_POLL_SECONDS if budget else None,
-                return_when=FIRST_COMPLETED,
-            )
-            for future in finished:
-                start = pending.pop(future)
-                if future.exception() is None:
-                    done[start] = future.result()
-            budget.checkpoint()
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
-    context: Optional[DeltaMinimality] = None
-    flags: List[bool] = []
-    comparisons = 0
-    for start, stop in ranges:
-        if start not in done:
-            budget.checkpoint()
-            if context is None:
-                context = DeltaMinimality(deltas)
-            done[start] = _slice_flags(context, start, stop)
-        sliced, counted = done[start]
-        flags.extend(sliced)
-        comparisons += counted
-    return flags, comparisons
 
 
 # --------------------------------------------------------------------------- anytime

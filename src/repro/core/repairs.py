@@ -30,6 +30,7 @@ tiny instances.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import (
@@ -97,9 +98,10 @@ def _null_atom_covered(
 def leq_deltas(delta_first: FrozenSet[Fact], delta_second: FrozenSet[Fact]) -> bool:
     """``≤_D`` (Definition 6) evaluated directly on two symmetric differences.
 
-    The anytime stream and the parallel minimality filter hold the
-    candidates as precomputed ``∆(D, ·)`` sets; this is :func:`leq_d`
-    without the instance subtraction.
+    The repair search and the anytime stream hold the candidates as
+    precomputed ``∆(D, ·)`` sets; this is :func:`leq_d` without the
+    instance subtraction, and the reference the tests pin
+    :class:`DeltaMinimality` to.
     """
 
     for fact in delta_first:
@@ -646,12 +648,10 @@ class RepairEngine:
       :mod:`repro.core.parallel`: a mutate/undo depth-first search over one
       working instance whose violations a :class:`ViolationTracker` keeps
       current, split into bounded frontier tasks.  Each candidate comes
-      back as its ``∆(D, ·)``, ``≤_D`` is decided on those deltas (sliced
-      across ``workers`` processes from ``_PARALLEL_MINIMALITY_MIN``
-      candidates when ``workers >= 2``), and only the minimal ones are
-      materialised, each as a
-      copy-on-write copy of the base plus its delta
-      (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
+      back as its ``∆(D, ·)``, ``≤_D`` is decided on those deltas
+      (:class:`DeltaMinimality`), and only the minimal ones are
+      materialised, each as a copy-on-write copy of the base plus its
+      delta (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
       the driver's search from a tracker already kept over the same facts,
       so no full violation sweep runs;
     * ``"naive"`` — the reference: a full nested-loop violation
@@ -676,7 +676,6 @@ class RepairEngine:
         max_states: Optional[int] = 200_000,
         method: str = PARALLEL_METHOD,
         violation_index: Optional[ViolationIndex] = None,
-        workers: int = 0,
         chunk_states: Optional[int] = None,
     ):
         if method not in REPAIR_METHODS:
@@ -690,11 +689,6 @@ class RepairEngine:
         )
         self._max_states = max_states
         self._method = method
-        #: Worker processes of the production search's ``≤_D`` filter:
-        #: ``>= 2`` slices it across a process pool from
-        #: ``_PARALLEL_MINIMALITY_MIN`` candidates; the search itself
-        #: always runs in this process.
-        self._workers = max(workers, 0)
         #: States one frontier task may explore before deferring the rest of
         #: its subtree; ``None`` picks :data:`repro.core.parallel.DEFAULT_CHUNK_STATES`.
         self._chunk_states = chunk_states
@@ -743,7 +737,7 @@ class RepairEngine:
         """Run *search* from fresh statistics inside the ``repair.search`` span."""
 
         self.statistics = RepairStatistics()
-        with _trace.span("repair.search", method=self._method, workers=self._workers):
+        with _trace.span("repair.search", method=self._method):
             started = _clock.now()
             try:
                 return search(*args)
@@ -839,13 +833,6 @@ class RepairEngine:
         self.statistics.merge(search.statistics)
         return ordered
 
-    #: Below this many candidates the in-process pairwise filter beats
-    #: the process pool, whose start alone costs more than filtering
-    #: ~100 candidates (2 CPUs: 81 candidates 6.5 ms in-process against
-    #: 25 ms sliced, 243 candidates 43 against 50 ms, 729 candidates 260
-    #: against 240 ms).
-    _PARALLEL_MINIMALITY_MIN = 512
-
     def repairs(
         self,
         instance: DatabaseInstance,
@@ -867,13 +854,9 @@ class RepairEngine:
             ordered = self._timed_search(self._collect, instance, seed_tracker)
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(ordered)):
-                deltas = [inserted | deleted for _, inserted, deleted in ordered]
-                if self._workers >= 2 and len(deltas) >= self._PARALLEL_MINIMALITY_MIN:
-                    from repro.core.parallel import parallel_minimal_flags
-
-                    flags, comparisons = parallel_minimal_flags(deltas, self._workers)
-                else:
-                    flags, comparisons = minimal_flags_counted(deltas)
+                flags, comparisons = minimal_flags_counted(
+                    [inserted | deleted for _, inserted, deleted in ordered]
+                )
             with _trace.span("repair.materialise"):
                 minimal = [
                     instance.with_delta(inserted, deleted)
@@ -896,102 +879,116 @@ def minimal_under_leq_d(
     return minimal
 
 
-#: A null-atom coverage signature: (predicate, arity, non-null positions).
-_CoverSignature = Tuple[str, int, Tuple[int, ...]]
-
-
 class DeltaMinimality:
-    """``≤_D`` comparison machinery over precomputed candidate deltas.
+    """``≤_D`` (Definition 6) decided on candidate deltas held as bitsets.
 
-    Each delta is split into its null-free part (condition (a) of
-    Definition 6 is then one subset check) and its null atoms, which are
-    matched against per-candidate coverage tables keyed by (predicate,
-    arity, non-null positions) → projected values — turning the
-    O(|∆|²) rescan of condition (b) into an indexed lookup.
+    One bit stands for each distinct fact across all deltas, so each
+    delta is two ints: ``full[i]`` is all of ``∆(i)`` and ``plain[i]``
+    its null-free part.  The *cover* of a null atom is the bits of every
+    delta fact with the same predicate and arity that agrees with it on
+    its non-null positions; ``covers[i]`` holds one per null atom of
+    ``∆(i)``.  Then ``i ≤_D j`` iff ``plain[i] ⊆ full[j]`` (condition
+    (a)) and every cover of ``i`` meets ``full[j] ∖ full[i]`` (condition
+    (b)) — exactly :func:`leq_deltas`.
 
-    The class is constructed from the deltas alone so that the sliced
-    minimality filter can rebuild identical contexts inside worker
-    processes and check disjoint index ranges (:meth:`dominated` only
-    reads shared-by-construction state plus a per-context lazy cache).
+    :meth:`dominated` visits only the rivals whose null-free part is
+    smaller than ``|∆(i)|``.  That bound is sound: for ``j ≠ i``,
+    ``j <_D i`` implies ``|plain(j)| < |∆(i)|``.  ``j ≤_D i`` puts
+    ``plain(j)`` inside ``∆(i)``; if the two have equal size they are
+    equal, so a null atom of ``j`` has no cover in ``∆(i) ∖ ∆(j) = ∅``;
+    then ``∆(j) = ∆(i)`` is null-free and ``i ≤_D j`` holds too.
     """
 
     def __init__(self, deltas: Sequence[FrozenSet[Fact]]):
-        # Intern equal facts to one object, so the subset checks below
-        # match by identity instead of calling ``Fact.__eq__``: deltas
-        # built by different tasks hold equal but distinct objects.
-        interned: Dict[Fact, Fact] = {}
-        self.deltas: List[FrozenSet[Fact]] = [
-            frozenset([interned.setdefault(fact, fact) for fact in delta])
-            for delta in deltas
+        bits: Dict[Fact, int] = {}
+        null_atoms: Dict[int, Fact] = {}
+        self.plain: List[int] = []
+        self.full: List[int] = []
+        #: ``|∆(i)|`` per candidate.
+        self.sizes: List[int] = []
+        nulls_of: List[List[int]] = []
+        for delta in deltas:
+            plain = full = 0
+            nulls: List[int] = []
+            for fact in delta:
+                bit = bits.get(fact)
+                if bit is None:
+                    bit = bits[fact] = 1 << len(bits)
+                    if fact.has_null():
+                        null_atoms[bit] = fact
+                full |= bit
+                if bit in null_atoms:
+                    nulls.append(bit)
+                else:
+                    plain |= bit
+            self.plain.append(plain)
+            self.full.append(full)
+            self.sizes.append(len(delta))
+            nulls_of.append(nulls)
+        cover = _null_covers(bits, null_atoms)
+        self.covers: List[Tuple[int, ...]] = [
+            tuple(cover[bit] for bit in nulls) for nulls in nulls_of
         ]
-        count = len(self.deltas)
-        self.plain: List[FrozenSet[Fact]] = [
-            frozenset(fact for fact in d if not fact.has_null()) for d in self.deltas
-        ]
-        self.null_atoms: List[Tuple[Fact, ...]] = [
-            tuple(fact for fact in d if fact.has_null()) for d in self.deltas
-        ]
-        self.signatures: Set[_CoverSignature] = {
-            (fact.predicate, fact.arity, fact.non_null_positions())
-            for atoms in self.null_atoms
-            for fact in atoms
-        }
-        self.by_relation: Dict[Tuple[str, int], List[_CoverSignature]] = {}
-        for signature in self.signatures:
-            self.by_relation.setdefault((signature[0], signature[1]), []).append(
-                signature
-            )
-        self._cover_cache: List[Optional[Dict]] = [None] * count
+        plain_sizes = [size - len(nulls) for size, nulls in zip(self.sizes, nulls_of)]
+        #: Candidate indices by ascending null-free size, for the bound.
+        self._rivals = sorted(range(len(plain_sizes)), key=plain_sizes.__getitem__)
+        self._rival_sizes = [plain_sizes[other] for other in self._rivals]
         #: Pairwise ``≤_D`` checks performed through this context.
         self.comparisons = 0
 
-    def _cover(self, index: int) -> Dict:
-        """The candidate's coverage table, built lazily in one delta pass."""
-
-        table = self._cover_cache[index]
-        if table is None:
-            table = {signature: {} for signature in self.signatures}
-            for fact in self.deltas[index]:
-                for signature in self.by_relation.get((fact.predicate, fact.arity), ()):
-                    table[signature].setdefault(
-                        tuple(fact.values[p] for p in signature[2]), []
-                    ).append(fact)
-            self._cover_cache[index] = table
-        return table
+    def __len__(self) -> int:
+        return len(self.full)
 
     def leq(self, first: int, second: int) -> bool:
         """``candidate[first] ≤_D candidate[second]`` on the stored deltas."""
 
         self.comparisons += 1
-        if not self.plain[first] <= self.deltas[second]:
+        plain, target = self.plain[first], self.full[second]
+        if plain & target != plain:
             return False
-        for fact in self.null_atoms[first]:
-            signature = (fact.predicate, fact.arity, fact.non_null_positions())
-            bucket = self._cover(second)[signature].get(
-                tuple(fact.values[p] for p in signature[2]), ()
-            )
-            if not any(candidate not in self.deltas[first] for candidate in bucket):
-                return False
-        return True
+        gained = target & ~self.full[first]
+        return all(cover & gained for cover in self.covers[first])
 
     def dominated(self, index: int) -> bool:
         """Is the candidate strictly ``<_D``-dominated by any other?"""
 
-        return any(
-            other != index and self.leq(other, index) and not self.leq(index, other)
-            for other in range(len(self.deltas))
-        )
+        outside = ~self.full[index]
+        plain = self.plain
+        bound = bisect_left(self._rival_sizes, self.sizes[index])
+        for other in self._rivals[:bound]:
+            if plain[other] & outside or other == index:
+                continue
+            if self.leq(other, index) and not self.leq(index, other):
+                return True
+        return False
+
+
+def _null_covers(bits: Dict[Fact, int], null_atoms: Dict[int, Fact]) -> Dict[int, int]:
+    """The cover bits of each null atom's bit, one table per cover signature."""
+
+    relations: Dict[Tuple[str, int], List[Fact]] = {}
+    if null_atoms:
+        for fact in bits:
+            relations.setdefault((fact.predicate, fact.arity), []).append(fact)
+    tables: Dict[Tuple[str, int, Tuple[int, ...]], Dict[Tuple, int]] = {}
+    cover: Dict[int, int] = {}
+    for bit, atom in null_atoms.items():
+        positions = atom.non_null_positions()
+        signature = (atom.predicate, atom.arity, positions)
+        table = tables.get(signature)
+        if table is None:
+            table = tables[signature] = {}
+            for fact in relations[(atom.predicate, atom.arity)]:
+                key = tuple(fact.values[p] for p in positions)
+                table[key] = table.get(key, 0) | bits[fact]
+        cover[bit] = table[tuple(atom.values[p] for p in positions)]
+    return cover
 
 
 def minimal_flags_counted(
     deltas: Sequence[FrozenSet[Fact]],
 ) -> Tuple[List[bool], int]:
-    """Per-candidate minimality flags plus the number of pairwise checks.
-
-    The in-process filter over one :class:`DeltaMinimality` context.
-    (The sliced filter, :func:`repro.core.parallel.parallel_minimal_flags`,
-    decides index ranges of the same context in worker processes.)
-    """
+    """Per-candidate minimality flags plus the number of ``≤_D`` checks."""
 
     context = DeltaMinimality(deltas)
     return _undominated(context), context.comparisons
@@ -1007,7 +1004,7 @@ def _undominated(context: DeltaMinimality) -> List[bool]:
 
     budget = _budget.active()
     flags = []
-    for index in range(len(context.deltas)):
+    for index in range(len(context)):
         budget.checkpoint()
         flags.append(not context.dominated(index))
     return flags

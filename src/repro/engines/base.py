@@ -52,11 +52,6 @@ class CQAConfig:
       (:data:`repro.core.repairs.REPAIR_METHODS`): ``"parallel"``, the
       production delta-carrying frontier search, or ``"naive"``, the
       nested-loop reference it is pinned to (same repairs, same order);
-    * ``workers`` — worker processes for the repair search's ``≤_D``
-      filter: ``>= 2`` slices it across a process pool from 512
-      candidates (the search itself always runs in this process);
-      answers are identical either way, so this is purely a performance
-      knob;
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
       short-circuit through :meth:`CQAEngine.certain_anytime` as soon
       as one streamed repair refutes the candidate;
@@ -79,7 +74,6 @@ class CQAConfig:
     max_states: Optional[int] = 200_000
     repair_mode: str = "parallel"
     estimate_repairs: bool = True
-    workers: int = 0
     anytime: bool = False
     deadline: Optional[float] = None
     max_memory: Optional[int] = None
@@ -110,7 +104,7 @@ class CQAConfig:
             ...
         TypeError: unknown CQA option(s): turbo; valid options are anytime, \
 deadline, degrade, estimate_repairs, max_memory, max_states, method, \
-null_is_unknown, repair_mode, workers
+null_is_unknown, repair_mode
         """
 
         if not overrides:
@@ -142,7 +136,6 @@ null_is_unknown, repair_mode, workers
             self.max_states,
             self.repair_mode,
             self.estimate_repairs,
-            self.workers,
         )
 
 

@@ -26,10 +26,9 @@ class DirectEngine(CQAEngine):
     """Enumerate repairs with :class:`repro.core.repairs.RepairEngine`.
 
     The repository's reference implementation of Definition 7, run by
-    the production repair search (``config.workers >= 2`` slices its
-    ``≤_D`` filter across processes from 512 candidates, with
-    bit-identical output; ``config.repair_mode = "naive"`` selects the
-    nested-loop reference instead).
+    the production repair search in the calling process
+    (``config.repair_mode = "naive"`` selects the nested-loop reference
+    instead, with the same repairs in the same order).
 
     >>> from repro import ConsistentDatabase, parse_constraint, parse_query
     >>> db = ConsistentDatabase(

@@ -83,7 +83,6 @@ class RewritingEngine(CQAEngine):
             null_is_unknown=config.null_is_unknown,
             max_states=config.max_states,
             repair_mode=config.repair_mode,
-            workers=config.workers,
         )
         if candidate is not None:
             return tuple(candidate) in result.answers

@@ -23,10 +23,6 @@ exceptions.  The taxonomy is small and layered:
   - :class:`QueryCancelledError` — the budget was cancelled
     cooperatively (:meth:`repro.resilience.Budget.cancel`).
 
-* :class:`FaultInjectedError` — raised *only* by the chaos harness
-  (:class:`repro.resilience.FaultInjector`); seeing one outside a
-  chaos run is a bug.
-
 Degraded requests (``degrade=True``) do **not** raise any of these —
 they return the partial answer proven so far plus a structured
 :class:`repro.resilience.Degradation` record; see
@@ -78,15 +74,6 @@ class QueryCancelledError(BudgetExceededError):
     """The request's budget was cancelled cooperatively mid-flight."""
 
     reason = "cancelled"
-
-
-class FaultInjectedError(ReproError):
-    """An artificial failure injected by the chaos harness.
-
-    Carries no recovery semantics: production code never raises it, and
-    the sliced ``≤_D`` filter treats it like any other worker failure
-    (the slice is recomputed inline).
-    """
 
 
 #: reason string → the error class :meth:`repro.resilience.Budget.checkpoint`

@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "comma-separated probe selection, or 'all' "
-            f"(default: all but direct:pool; available: "
+            f"(default: all; available: "
             f"{','.join(spec.name for spec in ALL_PROBES)})"
         ),
     )

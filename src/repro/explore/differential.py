@@ -5,12 +5,12 @@ replayed), runs a configurable set of *probes* — engine/mode pairs —
 under a per-probe budget, and cross-checks:
 
 * **repair lists, order included** — the direct family (the production
-  search inline and on a process pool, and the naive reference)
-  documents bit-identical output, so raw list order is part of the
-  contract and any mismatch is a ``repair-order`` divergence; across
-  families (direct vs the stable-model program route) only canonical
-  set-of-repairs equality is required, and a mismatch is a ``repairs``
-  divergence — the class the open ≤_D null-coverage bug falls into;
+  search and the naive reference) documents bit-identical output, so
+  raw list order is part of the contract and any mismatch is a
+  ``repair-order`` divergence; across families (direct vs the
+  stable-model program route) only canonical set-of-repairs equality
+  is required, and a mismatch is a ``repairs`` divergence — the class
+  the open ≤_D null-coverage bug falls into;
 * **consistent answers** — every probe that completed must agree with
   the reference (``answers`` divergence otherwise);
 * **certain-answer decisions** — ``session.certain(query, candidate)``
@@ -50,7 +50,6 @@ class ProbeSpec:
     name: str
     method: str
     repair_mode: Optional[str] = None
-    workers: Optional[int] = None
     #: True when the probe enumerates repairs (so repair lists compare).
     enumerates: bool = False
 
@@ -64,8 +63,6 @@ class ProbeSpec:
         merged: Dict[str, Any] = {"method": self.method}
         if self.repair_mode is not None:
             merged["repair_mode"] = self.repair_mode
-        if self.workers is not None:
-            merged["workers"] = self.workers
         return merged
 
 
@@ -77,7 +74,6 @@ REFERENCE_PROBE = ProbeSpec("direct:parallel", "direct", "parallel", enumerates=
 ALL_PROBES: Tuple[ProbeSpec, ...] = (
     REFERENCE_PROBE,
     ProbeSpec("direct:naive", "direct", "naive", enumerates=True),
-    ProbeSpec("direct:pool", "direct", "parallel", workers=2, enumerates=True),
     ProbeSpec("program", "program", enumerates=True),
     ProbeSpec("rewriting", "rewriting"),
     ProbeSpec("auto", "auto"),
@@ -85,12 +81,8 @@ ALL_PROBES: Tuple[ProbeSpec, ...] = (
     ProbeSpec("independent", "independent"),
 )
 
-#: The default probe set skips ``direct:pool``: a process pool per
-#: scenario would dominate the smoke budget.  ``--engines all`` (or an
-#: explicit list) brings it back.
-DEFAULT_PROBES: Tuple[ProbeSpec, ...] = tuple(
-    spec for spec in ALL_PROBES if spec.name != "direct:pool"
-)
+#: The probe set a campaign runs unless told otherwise: every probe.
+DEFAULT_PROBES: Tuple[ProbeSpec, ...] = ALL_PROBES
 
 
 def probe_specs(names: Optional[Sequence[str]]) -> Tuple[ProbeSpec, ...]:

@@ -4,9 +4,8 @@ Three layers, all stdlib-only and strictly no-op unless asked for:
 
 * :mod:`repro.obs.trace` — a hierarchical span tracer over the full
   request path (parse → plan → compile → violations → repair search →
-  minimality → answers), with worker-span capture across the process
-  pool, a human-readable tree renderer and Chrome trace-event JSON
-  export.  Force-enable with ``REPRO_TRACE=1``.
+  minimality → answers), with a human-readable tree renderer and
+  Chrome trace-event JSON export.  Force-enable with ``REPRO_TRACE=1``.
 * :mod:`repro.obs.metrics` — a process-wide registry of counters,
   gauges and histograms absorbing the repository's scattered statistics
   objects (which remain as typed views), with Prometheus text-format

@@ -19,10 +19,8 @@ Three properties carry the design:
   attribute check (the overhead gate in ``tests/obs`` holds it to ≤ 5%
   on the E15 smoke sweep).  Because the null span is *falsy*, call
   sites guard expensive attributes with ``if sp: sp.add(...)``.
-* **One process.**  Every span is recorded in the process that runs
-  the request.  The library's one process pool (the sliced ``≤_D``
-  filter) traces nothing in its workers; the driver's wait for them is
-  its ``repair.minimality`` span's own time.
+* **One process.**  The library starts no process, so every span of a
+  request is recorded in the process that runs it.
 * **Bounded retention.**  Force-enabled runs (``REPRO_TRACE=1``) keep
   tracing through entire test sessions; the tracer caps both retained
   root spans (:data:`MAX_ROOT_SPANS`, oldest dropped first) and
@@ -251,21 +249,6 @@ _TRACER = Tracer()
 if os.environ.get(TRACE_ENV_VAR, "").strip().lower() in _TRUTHY:
     _TRACER.enabled = True
 
-#: The chaos harness's injection hook (:mod:`repro.resilience.faults`).
-#: Span boundaries are the stack's natural instrumentation points, so an
-#: armed harness sees every one of them — tracing enabled or not.  The
-#: disarmed cost is one global load and an ``is None`` check, covered by
-#: the same ≤ 5% overhead gate as the null span.
-_FAULT_HOOK: Optional[Any] = None
-
-
-def set_fault_hook(hook: Optional[Any]) -> None:
-    """Install (or with ``None`` remove) the span-boundary fault hook."""
-
-    global _FAULT_HOOK
-    _FAULT_HOOK = hook
-
-
 def tracer() -> Tracer:
     """The process-wide tracer."""
 
@@ -275,8 +258,6 @@ def tracer() -> Tracer:
 def span(name: str, **attributes: Any):
     """Open a span on the process-wide tracer (no-op when disabled)."""
 
-    if _FAULT_HOOK is not None:
-        _FAULT_HOOK(name)
     if not _TRACER.enabled:
         return _NULL_SPAN
     return Span(_TRACER, name, attributes)

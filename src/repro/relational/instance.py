@@ -102,30 +102,50 @@ class _PredicateIndex:
     Built lazily the first time an indexed lookup touches the predicate and
     maintained incrementally on every subsequent insert/delete, so point
     lookups (``R[i] = v``) cost one dictionary probe instead of a scan.
+    A copy shares every bucket with its original and copies a bucket only
+    when it first changes it, so privatising an index for a write costs
+    one dictionary copy per position, not one set per distinct value.
     """
 
-    __slots__ = ("arity", "by_position")
+    __slots__ = ("arity", "by_position", "_owned")
 
     def __init__(self, arity: int, rows: Iterable[Row] = ()) -> None:
         self.arity = arity
         self.by_position: Tuple[Dict[Constant, Set[Row]], ...] = tuple(
             {} for _ in range(arity)
         )
+        #: ``None`` while no other index shares a bucket of this one; after
+        #: a copy, per position, the values whose bucket it made private.
+        self._owned: Optional[Tuple[Set[Constant], ...]] = None
         for row in rows:
             self.add(row)
 
     def add(self, row: Row) -> None:
-        for position, value in enumerate(row):
-            self.by_position[position].setdefault(value, set()).add(row)
-
-    def discard(self, row: Row) -> None:
+        owned = self._owned
         for position, value in enumerate(row):
             buckets = self.by_position[position]
             rows = buckets.get(value)
-            if rows is not None:
+            if rows is not None and (owned is None or value in owned[position]):
+                rows.add(row)
+            else:
+                buckets[value] = {row} if rows is None else rows | {row}
+                if owned is not None:
+                    owned[position].add(value)
+
+    def discard(self, row: Row) -> None:
+        owned = self._owned
+        for position, value in enumerate(row):
+            buckets = self.by_position[position]
+            rows = buckets.get(value)
+            if rows is None:
+                continue
+            if len(rows) == 1 and row in rows:
+                del buckets[value]
+            elif owned is None or value in owned[position]:
                 rows.discard(row)
-                if not rows:
-                    del buckets[value]
+            else:
+                buckets[value] = rows - {row}
+                owned[position].add(value)
 
     def rows_where(self, position: int, value: Constant) -> Set[Row]:
         return self.by_position[position].get(value, _EMPTY_ROWS)  # type: ignore[return-value]
@@ -133,10 +153,10 @@ class _PredicateIndex:
     def copy(self) -> "_PredicateIndex":
         clone = _PredicateIndex.__new__(_PredicateIndex)
         clone.arity = self.arity
-        clone.by_position = tuple(
-            {value: set(rows) for value, rows in buckets.items()}
-            for buckets in self.by_position
-        )
+        clone.by_position = tuple(dict(buckets) for buckets in self.by_position)
+        # Every bucket is shared now, by both sides.
+        clone._owned = tuple(set() for _ in range(self.arity))
+        self._owned = tuple(set() for _ in range(self.arity))
         return clone
 
 

@@ -279,9 +279,8 @@ class _NullBudget:
 NULL_BUDGET = _NullBudget()
 
 #: The ambient budget of the current request (the process-global slot the
-#: hot loops read).  The one process pool's workers run no budgeted code
-#: — the driver checks between slices — so a module global is the
-#: cheapest correct store.
+#: hot loops read).  The library runs in one process, so a module global
+#: is the cheapest correct store.
 _ACTIVE: Any = NULL_BUDGET
 
 

@@ -267,6 +267,10 @@ class ConsistentDatabase:
     in which case out-of-band mutations of the shared instance are
     detected through the generation counter and invalidate the caches,
     at the cost of a full tracker rebuild).
+
+    ``workers`` is accepted and ignored: nothing reads it, because the
+    library runs every request in the calling process.  It stays only
+    because the end-to-end benchmark's ``pool_enum`` sessions pass it.
     """
 
     def __init__(
@@ -311,7 +315,6 @@ class ConsistentDatabase:
             max_states=max_states,
             repair_mode=repair_mode,
             estimate_repairs=estimate_repairs,
-            workers=workers,
             anytime=anytime,
             deadline=deadline,
             max_memory=max_memory,
@@ -785,7 +788,7 @@ class ConsistentDatabase:
             query: the conjunctive or first-order query.
             **overrides: any :class:`repro.engines.CQAConfig` field,
                 e.g. ``db.report(q, method="direct",
-                repair_mode="parallel", workers=4)``.
+                repair_mode="naive")``.
 
         Returns:
             A fully populated :class:`repro.core.cqa.CQAResult`
@@ -1107,9 +1110,7 @@ class ConsistentDatabase:
         caches the canonical repair list and updates
         ``last_repair_statistics``; an abandoned stream (e.g. an anytime
         ``certain`` that found its counterexample) cancels the remaining
-        frontier tasks.  The stream runs in this process whatever
-        ``workers`` says: it proves minimality per candidate, with no
-        ``≤_D`` filter to slice.
+        frontier tasks.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
@@ -1189,9 +1190,9 @@ class ConsistentDatabase:
     def _direct_repairs_key(self, config: CQAConfig, generation: int) -> Tuple:
         """Cache key of the direct enumeration's repair list.
 
-        Excludes ``repair_mode`` and ``workers``: every search and any
-        worker count return a bit-identical list, so segmenting the
-        cache by them would only recompute identical entries.
+        Excludes ``repair_mode``: every search returns a bit-identical
+        list, so segmenting the cache by it would only recompute
+        identical entries.
         """
 
         return ("repairs", "direct", self._fingerprint, generation, config.max_states)
@@ -1223,7 +1224,6 @@ class ConsistentDatabase:
                 max_states=config.max_states,
                 method=config.repair_mode,
                 violation_index=self._violation_index,
-                workers=config.workers,
             )
             seed = self._ensure_tracker() if config.repair_mode == PARALLEL_METHOD else None
             with self._budget_scope(config):

@@ -60,11 +60,11 @@ class TestINV002PoolOwnership:
 
     def test_active_children_is_allowed(self):
         source = "import multiprocessing\nmultiprocessing.active_children()\n"
-        assert rules_for("tests/chaos/conftest.py", source) == []
+        assert rules_for("tests/core/test_stream_teardown.py", source) == []
 
-    def test_the_parallel_module_owns_the_pool(self):
+    def test_the_parallel_module_is_flagged_too(self):
         source = "from concurrent.futures import ProcessPoolExecutor\n"
-        assert rules_for("src/repro/core/parallel.py", source) == []
+        assert rules_for("src/repro/core/parallel.py", source) == ["INV002"]
 
 
 class TestINV003BroadExcept:
@@ -135,7 +135,7 @@ class TestINV006CodegenFreeInterpreters:
             lint.CODEGEN_FREE_MODULES
             | lint.PRINT_ALLOWED
             | set(lint.HOT_PATHS)
-            | {lint.CLOCK_OWNER, lint.POOL_OWNER}
+            | {lint.CLOCK_OWNER}
         )
         missing = sorted(path for path in listed if not (ROOT / path).exists())
         assert missing == []

@@ -4,16 +4,15 @@ Covers the frontier-task decomposition of :mod:`repro.core.parallel`:
 bit-identical output against the naive reference (list equality —
 same repairs, same discovery order), the sibling-exclusion partitioning
 on denial-only constraint sets, deferred-task splitting under tiny
-chunk budgets, the ``≤_D`` filter sliced across a process pool, the
-per-task :meth:`RepairStatistics.merge`, and the anytime
-stream/short-circuit surface of the session.
+chunk budgets, the size-pruned ``≤_D`` filter, the per-task
+:meth:`RepairStatistics.merge`, and the anytime stream/short-circuit
+surface of the session.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import repro.core.parallel as parallel_module
 from repro.constraints.ic import ConstraintSet
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.parallel import (
@@ -22,7 +21,6 @@ from repro.core.parallel import (
     ParallelRepairSearch,
     exclusion_safe,
     frontier_could_dominate,
-    parallel_minimal_flags,
 )
 from repro.core.repairs import (
     PARALLEL_METHOD,
@@ -54,6 +52,23 @@ def parallel_repairs(instance, constraints, **kwargs):
     return RepairEngine(constraints, method=PARALLEL_METHOD, **kwargs).repairs(
         instance
     )
+
+
+def denial_chain(values):
+    """``P(x), Q(x) → ⊥`` and ``Q(x), R(x) → ⊥`` over *values* constants.
+
+    Each constant is repaired by deleting ``Q``, ``P`` and ``Q``, or
+    ``P`` and ``R``, so there are ``3^values`` candidates, and the
+    ``2^values`` that never delete both ``P`` and ``Q`` are the repairs.
+    """
+
+    instance = DatabaseInstance.from_dict(
+        {predicate: [(f"a{i}",) for i in range(values)] for predicate in "PQR"}
+    )
+    return instance, [
+        parse_constraint("P(x), Q(x) -> false"),
+        parse_constraint("Q(x), R(x) -> false"),
+    ]
 
 
 class TestBitIdenticalOutput:
@@ -90,48 +105,7 @@ class TestBitIdenticalOutput:
         reference = naive_repairs(instance, constraints)
         assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
 
-    def test_process_pool_matches_inline(self, minimality_pool):
-        instance, constraints = grouped_key_workload(
-            n_groups=3, group_size=3, n_clean=5, seed=0
-        )
-        reference = naive_repairs(instance, constraints)
-        with_processes = parallel_repairs(
-            instance, constraints, workers=2, chunk_states=7
-        )
-        assert with_processes == reference
-        assert len(minimality_pool) == 1
-
-    def test_process_pool_with_null_insertions(self, minimality_pool):
-        """Null facts in the deltas reach the pool's workers intact."""
-
-        instance, constraints = foreign_key_workload(
-            n_parents=3, n_children=5, violation_ratio=0.5, null_ratio=0.4, seed=7
-        )
-        reference = naive_repairs(instance, constraints)
-        assert (
-            parallel_repairs(instance, constraints, workers=2, chunk_states=5)
-            == reference
-        )
-        assert len(minimality_pool) == 1
-
-    def test_parallel_minimality_slicing_matches(self, pool_starts):
-        """An 81-candidate ``workers=2`` search (≤_D filtered in-process) equals naive."""
-
-        instance, constraints = grouped_key_workload(
-            n_groups=4, group_size=3, n_clean=4, seed=2
-        )
-        reference = naive_repairs(instance, constraints)
-        assert len(reference) == 81  # below the sliced-filter threshold
-        engine = RepairEngine(
-            constraints, method=PARALLEL_METHOD, workers=2, chunk_states=27
-        )
-        assert engine.repairs(instance) == reference
-        assert pool_starts == []
-        assert engine.statistics.instance_ship_bytes == 0
-
-    def test_sliced_filter_matches_inline_and_naive_everywhere(
-        self, all_scenarios, minimality_pool
-    ):
+    def test_production_filter_matches_naive_everywhere(self, all_scenarios):
         """Every scenario and null-heavy workload, order included."""
 
         cases = [
@@ -148,20 +122,12 @@ class TestBitIdenticalOutput:
                 )
             )
         # Chained denials: 27 candidates, 19 of them dominated.
-        cases.append((
-            "denial_chain",
-            DatabaseInstance.from_dict(
-                {predicate: [(f"a{i}",) for i in range(3)] for predicate in "PQR"}
-            ),
-            [parse_constraint("P(x), Q(x) -> false"),
-             parse_constraint("Q(x), R(x) -> false")],
-        ))
+        cases.append(("denial_chain",) + denial_chain(3))
         for name, instance, constraints in cases:
             reference = naive_repairs(instance, constraints)
-            inline = parallel_repairs(instance, constraints)
-            pooled = parallel_repairs(instance, constraints, workers=2)
-            assert pooled == inline == reference, f"{name} diverged"
-        assert minimality_pool, "no case reached the pool"
+            assert parallel_repairs(instance, constraints) == reference, (
+                f"{name} diverged"
+            )
 
     def test_method_validation(self):
         assert REPAIR_METHODS == (PARALLEL_METHOD, "naive")
@@ -181,57 +147,35 @@ class TestBitIdenticalOutput:
             parallel_repairs(instance, constraints, max_states=10, chunk_states=4)
 
 
-class TestMinimalityThreshold:
-    """``RepairEngine.repairs`` slices ``≤_D`` across a pool only from
-    ``_PARALLEL_MINIMALITY_MIN`` candidates up; smaller sets stay in-process."""
+class TestMinimalityPruning:
+    """``DeltaMinimality.dominated`` compares a candidate only with rivals
+    whose null-free part is smaller than its delta and lies inside it."""
 
-    @staticmethod
-    def _deltas(instance, constraints):
+    def test_a_dominator_with_a_smaller_delta_is_found(self):
+        """``{R(a)}`` strictly dominates ``{R(a), S(b, null)}`` although
+        both null-free parts have size 1: the bound is on ``|∆(i)|``."""
+
+        plain = frozenset({Fact("R", ("a",))})
+        with_null = plain | {Fact("S", ("b", NULL))}
+        assert minimal_flags_counted([plain, with_null]) == ([True, False], 2)
+        assert minimal_flags_counted([with_null, plain]) == ([False, True], 2)
+
+    def test_equal_size_candidates_make_no_comparisons(self):
+        instance, constraints = grouped_key_workload(
+            n_groups=2, group_size=3, n_clean=3, seed=4
+        )
         ordered = ParallelRepairSearch(instance, constraints).collect()
-        return [inserted | deleted for _, inserted, deleted in ordered]
+        deltas = [inserted | deleted for _, inserted, deleted in ordered]
+        assert len(deltas) == 9
+        assert minimal_flags_counted(deltas) == ([True] * 9, 0)
 
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: grouped_key_workload(n_groups=4, group_size=3, n_clean=4, seed=2),
-            lambda: foreign_key_workload(
-                n_parents=4, n_children=10, violation_ratio=0.5, null_ratio=0.4, seed=5
-            ),
-        ],
-        ids=["grouped_key", "foreign_key_nulls"],
-    )
-    def test_sliced_filter_matches_the_sequential_one(self, factory):
-        deltas = self._deltas(*factory())
-        assert len(deltas) > 8  # several slices per worker
-        assert parallel_minimal_flags(deltas, 2) == minimal_flags_counted(deltas)
-
-    def test_small_pool_search_never_starts_the_minimality_pool(self, monkeypatch):
-        def refuse(deltas, workers):
-            raise AssertionError(f"minimality pool started for {len(deltas)} candidates")
-
-        monkeypatch.setattr(parallel_module, "parallel_minimal_flags", refuse)
-        instance, constraints = grouped_key_workload(
-            n_groups=4, group_size=3, n_clean=4, seed=2
-        )
-        found = parallel_repairs(instance, constraints, workers=2)
-        assert len(found) == 81 < RepairEngine._PARALLEL_MINIMALITY_MIN
-
-    def test_search_at_the_threshold_slices_the_filter(self, monkeypatch):
-        calls = []
-        real = parallel_module.parallel_minimal_flags
-
-        def spy(deltas, workers):
-            calls.append((len(deltas), workers))
-            return real(deltas, workers)
-
-        monkeypatch.setattr(parallel_module, "parallel_minimal_flags", spy)
-        monkeypatch.setattr(RepairEngine, "_PARALLEL_MINIMALITY_MIN", 81)
-        instance, constraints = grouped_key_workload(
-            n_groups=4, group_size=3, n_clean=4, seed=2
-        )
-        found = parallel_repairs(instance, constraints, workers=2)
-        assert calls == [(81, 2)]
-        assert found == naive_repairs(instance, constraints)
+    def test_only_subset_rivals_are_compared(self):
+        instance, constraints = denial_chain(3)
+        engine = RepairEngine(constraints)
+        assert engine.repairs(instance) == naive_repairs(instance, constraints)
+        stats = engine.statistics
+        assert (stats.candidates_found, stats.repairs_found) == (27, 8)
+        assert stats.leq_d_comparisons == 38
 
 
 class TestChoiceKeyMemo:
@@ -372,8 +316,18 @@ class TestStatisticsMerge:
         assert stats.candidates_found == 9
         assert stats.states_explored > 0
         assert stats.violation_updates > 0
-        assert stats.leq_d_comparisons > 0
+        # Equal-size candidates: the size bound leaves no rival to compare.
+        assert stats.leq_d_comparisons == 0
         assert stats.search_seconds > 0
+
+    def test_engine_statistics_count_the_leq_d_checks(self):
+        instance, constraints = denial_chain(3)
+        engine = RepairEngine(constraints, method=PARALLEL_METHOD, chunk_states=4)
+        found = engine.repairs(instance)
+        stats = engine.statistics
+        assert stats.repairs_found == len(found) == 8
+        assert stats.candidates_found == 27
+        assert stats.leq_d_comparisons > 0
 
 
 class TestAnytimeStream:
@@ -568,43 +522,20 @@ class TestSessionSurface:
         open_refuted = parse_query("ans(d) <- Emp(e, d)")
         assert db.certain(open_refuted, ("sales",), anytime=True) is False
 
-    def test_config_carries_workers_and_anytime(self):
-        db = self.make_grouped(repair_mode="parallel", workers=3, anytime=True)
-        assert db.config.workers == 3
+    def test_config_carries_anytime(self):
+        db = self.make_grouped(repair_mode="parallel", anytime=True)
         assert db.config.anytime is True
-        assert db.config.cache_key()[-1] == 3  # workers segment the cache
         with pytest.raises(TypeError, match="unknown CQA option"):
             db.consistent_answers(
                 parse_query("ans(e) <- Emp(e, d, s)"), turbo=True
             )
 
-
-class TestAutoPlansParallel:
-    @staticmethod
-    def cyclic(**kwargs):
-        from repro.workloads import cyclic_ric_workload
-
-        instance, constraints = cyclic_ric_workload(
-            n_rows=6, violation_ratio=0.5, seed=2
-        )
-        return ConsistentDatabase(instance, constraints, method="auto", **kwargs)
-
-    def test_plan_does_not_depend_on_workers(self):
-        """One repair search runs either way: the plan picks no repair mode."""
-
-        query = parse_query("ans(x) <- P(x, y)")  # cyclic RICs: unsupported
-        pooled = self.cyclic(workers=4).explain(query)
-        inline = self.cyclic().explain(query)
-        assert pooled.method == inline.method == "direct"
-        assert (pooled.costs, pooled.reason) == (inline.costs, inline.reason)
-        assert not hasattr(pooled, "repair_mode")
-        assert "parallel" not in pooled.costs
-
-    def test_auto_with_workers_matches_direct(self):
-        instance, constraints = grouped_key_workload(
-            n_groups=3, group_size=3, n_clean=5, seed=0
-        )
-        auto = ConsistentDatabase(instance, constraints, method="auto", workers=2)
-        direct = ConsistentDatabase(instance, constraints, method="direct")
+    def test_the_session_ignores_workers(self):
+        db = self.make_grouped(workers=2)
+        assert db.config == self.make_grouped().config
         query = parse_query("ans(e) <- Emp(e, d, s)")
-        assert auto.consistent_answers(query) == direct.consistent_answers(query)
+        with pytest.raises(TypeError, match="unknown CQA option"):
+            db.report(query, workers=2)
+        assert db.consistent_answers(query) == (
+            self.make_grouped().consistent_answers(query)
+        )

@@ -1,13 +1,9 @@
 """Early termination of ``iter_repairs(stream=True)`` must tear down cleanly.
 
 An anytime consumer that stops early (a ``break``, a ``close()``, a
-garbage-collected iterator) must not leak worker processes, must not
-corrupt the session's live violation tracker, and must leave the session
-fully usable — the next call recomputes from a clean slate.
-
-The stream runs in this process whatever ``workers`` says (its proofs
-need no ``≤_D`` filter to slice): the ``workers=2`` tests assert that
-no pool and no child process ever starts.
+garbage-collected iterator) must not leave a child process behind, must
+not corrupt the session's live violation tracker, and must leave the
+session fully usable — the next call recomputes from a clean slate.
 """
 
 import gc
@@ -28,11 +24,6 @@ def wide_db(pairs=8, **kwargs):
     )
 
 
-def assert_no_pool_started(pool_starts):
-    assert pool_starts == [], "the stream started a process pool"
-    assert not multiprocessing.active_children(), "the stream started a child"
-
-
 def assert_no_leaked_children(grace=1.0):
     deadline = time.monotonic() + grace
     while time.monotonic() < deadline:
@@ -40,26 +31,26 @@ def assert_no_leaked_children(grace=1.0):
             return
         time.sleep(0.02)
     leaked = multiprocessing.active_children()
-    assert not leaked, f"leaked worker processes: {leaked}"
+    assert not leaked, f"leaked child processes: {leaked}"
 
 
 class TestAbandonment:
-    def test_break_after_first_repair_reaps_workers(self, pool_starts):
-        db = wide_db(workers=2)
+    def test_break_after_first_repair_leaves_no_child(self):
+        db = wide_db()
         for repair in db.iter_repairs(stream=True):
             break
         gc.collect()  # drop the suspended generator
-        assert_no_pool_started(pool_starts)
+        assert_no_leaked_children()
 
-    def test_explicit_close_reaps_workers(self, pool_starts):
-        db = wide_db(workers=2)
+    def test_explicit_close_leaves_no_child(self):
+        db = wide_db()
         stream = db.iter_repairs(stream=True)
         next(stream)
         stream.close()
-        assert_no_pool_started(pool_starts)
+        assert_no_leaked_children()
 
     def test_close_before_first_next_is_safe(self):
-        db = wide_db(workers=2)
+        db = wide_db()
         stream = db.iter_repairs(stream=True)
         stream.close()  # generator never started: nothing to tear down
         assert_no_leaked_children()
@@ -91,12 +82,12 @@ class TestAbandonment:
         db.insert("Emp", ("fresh", "only"))
         assert len(list(db.iter_repairs(stream=True))) == 16  # fresh row is clean
 
-    def test_exception_mid_consumption_reaps_workers(self, pool_starts):
-        db = wide_db(workers=2)
+    def test_exception_mid_consumption_leaves_no_child(self):
+        db = wide_db()
         try:
             for index, repair in enumerate(db.iter_repairs(stream=True)):
                 raise RuntimeError("consumer exploded")
         except RuntimeError:
             pass
         gc.collect()
-        assert_no_pool_started(pool_starts)
+        assert_no_leaked_children()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.explore.differential import (
     ALL_PROBES,
-    DEFAULT_PROBES,
     REFERENCE_PROBE,
     Divergence,
     probe_specs,
@@ -16,15 +15,6 @@ from repro.explore.sources.corpus import corpus_entries
 
 
 class TestProbeSpecs:
-    def test_default_set_skips_the_pool_probe(self):
-        names = [spec.name for spec in DEFAULT_PROBES]
-        assert "direct:pool" not in names
-        assert names[0] == REFERENCE_PROBE.name == "direct:parallel"
-        assert "direct:naive" in names
-        assert not {"direct:incremental", "direct:indexed"} & {
-            spec.name for spec in ALL_PROBES
-        }
-
     def test_all_selects_every_probe(self):
         assert probe_specs(["all"]) == ALL_PROBES
 
@@ -65,7 +55,7 @@ class TestSignatures:
 
     def test_mode_suffix_does_not_change_the_signature(self):
         a = Divergence(kind="answers", left="direct:naive", right="program")
-        b = Divergence(kind="answers", left="direct:pool", right="program")
+        b = Divergence(kind="answers", left="direct:parallel", right="program")
         assert a.signature == b.signature
 
 

@@ -1,9 +1,8 @@
 """The hierarchical span tracer (``repro.obs.trace``).
 
 Ends with the well-formedness property: every trace the stack emits —
-one per pinned scenario, plus a request whose ``≤_D`` filter runs on the
-process pool — has every span closed and every child interval nested
-inside its parent.
+one per pinned scenario — has every span closed and every child
+interval nested inside its parent.
 """
 
 import gc
@@ -13,7 +12,6 @@ import os
 import pytest
 
 from repro.constraints.parser import parse_constraint, parse_query
-from repro.core.repairs import RepairEngine
 from repro.obs import clock, trace
 from repro.obs.trace import _NULL_SPAN
 from repro.session import ConsistentDatabase
@@ -214,27 +212,6 @@ class TestWellFormedOnEveryScenario:
                 assert roots, f"scenario {name} recorded no spans"
                 for root in roots:
                     assert_well_formed(root)
-
-    def test_a_pooled_filter_traces_in_the_driver_only(self, minimality_pool):
-        """A ``≤_D`` filter sliced across a real two-process pool: its
-        workers ship no spans, and the driver's tree stays well-formed."""
-
-        instance, constraints = grouped_key_workload(
-            n_groups=3, group_size=3, n_clean=6, seed=3
-        )
-        with trace.tracing(True):
-            trace.reset()
-            engine = RepairEngine(constraints, method="parallel", workers=2)
-            engine.repairs(instance)
-            roots = trace.tracer().roots
-        assert len(minimality_pool) == 1
-        nodes = [node for root in roots for node in span_nodes(root)]
-        names = [node.name for node in nodes]
-        assert names.count("repair.search") == 1
-        # One filter span in the driver; the slices ran in the workers.
-        assert names.count("repair.minimality") == 1
-        for root in roots:
-            assert_well_formed(root)
 
 
 def self_seconds(span):

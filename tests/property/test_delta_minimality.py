@@ -139,11 +139,3 @@ class TestDeltaInterning:
         flags, comparisons = minimal_flags_counted(shared)
         assert 1 < sum(flags) < len(flags)  # both verdicts occur
         assert minimal_flags_counted(distinct) == (flags, comparisons)
-
-    def test_equal_facts_become_one_object(self):
-        distinct = self._distinct_deltas()
-        seen = {}
-        for delta in DeltaMinimality(distinct).deltas:
-            for fact in delta:
-                assert seen.setdefault(fact, fact) is fact
-        assert len(seen) == len(self.POOL)

@@ -197,6 +197,22 @@ class TestCopyOnWrite:
         assert parent.tuples_where("P", 0, "a") == frozenset()
         assert clone.tuples_where("P", 0, "a") == {("a", 1), ("a", 3)}
 
+    def test_a_write_copies_only_the_index_buckets_it_changes(self):
+        parent = DatabaseInstance.from_dict({"P": [("a", 1), ("a", 2), ("b", 2)]})
+        parent.tuples_where("P", 0, "a")  # build before copy
+        clone = parent.copy()
+        clone.add_tuple("P", ("a", 3))
+        assert clone.tuples_where("P", 0, "b") is parent.tuples_where("P", 0, "b")
+        assert clone.tuples_where("P", 0, "a") == {("a", 1), ("a", 2), ("a", 3)}
+        assert parent.tuples_where("P", 0, "a") == {("a", 1), ("a", 2)}
+        parent.discard(Fact("P", ("a", 1)))
+        parent.discard(Fact("P", ("b", 2)))
+        assert parent.tuples_where("P", 1, 2) == {("a", 2)}
+        assert parent.tuples_where("P", 0, "b") == frozenset()
+        assert clone.tuples_where("P", 1, 2) == {("a", 2), ("b", 2)}
+        assert clone.tuples_where("P", 0, "b") == {("b", 2)}
+        assert clone.tuples_where("P", 1, 1) == {("a", 1)}
+
     def test_chained_copies(self):
         first = DatabaseInstance.from_dict({"P": [("a",)]})
         second = first.copy()

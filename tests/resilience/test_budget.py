@@ -8,7 +8,6 @@ from repro.errors import (
     BUDGET_ERRORS,
     BudgetExceededError,
     DeadlineExceededError,
-    FaultInjectedError,
     MemoryBudgetExceededError,
     QueryCancelledError,
     ReproError,
@@ -42,9 +41,6 @@ class TestErrorTaxonomy:
     def test_budget_error_factory_unknown_reason(self):
         error = budget_error("novel", "what happened")
         assert isinstance(error, BudgetExceededError)
-
-    def test_non_budget_errors(self):
-        assert issubclass(FaultInjectedError, ReproError)
 
 
 class TestBudget:

@@ -87,14 +87,9 @@ class TestStrictSurfaces:
 class TestMinimalityBudget:
     """The ``≤_D`` filter answers to the request budget too: it is
     quadratic in the candidates, so a budget spent after the search
-    returned must still stop it, inline and sliced alike."""
+    returned must still stop it."""
 
-    @pytest.mark.parametrize("workers", [0, 2])
-    def test_a_budget_spent_after_the_search_stops_the_filter(
-        self, monkeypatch, minimality_pool, workers
-    ):
-        import multiprocessing
-
+    def test_a_budget_spent_after_the_search_stops_the_filter(self, monkeypatch):
         from repro.core.repairs import RepairEngine
 
         budget = Budget()
@@ -107,11 +102,10 @@ class TestMinimalityBudget:
 
         monkeypatch.setattr(ParallelRepairSearch, "collect", collect_then_cancel)
         instance = DatabaseInstance.from_dict(wide_instance(4))
-        engine = RepairEngine([KEY], workers=workers)
+        engine = RepairEngine([KEY])
         with using_budget(budget), pytest.raises(QueryCancelledError):
             engine.repairs(instance)
         assert engine.statistics.candidates_found == 16
-        assert not multiprocessing.active_children()
 
 
 class TestDegradedStream:
@@ -189,7 +183,7 @@ class TestDeadlineLatency:
 
         deadline = 0.5
         db = ConsistentDatabase(wide_instance(12), [KEY],
-                                repair_mode="parallel", workers=2)
+                                repair_mode="parallel")
         started = clock.now()
         list(db.iter_repairs(stream=True, deadline=deadline, degrade=True))
         elapsed = clock.now() - started

@@ -11,9 +11,10 @@ Rule      Invariant
 INV001    clock discipline: no ``time.perf_counter`` / ``time.process_time``
           outside ``src/repro/obs/clock.py`` — all timing goes through the
           swappable clock so tests can use the deterministic ``FakeClock``
-INV002    pool ownership: no ``ProcessPoolExecutor`` / ``multiprocessing.Pool``
-          outside ``src/repro/core/parallel.py`` — one owner for worker
-          lifecycle and fault tolerance (the sliced ``≤_D`` filter)
+INV002    no process pools: no ``ProcessPoolExecutor`` /
+          ``multiprocessing.Pool`` anywhere — the library runs in one
+          process, and a pool comes back only through a change to this
+          rule
 INV003    no broad exception handlers (bare ``except`` / ``except Exception``
           / ``except BaseException``) in the hot evaluation paths — they
           swallow the typed budget/cancellation errors the resilience layer
@@ -49,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 RULES: Dict[str, str] = {
     "INV001": "time.perf_counter/process_time outside src/repro/obs/clock.py",
-    "INV002": "ProcessPoolExecutor/multiprocessing.Pool outside src/repro/core/parallel.py",
+    "INV002": "ProcessPoolExecutor/multiprocessing.Pool anywhere",
     "INV003": "broad exception handler in a hot evaluation path",
     "INV004": "reference (kernel-free) module imports repro.compile",
     "INV005": "print() in library code under src/repro",
@@ -57,7 +58,6 @@ RULES: Dict[str, str] = {
 }
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
-POOL_OWNER = "src/repro/core/parallel.py"
 #: Modules/packages whose exception handling must stay narrow: the
 #: compiled kernel, logic evaluation, the relational layer and the
 #: repair search all propagate typed budget/cancellation errors.
@@ -219,8 +219,8 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                     )
                 )
 
-        # INV002 — pool ownership
-        if rel_path != POOL_OWNER and not allowed(node, "INV002"):
+        # INV002 — no process pools
+        if not allowed(node, "INV002"):
             if (
                 isinstance(node, ast.ImportFrom)
                 and node.module == "concurrent.futures"
@@ -231,8 +231,7 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         "INV002",
                         rel_path,
                         node.lineno,
-                        "ProcessPoolExecutor outside repro.core.parallel; worker "
-                        "pools have one owner (the fault-tolerant sliced ≤_D filter)",
+                        "ProcessPoolExecutor: the library runs in one process",
                     )
                 )
             elif (
@@ -246,7 +245,7 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         "INV002",
                         rel_path,
                         node.lineno,
-                        "multiprocessing.Pool outside repro.core.parallel",
+                        "multiprocessing.Pool: the library runs in one process",
                     )
                 )
 
