@@ -1,6 +1,8 @@
 """Tests for Fact and DatabaseInstance."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
@@ -222,6 +224,55 @@ class TestCopyOnWrite:
         assert first.fact_set() == frozenset({Fact("P", ("a",))})
         assert len(second) == 0
         assert third.fact_set() == frozenset({Fact("P", ("a",)), Fact("P", ("b",))})
+
+    VALUES = (("a", "b", NULL), (1, 2, NULL))
+    ROWS = st.tuples(*(st.sampled_from(values) for values in VALUES))
+
+    @staticmethod
+    def assert_lookups_match(instance, model):
+        for position, values in enumerate(TestCopyOnWrite.VALUES):
+            for value in values:
+                assert instance.tuples_where("P", position, value) == {
+                    row for row in model if row[position] == value
+                }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        initial=st.lists(ROWS, min_size=1, max_size=4),
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(("copy", "add", "discard", "lookup")),
+                st.integers(min_value=0, max_value=3),
+                ROWS,
+            ),
+            max_size=25,
+        ),
+    )
+    def test_index_buckets_follow_any_interleaving_of_copies_and_writes(
+        self, initial, operations
+    ):
+        """Copies share index buckets until one side writes to them: every
+        lookup must see its own instance's rows, whichever side built the
+        index, copied it or changed a shared bucket first."""
+
+        instances = [DatabaseInstance.from_dict({"P": initial})]
+        models = [set(initial)]
+        for operation, which, row in operations:
+            which %= len(instances)
+            if operation == "copy":
+                instances.append(instances[which].copy())
+                models.append(set(models[which]))
+            elif operation == "add":
+                instances[which].add_tuple("P", row)
+                models[which].add(row)
+            elif operation == "discard":
+                instances[which].discard(Fact("P", row))
+                models[which].discard(row)
+            else:  # builds the index if this instance has none yet
+                self.assert_lookups_match(instances[which], models[which])
+        for instance, model in zip(instances, models):
+            assert instance.tuples("P") == model
+            self.assert_lookups_match(instance, model)
 
 
 class TestWithDelta:
