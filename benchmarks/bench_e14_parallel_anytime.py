@@ -2,10 +2,11 @@
 
 After E12 (the delta-carrying production search against the naive
 reference) and E13 (warm sessions) the repair search dominates every
-workload the rewriting fragment cannot take.  The production search
-splits the mutate/undo frontier into deterministic, budget-bounded tasks
-run in the calling process (see :mod:`repro.core.parallel`), and filters
-its candidates through the quadratic ``≤_D`` step,
+workload the rewriting fragment cannot take.  The production search is
+one mutate/undo depth-first search in the calling process that pauses
+every 1,024 states to hand the anytime stream its new candidates and
+its open frontier (see :mod:`repro.core.parallel`), and it filters its
+candidates through the quadratic ``≤_D`` step,
 :class:`~repro.core.repairs.DeltaMinimality`, which compares a candidate
 only with the rivals whose null-free part is smaller than its delta and
 lies inside it.  Per sweep point this experiment reports the candidates,
@@ -24,9 +25,9 @@ Three contracts, checked in every configuration (smoke included):
   scenario;
 * **identical answers** — consistent answers agree between the
   production search and ``repair_mode="naive"`` on every scenario;
-* **anytime streaming** — on a ≥100-repair instance,
-  ``AnytimeRepairStream`` proves (and yields) its first repair strictly
-  before the frontier search completes.
+* **anytime streaming** — on the 729-repair grouped-key instance, at
+  the default pause, ``AnytimeRepairStream`` proves (and yields) its
+  first repair strictly before the search completes.
 
 There is no wall-clock gate: the timings are there to locate the cost
 of a request, and the ``--smoke`` CI pass runs every identity assertion.
@@ -61,8 +62,9 @@ SMOKE_SWEEP = [(2, 2, 8), (3, 3, 6)]
 FULL_CHAIN = 7
 SMOKE_CHAIN = 3
 
-#: The streaming demonstration instance: 125 repairs.
-STREAM_CONFIG = (3, 5, 8)
+#: The streaming demonstration instance: 729 repairs over 1,821 states,
+#: so the search pauses once at the default ``PAUSE_STATES``.
+STREAM_CONFIG = (6, 3, 40)
 
 
 def _workload(n_groups, group_size, n_clean):
@@ -152,16 +154,14 @@ def report(request):
     emit_json(title, headers, rows)
 
     # ---------------------------------------------------------------- anytime
-    # The streaming contract is timing-free and runs in every mode: on a
-    # 125-repair instance the anytime certificate must prove its first
-    # repair strictly before the frontier search completes, and the
-    # streamed set must equal the enumerated repair list exactly.
+    # The streaming contract is timing-free and runs in every mode: on the
+    # 729-repair instance the anytime certificate must prove its first
+    # repair strictly before the search completes, and the stream must
+    # end with exactly the enumerated repair list.
     instance, constraints = _workload(*STREAM_CONFIG)
     reference, _, _ = _timed_repairs(instance, constraints, PARALLEL_METHOD)
-    assert len(reference) >= 100
-    search = ParallelRepairSearch(
-        instance, constraints, max_states=5_000_000, chunk_states=50
-    )
+    assert len(reference) == 729
+    search = ParallelRepairSearch(instance, constraints, max_states=5_000_000)
     stream = AnytimeRepairStream(search)
     streamed = list(stream)
     assert stream.ordered_repairs == reference
@@ -169,7 +169,7 @@ def report(request):
     assert stream.yields_before_completion > 0
     assert stream.states_at_first_yield < search.statistics.states_explored
     print_table(
-        "E14b: anytime streaming on the 125-repair instance",
+        "E14b: anytime streaming on the 729-repair instance",
         ["repairs", "streamed early", "first yield at", "total states"],
         [
             [
@@ -190,9 +190,7 @@ def report(request):
         reference = RepairEngine(scenario.constraints, method="naive").repairs(
             scenario.instance
         )
-        parallel = RepairEngine(scenario.constraints, chunk_states=3).repairs(
-            scenario.instance
-        )
+        parallel = RepairEngine(scenario.constraints).repairs(scenario.instance)
         assert parallel == reference, f"scenario {name}: the production search diverged"
         query = _scenario_query(scenario)
         answers = {
@@ -220,14 +218,12 @@ def bench_repair_enumeration(benchmark):
 
 
 def bench_anytime_first_repair(benchmark):
-    """Time to the *first proven* repair of the 125-repair instance."""
+    """Time to the *first proven* repair of the 729-repair instance."""
 
     instance, constraints = _workload(*STREAM_CONFIG)
 
     def first_repair():
-        search = ParallelRepairSearch(
-            instance, constraints, max_states=5_000_000, chunk_states=50
-        )
+        search = ParallelRepairSearch(instance, constraints, max_states=5_000_000)
         iterator = iter(AnytimeRepairStream(search))
         first = next(iterator)
         iterator.close()

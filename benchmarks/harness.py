@@ -20,7 +20,7 @@ counts (``states_explored``, ``candidates_found``, ``repairs_found``,
 tracker and the ``≤_D`` filter:
 
 * ``violation_updates`` — tracker updates, one per fact add/delete along
-  the production search or replayed at a task's start (0 for the
+  the production search, so ``states_explored − 1`` (0 for the
   ``"naive"`` reference, which recomputes);
 * ``constraints_reevaluated`` — seeded per-constraint update passes the
   tracker ran; the gap to ``violation_updates × |IC|`` measures how much

@@ -48,7 +48,6 @@ from repro.core.repairs import (
 from repro.core.parallel import (
     AnytimeRepairStream,
     ParallelRepairSearch,
-    exclusion_safe,
 )
 from repro.core.classic import classic_repairs
 from repro.core.cqa import (
@@ -82,7 +81,6 @@ __all__ = [
     "ViolationTracker",
     "AnytimeRepairStream",
     "ParallelRepairSearch",
-    "exclusion_safe",
     "violation_choice_key",
     "repairs",
     "delta",

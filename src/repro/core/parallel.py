@@ -1,76 +1,48 @@
-"""The production repair search: a delta-carrying mutate/undo DFS frontier.
+"""The production repair search: one mutate/undo depth-first search.
 
-The search explores one violation-resolution tree depth-first over a
-single working instance whose violations a
-:class:`~repro.core.repairs.ViolationTracker` keeps current, and reports
-every consistent candidate as its delta ``(path, Δins, Δdel)`` instead of
-an instance.  The tree is split into **frontier tasks** — unexplored
-subtree roots identified by their branch-index *path* from the root —
-run inline, in FIFO order, on one context warm-started from the
-caller's tracker when one is given.
+The search walks the violation-resolution tree of the nested-loop
+``"naive"`` reference of :class:`~repro.core.repairs.RepairEngine`
+depth-first, over one working copy of the instance whose violations one
+:class:`~repro.core.repairs.ViolationTracker` keeps current
+(warm-started from the caller's tracker when one is given).  At every
+state it resolves the same violation as the reference and tries the
+same fixes in the same order, and it checks one visited set before it
+applies a fix, so a state reached twice costs no tracker update.  It
+therefore enters the same states, finds the same candidates in the same
+order and meets the same dead branches as the reference, with one
+tracker update per state entered after the root.  Each candidate is
+reported as its delta ``(Δins, Δdel)`` instead of an instance.
 
-Three properties make the result exactly the sequential depth-first
-search's, which the nested-loop ``"naive"`` reference of
-:class:`~repro.core.repairs.RepairEngine` walks:
+Every :data:`PAUSE_STATES` states the search pauses and hands its
+caller the candidates found since the last pause and its **open
+frontier**: for every state on the stack, its committed delta plus each
+of its fixes still untried — the roots of the subtrees not yet explored.
 
-* **Deterministic decomposition.**  A task explores at most
-  ``chunk_states`` states; whatever frontier it could not expand is
-  *deferred* back to the scheduler as new tasks.  Which tasks exist and
-  what each explores is a pure function of (instance, constraints,
-  chunk budget).  Oversized tasks split again, so granularity adapts to
-  the tree shape the way a work-stealing deque would.
-* **Path-ordered merging.**  Every candidate is reported with the
-  branch-index path of the state that produced it.  Sorting the merged
-  candidates by path and keeping the lexicographically least occurrence
-  of each fact set reproduces the *discovery order* of the sequential
-  depth-first search (a DFS discovers every state at its
-  lexicographically least reachable path), so the repair list is
-  bit-identical to the reference's for every chunk size.
-* **Sibling-exclusion partitioning** (denial-only constraint sets).
-  When no constraint has consequent atoms, every fix is a deletion of
-  an original fact, and branch *i* of a violation can soundly exclude
-  the fixes of branches ``< i`` from its whole subtree: a candidate
-  missing fact ``f`` must delete ``f`` somewhere, so forbidding the
-  deletion partitions the candidates of sibling subtrees.  Tasks then
-  never duplicate each other's states.  With consequent atoms
-  (RICs/UICs) the exclusion is unsound — an inserted witness of one
-  constraint can resolve another, making some candidates reachable
-  only through mixed resolution orders — so subtrees may overlap and
-  the path-ordered dedup does the reconciliation instead.
-
-On top of the decomposition, :class:`AnytimeRepairStream` turns the
-search into an **anytime** enumeration: a candidate ``C`` is provably a
-repair *before the search finishes* once (a) no candidate found so far
-strictly ``≤_D``-dominates it and (b) no open frontier task could ever
-produce a dominator.  (b) is sound because a task's committed delta
-``∆_f`` (its inserted and deleted facts) is contained in the delta of
-every candidate below it: inserted facts are never deleted again and
-deleted facts never return, so if ``∆_f`` already contains a null-free
-atom outside ``∆(D, C)`` — or a null atom with no cover in ``∆(D, C)``
-(Definition 6(b)) — nothing below ``f`` can be ``≤_D C``.
+:class:`AnytimeRepairStream` turns the pauses into an **anytime**
+enumeration: a candidate ``C`` is provably a repair *before the search
+finishes* once (a) no candidate found so far strictly
+``≤_D``-dominates it and (b) no open frontier subtree could ever
+produce a dominator.  (b) is sound because a frontier root's delta
+``∆_f`` is contained in the delta of every candidate below it: inserted
+facts are never deleted again and deleted facts never return, so if
+``∆_f`` already contains a null-free atom outside ``∆(D, C)`` — or a
+null atom with no cover in ``∆(D, C)`` (Definition 6(b)) — nothing
+below ``f`` can be ``≤_D C``.
 
 Everything runs in the calling process: the search, the anytime proofs
 and the ``≤_D`` filter of :class:`~repro.core.repairs.DeltaMinimality`.
+This module's name, :class:`ParallelRepairSearch` with its no-op
+:meth:`~ParallelRepairSearch.close` and :data:`parallel_minimal_flags`
+stay only because the benchmark's traced mode (``perfbench/``) resolves
+them by name.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.constraints.ic import AnyConstraint, ConstraintSet, NotNullConstraint
+from repro.constraints.ic import AnyConstraint, ConstraintSet
 from repro.errors import budget_error
 from repro.obs import clock as _clock
 from repro.obs import trace as _trace
@@ -80,6 +52,7 @@ from repro.core.repairs import (
     DeltaMinimality,
     RepairSearchBudgetExceeded,
     RepairStatistics,
+    ViolationDelta,
     ViolationIndex,
     ViolationTracker,
     deletion_fixes,
@@ -94,287 +67,70 @@ from repro.relational.instance import DatabaseInstance, Fact
 #: benchmark's traced mode wraps it by name.
 parallel_minimal_flags = minimal_flags_counted
 
-#: Branch-index path of a search state, relative to the search root.
-Path = Tuple[int, ...]
+#: States the search enters between two pauses.  A search of at most
+#: this many states finishes before its first pause, so the anytime
+#: stream makes one proof pass over it.
+PAUSE_STATES = 1024
 
-#: Default number of states one task may explore before it must defer
-#: the rest of its subtree back to the scheduler.
-DEFAULT_CHUNK_STATES = 1024
-
-#: Coarse per-fact cost (bytes) used to charge candidate and frontier
-#: deltas against a memory budget.  Deliberately rough: the budget is a
-#: tripwire against unbounded accumulation, not an allocator.
+#: Coarse per-fact cost (bytes) used to charge candidate deltas against
+#: a memory budget.  Deliberately rough: the budget is a tripwire against
+#: unbounded accumulation, not an allocator.
 _DELTA_COST = 96
 
 _EMPTY_FACTS: FrozenSet[Fact] = frozenset()
 
-
-def exclusion_safe(constraints: Union[ConstraintSet, Iterable[AnyConstraint]]) -> bool:
-    """Can sibling subtrees soundly exclude each other's fixes?
-
-    True iff no constraint has consequent atoms — i.e. every violation
-    is repaired by deletions only (keys/FDs, denials, checks, NOT
-    NULL).  See the module docstring for why consequent atoms break the
-    partition argument.
-    """
-
-    for constraint in constraints:
-        if isinstance(constraint, NotNullConstraint):
-            continue
-        if constraint.head_atoms:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class FrontierTask:
-    """One unexplored subtree of the repair search.
-
-    ``inserted``/``deleted`` are the facts committed on the path from
-    the search root to this state (the task's *delta* — a lower bound,
-    under ``⊆``, of the delta of every candidate in the subtree).  The
-    exclusion sets are only populated for denial-only constraint sets.
-    """
-
-    path: Path
-    inserted: FrozenSet[Fact]
-    deleted: FrozenSet[Fact]
-    excluded_deletions: FrozenSet[Fact] = _EMPTY_FACTS
-    excluded_insertions: FrozenSet[Fact] = _EMPTY_FACTS
-
-    def delta(self) -> FrozenSet[Fact]:
-        """The facts every candidate below this state must differ on."""
-
-        return self.inserted | self.deleted
-
-
-#: A discovered candidate: (path, inserted facts, deleted facts).  The
+#: A discovered candidate: (inserted facts, deleted facts).  The
 #: candidate's fact set is ``(D ∖ deleted) ∪ inserted`` and its delta is
 #: ``inserted ∪ deleted`` — the (usually tiny) delta instead of the
 #: whole instance, so the search holds memory proportional to the repair
 #: distance, not the database size.
-Candidate = Tuple[Path, FrozenSet[Fact], FrozenSet[Fact]]
-
-
-@dataclass
-class TaskResult:
-    """What one executed task hands back to the scheduler."""
-
-    task: FrontierTask
-    candidates: List[Candidate]
-    deferred: List[FrontierTask]
-    statistics: RepairStatistics
+Candidate = Tuple[FrozenSet[Fact], FrozenSet[Fact]]
 
 
 @dataclass
 class SearchBatch:
-    """One scheduler round: new results plus the still-open frontier."""
+    """What the search hands over at a pause: new candidates and the open frontier."""
 
     candidates: List[Candidate]
-    open_tasks: Tuple[FrontierTask, ...]
-    states_explored: int  #: cumulative states across all finished tasks
+    #: The delta of every unexplored subtree root; empty once the search is done.
+    frontier: Tuple[FrozenSet[Fact], ...]
 
 
-class SearchContext:
-    """A private search state: instance, tracker, exclusion flag.
+class _State:
+    """A state on the search stack: its committed delta, the applicable
+    fixes of the violation it resolves (its deletions first), the next
+    fix to try and the tracker's undo record of the fix being explored."""
 
-    A search builds one; it pays the full violation sweep once — or
-    copies *seed*'s store, a tracker over an instance with the same
-    facts — and then runs any number of tasks against the same working
-    instance by replaying each task's delta before the bounded DFS and
-    undoing it after: mutate/undo, lifted to task granularity.
-    """
+    __slots__ = ("inserted", "deleted", "fixes", "deletions", "next", "undo")
 
     def __init__(
         self,
-        instance: DatabaseInstance,
-        constraints: Union[ViolationIndex, ConstraintSet, Iterable[AnyConstraint]],
-        seed: Optional[ViolationTracker] = None,
+        inserted: FrozenSet[Fact],
+        deleted: FrozenSet[Fact],
+        fixes: List[Fact],
+        deletions: int,
     ):
-        self.index = (
-            constraints
-            if isinstance(constraints, ViolationIndex)
-            else ViolationIndex(constraints)
-        )
-        self.working = instance.copy()
-        self.tracker = ViolationTracker(self.working, self.index, seed=seed)
-        self.exclusions = exclusion_safe(self.index.constraints)
-
-    # ------------------------------------------------------------------ tasks
-    def run_task(
-        self,
-        task: FrontierTask,
-        budget: int,
-        request_budget: Optional[Budget] = None,
-    ) -> TaskResult:
-        """Explore up to *budget* states of the task's subtree.
-
-        Candidates are reported with their global path; the unexplored
-        remainder of the subtree comes back as deferred tasks.  The
-        working instance and tracker are restored exactly before
-        returning, so contexts are reusable across tasks.
-
-        *request_budget* is the request's resource envelope.  Exhaustion
-        mid-task never raises here: the current state is *deferred*
-        instead, exactly like a chunk-budget stop, so the open frontier
-        the scheduler sees stays sound — the scheduler decides whether
-        to raise or degrade.
-        """
-
-        budget = max(budget, 1)
-        stats = RepairStatistics()
-        updates_before = self.tracker.updates
-        reevaluated_before = self.tracker.constraints_reevaluated
-        candidates: List[Candidate] = []
-        deferred: List[FrontierTask] = []
-        visited: Set[Tuple[FrozenSet[Fact], FrozenSet[Fact]]] = set()
-        states_used = 0
-
-        task_span = _trace.span("repair.task")
-        if task_span:
-            task_span.add(path=str(task.path), delta=len(task.delta()))
-        cpu_started = _clock.cpu_now()
-        replay: List[Tuple[str, Fact, object]] = []
-        task_span.__enter__()
-        try:
-            for fact in sorted(task.deleted, key=Fact.sort_key):
-                self.working.discard(fact)
-                replay.append(("del", fact, self.tracker.notify_removed(fact)))
-            for fact in sorted(task.inserted, key=Fact.sort_key):
-                self.working.add(fact)
-                replay.append(("ins", fact, self.tracker.notify_added(fact)))
-
-            def explore(
-                path: Path,
-                inserted: FrozenSet[Fact],
-                deleted: FrozenSet[Fact],
-                excluded_deletions: FrozenSet[Fact],
-                excluded_insertions: FrozenSet[Fact],
-            ) -> None:
-                nonlocal states_used
-                state_key = (inserted, deleted)
-                if state_key in visited:
-                    return
-                if states_used >= budget or (
-                    request_budget is not None
-                    and request_budget.exhausted() is not None
-                ):
-                    deferred.append(
-                        FrontierTask(
-                            path,
-                            inserted,
-                            deleted,
-                            excluded_deletions,
-                            excluded_insertions,
-                        )
-                    )
-                    return
-                visited.add(state_key)
-                states_used += 1
-                stats.states_explored += 1
-                if request_budget is not None:
-                    # Per-state accounting keeps a states budget precise
-                    # *within* a chunk.
-                    request_budget.charge_states(1)
-
-                current = self.tracker.violations()
-                if not current:
-                    stats.candidates_found += 1
-                    candidates.append((path, inserted, deleted))
-                    return
-
-                violation = min(current, key=violation_choice_key)
-                branched = False
-                branch = 0
-                for fact in deletion_fixes(violation):
-                    index = branch
-                    branch += 1
-                    if fact in inserted:  # the program denial: never undo an insertion
-                        continue
-                    if fact in excluded_deletions:
-                        continue  # the candidate lives in an earlier sibling subtree
-                    self.working.discard(fact)
-                    delta = self.tracker.notify_removed(fact)
-                    branched = True
-                    explore(
-                        path + (index,),
-                        inserted,
-                        deleted | {fact},
-                        excluded_deletions,
-                        excluded_insertions,
-                    )
-                    self.tracker.revert(delta)
-                    self.working.add(fact)
-                    if self.exclusions:
-                        excluded_deletions = excluded_deletions | {fact}
-                for fact in insertion_fixes(violation):
-                    index = branch
-                    branch += 1
-                    if fact in deleted or fact in self.working:
-                        continue
-                    if fact in excluded_insertions:
-                        continue
-                    self.working.add(fact)
-                    delta = self.tracker.notify_added(fact)
-                    branched = True
-                    explore(
-                        path + (index,),
-                        inserted | {fact},
-                        deleted,
-                        excluded_deletions,
-                        excluded_insertions,
-                    )
-                    self.tracker.revert(delta)
-                    self.working.discard(fact)
-                    if self.exclusions:
-                        excluded_insertions = excluded_insertions | {fact}
-                if not branched:
-                    stats.dead_branches += 1
-
-            explore(
-                task.path,
-                task.inserted,
-                task.deleted,
-                task.excluded_deletions,
-                task.excluded_insertions,
-            )
-        finally:
-            for kind, fact, delta in reversed(replay):
-                self.tracker.revert(delta)  # type: ignore[arg-type]
-                if kind == "del":
-                    self.working.add(fact)
-                else:
-                    self.working.discard(fact)
-            stats.task_cpu_seconds = _clock.cpu_now() - cpu_started
-            if task_span:
-                task_span.add(
-                    states=stats.states_explored,
-                    candidates=stats.candidates_found,
-                    deferred=len(deferred),
-                )
-            task_span.__exit__(None, None, None)
-        stats.violation_updates = self.tracker.updates - updates_before
-        stats.constraints_reevaluated = (
-            self.tracker.constraints_reevaluated - reevaluated_before
-        )
-        return TaskResult(task, candidates, deferred, stats)
+        self.inserted = inserted
+        self.deleted = deleted
+        self.fixes = fixes
+        self.deletions = deletions
+        self.next = 0
+        self.undo: Optional[ViolationDelta] = None
 
 
 # --------------------------------------------------------------------------- search
 class ParallelRepairSearch:
-    """Schedule the frontier tasks of one repair search.
+    """One depth-first repair search over one working copy and one tracker.
 
-    Tasks run inline, in FIFO order — fully deterministic, still anytime
-    (batches surface as each task finishes) — over one context
-    warm-started from *seed_tracker* when given (a tracker over an
-    instance with the same facts and constraints; its store is copied
-    when the search starts).
+    *seed_tracker* warm-starts it: a tracker over an instance with the
+    same facts and constraints, whose violation store is copied when the
+    search starts, so no violation sweep runs.  :attr:`statistics` holds
+    the search's own counters: ``states_explored``, ``candidates_found``
+    and ``dead_branches`` equal the naive reference's, and
+    ``violation_updates`` is ``states_explored − 1``.
 
-    Aggregate counters accumulate into :attr:`statistics` via
-    :meth:`RepairStatistics.merge` as tasks finish; ``states_explored``
-    sums the per-task counts, so with overlapping subtrees (non
-    denial-only constraints) it may exceed the naive reference's
-    unique-state count — the ``max_states`` budget applies to that sum.
+    Nothing about it is parallel: the class keeps its name only because
+    the benchmark's traced mode resolves it.
     """
 
     def __init__(
@@ -383,7 +139,6 @@ class ParallelRepairSearch:
         constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
         *,
         max_states: Optional[int] = 200_000,
-        chunk_states: int = DEFAULT_CHUNK_STATES,
         violation_index: Optional[ViolationIndex] = None,
         budget: Optional[Budget] = None,
         seed_tracker: Optional[ViolationTracker] = None,
@@ -395,11 +150,10 @@ class ParallelRepairSearch:
             else ViolationIndex(constraints)
         )
         self._max_states = max_states
-        self._chunk_states = max(chunk_states, 1)
         self._request_budget = budget
         self._seed_tracker = seed_tracker
         #: Set when a ``degrade=True`` budget ran out mid-search: the
-        #: batches yielded so far cover a sound *prefix* of the frontier
+        #: batches yielded so far cover a sound *prefix* of the search
         #: and this record says why the rest was never explored.
         self.degradation: Optional[Degradation] = None
         self.statistics = RepairStatistics()
@@ -412,95 +166,154 @@ class ParallelRepairSearch:
         ambient = _budget.active()
         return ambient if ambient else None
 
-    def settle(self, budget: Budget, reason: str, open_tasks: int) -> None:
+    def settle(self, budget: Budget, reason: str, open_subtrees: int) -> None:
         """The budget ran out with work left: record the degradation, or raise."""
 
         if budget.degrade:
             self.degradation = budget.degradation(
-                detail=f"{open_tasks} frontier tasks unexplored"
+                detail=f"{open_subtrees} frontier subtrees unexplored"
             )
             return
         raise budget.error(reason)
 
     def batches(self) -> Iterator[SearchBatch]:
-        """Run the search, yielding one :class:`SearchBatch` per finished task.
+        """Run the search, yielding a :class:`SearchBatch` at every pause.
 
-        Every task runs inline, on one :class:`SearchContext`
-        warm-started from *seed_tracker* (else swept).  Raises
-        :class:`RepairSearchBudgetExceeded` when the cumulative state
-        count crosses ``max_states``.
+        The last batch, with an empty frontier, comes when the search is
+        done.  Raises :class:`RepairSearchBudgetExceeded` once more than
+        ``max_states`` states are entered.
 
         A request :class:`Budget` (the constructor's, else the ambient
-        one) is charged per state and checked between tasks: on
-        exhaustion the generator either raises the typed error (strict)
-        or — with ``degrade=True`` — records :attr:`degradation` and
-        stops cleanly, leaving the batches yielded so far as a sound
-        partial frontier.
+        one) is charged per state and per candidate and checked before
+        every state: on exhaustion the generator either raises the typed
+        error (strict) or — with ``degrade=True`` — records
+        :attr:`degradation` and stops, leaving the batches yielded so far
+        as a sound prefix.
         """
 
         budget = self.request_budget()
-        root = FrontierTask((), _EMPTY_FACTS, _EMPTY_FACTS)
-        queue: deque[FrontierTask] = deque([root])
-        open_tasks: Dict[Path, FrontierTask] = {root.path: root}
-        total_states = 0
+        max_states = self._max_states
+        stats = self.statistics
         started = _clock.now()
-        context = SearchContext(self._instance, self._index, seed=self._seed_tracker)
-        while queue:
-            if budget is not None:
-                reason = budget.exhausted()
-                if reason is not None:
-                    self.settle(budget, reason, len(open_tasks))
-                    return
-            result = context.run_task(
-                queue.popleft(), self._chunk_states, request_budget=budget
-            )
-            total_states += result.statistics.states_explored
-            self.statistics.merge(result.statistics)
-            # Wall clock is the search's elapsed time, never the sum of the
-            # per-task CPU seconds merge() accumulates separately.
-            self.statistics.search_seconds = _clock.now() - started
-            del open_tasks[result.task.path]
-            for sub_task in result.deferred:
-                open_tasks[sub_task.path] = sub_task
-                queue.append(sub_task)
-            if budget is not None:
-                # A coarse estimate of what this round pinned in memory:
-                # candidate deltas plus deferred frontier roots.
-                budget.charge_memory(
-                    sum(
-                        _DELTA_COST * (len(inserted) + len(deleted))
-                        for _, inserted, deleted in result.candidates
-                    )
-                    + _DELTA_COST * sum(len(t.delta()) for t in result.deferred)
-                )
-            if self._max_states is not None and total_states > self._max_states:
+        working = self._instance.copy()
+        tracker = ViolationTracker(working, self._index, seed=self._seed_tracker)
+        visited = {(_EMPTY_FACTS, _EMPTY_FACTS)}
+        stack: List[_State] = []
+        found: List[Candidate] = []
+
+        def spent(budget: Budget) -> bool:
+            """Is the budget spent?  Then settle it (degrade or raise)."""
+
+            reason = budget.exhausted()
+            if reason is None:
+                return False
+            open_subtrees = sum(len(frame.fixes) - frame.next for frame in stack)
+            self.settle(budget, reason, open_subtrees)
+            return True
+
+        def enter(inserted: FrozenSet[Fact], deleted: FrozenSet[Fact]) -> None:
+            """Count a new state; push it, or record a candidate or a dead branch."""
+
+            stats.states_explored += 1
+            if max_states is not None and stats.states_explored > max_states:
                 raise RepairSearchBudgetExceeded(
-                    f"repair search exceeded {self._max_states} states; "
+                    f"repair search exceeded {max_states} states; "
                     "raise max_states or simplify the instance"
                 )
-            yield SearchBatch(
-                result.candidates, tuple(open_tasks.values()), total_states
-            )
+            if budget is not None:
+                budget.charge_states(1)
+            violations = tracker.violations()
+            if not violations:
+                stats.candidates_found += 1
+                found.append((inserted, deleted))
+                if budget is not None:
+                    budget.charge_memory(_DELTA_COST * (len(inserted) + len(deleted)))
+                return
+            violation = min(violations, key=violation_choice_key)
+            # The program denial: never undo an insertion, never re-insert a deletion.
+            fixes = deletion_fixes(violation)  # a fresh list
+            if inserted:
+                fixes = [fact for fact in fixes if fact not in inserted]
+            deletions = len(fixes)
+            for fact in insertion_fixes(violation):
+                if fact not in deleted and fact not in working:
+                    fixes.append(fact)
+            if fixes:
+                stack.append(_State(inserted, deleted, fixes, deletions))
+            else:
+                stats.dead_branches += 1
+
+        def tally() -> None:
+            stats.violation_updates = tracker.updates
+            stats.constraints_reevaluated = tracker.constraints_reevaluated
+            stats.search_seconds = _clock.now() - started
+
+        enter(_EMPTY_FACTS, _EMPTY_FACTS)
+        paused_at = 0
+        while stack:
+            state = stack[-1]
+            if state.undo is not None:  # back from the fix explored last
+                tracker.revert(state.undo)
+                state.undo = None
+                if state.next <= state.deletions:
+                    working.add(state.fixes[state.next - 1])
+                else:
+                    working.discard(state.fixes[state.next - 1])
+            if state.next == len(state.fixes):
+                stack.pop()
+                continue
+            fact = state.fixes[state.next]
+            deletion = state.next < state.deletions
+            if deletion:
+                inserted, deleted = state.inserted, state.deleted | {fact}
+            else:
+                inserted, deleted = state.inserted | {fact}, state.deleted
+            child = (inserted, deleted)
+            if child in visited:
+                state.next += 1
+                continue
+            if stats.states_explored - paused_at >= PAUSE_STATES:
+                tally()
+                yield SearchBatch(
+                    found,
+                    tuple(
+                        frame.inserted | frame.deleted | {fix}
+                        for frame in stack
+                        for fix in frame.fixes[frame.next :]
+                    ),
+                )
+                found = []
+                paused_at = stats.states_explored
+            if budget is not None and spent(budget):
+                return
+            state.next += 1
+            visited.add(child)
+            if deletion:
+                working.discard(fact)
+                state.undo = tracker.notify_removed(fact)
+            else:
+                working.add(fact)
+                state.undo = tracker.notify_added(fact)
+            enter(inserted, deleted)
+        tally()
+        yield SearchBatch(found, ())
 
     def close(self) -> None:
-        """Release the search: a no-op, idempotent.
+        """A no-op, idempotent: the search holds no resource to release.
 
-        The search holds no processes — it runs in this one — so there
-        is nothing to reap.  Kept for callers that tear a finished or
-        abandoned search down (the benchmark's traced mode observes it).
+        Kept only because the benchmark's traced mode observes it by name.
         """
 
     # ------------------------------------------------------------------ collection
-    def collect(self) -> List[Tuple[Path, FrozenSet[Fact], FrozenSet[Fact]]]:
-        """Drain the search and return the candidates in discovery order.
+    def collect(self) -> List[Candidate]:
+        """Drain the search and return its candidates in discovery order.
 
-        Candidates are sorted by path and deduplicated keeping the
-        lexicographically least path per (inserted, deleted) pair —
-        exactly the order the sequential depth-first search first
-        discovers them in (a candidate's fact set determines its delta
-        and vice versa, so delta-level dedup is fact-level dedup).
+        That is the order the naive reference discovers them in; each
+        appears once, because the visited set keeps the search from
+        entering a state twice and a candidate's delta determines its
+        fact set.
 
-        Always strict: a degraded (partial) frontier would make the
+        Always strict: a degraded (partial) search would make the
         returned list silently wrong — some repair might never have been
         discovered and some non-minimal candidate never dominated — so
         if the budget degraded mid-search this raises the typed error
@@ -509,21 +322,15 @@ class ParallelRepairSearch:
         under truncation.
         """
 
-        first_paths: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], Path] = {}
+        found: List[Candidate] = []
         for batch in self.batches():
-            for path, inserted, deleted in batch.candidates:
-                key = (inserted, deleted)
-                previous = first_paths.get(key)
-                if previous is None or path < previous:
-                    first_paths[key] = path
+            found.extend(batch.candidates)
         if self.degradation is not None:
             raise budget_error(
                 self.degradation.reason,
                 "repair search degraded mid-collection: " + self.degradation.render(),
             )
-        ordered = sorted(first_paths.items(), key=lambda item: item[1])
-        self.statistics.candidates_found = len(ordered)
-        return [(path, key[0], key[1]) for key, path in ordered]
+        return found
 
 
 # --------------------------------------------------------------------------- anytime
@@ -559,7 +366,6 @@ def frontier_could_dominate(
 
 @dataclass
 class _StreamCandidate:
-    path: Path
     inserted: FrozenSet[Fact]
     deleted: FrozenSet[Fact]
     delta: FrozenSet[Fact]
@@ -571,30 +377,31 @@ class _StreamCandidate:
 class AnytimeRepairStream:
     """Iterate repairs as they are *proven* ``≤_D``-minimal, mid-search.
 
-    Wraps a :class:`ParallelRepairSearch` and yields each repair at the
-    earliest moment its minimality is certain: :func:`frontier_could_dominate`
-    clears every open task, and no discovered candidate strictly dominates
-    it.  Once the frontier is empty every candidate is decided, so the
-    yielded set is always exactly the repair set — anytime changes *when*
-    each repair becomes available, never *which*.  Each repair is built
-    once, as a copy-on-write copy of the base plus its delta.
+    Wraps a :class:`ParallelRepairSearch` and, at each of its pauses,
+    yields every repair whose minimality is now certain:
+    :func:`frontier_could_dominate` clears every open frontier subtree,
+    and no discovered candidate strictly dominates it.  Once the
+    frontier is empty every candidate is decided, so the yielded set is
+    always exactly the repair set — anytime changes *when* each repair
+    becomes available, never *which*.  Each repair is built once, as a
+    copy-on-write copy of the base plus its delta.
 
     The proof pass checks the request budget before each candidate and,
     once it is spent, settles exactly as the search does
     (:meth:`ParallelRepairSearch.settle`): it records the degradation and
     stops, or raises the typed error.
 
-    After exhaustion :attr:`ordered_repairs` holds the repairs in the
-    canonical discovery order (the order ``RepairEngine.repairs``
-    returns), and :attr:`states_at_first_yield` records how deep into the
-    search the first proof landed.
+    After exhaustion :attr:`ordered_repairs` holds the repairs in
+    discovery order (the order ``RepairEngine.repairs`` returns), and
+    :attr:`states_at_first_yield` records how deep into the search the
+    first proof landed.
     """
 
     def __init__(self, search: ParallelRepairSearch):
         self._search = search
         self.ordered_repairs: Optional[List[DatabaseInstance]] = None
         self.states_at_first_yield: Optional[int] = None
-        #: Repairs yielded while frontier tasks were still open.
+        #: Repairs yielded while frontier subtrees were still open.
         self.yields_before_completion = 0
         #: Set when the underlying search degraded: everything yielded is
         #: a proven repair, but the enumeration may be incomplete and
@@ -604,7 +411,7 @@ class AnytimeRepairStream:
 
     @property
     def statistics(self) -> RepairStatistics:
-        """The underlying search's aggregate counters."""
+        """The underlying search's counters."""
 
         return self._search.statistics
 
@@ -612,27 +419,25 @@ class AnytimeRepairStream:
         search = self._search
         base = search._instance
         budget = search.request_budget()
-        pool: Dict[Tuple[FrozenSet[Fact], FrozenSet[Fact]], _StreamCandidate] = {}
+        pool: List[_StreamCandidate] = []
         yielded = 0
 
-        def provable(open_tasks: Sequence[FrontierTask]) -> Iterator[DatabaseInstance]:
+        def provable(frontier: Sequence[FrozenSet[Fact]]) -> Iterator[DatabaseInstance]:
             # Every span below closes before the yield: the consumer runs
             # while this generator is suspended, outside the proof.
-            candidates = list(pool.values())
-            with _trace.span("repair.minimality", candidates=len(candidates)):
-                context = DeltaMinimality([entry.delta for entry in candidates])
-            for index, entry in enumerate(candidates):
+            with _trace.span("repair.minimality", candidates=len(pool)):
+                context = DeltaMinimality([entry.delta for entry in pool])
+            for index, entry in enumerate(pool):
                 if entry.repair is not None or entry.dominated:
                     continue
                 if budget is not None:
                     reason = budget.exhausted()
                     if reason is not None:
-                        search.settle(budget, reason, len(open_tasks))
+                        search.settle(budget, reason, len(frontier))
                         return
                 with _trace.span("repair.minimality"):
                     if any(
-                        frontier_could_dominate(task.delta(), entry.delta)
-                        for task in open_tasks
+                        frontier_could_dominate(delta, entry.delta) for delta in frontier
                     ):
                         continue
                     entry.dominated = context.dominated(index)
@@ -647,24 +452,19 @@ class AnytimeRepairStream:
         batches = search.batches()
         try:
             while True:
-                # One span per batch, closed before the proof pass yields:
-                # the search's task and the intake of its candidates.
+                # One span per pause, closed before the proof pass yields:
+                # the search up to the pause and the intake of its candidates.
                 with _trace.span("repair.search"):
                     batch = next(batches, None)
                     if batch is None:
                         break
-                    for path, inserted, deleted in batch.candidates:
-                        key = (inserted, deleted)
-                        entry = pool.get(key)
-                        if entry is None:
-                            pool[key] = _StreamCandidate(
-                                path, inserted, deleted, inserted | deleted
-                            )
-                        elif path < entry.path:
-                            entry.path = path
-                for repair in provable(batch.open_tasks):
+                    pool.extend(
+                        _StreamCandidate(inserted, deleted, inserted | deleted)
+                        for inserted, deleted in batch.candidates
+                    )
+                for repair in provable(batch.frontier):
                     yielded += 1
-                    if batch.open_tasks:
+                    if batch.frontier:
                         self.yields_before_completion += 1
                     yield repair
                 if search.degradation is not None:
@@ -680,8 +480,4 @@ class AnytimeRepairStream:
             self.degradation = replace(search.degradation, proven=yielded)
             return
         # The last batch had no open frontier, so every candidate is decided.
-        self.ordered_repairs = [
-            entry.repair
-            for entry in sorted(pool.values(), key=lambda entry: entry.path)
-            if entry.repair is not None
-        ]
+        self.ordered_repairs = [entry.repair for entry in pool if entry.repair is not None]

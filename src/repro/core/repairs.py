@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
     Callable,
@@ -551,15 +551,13 @@ class RepairSearchBudgetExceeded(StateBudgetExceededError):
 class RepairStatistics:
     """Counters describing one repair enumeration (used by the benchmarks).
 
-    The first four counters describe the search tree (the production
-    search counts states per frontier task, so where subtrees overlap —
-    constraint sets with consequent atoms and more than one task — its
-    ``states_explored`` can exceed the naive reference's); the rest are
-    documented in the benchmark harness (see ``benchmarks/harness.py``):
+    The first four counters describe the search tree, and both searches
+    report the same values for them; the rest are documented in the
+    benchmark harness (see ``benchmarks/harness.py``):
 
     * ``violation_updates`` — :class:`ViolationTracker` updates, one per
-      fact added or deleted along the search or replayed at a task's
-      start (production search only; the naive reference recomputes);
+      fact added or deleted along the search, so ``states_explored − 1``
+      (production search only; the naive reference recomputes);
     * ``constraints_reevaluated`` — per-constraint seeded update passes
       the tracker ran (≤ ``violation_updates × |IC|``; the smaller the
       ratio, the better the predicate → constraint index is pruning);
@@ -567,14 +565,9 @@ class RepairStatistics:
       minimality filter;
     * ``search_seconds`` / ``minimality_seconds`` — **wall-clock** split
       between candidate enumeration and the ``≤_D`` filter plus the
-      materialisation of its survivors, always measured by the driving
-      engine (never summed across tasks — see :meth:`merge`);
-    * ``task_cpu_seconds`` — CPU seconds summed across the production
-      search's tasks (0.0 for the naive reference).  The tasks run one
-      after another in this process, so it stays within
-      ``search_seconds``; the rest is scheduling and merging.
+      materialisation of its survivors, measured by the driving engine;
     * ``instance_ship_bytes`` — always 0: the search runs in this process
-      and ships no instance anywhere.  Kept because the benchmark's
+      and ships no instance anywhere.  Kept only because the benchmark's
       traced mode reads it, as it reads the ``repro_columnar_store_*``
       counters.
     """
@@ -588,47 +581,15 @@ class RepairStatistics:
     leq_d_comparisons: int = 0
     search_seconds: float = 0.0
     minimality_seconds: float = 0.0
-    task_cpu_seconds: float = 0.0
     instance_ship_bytes: int = 0
-
-    #: Fields :meth:`merge` must NOT sum: they are wall-clock measures
-    #: owned by the driving engine's parent span, measured around the
-    #: whole run.  Per-task CPU time sums meaningfully and has its own
-    #: field.
-    _WALL_CLOCK_FIELDS = ("search_seconds", "minimality_seconds")
-
-    def merge(self, other: "RepairStatistics") -> "RepairStatistics":
-        """Fold another run's counters into this one, in place, and return it.
-
-        The production search gives every frontier task its **own**
-        statistics object and folds the per-task objects together as
-        tasks finish.  Every counter sums, ``task_cpu_seconds``
-        included; the two wall-clock fields do **not** — they keep this
-        object's value, and the driving engine assigns them from its
-        own clock around the whole run.
-
-        >>> a = RepairStatistics(states_explored=3, search_seconds=0.5)
-        >>> b = RepairStatistics(states_explored=2, search_seconds=0.4,
-        ...                      task_cpu_seconds=0.3)
-        >>> a.merge(b) is a
-        True
-        >>> (a.states_explored, a.search_seconds, a.task_cpu_seconds)
-        (5, 0.5, 0.3)
-        """
-
-        for spec in fields(self):
-            if spec.name in self._WALL_CLOCK_FIELDS:
-                continue
-            setattr(
-                self, spec.name, getattr(self, spec.name) + getattr(other, spec.name)
-            )
-        return self
 
 
 _T = TypeVar("_T")
 
-#: The production search: the delta-carrying frontier search of
-#: :mod:`repro.core.parallel`.
+#: The production search: the delta-carrying depth-first search of
+#: :mod:`repro.core.parallel`.  It runs in the calling process; the name
+#: stays only because the end-to-end benchmark's ``pool_enum`` sessions
+#: pass ``repair_mode="parallel"``.
 PARALLEL_METHOD = "parallel"
 
 #: Everything ``RepairEngine(method=)`` accepts: the production search and
@@ -647,10 +608,10 @@ class RepairEngine:
     * ``"parallel"`` (default) — the production search of
       :mod:`repro.core.parallel`: a mutate/undo depth-first search over one
       working instance whose violations a :class:`ViolationTracker` keeps
-      current, split into bounded frontier tasks.  Each candidate comes
-      back as its ``∆(D, ·)``, ``≤_D`` is decided on those deltas
-      (:class:`DeltaMinimality`), and only the minimal ones are
-      materialised, each as a copy-on-write copy of the base plus its
+      current.  It enters the same states as the reference; each
+      candidate comes back as its ``∆(D, ·)``, ``≤_D`` is decided on
+      those deltas (:class:`DeltaMinimality`), and only the minimal ones
+      are materialised, each as a copy-on-write copy of the base plus its
       delta (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
       the driver's search from a tracker already kept over the same facts,
       so no full violation sweep runs;
@@ -676,7 +637,6 @@ class RepairEngine:
         max_states: Optional[int] = 200_000,
         method: str = PARALLEL_METHOD,
         violation_index: Optional[ViolationIndex] = None,
-        chunk_states: Optional[int] = None,
     ):
         if method not in REPAIR_METHODS:
             raise ValueError(
@@ -689,9 +649,6 @@ class RepairEngine:
         )
         self._max_states = max_states
         self._method = method
-        #: States one frontier task may explore before deferring the rest of
-        #: its subtree; ``None`` picks :data:`repro.core.parallel.DEFAULT_CHUNK_STATES`.
-        self._chunk_states = chunk_states
         #: *violation_index* lets a caller that already indexed the same
         #: constraint set (the session façade) share it instead of
         #: rebuilding; it must cover exactly *constraints*, in order.
@@ -729,9 +686,7 @@ class RepairEngine:
         if self._method != PARALLEL_METHOD:
             return self._timed_search(self._candidates_naive, instance)
         ordered = self._timed_search(self._collect, instance, seed_tracker)
-        return [
-            instance.with_delta(inserted, deleted) for _, inserted, deleted in ordered
-        ]
+        return [instance.with_delta(inserted, deleted) for inserted, deleted in ordered]
 
     def _timed_search(self, search: Callable[..., _T], *args: object) -> _T:
         """Run *search* from fresh statistics inside the ``repair.search`` span."""
@@ -816,22 +771,21 @@ class RepairEngine:
         self,
         instance: DatabaseInstance,
         seed_tracker: Optional[ViolationTracker],
-    ) -> List[Tuple[Tuple[int, ...], FrozenSet[Fact], FrozenSet[Fact]]]:
-        """The production search's candidates as (path, Δins, Δdel), in discovery order."""
+    ) -> List[Tuple[FrozenSet[Fact], FrozenSet[Fact]]]:
+        """The production search's candidates as (Δins, Δdel), in discovery order."""
 
-        from repro.core.parallel import DEFAULT_CHUNK_STATES, ParallelRepairSearch
+        from repro.core.parallel import ParallelRepairSearch
 
         search = ParallelRepairSearch(
             instance,
             self._constraints,
             max_states=self._max_states,
-            chunk_states=self._chunk_states or DEFAULT_CHUNK_STATES,
             violation_index=self._violation_index,
             seed_tracker=seed_tracker,
         )
-        ordered = search.collect()
-        self.statistics.merge(search.statistics)
-        return ordered
+        # The engine reports the search's own counters.
+        self.statistics = search.statistics
+        return search.collect()
 
     def repairs(
         self,
@@ -855,12 +809,12 @@ class RepairEngine:
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(ordered)):
                 flags, comparisons = minimal_flags_counted(
-                    [inserted | deleted for _, inserted, deleted in ordered]
+                    [inserted | deleted for inserted, deleted in ordered]
                 )
             with _trace.span("repair.materialise"):
                 minimal = [
                     instance.with_delta(inserted, deleted)
-                    for (_, inserted, deleted), keep in zip(ordered, flags)
+                    for (inserted, deleted), keep in zip(ordered, flags)
                     if keep
                 ]
         self.statistics.minimality_seconds = _clock.now() - started

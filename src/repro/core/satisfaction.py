@@ -26,10 +26,10 @@ enumerations — violations involving one changed fact or one partial
 assignment — are the compiled **delta plans** of
 :class:`repro.compile.kernel.CompiledConstraint`, which the
 :class:`~repro.core.repairs.ViolationTracker` of
-:mod:`repro.core.repairs` calls directly; so does the frontier search
-of :mod:`repro.core.parallel`, which keeps its tracker warm by
-replaying task deltas through those seeded updates, so a task never
-pays a full violation sweep.
+:mod:`repro.core.repairs` calls directly; so does the depth-first
+search of :mod:`repro.core.parallel`, which keeps its tracker current
+through those seeded updates, one per fix it applies, so the search
+never pays a full violation sweep past its first.
 
 (Paper cross-reference: Definition 4 is
 :func:`satisfies_via_projection`, Definition 3's witness-relevant

@@ -50,8 +50,11 @@ class CQAConfig:
     * ``max_states`` — the repair-search state budget;
     * ``repair_mode`` — the direct engine's repair search
       (:data:`repro.core.repairs.REPAIR_METHODS`): ``"parallel"``, the
-      production delta-carrying frontier search, or ``"naive"``, the
-      nested-loop reference it is pinned to (same repairs, same order);
+      production delta-carrying depth-first search, or ``"naive"``, the
+      nested-loop reference it is pinned to (same repairs, same order).
+      The production search runs in the calling process; its name stays
+      ``"parallel"`` only because the end-to-end benchmark's
+      ``pool_enum`` sessions pass it;
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
       short-circuit through :meth:`CQAEngine.certain_anytime` as soon
       as one streamed repair refutes the candidate;

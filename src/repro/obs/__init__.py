@@ -14,7 +14,7 @@ Three layers, all stdlib-only and strictly no-op unless asked for:
   ``ConsistentDatabase.explain(query, analyze=True)``, built from the
   request's own span tree.
 
-:mod:`repro.obs.clock` supplies the single injectable wall/CPU clock
+:mod:`repro.obs.clock` supplies the single injectable wall clock
 every timed code path (engine timings, spans, benchmarks) reads, so a
 test can install a :class:`~repro.obs.clock.FakeClock` and make every
 duration deterministic.
@@ -27,7 +27,6 @@ from repro.obs.clock import (
     Clock,
     FakeClock,
     SystemClock,
-    cpu_now,
     now,
     reset_clock,
     set_clock,
@@ -58,7 +57,6 @@ __all__ = [
     "Clock",
     "FakeClock",
     "SystemClock",
-    "cpu_now",
     "now",
     "reset_clock",
     "set_clock",

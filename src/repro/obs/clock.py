@@ -2,17 +2,11 @@
 
 Before this module existed the repository had three timing idioms —
 ``time.perf_counter()`` pairs in the repair engine, ad-hoc ``started``
-variables in the frontier search and a third copy in every benchmark —
+variables in the repair search and a third copy in every benchmark —
 none of which a test could substitute.  All of them now funnel through
-one process-wide :class:`Clock` with two faces:
-
-* :func:`now` — monotonic **wall-clock** seconds (``perf_counter``),
-  the right measure for spans, phase timings and anything a human
-  waits for;
-* :func:`cpu_now` — process **CPU** seconds (``process_time``), the
-  right measure for "how much work did this task do" independent of
-  how many sibling tasks ran concurrently (see
-  ``RepairStatistics.task_cpu_seconds``).
+one process-wide :class:`Clock`: :func:`now` reads monotonic
+**wall-clock** seconds (``perf_counter``), the right measure for spans,
+phase timings and anything a human waits for.
 
 Tests swap in a :class:`FakeClock` (via :func:`set_clock` or the
 :func:`using_clock` context manager) and advance it by hand, making
@@ -27,64 +21,41 @@ from typing import Iterator
 
 
 class Clock:
-    """The clock protocol: wall seconds and CPU seconds."""
+    """The clock protocol: wall-clock seconds."""
 
     def now(self) -> float:
         """Monotonic wall-clock seconds (arbitrary epoch)."""
 
         raise NotImplementedError
 
-    def cpu_now(self) -> float:
-        """Process-wide CPU seconds (user + system, arbitrary epoch)."""
-
-        raise NotImplementedError
-
 
 class SystemClock(Clock):
-    """The real clock: ``perf_counter`` wall, ``process_time`` CPU."""
+    """The real clock: ``perf_counter``."""
 
-    # The functions themselves, not methods calling them: spans read the
+    # The function itself, not a method calling it: spans read the
     # clock twice each, and a Python frame per read is tracer overhead.
     now = staticmethod(time.perf_counter)
-    cpu_now = staticmethod(time.process_time)
 
 
 class FakeClock(Clock):
     """A deterministic clock tests advance by hand.
 
-    ``advance(seconds)`` moves the wall clock; the CPU clock follows at
-    ``cpu_factor`` (default 1.0 — fully CPU-bound time) unless advanced
-    separately with ``advance_cpu``.
-
     >>> fake = FakeClock()
     >>> fake.advance(1.5)
-    >>> fake.now(), fake.cpu_now()
-    (1.5, 1.5)
-    >>> fake.advance(1.0, cpu_factor=0.0)  # purely idle wait
-    >>> fake.now(), fake.cpu_now()
-    (2.5, 1.5)
+    >>> fake.now()
+    1.5
     """
 
     def __init__(self, start: float = 0.0):
         self._wall = start
-        self._cpu = start
 
     def now(self) -> float:
         return self._wall
 
-    def cpu_now(self) -> float:
-        return self._cpu
-
-    def advance(self, seconds: float, cpu_factor: float = 1.0) -> None:
-        """Move the wall clock forward, the CPU clock by a fraction of it."""
+    def advance(self, seconds: float) -> None:
+        """Move the clock forward."""
 
         self._wall += seconds
-        self._cpu += seconds * cpu_factor
-
-    def advance_cpu(self, seconds: float) -> None:
-        """Move only the CPU clock (CPU burned without wall time passing)."""
-
-        self._cpu += seconds
 
 
 _SYSTEM = SystemClock()
@@ -128,9 +99,3 @@ def now() -> float:
     """Wall-clock seconds from the installed clock."""
 
     return _CLOCK.now()
-
-
-def cpu_now() -> float:
-    """CPU seconds from the installed clock."""
-
-    return _CLOCK.cpu_now()

@@ -263,7 +263,7 @@ def absorb_repair_statistics(stats: Any) -> None:
     """Publish one finished repair run's ``RepairStatistics`` into the registry.
 
     Called once per top-level enumeration (``RepairEngine.repairs`` and
-    the session's anytime stream) — *not* per task or per state, so the
+    the session's anytime stream) — *not* per pause or per state, so the
     per-state counters cost nothing extra during the search itself.
     """
 
@@ -293,10 +293,6 @@ def absorb_repair_statistics(stats: Any) -> None:
     reg.counter(
         "repro_repair_leq_d_comparisons_total", "pairwise ≤_D checks"
     ).inc(stats.leq_d_comparisons)
-    reg.counter(
-        "repro_repair_task_cpu_seconds_total",
-        "CPU seconds summed across the repair search's frontier tasks",
-    ).inc(max(stats.task_cpu_seconds, 0.0))
     reg.histogram(
         "repro_repair_search_seconds", "wall-clock seconds per candidate search"
     ).observe(stats.search_seconds)
@@ -337,7 +333,6 @@ def repair_statistics_view():
         leq_d_comparisons=_counter_value("repro_repair_leq_d_comparisons_total"),
         search_seconds=_sum_value("repro_repair_search_seconds"),
         minimality_seconds=_sum_value("repro_repair_minimality_seconds"),
-        task_cpu_seconds=_sum_value("repro_repair_task_cpu_seconds_total"),
     )
 
 

@@ -1051,7 +1051,7 @@ class ConsistentDatabase:
             method: ``"direct"`` (the repair engine) or ``"program"``
                 (the stable-model route).
             stream: ``True`` yields each repair at the earliest moment
-                its ``≤_D``-minimality is *proven*, while the frontier
+                its ``≤_D``-minimality is *proven*, while the repair
                 search is still running (see
                 :class:`repro.core.parallel.AnytimeRepairStream`);
                 ``False`` (default) enumerates fully first and then
@@ -1098,19 +1098,20 @@ class ConsistentDatabase:
         return generate()
 
     def stream_repairs(self, config: Optional[CQAConfig] = None) -> Iterator[DatabaseInstance]:
-        """Yield repairs as the anytime frontier search proves them minimal.
+        """Yield repairs as the anytime stream proves them minimal.
 
         The engine-facing sibling of ``iter_repairs(stream=True)``:
         yields the repairs of a copy-on-write snapshot of the current
         instance (safe against concurrent session mutations) without
-        defensive copies.  The inline search starts from the session's
-        warm violation tracker, so no full violation sweep runs.  When
-        the repair list of this generation is already cached it is
-        replayed instead, already "proven".  A fully drained stream
-        caches the canonical repair list and updates
-        ``last_repair_statistics``; an abandoned stream (e.g. an anytime
-        ``certain`` that found its counterexample) cancels the remaining
-        frontier tasks.
+        defensive copies.  The depth-first search starts from the
+        session's warm violation tracker, so no full violation sweep
+        runs, and at every pause the stream yields the repairs it can
+        now prove.  When the repair list of this generation is already
+        cached it is replayed instead, already "proven".  A fully
+        drained stream caches the repair list, in discovery order, and
+        updates ``last_repair_statistics``; an abandoned stream (e.g. an
+        anytime ``certain`` that found its counterexample) leaves the
+        rest of the search unexplored.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;

@@ -1,24 +1,43 @@
-"""The anytime repair stream against the naive reference, case by case.
+"""The production search and its anytime stream against the naive
+reference, case by case.
 
-``AnytimeRepairStream`` proves each repair ``≤_D``-minimal mid-search
-and hands it over at once; ``certain(anytime=True)`` stops at the first
-refuting repair.  Both must agree with the nested-loop reference on
-every paper scenario and on null-heavy generated workloads:
+The depth-first search pauses every ``PAUSE_STATES`` states so that
+``AnytimeRepairStream`` can prove repairs ``≤_D``-minimal mid-search
+and hand them over at once; ``certain(anytime=True)`` stops at the
+first refuting repair.  All of it must agree with the nested-loop
+reference on every paper scenario and on null-heavy generated
+workloads:
 
+* **pausing changes nothing** — paused every state, every third state
+  or at the default, ``RepairEngine`` returns the naive list, order
+  included, enters the naive states, finds the naive candidates, meets
+  the naive dead branches, and makes one tracker update per state it
+  enters after the root;
+* **nor does the hash seed** — the ordered repair lists are the same
+  under another ``PYTHONHASHSEED``;
 * **the stream** — the yielded repairs are exactly the naive ones, each
-  once, and ``ordered_repairs`` is the naive list, order included, for
-  chunk budgets that split the search into many batches;
+  once, and ``ordered_repairs`` is the naive list, order included, when
+  the search pauses every few states;
 * **its spans** — every span the stream opens closes before its
   ``yield``, so the consumer's work between two repairs never nests
-  under them, and every frontier task runs inside a per-batch
-  ``repair.search`` span;
+  under them, and the search runs inside per-pause ``repair.search``
+  spans;
 * **the short-circuit** — the anytime verdict of ``certain`` equals the
   full enumeration's for every fact of the instance as a candidate.
 """
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.constraints.parser import parse_constraint, parse_query
+from repro.core import parallel
 from repro.core.parallel import AnytimeRepairStream, ParallelRepairSearch
 from repro.core.repairs import RepairEngine
 from repro.obs import trace
@@ -74,9 +93,9 @@ def all_cases():
 CASES = list(all_cases())
 CASE_IDS = [name for name, _, _ in CASES]
 
-#: Small enough that most cases run as several frontier tasks, so repairs
-#: are proven while tasks are still open.
-CHUNK_STATES = 3
+#: Small enough that most cases pause several times, so repairs are
+#: proven while frontier subtrees are still open.
+PAUSE_STATES = 3
 
 
 def naive_repairs(instance, constraints):
@@ -103,12 +122,68 @@ def every_span(root):
     return nodes
 
 
+def repair_digest():
+    """A digest of every case's production repair list, order included."""
+
+    lists = [
+        [
+            sorted(map(repr, repair.facts()))
+            for repair in RepairEngine(constraints).repairs(instance)
+        ]
+        for _, instance, constraints in all_cases()
+    ]
+    return hashlib.sha256(json.dumps(lists).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("pause", [1, 3, None], ids=["pause1", "pause3", "default"])
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_pausing_changes_nothing(name, instance, constraints, pause, monkeypatch):
+    if pause is not None:
+        monkeypatch.setattr(parallel, "PAUSE_STATES", pause)
+    naive = RepairEngine(constraints, method="naive")
+    reference = naive.repairs(instance)
+    engine = RepairEngine(constraints)
+    assert engine.repairs(instance) == reference
+    found, expected = engine.statistics, naive.statistics
+    assert found.states_explored == expected.states_explored
+    assert found.candidates_found == expected.candidates_found
+    assert found.dead_branches == expected.dead_branches
+    assert found.violation_updates == found.states_explored - 1
+
+
+def test_discovery_order_ignores_the_hash_seed():
+    hash_seed = "54321" if os.environ.get("PYTHONHASHSEED") == "12345" else "12345"
+    here = Path(__file__).resolve().parent
+    source = Path(repro.__file__).resolve().parents[1]
+    completed = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import test_anytime_cases as cases; print(cases.repair_digest())",
+        ],
+        capture_output=True,
+        text=True,
+        cwd=here,
+        env={
+            "PYTHONPATH": os.pathsep.join([str(source), str(here)]),
+            "PYTHONHASHSEED": hash_seed,
+            "PATH": "/usr/bin:/bin",
+        },
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.strip() == repair_digest()
+
+
+@pytest.fixture
+def pause_every_few_states(monkeypatch):
+    monkeypatch.setattr(parallel, "PAUSE_STATES", PAUSE_STATES)
+
+
+@pytest.mark.usefixtures("pause_every_few_states")
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
 def test_stream_yields_exactly_the_naive_repairs(name, instance, constraints):
     reference = naive_repairs(instance, constraints)
-    stream = AnytimeRepairStream(
-        ParallelRepairSearch(instance, constraints, chunk_states=CHUNK_STATES)
-    )
+    stream = AnytimeRepairStream(ParallelRepairSearch(instance, constraints))
     streamed = list(stream)
     assert stream.degradation is None
     assert stream.ordered_repairs == reference
@@ -118,14 +193,13 @@ def test_stream_yields_exactly_the_naive_repairs(name, instance, constraints):
     }
 
 
+@pytest.mark.usefixtures("pause_every_few_states")
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
 def test_stream_spans_close_before_every_yield(name, instance, constraints):
     with trace.tracing(True):
         trace.reset()
         with trace.span("request"):
-            stream = AnytimeRepairStream(
-                ParallelRepairSearch(instance, constraints, chunk_states=CHUNK_STATES)
-            )
+            stream = AnytimeRepairStream(ParallelRepairSearch(instance, constraints))
             repairs = 0
             for _ in stream:
                 repairs += 1
@@ -143,9 +217,9 @@ def test_stream_spans_close_before_every_yield(name, instance, constraints):
     consumers = [node for node in nodes if node.name == "consumer"]
     assert len(consumers) == repairs
     assert all(parents[id(node)] is root for node in consumers)
-    tasks = [node for node in nodes if node.name == "repair.task"]
-    assert tasks, "the search ran no task"
-    assert all(parents[id(node)].name == "repair.search" for node in tasks)
+    searches = [node for node in nodes if node.name == "repair.search"]
+    assert searches, "the search opened no span"
+    assert all(parents[id(node)] is root for node in searches)
 
 
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)

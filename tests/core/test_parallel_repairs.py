@@ -1,12 +1,10 @@
 """The production repair search (``method="parallel"``).
 
-Covers the frontier-task decomposition of :mod:`repro.core.parallel`:
+Covers the depth-first search of :mod:`repro.core.parallel`:
 bit-identical output against the naive reference (list equality —
-same repairs, same discovery order), the sibling-exclusion partitioning
-on denial-only constraint sets, deferred-task splitting under tiny
-chunk budgets, the size-pruned ``≤_D`` filter, the per-task
-:meth:`RepairStatistics.merge`, and the anytime stream/short-circuit
-surface of the session.
+same repairs, same discovery order), also when the search pauses every
+few states, the size-pruned ``≤_D`` filter, the engine's statistics,
+and the anytime stream/short-circuit surface of the session.
 """
 
 import pytest
@@ -15,11 +13,10 @@ from hypothesis import strategies as st
 
 from repro.constraints.ic import ConstraintSet
 from repro.constraints.parser import parse_constraint, parse_query
+from repro.core import parallel
 from repro.core.parallel import (
     AnytimeRepairStream,
-    FrontierTask,
     ParallelRepairSearch,
-    exclusion_safe,
     frontier_could_dominate,
 )
 from repro.core.repairs import (
@@ -27,7 +24,6 @@ from repro.core.repairs import (
     REPAIR_METHODS,
     RepairEngine,
     RepairSearchBudgetExceeded,
-    RepairStatistics,
     ViolationTracker,
     minimal_flags_counted,
     violation_choice_key,
@@ -72,38 +68,39 @@ def denial_chain(values):
 
 
 class TestBitIdenticalOutput:
-    @pytest.mark.parametrize("chunk", [1, 3, 1024])
-    def test_every_scenario_matches_naive_exactly(self, all_scenarios, chunk):
+    @pytest.mark.parametrize("pause", [1, 3, 1024])
+    def test_every_scenario_matches_naive_exactly(
+        self, all_scenarios, pause, monkeypatch
+    ):
         """Same repair *list* — contents and discovery order — per scenario."""
 
+        monkeypatch.setattr(parallel, "PAUSE_STATES", pause)
         for name, scenario in sorted(all_scenarios.items()):
             if not scenario.constraints.is_non_conflicting():
                 continue
             reference = naive_repairs(scenario.instance, scenario.constraints)
-            parallel = parallel_repairs(
-                scenario.instance, scenario.constraints, chunk_states=chunk
-            )
-            assert parallel == reference, f"scenario {name} diverged at chunk={chunk}"
+            found = parallel_repairs(scenario.instance, scenario.constraints)
+            assert found == reference, f"scenario {name} diverged at pause={pause}"
 
-    @pytest.mark.parametrize("chunk", [5, 64])
-    def test_grouped_key_workload_exclusion_partitioning(self, chunk):
+    @pytest.mark.parametrize("pause", [5, 64])
+    def test_grouped_key_workload_matches_naive(self, pause, monkeypatch):
+        monkeypatch.setattr(parallel, "PAUSE_STATES", pause)
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=6, seed=3
         )
-        assert exclusion_safe(constraints)
         reference = naive_repairs(instance, constraints)
-        assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
+        assert parallel_repairs(instance, constraints) == reference
 
-    @pytest.mark.parametrize("chunk", [5, 64])
-    def test_foreign_key_workload_overlapping_subtrees(self, chunk):
-        """RICs insert null witnesses: no exclusions, path-dedup reconciles."""
+    @pytest.mark.parametrize("pause", [5, 64])
+    def test_foreign_key_workload_matches_naive(self, pause, monkeypatch):
+        """RICs insert null witnesses, so subtrees reach shared states."""
 
+        monkeypatch.setattr(parallel, "PAUSE_STATES", pause)
         instance, constraints = foreign_key_workload(
             n_parents=4, n_children=7, violation_ratio=0.4, null_ratio=0.3, seed=1
         )
-        assert not exclusion_safe(constraints)
         reference = naive_repairs(instance, constraints)
-        assert parallel_repairs(instance, constraints, chunk_states=chunk) == reference
+        assert parallel_repairs(instance, constraints) == reference
 
     def test_production_filter_matches_naive_everywhere(self, all_scenarios):
         """Every scenario and null-heavy workload, order included."""
@@ -139,12 +136,15 @@ class TestBitIdenticalOutput:
             RepairEngine(ConstraintSet(), method="turbo")
         RepairEngine(ConstraintSet(), method=PARALLEL_METHOD)  # accepted
 
-    def test_budget_applies_to_the_task_sum(self):
+    def test_budget_caps_the_states_entered(self, monkeypatch):
+        monkeypatch.setattr(parallel, "PAUSE_STATES", 4)
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=3, n_clean=5, seed=0
         )
+        engine = RepairEngine(constraints, max_states=10)
         with pytest.raises(RepairSearchBudgetExceeded):
-            parallel_repairs(instance, constraints, max_states=10, chunk_states=4)
+            engine.repairs(instance)
+        assert engine.statistics.states_explored == 11
 
 
 class TestMinimalityPruning:
@@ -165,7 +165,7 @@ class TestMinimalityPruning:
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
         ordered = ParallelRepairSearch(instance, constraints).collect()
-        deltas = [inserted | deleted for _, inserted, deleted in ordered]
+        deltas = [inserted | deleted for inserted, deleted in ordered]
         assert len(deltas) == 9
         assert minimal_flags_counted(deltas) == ([True] * 9, 0)
 
@@ -235,94 +235,38 @@ class TestHypothesisEquivalence:
         st.integers(min_value=1, max_value=9),
     )
     def test_parallel_equals_naive_on_generated_instances(
-        self, p_rows, r_rows, chunk
+        self, p_rows, r_rows, pause
     ):
         instance = DatabaseInstance.from_dict({"P": p_rows, "R": r_rows})
         reference = naive_repairs(instance, self.CONSTRAINTS)
-        assert (
-            parallel_repairs(instance, self.CONSTRAINTS, chunk_states=chunk)
-            == reference
-        )
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(parallel, "PAUSE_STATES", pause)
+            assert parallel_repairs(instance, self.CONSTRAINTS) == reference
 
 
-class TestStatisticsMerge:
-    def test_merge_sums_counters_but_not_wall_clock(self):
-        """Counters and task CPU sum; wall-clock stays the driver's own.
+class TestEngineStatistics:
+    @pytest.fixture(autouse=True)
+    def pause_every_four_states(self, monkeypatch):
+        monkeypatch.setattr(parallel, "PAUSE_STATES", 4)
 
-        Summing per-task wall clock under ``method="parallel"`` would
-        report more elapsed time than actually passed — the driver owns
-        ``search_seconds``/``minimality_seconds``, tasks contribute
-        ``task_cpu_seconds``.
-        """
-
-        first = RepairStatistics(
-            states_explored=10,
-            candidates_found=2,
-            repairs_found=1,
-            dead_branches=3,
-            violation_updates=40,
-            constraints_reevaluated=80,
-            leq_d_comparisons=5,
-            search_seconds=0.25,
-            minimality_seconds=0.5,
-            task_cpu_seconds=0.2,
-        )
-        second = RepairStatistics(
-            states_explored=7,
-            candidates_found=1,
-            dead_branches=2,
-            violation_updates=13,
-            constraints_reevaluated=20,
-            search_seconds=0.75,
-            task_cpu_seconds=0.6,
-        )
-        merged = first.merge(second)
-        assert merged is first
-        assert first.states_explored == 17
-        assert first.candidates_found == 3
-        assert first.repairs_found == 1
-        assert first.dead_branches == 5
-        assert first.violation_updates == 53
-        assert first.constraints_reevaluated == 100
-        assert first.leq_d_comparisons == 5
-        assert first.search_seconds == pytest.approx(0.25)
-        assert first.minimality_seconds == pytest.approx(0.5)
-        assert first.task_cpu_seconds == pytest.approx(0.8)
-
-    def test_workers_never_share_a_statistics_object(self):
-        """Every task result carries its own object; the driver merges."""
-
+    def test_engine_statistics_are_the_searchs_own(self):
         instance, constraints = grouped_key_workload(
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
-        search = ParallelRepairSearch(instance, constraints, chunk_states=4)
-        stats_objects = []
-        total_states = 0
-        for batch in search.batches():
-            total_states = batch.states_explored
-        # The aggregate equals the per-task sum, i.e. nothing was lost to
-        # racy in-place sharing.
-        assert search.statistics.states_explored == total_states
-        assert total_states > 0
-
-    def test_engine_statistics_are_aggregated(self):
-        instance, constraints = grouped_key_workload(
-            n_groups=2, group_size=3, n_clean=3, seed=4
-        )
-        engine = RepairEngine(constraints, method=PARALLEL_METHOD, chunk_states=4)
+        engine = RepairEngine(constraints, method=PARALLEL_METHOD)
         found = engine.repairs(instance)
         stats = engine.statistics
         assert stats.repairs_found == len(found) == 9
         assert stats.candidates_found == 9
         assert stats.states_explored > 0
-        assert stats.violation_updates > 0
+        assert stats.violation_updates == stats.states_explored - 1
         # Equal-size candidates: the size bound leaves no rival to compare.
         assert stats.leq_d_comparisons == 0
         assert stats.search_seconds > 0
 
     def test_engine_statistics_count_the_leq_d_checks(self):
         instance, constraints = denial_chain(3)
-        engine = RepairEngine(constraints, method=PARALLEL_METHOD, chunk_states=4)
+        engine = RepairEngine(constraints, method=PARALLEL_METHOD)
         found = engine.repairs(instance)
         stats = engine.statistics
         assert stats.repairs_found == len(found) == 8
@@ -331,17 +275,16 @@ class TestStatisticsMerge:
 
 
 class TestAnytimeStream:
-    def test_streams_every_repair_before_search_completes(self):
+    def test_streams_every_repair_before_search_completes(self, monkeypatch):
         """On a ≥100-repair instance the stream yields mid-search."""
 
+        monkeypatch.setattr(parallel, "PAUSE_STATES", 50)
         instance, constraints = grouped_key_workload(
             n_groups=3, group_size=5, n_clean=8, seed=1
         )
         reference = RepairEngine(constraints, max_states=2_000_000).repairs(instance)
         assert len(reference) == 125
-        search = ParallelRepairSearch(
-            instance, constraints, max_states=2_000_000, chunk_states=50
-        )
+        search = ParallelRepairSearch(instance, constraints, max_states=2_000_000)
         stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
@@ -351,12 +294,13 @@ class TestAnytimeStream:
         assert stream.yields_before_completion > 0
         assert stream.states_at_first_yield < search.statistics.states_explored
 
-    def test_stream_set_matches_on_insertion_workload(self):
+    def test_stream_set_matches_on_insertion_workload(self, monkeypatch):
+        monkeypatch.setattr(parallel, "PAUSE_STATES", 6)
         instance, constraints = foreign_key_workload(
             n_parents=4, n_children=6, violation_ratio=0.5, null_ratio=0.3, seed=5
         )
         reference = RepairEngine(constraints).repairs(instance)
-        search = ParallelRepairSearch(instance, constraints, chunk_states=6)
+        search = ParallelRepairSearch(instance, constraints)
         stream = AnytimeRepairStream(search)
         streamed = list(stream)
         assert stream.ordered_repairs == reference
@@ -382,7 +326,8 @@ class TestAnytimeStream:
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
         budget = Budget(degrade=degrade)
-        # One task covers the whole tree, so all 9 repairs arrive in one batch.
+        # The search ends before its first pause, so all 9 repairs arrive
+        # in one batch.
         stream = AnytimeRepairStream(
             ParallelRepairSearch(instance, constraints, budget=budget)
         )
@@ -398,10 +343,10 @@ class TestAnytimeStream:
             with pytest.raises(QueryCancelledError):
                 next(iterator)
 
-    def test_seeded_search_skips_the_sweep(self):
-        from repro.core.repairs import ViolationTracker
+    def test_seeded_search_skips_the_sweep(self, monkeypatch):
         from repro.obs import metrics
 
+        monkeypatch.setattr(parallel, "PAUSE_STATES", 6)
         instance, constraints = foreign_key_workload(
             n_parents=4, n_children=6, violation_ratio=0.5, null_ratio=0.3, seed=5
         )
@@ -409,10 +354,10 @@ class TestAnytimeStream:
         sweeps = metrics.registry().get("repro_tracker_sweeps_total")
         before = sweeps.value
         seeded = ParallelRepairSearch(
-            instance, constraints, chunk_states=6, seed_tracker=tracker
+            instance, constraints, seed_tracker=tracker
         ).collect()
         assert sweeps.value == before
-        assert seeded == ParallelRepairSearch(instance, constraints, chunk_states=6).collect()
+        assert seeded == ParallelRepairSearch(instance, constraints).collect()
 
     def test_frontier_domination_certificate(self):
         fact = Fact("R", ("a", "b"))
@@ -430,16 +375,6 @@ class TestAnytimeStream:
         )
         assert not frontier_could_dominate(
             frozenset({Fact("R", ("z", NULL))}), frozenset({fact})
-        )
-
-    def test_frontier_task_delta(self):
-        task = FrontierTask(
-            (0, 1),
-            frozenset({Fact("Q", ("a", NULL))}),
-            frozenset({Fact("E", ("a", "b"))}),
-        )
-        assert task.delta() == frozenset(
-            {Fact("Q", ("a", NULL)), Fact("E", ("a", "b"))}
         )
 
 

@@ -204,7 +204,7 @@ class TestReferenceRequest:
 
     def test_every_repair_layer_is_its_own_phase(self, report):
         for name in (
-            "repair.task",
+            "repair.search",
             "repair.minimality",
             "repair.materialise",
             "query.eval",
@@ -215,5 +215,5 @@ class TestReferenceRequest:
     def test_the_search_line_shows_the_searchs_own_tracker_updates(self, report):
         statistics = report.repair_statistics
         assert statistics.repairs_found == 729
-        assert statistics.violation_updates == 1878
-        assert "1878 tracker updates" in report.render()
+        assert statistics.violation_updates == 1820
+        assert "1820 tracker updates" in report.render()

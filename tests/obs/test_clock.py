@@ -7,7 +7,6 @@ from repro.obs.clock import (
     FakeClock,
     SystemClock,
     clock,
-    cpu_now,
     now,
     reset_clock,
     set_clock,
@@ -21,45 +20,21 @@ class TestSystemClock:
         readings = [system.now() for _ in range(5)]
         assert readings == sorted(readings)
 
-    def test_cpu_now_is_non_negative_and_monotonic(self):
-        system = SystemClock()
-        first = system.cpu_now()
-        # Burn a little CPU so the second reading cannot go backwards.
-        sum(range(10_000))
-        second = system.cpu_now()
-        assert 0 <= first <= second
-
     def test_protocol_base_raises(self):
         with pytest.raises(NotImplementedError):
             Clock().now()
-        with pytest.raises(NotImplementedError):
-            Clock().cpu_now()
 
 
 class TestFakeClock:
     def test_starts_at_start_and_stands_still(self):
         fake = FakeClock(start=10.0)
         assert fake.now() == 10.0
-        assert fake.cpu_now() == 10.0
         assert fake.now() == 10.0  # no drift between reads
 
-    def test_advance_moves_both_faces_by_default(self):
+    def test_advance_moves_the_clock(self):
         fake = FakeClock()
         fake.advance(1.5)
         assert fake.now() == pytest.approx(1.5)
-        assert fake.cpu_now() == pytest.approx(1.5)
-
-    def test_cpu_factor_scales_the_cpu_face(self):
-        fake = FakeClock()
-        fake.advance(2.0, cpu_factor=0.25)  # mostly waiting
-        assert fake.now() == pytest.approx(2.0)
-        assert fake.cpu_now() == pytest.approx(0.5)
-
-    def test_advance_cpu_moves_only_the_cpu_face(self):
-        fake = FakeClock()
-        fake.advance_cpu(0.75)
-        assert fake.now() == 0.0
-        assert fake.cpu_now() == pytest.approx(0.75)
 
 
 class TestInstallation:
@@ -69,9 +44,8 @@ class TestInstallation:
         try:
             assert clock() is fake
             assert now() == 5.0
-            fake.advance(1.0, cpu_factor=0.5)
+            fake.advance(1.0)
             assert now() == pytest.approx(6.0)
-            assert cpu_now() == pytest.approx(5.5)
         finally:
             reset_clock()
         assert isinstance(clock(), SystemClock)

@@ -184,7 +184,6 @@ class TestAbsorbAndViews:
             leq_d_comparisons=12,
             search_seconds=0.25,
             minimality_seconds=0.05,
-            task_cpu_seconds=0.4,
         )
 
     def test_absorb_repair_statistics_publishes_every_counter(self):
@@ -195,7 +194,6 @@ class TestAbsorbAndViews:
         assert snapshot["repro_repair_runs_total"] == 1.0
         assert snapshot["repro_repair_states_explored_total"] == 10.0
         assert snapshot["repro_repair_repairs_found_total"] == 2.0
-        assert snapshot["repro_repair_task_cpu_seconds_total"] == pytest.approx(0.4)
         assert snapshot["repro_repair_search_seconds_count"] == 1.0
         assert snapshot["repro_repair_search_seconds_sum"] == pytest.approx(0.25)
 
@@ -210,7 +208,6 @@ class TestAbsorbAndViews:
         assert view.repairs_found == stats.repairs_found
         assert view.leq_d_comparisons == stats.leq_d_comparisons
         assert view.search_seconds == pytest.approx(stats.search_seconds)
-        assert view.task_cpu_seconds == pytest.approx(stats.task_cpu_seconds)
 
     def test_session_statistics_view_reads_session_counters(self):
         registry = metrics.registry()

@@ -259,7 +259,7 @@ class TestAnytimeAttribution:
         for root in roots:
             assert root.name == "session.certain"
             assert {
-                "repair.task",
+                "repair.search",
                 "repair.minimality",
                 "repair.materialise",
                 "query.eval",

@@ -103,8 +103,9 @@ def test_cover_tables_decide_leq_d_on_null_bearing_deltas(deltas):
 
 
 class TestDeltaInterning:
-    """Frontier tasks build fresh ``Fact`` objects for their deltas, while
-    deleted facts are the base instance's own: ``≤_D`` must not care."""
+    """The search builds fresh ``Fact`` objects for the facts it inserts,
+    while deleted facts are the base instance's own: ``≤_D`` must not
+    care."""
 
     #: Every non-empty subset of these is a delta: null atoms with and
     #: without a cover, and plain facts, so both conditions of

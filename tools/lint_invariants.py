@@ -200,7 +200,7 @@ def check_source(rel_path: str, source: str) -> List[Violation]:
                         rel_path,
                         node.lineno,
                         f"time.{node.attr} used directly; route timing through "
-                        "repro.obs.clock (now()/cpu_now()) so tests can fake it",
+                        "repro.obs.clock (now()) so tests can fake it",
                     )
                 )
             if (
