@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Tuple
 
-from repro.compile.plans import JoinPlan
+from repro.compile.plans import AtomStep, JoinPlan
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 from repro.relational.domain import NULL, Constant
@@ -144,30 +144,24 @@ def _null_test(expr: str) -> str:
     return f"{expr} is _NULL or {expr} is None"
 
 
-def _emit_row_checks(
-    out: _Emitter,
-    depth: int,
-    row: str,
-    arity: int,
-    eq: Tuple[Tuple[int, int], ...],
-    writes: Tuple[Tuple[int, int], ...],
-    guard: Tuple[int, ...],
-    reject: str,
-) -> None:
-    """The shared per-row body: arity, eq, writes, then guards."""
+def _emit_row_checks(out: _Emitter, depth: int, row: str, step: AtomStep) -> None:
+    """The per-row body of a step: arity, eq, pre-written slots, writes, then guards."""
 
-    out.put(depth, f"if len({row}) != {arity}:")
-    out.put(depth + 1, reject)
-    for position, first in eq:
+    out.put(depth, f"if len({row}) != {step.arity}:")
+    out.put(depth + 1, "continue")
+    for position, first in step.eq:
         out.put(depth, f"if {row}[{position}] != {row}[{first}]:")
-        out.put(depth + 1, reject)
-    position_of_slot = {slot: position for position, slot in writes}
-    for position, slot in writes:
+        out.put(depth + 1, "continue")
+    for position, slot in step.check:
+        out.put(depth, f"if {row}[{position}] != slots[{slot}]:")
+        out.put(depth + 1, "continue")
+    position_of_slot = {slot: position for position, slot in step.writes}
+    for position, slot in step.writes:
         out.put(depth, f"slots[{slot}] = {row}[{position}]")
-    for slot in guard:
+    for slot in step.guard:
         probe = f"{row}[{position_of_slot[slot]}]"
         out.put(depth, f"if {probe} is _NULL or {probe} is None:")
-        out.put(depth + 1, reject)
+        out.put(depth + 1, "continue")
 
 
 def _probe_expression(out: _Emitter, step_index: int, plan: JoinPlan) -> str:
@@ -243,9 +237,7 @@ def _generate(plan: JoinPlan) -> Tuple[str, Dict[str, Any]]:
         row = f"_r{index}"
         predicate = out.name("pred", step.predicate)
         out.put(depth, f"for {row} in _tm({predicate}, {_probe_expression(out, index, plan)}):")
-        _emit_row_checks(
-            out, depth + 1, row, step.arity, step.eq, step.writes, step.guard, "continue"
-        )
+        _emit_row_checks(out, depth + 1, row, step)
         out.put(depth + 1, f"rows[{step.atom_index}] = {row}")
         if index == last:
             out.put(depth + 1, "yield")

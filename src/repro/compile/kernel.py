@@ -180,8 +180,14 @@ def _build_steps(
     var_slots: Mapping[Variable, int],
     prebound: FrozenSet[Variable],
     guard_vars: FrozenSet[Variable],
+    checked: FrozenSet[Variable] = frozenset(),
 ) -> Tuple[AtomStep, ...]:
-    """Specialise each scheduled atom into an :class:`AtomStep`."""
+    """Specialise each scheduled atom into an :class:`AtomStep`.
+
+    Variables in *prebound* are probed wherever they occur; variables in
+    *checked* are pre-written too, but compared per row at their first
+    occurrence (and probed after it, like any variable bound earlier).
+    """
 
     steps: List[AtomStep] = []
     bound: Set[Variable] = set(prebound)
@@ -190,6 +196,7 @@ def _build_steps(
         const: List[Tuple[int, Constant]] = []
         bound_checks: List[Tuple[int, int]] = []
         eq: List[Tuple[int, int]] = []
+        check: List[Tuple[int, int]] = []
         writes: List[Tuple[int, int]] = []
         guard: List[int] = []
         first: Dict[Variable, int] = {}
@@ -200,6 +207,9 @@ def _build_steps(
                 bound_checks.append((position, var_slots[term]))
             elif term in first:
                 eq.append((position, first[term]))
+            elif term in checked:
+                first[term] = position
+                check.append((position, var_slots[term]))
             else:
                 first[term] = position
                 slot = var_slots[term]
@@ -217,6 +227,7 @@ def _build_steps(
                 eq=tuple(eq),
                 writes=tuple(writes),
                 guard=tuple(guard),
+                check=tuple(check),
             )
         )
     return tuple(steps)
@@ -676,8 +687,23 @@ CompiledUnit = Union[CompiledConstraint, CompiledNotNull]
 
 
 # --------------------------------------------------------------------------- queries
+_NO_ANSWERS: FrozenSet[Tuple[Constant, ...]] = frozenset()
+
+#: A filter on one match's rows (``rows[i]`` is the row matched by the
+#: *i*-th positive atom); the rewriting's residue checks are one.
+RowsFilter = Callable[[Sequence[Optional[Row]]], bool]
+
+
 class CompiledQuery:
-    """A conjunctive query lowered to join + compare + negate over slots."""
+    """A conjunctive query lowered to join + compare + negate over slots.
+
+    Three plans share one slot layout: :attr:`plan`, the unbound join
+    every answer set runs, and two that decide one candidate tuple with
+    the head variables written before the join (``JoinPlan.initial``):
+    :attr:`bound_plan` probes the hash indexes with them, while
+    :attr:`pinned_plan` keeps :attr:`plan`'s schedule and probes, and
+    compares them in the row loop (``AtomStep.check``).
+    """
 
     def __init__(self, query: "ConjunctiveQuery") -> None:  # noqa: F821 (import cycle)
         atoms = query.positive_atoms
@@ -685,12 +711,36 @@ class CompiledQuery:
         self._var_slots = _slot_layout(atoms)
         self.n_slots = len(self._var_slots)
         empty: FrozenSet[Variable] = frozenset()
+        head: FrozenSet[Variable] = frozenset(query.head_variables)
         order = _static_schedule(atoms, empty, skip=None)
-        self.plan = JoinPlan(
-            steps=_build_steps(atoms, order, self._var_slots, empty, empty),
-            n_slots=self.n_slots,
-            n_atoms=len(atoms),
-            var_slots=tuple(self._var_slots.items()),
+        initial = tuple(
+            sorted(
+                ((variable, self._var_slots[variable]) for variable in head),
+                key=lambda item: item[1],
+            )
+        )
+
+        def plan_of(
+            schedule: Sequence[int], prebound: FrozenSet[Variable], checked: FrozenSet[Variable]
+        ) -> JoinPlan:
+            return JoinPlan(
+                steps=_build_steps(atoms, schedule, self._var_slots, prebound, empty, checked),
+                n_slots=self.n_slots,
+                n_atoms=len(atoms),
+                var_slots=tuple(self._var_slots.items()),
+                initial=initial if prebound or checked else (),
+            )
+
+        self.plan = plan_of(order, empty, empty)
+        self.bound_plan = self.pinned_plan = self.plan
+        if head:
+            self.bound_plan = plan_of(_static_schedule(atoms, head, skip=None), head, empty)
+            self.pinned_plan = plan_of(order, empty, head)
+        #: The relations the bound plan reads through their hash index.
+        self._bound_probes: Tuple[str, ...] = tuple(
+            dict.fromkeys(
+                step.predicate for step in self.bound_plan.steps if step.const or step.bound
+            )
         )
         self.comparisons = tuple(
             compile_query_comparison(comparison, self._var_slots)
@@ -712,10 +762,22 @@ class CompiledQuery:
         )
 
     def answers(
-        self, instance: DatabaseInstance, null_is_unknown: bool = False
+        self,
+        instance: DatabaseInstance,
+        null_is_unknown: bool = False,
+        candidate: Optional[Sequence[Constant]] = None,
+        keep: Optional[RowsFilter] = None,
     ) -> FrozenSet[Tuple[Constant, ...]]:
-        """The query's answer set — the same set as the naive evaluator's."""
+        """The query's answer set — the same set as the naive evaluator's.
 
+        *keep*, when given, must accept a match's rows for its answer to
+        count.  *candidate* decides one tuple instead of building the
+        set: the result is ``{candidate}`` or ``∅``, from a run that stops
+        at the first match producing it (see :meth:`_select`).
+        """
+
+        if candidate is not None or keep is not None:
+            return self._select(instance, null_is_unknown, candidate, keep)
         results: Set[Tuple[Constant, ...]] = set()
         slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
         rows: List[Optional[Row]] = [None] * self.plan.n_atoms
@@ -740,6 +802,79 @@ class CompiledQuery:
                     break
             if not ok:
                 continue
+            results.add(tuple(slots[slot] for slot in head_slots))
+        return frozenset(results)
+
+    def _passes(
+        self, instance: DatabaseInstance, slots: Sequence[Constant], null_is_unknown: bool
+    ) -> bool:
+        """Do the comparisons and negated atoms accept the current match?
+
+        :meth:`answers` inlines the same checks: its loop runs once per
+        match on every repair of every enumerating request.
+        """
+
+        for check in self.comparisons:
+            if not check(slots, null_is_unknown):
+                return False
+        for predicate, specs in self.negatives:
+            values = tuple(
+                slots[slot] if slot is not None else constant for slot, constant in specs
+            )
+            if instance.contains_tuple(predicate, values):
+                return False
+        return True
+
+    def _select(
+        self,
+        instance: DatabaseInstance,
+        null_is_unknown: bool,
+        candidate: Optional[Sequence[Constant]],
+        keep: Optional[RowsFilter],
+    ) -> FrozenSet[Tuple[Constant, ...]]:
+        """The answers whose matches *keep* accepts, or the decision of *candidate*.
+
+        A candidate of the wrong arity, or with unequal values for a
+        repeated head variable, is no answer.  Otherwise its values are
+        written into the head slots and run through :attr:`bound_plan`
+        when *instance* already holds the hash index of every relation
+        that plan probes (a session's own instance), else through
+        :attr:`pinned_plan` (a repair, whose relations touched by its
+        delta have no index), which compares them in the row loop —
+        before comparisons, negation and *keep*.  So a decision builds no
+        index the answer set would not, and it stops at the first match
+        that survives every filter.
+        """
+
+        plan = self.plan
+        initial: Optional[Dict[Variable, Constant]] = None
+        answer: Optional[Tuple[Constant, ...]] = None
+        if candidate is not None:
+            answer = tuple(candidate)
+            if len(answer) != len(self.head_slots):
+                return _NO_ANSWERS
+            values: Dict[int, Constant] = {}
+            for slot, value in zip(self.head_slots, answer):
+                if slot not in values:
+                    values[slot] = value
+                elif values[slot] != value:
+                    return _NO_ANSWERS
+            if all(instance.indexed(predicate) for predicate in self._bound_probes):
+                plan = self.bound_plan
+            else:
+                plan = self.pinned_plan
+            initial = {variable: values[slot] for variable, slot in plan.initial}
+        results: Set[Tuple[Constant, ...]] = set()
+        slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
+        rows: List[Optional[Row]] = [None] * plan.n_atoms
+        head_slots = self.head_slots
+        for _ in _codegen.matcher(plan)(instance, slots, rows, None, initial):
+            if not self._passes(instance, slots, null_is_unknown):
+                continue
+            if keep is not None and not keep(rows):
+                continue
+            if answer is not None:
+                return frozenset((answer,))
             results.add(tuple(slots[slot] for slot in head_slots))
         return frozenset(results)
 

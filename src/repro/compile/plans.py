@@ -58,7 +58,10 @@ class AtomStep:
     steps or the plan's binding pattern): they form the probe map handed
     to the relation index and are **not** re-checked per row.  ``eq``
     holds within-atom repeated-variable checks (position, first
-    position); ``writes`` the (position, slot) pairs first binding a
+    position); ``check`` the (position, slot) pairs compared per row
+    with a slot the caller wrote before execution — a pre-bound value
+    filtered in the row loop instead of probed, so the step reads no
+    index; ``writes`` the (position, slot) pairs first binding a
     variable here; ``guard`` the written slots that reject ``null``
     (relevant-attribute pushdown — empty for query plans).
     """
@@ -71,6 +74,7 @@ class AtomStep:
     eq: Tuple[Tuple[int, int], ...]  #: (position, earlier position)
     writes: Tuple[Tuple[int, int], ...]  #: (position, slot)
     guard: Tuple[int, ...]  #: slots written here that must not be null
+    check: Tuple[Tuple[int, int], ...] = ()  #: (position, pre-written slot)
 
 
 @dataclass(frozen=True)

@@ -194,7 +194,7 @@ class ParallelRepairSearch:
         budget = self.request_budget()
         max_states = self._max_states
         stats = self.statistics
-        started = _clock.now()
+        resumed = _clock.now()
         working = self._instance.copy()
         tracker = ViolationTracker(working, self._index, seed=self._seed_tracker)
         visited = {(_EMPTY_FACTS, _EMPTY_FACTS)}
@@ -244,9 +244,11 @@ class ParallelRepairSearch:
                 stats.dead_branches += 1
 
         def tally() -> None:
+            # Called just before each yield: only the time since the search
+            # last resumed is search time, not the caller's between pauses.
             stats.violation_updates = tracker.updates
             stats.constraints_reevaluated = tracker.constraints_reevaluated
-            stats.search_seconds = _clock.now() - started
+            stats.search_seconds += _clock.now() - resumed
 
         enter(_EMPTY_FACTS, _EMPTY_FACTS)
         paused_at = 0
@@ -284,6 +286,7 @@ class ParallelRepairSearch:
                 )
                 found = []
                 paused_at = stats.states_explored
+                resumed = _clock.now()
             if budget is not None and spent(budget):
                 return
             state.next += 1
@@ -401,6 +404,8 @@ class AnytimeRepairStream:
         self._search = search
         self.ordered_repairs: Optional[List[DatabaseInstance]] = None
         self.states_at_first_yield: Optional[int] = None
+        #: Repairs yielded so far.
+        self.proven = 0
         #: Repairs yielded while frontier subtrees were still open.
         self.yields_before_completion = 0
         #: Set when the underlying search degraded: everything yielded is
@@ -420,7 +425,6 @@ class AnytimeRepairStream:
         base = search._instance
         budget = search.request_budget()
         pool: List[_StreamCandidate] = []
-        yielded = 0
 
         def provable(frontier: Sequence[FrozenSet[Fact]]) -> Iterator[DatabaseInstance]:
             # Every span below closes before the yield: the consumer runs
@@ -463,7 +467,7 @@ class AnytimeRepairStream:
                         for inserted, deleted in batch.candidates
                     )
                 for repair in provable(batch.frontier):
-                    yielded += 1
+                    self.proven += 1
                     if batch.frontier:
                         self.yields_before_completion += 1
                     yield repair
@@ -477,7 +481,7 @@ class AnytimeRepairStream:
             # minimality proof, but the rest was never explored or decided —
             # flag the truncation and leave ordered_repairs unset so nothing
             # caches this as the complete repair set.
-            self.degradation = replace(search.degradation, proven=yielded)
+            self.degradation = replace(search.degradation, proven=self.proven)
             return
         # The last batch had no open frontier, so every candidate is decided.
         self.ordered_repairs = [entry.repair for entry in pool if entry.repair is not None]

@@ -56,8 +56,9 @@ class CQAConfig:
       ``"parallel"`` only because the end-to-end benchmark's
       ``pool_enum`` sessions pass it;
     * ``anytime`` — let :meth:`repro.session.ConsistentDatabase.certain`
-      short-circuit through :meth:`CQAEngine.certain_anytime` as soon
-      as one streamed repair refutes the candidate;
+      decide over the anytime repair stream (:meth:`CQAEngine.certain`
+      of the direct engine), which stops as soon as one streamed repair
+      refutes the candidate;
     * ``estimate_repairs`` — whether the non-enumerating engines should
       pay one conflict-graph pass for a repair-count estimate;
     * ``deadline`` — wall-clock seconds the whole request may take; a
@@ -149,7 +150,9 @@ class CQAEngine(ABC):
     names and instantiates them.  ``answers_report`` receives the owning
     session (whose caches hold every reusable intermediate), the query
     and the merged :class:`CQAConfig`, and returns a fully populated
-    :class:`repro.core.cqa.CQAResult`.
+    :class:`repro.core.cqa.CQAResult`; :meth:`certain` decides whether
+    one candidate tuple is a consistent answer, by default through that
+    report.
     """
 
     #: Registry name, set by :func:`register_engine`.
@@ -179,36 +182,38 @@ class CQAEngine(ABC):
 
         return None
 
-    def certain_anytime(
+    def certain(
         self,
         session: "ConsistentDatabase",
         query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """Anytime decision of "is *candidate* an answer in every repair?".
+        candidate: Tuple,
+        config: CQAConfig,
+    ) -> bool:
+        """Is *candidate* an answer in every repair?  (Definition 8.)
 
-        An engine that can refute a candidate without materialising the
-        full answer set — the direct engine streams repairs from the
-        frontier search and stops at the first counterexample, the
-        rewriting engines are one polynomial pass anyway — overrides
-        this.  Returning ``None`` (the default) tells the session to
-        fall back to the ordinary :meth:`answers_report` route.
+        The default is membership in the session's answer report
+        (:meth:`~repro.session.ConsistentDatabase.report_with`, cached
+        per generation and computed under the request budget): the
+        reference every decision must agree with, and what the
+        ``program``, ``independent`` and ``sqlite`` engines, the direct
+        engine without ``anytime``, and third-party engines get.  The
+        rewriting overrides it to decide the candidate alone on the
+        session's instance, and the direct engine's anytime path to
+        decide it repair by repair over the stream.
 
         Args:
             session: the owning session (cache + instance access).
-            query: the query under decision; boolean when *candidate*
-                is ``None``.
-            candidate: the answer tuple to certify, or ``None`` for a
+            query: the query under decision.
+            candidate: the answer tuple to certify; ``()`` for a
                 boolean query.
             config: the merged per-call :class:`CQAConfig`.
 
         Returns:
-            The certain answer, or ``None`` when this engine has no
-            anytime path.
+            True iff *candidate* is a consistent answer; a candidate of
+            the wrong arity never is.
         """
 
-        return None
+        return candidate in session.report_with(query, config).answers
 
 
 _REGISTRY: Dict[str, CQAEngine] = {}

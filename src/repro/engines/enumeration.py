@@ -1,16 +1,18 @@
 """The repair-enumerating engines: direct search and stable models.
 
 Both materialise every repair and intersect the per-repair answer sets
-(Definition 8).  The repair lists themselves come from the session's
-generation-keyed cache (``session.repairs_list``), so a warm session
-answers a second query over an unchanged database without re-running the
-search — and the ``"direct"`` route additionally warm-starts its
-violation store from the session's live :class:`ViolationTracker`.
+(Definition 8); an anytime ``certain()`` instead asks each streamed
+repair about its one candidate and stops at the first refutation.  The
+repair lists themselves come from the session's generation-keyed cache
+(``session.repairs_list``), so a warm session answers a second query
+over an unchanged database without re-running the search — and the
+``"direct"`` route additionally warm-starts its violation store from the
+session's live :class:`ViolationTracker`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, Tuple
 
 from repro.engines.base import CQAConfig, CQAEngine, register_engine
 from repro.obs import trace as _trace
@@ -53,20 +55,22 @@ class DirectEngine(CQAEngine):
                 repairs, query, null_is_unknown=config.null_is_unknown, method="direct"
             )
 
-    def certain_anytime(
+    def certain(
         self,
         session: "ConsistentDatabase",
         query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """Stream repairs and stop at the first counterexample.
+        candidate: Tuple,
+        config: CQAConfig,
+    ) -> bool:
+        """Under ``config.anytime``, decide the candidate over the repair stream.
 
         Repairs arrive from :meth:`ConsistentDatabase.stream_repairs` —
-        the anytime frontier, or the cached list when one exists — so
-        one refuting repair ends the computation without finishing the
-        search.  Open queries without a candidate tuple fall back
-        (``None``): their answer *set* needs every repair anyway.
+        the anytime search, or the cached list when one exists — and
+        each is asked about the candidate alone
+        (``query.answers(repair, candidate=...)``), so one refuting
+        repair ends the computation without finishing the search.
+        Without ``anytime`` the answer is membership in the session's
+        answer report (:meth:`CQAEngine.certain`).
 
         Under a ``degrade=True`` budget a truncated stream without a
         counterexample returns the best-known answer ``True`` and
@@ -76,31 +80,24 @@ class DirectEngine(CQAEngine):
         found *before* the budget ran out is exact either way.
         """
 
-        config = config if config is not None else session.config
-        if candidate is None and not query.is_boolean:
-            return None
-        repair_count = 0
-        for repair in session.stream_repairs(config):
-            repair_count += 1
-            with _trace.span("query.eval"):
-                if candidate is not None:
-                    refuted = tuple(candidate) not in query.answers(
-                        repair, null_is_unknown=config.null_is_unknown
+        if not config.anytime:
+            return super().certain(session, query, candidate, config)
+        proven = False
+        stream = session.stream_repairs(config)
+        try:
+            for repair in stream:
+                proven = True
+                with _trace.span("query.eval"):
+                    held = query.answers(
+                        repair, null_is_unknown=config.null_is_unknown, candidate=candidate
                     )
-                else:
-                    refuted = not query.holds(
-                        repair, null_is_unknown=config.null_is_unknown
-                    )
-            if refuted:
-                return False
-        if session.last_degradation is not None:
-            # Truncated without a counterexample: report the certified
-            # lower bound (True over everything proven), flagged by the
-            # session's degradation record.
-            return True
-        if repair_count == 0:
-            return False  # conflicting NNCs: no repairs, nothing is certain
-        return True
+                if not held:
+                    return False
+        finally:
+            stream.close()  # an abandoned search publishes its statistics now
+        # No repair proven: conflicting NNCs (nothing is certain), or a
+        # degrade budget spent before the first proof (best known: True).
+        return proven or session.last_degradation is not None
 
     @staticmethod
     def enumeration_cost(instance, constraints, estimated_repairs):

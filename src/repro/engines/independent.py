@@ -7,17 +7,18 @@ affected-predicate closure of a non-conflicting constraint set
 query reads — so one ordinary evaluation pass *is* the consistent
 answer, bit-identical to full CQA with no repair machinery at all.
 
-The engine re-proves independence on every call and raises
-:class:`repro.analysis.QueryNotIndependentError` when the precondition
-fails: requesting ``method="independent"`` explicitly is an assertion,
-not a hint, and silently falling back would hide a soundness bug.  The
-planner (``method="auto"``) only routes here after proving independence
-itself.
+The engine checks the session's cached independence verdict
+(:meth:`repro.session.ConsistentDatabase.static_plan`) on every call
+and raises :class:`repro.analysis.QueryNotIndependentError` when the
+precondition fails: requesting ``method="independent"`` explicitly is
+an assertion, not a hint, and silently falling back would hide a
+soundness bug.  The planner (``method="auto"``) only routes here after
+proving independence itself.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING
 
 from repro.engines.base import CQAConfig, CQAEngine, register_engine
 from repro.obs import trace as _trace
@@ -41,13 +42,10 @@ class IndependentEngine(CQAEngine):
     def answers_report(
         self, session: "ConsistentDatabase", query: "Query", config: CQAConfig
     ) -> "CQAResult":
-        from repro.analysis.independence import (
-            QueryNotIndependentError,
-            independence_diagnostic,
-        )
+        from repro.analysis.independence import QueryNotIndependentError
         from repro.core.cqa import CQAResult
 
-        if independence_diagnostic(session.constraints, query) is None:
+        if session.static_plan(query).independence is None:
             raise QueryNotIndependentError(
                 f"query {query!r} is not constraint-independent: some "
                 "constraint touches a predicate it reads (or the constraint "
@@ -55,15 +53,9 @@ class IndependentEngine(CQAEngine):
                 "enumeration/rewriting engine to answer"
             )
         with _trace.span("engine.independent") as sp:
-            if query.is_boolean:
-                holds = query.holds(
-                    session.instance, null_is_unknown=config.null_is_unknown
-                )
-                answers = frozenset({()}) if holds else frozenset()
-            else:
-                answers = query.answers(
-                    session.instance, null_is_unknown=config.null_is_unknown
-                )
+            answers = query.answers(
+                session.instance, null_is_unknown=config.null_is_unknown
+            )
             if config.estimate_repairs:
                 estimate = session.conflict_graph().estimated_repair_count()
             else:
@@ -76,32 +68,3 @@ class IndependentEngine(CQAEngine):
             method="independent",
             repair_count_estimated=True,
         )
-
-    def certain_anytime(
-        self,
-        session: "ConsistentDatabase",
-        query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """One plain evaluation pass — inherently anytime.
-
-        Routed through ``session.report`` so repeated anytime calls on
-        an unchanged database stay one cache probe, exactly like the
-        rewriting engine's anytime path.
-        """
-
-        config = config if config is not None else session.config
-        if candidate is None and not query.is_boolean:
-            return None
-        result = session.report(
-            query,
-            method="independent",
-            estimate_repairs=False,
-            null_is_unknown=config.null_is_unknown,
-            max_states=config.max_states,
-            repair_mode=config.repair_mode,
-        )
-        if candidate is not None:
-            return tuple(candidate) in result.answers
-        return result.certain

@@ -11,7 +11,8 @@ engine name.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Tuple
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Tuple
 
 from repro.engines.base import CQAConfig, CQAEngine, get_engine, register_engine
 from repro.obs import trace as _trace
@@ -56,37 +57,30 @@ class RewritingEngine(CQAEngine):
             repair_count_estimated=True,
         )
 
-    def certain_anytime(
+    def certain(
         self,
         session: "ConsistentDatabase",
         query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """One polynomial pass — the rewriting is inherently anytime.
+        candidate: Tuple,
+        config: CQAConfig,
+    ) -> bool:
+        """Decide the candidate alone on the session's instance.
 
-        No repairs exist to stream; the rewritten query is evaluated
-        once (without the repair-count estimate) and membership of the
-        candidate decides the answer immediately.  The evaluation goes
-        through ``session.report`` so repeated anytime calls on an
-        unchanged database stay one cache probe, exactly like their
-        non-anytime counterparts.
+        One early-exit run of the rewritten query with the candidate's
+        values in the head slots (:meth:`RewrittenQuery.answers`); no
+        answer set, no repair-count estimate.  It runs under the request
+        budget, like :meth:`answers_report` does under ``report()``.
         """
 
-        config = config if config is not None else session.config
-        if candidate is None and not query.is_boolean:
-            return None
-        result = session.report(
-            query,
-            method="rewriting",
-            estimate_repairs=False,
-            null_is_unknown=config.null_is_unknown,
-            max_states=config.max_states,
-            repair_mode=config.repair_mode,
-        )
-        if candidate is not None:
-            return tuple(candidate) in result.answers
-        return result.certain
+        with session._budget_scope(config), _trace.span("engine.rewriting"):
+            rewritten = session.rewritten(query)
+            return bool(
+                rewritten.answers(
+                    session.instance,
+                    null_is_unknown=config.null_is_unknown,
+                    candidate=candidate,
+                )
+            )
 
 
 @register_engine("auto")
@@ -112,15 +106,21 @@ class AutoEngine(CQAEngine):
         result.plan = plan
         return result
 
-    def certain_anytime(
+    def certain(
         self,
         session: "ConsistentDatabase",
         query: "Query",
-        candidate: Optional[Tuple] = None,
-        config: Optional[CQAConfig] = None,
-    ) -> Optional[bool]:
-        """Plan first, then delegate the anytime decision the same way."""
+        candidate: Tuple,
+        config: CQAConfig,
+    ) -> bool:
+        """Plan first, then let the chosen engine decide.
 
-        config = config if config is not None else session.config
-        plan = session.plan(query, config)
-        return get_engine(plan.method).certain_anytime(session, query, candidate, config)
+        The chosen engine sets the budget scope of its decision.  Unless
+        the request is anytime (whose direct route carries its budget in
+        the repair stream), planning and decision share one request
+        budget, as they do under ``report()``.
+        """
+
+        with nullcontext() if config.anytime else session._budget_scope(config):
+            plan = session.plan(query, config)
+            return get_engine(plan.method).certain(session, query, candidate, config)

@@ -366,7 +366,9 @@ def run_case(
                     )
                 )
         if check_certain and base.probe == REFERENCE_PROBE.name and base.answers is not None:
-            outcome.divergences.extend(_certain_checks(session, case, base, budget))
+            # A fresh session: this one already caches the reference report,
+            # which would answer certain() by membership.
+            outcome.divergences.extend(_certain_checks(case.session(), case, base, budget))
 
     if outcome.divergences:
         outcome.status = "diverged"

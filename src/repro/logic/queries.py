@@ -19,7 +19,7 @@ comparisons to the SQL behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.relational.domain import Constant, is_null
 from repro.relational.instance import DatabaseInstance
@@ -49,8 +49,17 @@ class Query:
 
         return not self.head_variables
 
-    def answers(self, instance: DatabaseInstance, null_is_unknown: bool = False) -> AnswerSet:
-        """The set of answer tuples in *instance*."""
+    def answers(
+        self,
+        instance: DatabaseInstance,
+        null_is_unknown: bool = False,
+        candidate: Optional[Sequence[Constant]] = None,
+    ) -> AnswerSet:
+        """The set of answer tuples in *instance*.
+
+        With *candidate*, only that tuple is decided: the result is
+        ``{tuple(candidate)}`` if it is an answer, else ``∅``.
+        """
 
         raise NotImplementedError
 
@@ -115,6 +124,7 @@ class ConjunctiveQuery(Query):
         instance: DatabaseInstance,
         null_is_unknown: bool = False,
         naive: bool = False,
+        candidate: Optional[Sequence[Constant]] = None,
     ) -> AnswerSet:
         """Join-based evaluation of the query over *instance*.
 
@@ -126,12 +136,19 @@ class ConjunctiveQuery(Query):
         per-row dictionary copies.  ``naive=True`` keeps the original
         smallest-relation-first nested-loop join, the reference the
         compiled plan is pinned to.  Both produce identical answer sets.
+
+        With *candidate* the compiled plan decides that one tuple in an
+        early-exit run with the head variables bound to its values; the
+        reference filters its full answer set.  Both return
+        ``{tuple(candidate)}`` or ``∅``.
         """
 
         if not naive:
             from repro.compile.kernel import compiled_query
 
-            return compiled_query(self).answers(instance, null_is_unknown)
+            return compiled_query(self).answers(
+                instance, null_is_unknown, candidate=candidate
+            )
 
         # Order positive atoms by the number of tuples (cheap greedy join order).
         ordered = sorted(
@@ -157,7 +174,7 @@ class ConjunctiveQuery(Query):
             if any(_negated_atom_holds(instance, atom, binding) for atom in self.negative_atoms):
                 continue
             results.add(tuple(binding[v] for v in self.head_variables))
-        return frozenset(results)
+        return _decided(frozenset(results), candidate)
 
     def __repr__(self) -> str:
         head = f"{self.name}({', '.join(v.name for v in self.head_variables)})"
@@ -175,15 +192,24 @@ class FirstOrderQuery(Query):
     formula: Formula
     name: str = "ans"
 
-    def answers(self, instance: DatabaseInstance, null_is_unknown: bool = False) -> AnswerSet:
-        """Evaluate via the generic active-domain evaluator."""
+    def answers(
+        self,
+        instance: DatabaseInstance,
+        null_is_unknown: bool = False,
+        candidate: Optional[Sequence[Constant]] = None,
+    ) -> AnswerSet:
+        """Evaluate via the generic active-domain evaluator.
 
-        return query_answers(
+        A *candidate* is decided by membership in the full answer set.
+        """
+
+        answers = query_answers(
             instance,
             self.head_variables,
             self.formula,
             null_is_unknown=null_is_unknown,
         )
+        return _decided(answers, candidate)
 
     def __repr__(self) -> str:
         head = f"{self.name}({', '.join(v.name for v in self.head_variables)})"
@@ -191,6 +217,15 @@ class FirstOrderQuery(Query):
 
 
 # ---------------------------------------------------------------------- helpers
+def _decided(answers: AnswerSet, candidate: Optional[Sequence[Constant]]) -> AnswerSet:
+    """*answers*, or with a *candidate* the decision ``{candidate}`` / ``∅``."""
+
+    if candidate is None:
+        return answers
+    answer = tuple(candidate)
+    return frozenset((answer,)) if answer in answers else frozenset()
+
+
 #: Extend a binding so an atom matches a row — the one matching routine
 #: shared with constraint checking (see :mod:`repro.compile.matchers`).
 _match = extend_match

@@ -260,16 +260,17 @@ def histogram(
 
 # --------------------------------------------------------------------------- absorption
 def absorb_repair_statistics(stats: Any) -> None:
-    """Publish one finished repair run's ``RepairStatistics`` into the registry.
+    """Publish one repair run's ``RepairStatistics`` into the registry.
 
-    Called once per top-level enumeration (``RepairEngine.repairs`` and
-    the session's anytime stream) — *not* per pause or per state, so the
-    per-state counters cost nothing extra during the search itself.
+    Called once per top-level enumeration (``RepairEngine.repairs``, and
+    the session's anytime stream when it ends or is abandoned) — *not*
+    per pause or per state, so the per-state counters cost nothing extra
+    during the search itself.
     """
 
     reg = _REGISTRY
     reg.counter(
-        "repro_repair_runs_total", "finished repair enumerations"
+        "repro_repair_runs_total", "repair enumerations run (ended or abandoned)"
     ).inc()
     reg.counter(
         "repro_repair_states_explored_total", "search-tree states entered"

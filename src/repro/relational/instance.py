@@ -360,6 +360,15 @@ class DatabaseInstance:
             self._indexes[predicate] = index
         return index
 
+    def indexed(self, predicate: str) -> bool:
+        """Would an indexed lookup on *predicate* build no index?
+
+        True when the relation already holds its hash index, or has no
+        rows; a candidate decision probes only such relations.
+        """
+
+        return predicate in self._indexes or predicate not in self._tuples
+
     def tuples_where(self, predicate: str, position: int, value: Constant) -> Set[Row]:
         """Indexed point lookup: the rows of *predicate* with ``row[position] == value``.
 

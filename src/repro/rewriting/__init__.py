@@ -51,7 +51,6 @@ from repro.rewriting.residues import (
     NotNullResidue,
     Residue,
     RICResidue,
-    RewriteIndexes,
 )
 from repro.rewriting.rewriter import AtomRewriting, RewrittenQuery, rewrite_query
 from repro.rewriting.sqlgen import rewritten_query_sql
@@ -73,7 +72,6 @@ __all__ = [
     "FDResidue",
     "RICResidue",
     "DenialResidue",
-    "RewriteIndexes",
     "AtomRewriting",
     "RewrittenQuery",
     "rewrite_query",

@@ -168,11 +168,8 @@ class ConflictGraph:
     ) -> "ConflictGraph":
         """Materialise the graph in memory, with per-shape fast paths."""
 
-        from repro.rewriting.residues import RewriteIndexes
-
         marks: List[ConflictMark] = []
         edges: List[ConflictEdge] = []
-        indexes = RewriteIndexes(instance)
         for constraint in constraints:
             if isinstance(constraint, NotNullConstraint):
                 _not_null_marks(instance, constraint, marks)
@@ -182,7 +179,7 @@ class ConflictGraph:
                 _fd_edges(instance, constraint, fd.determinant, fd.dependent, edges)
                 continue
             if constraint.is_referential:
-                _ric_marks(instance, constraint, marks, indexes)
+                _ric_marks(instance, constraint, marks)
                 continue
             _generic(instance, constraint, marks, edges)
         return cls(marks, edges)
@@ -295,7 +292,6 @@ def _ric_marks(
     instance: DatabaseInstance,
     constraint: IntegrityConstraint,
     marks: List[ConflictMark],
-    indexes: "RewriteIndexes",
 ) -> None:
     """Dangling antecedent facts, through the shared RIC certainty residue."""
 
@@ -304,7 +300,7 @@ def _ric_marks(
     residue = RICResidue(constraint)
     predicate = constraint.body[0].predicate
     for row in instance.tuples(predicate):
-        if not residue.holds(row, indexes):
+        if not residue.holds(row, instance):
             marks.append(ConflictMark(Fact(predicate, row), constraint, forced=False))
 
 

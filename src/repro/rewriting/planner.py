@@ -84,6 +84,39 @@ class CQAPlan:
         return f"CQAPlan({self.method}{extra}: {self.reason})"
 
 
+@dataclass(frozen=True)
+class StaticPlan:
+    """The half of a plan that depends on (constraints, query) alone.
+
+    Computed once per query and constraint set by :func:`static_plan`;
+    :func:`plan_cqa` adds the costs and estimates that read the data.
+    """
+
+    #: The ``I302`` record when the query is constraint-independent.
+    independence: Optional["Diagnostic"]
+    #: The first-order rewriting, or ``None`` outside the fragment.
+    rewritten: Optional[RewrittenQuery]
+    #: Why the query is outside the fragment, when it is.
+    unsupported: Optional[RewritingUnsupportedError]
+
+
+def static_plan(constraints: ConstraintSet, query: Query) -> StaticPlan:
+    """The data-independent half of :func:`plan_cqa`: independence and rewriting."""
+
+    from repro.analysis.independence import independence_diagnostic
+
+    try:
+        rewritten: Optional[RewrittenQuery] = rewrite_query(query, constraints)
+        unsupported = None
+    except RewritingUnsupportedError as error:
+        rewritten, unsupported = None, error
+    return StaticPlan(
+        independence=independence_diagnostic(constraints, query),
+        rewritten=rewritten,
+        unsupported=unsupported,
+    )
+
+
 def _enumeration_costs(
     instance: DatabaseInstance,
     constraints: ConstraintSet,
@@ -106,52 +139,41 @@ def _enumeration_costs(
 
 
 def _independent_plan(
-    instance: DatabaseInstance,
-    constraint_set: ConstraintSet,
-    query: Query,
-    independence: "Diagnostic",
+    instance: DatabaseInstance, query: Query, static: StaticPlan
 ) -> CQAPlan:
     """The plan for a constraint-independent query (the ``I302`` fast path).
 
-    ``supported`` / ``rewritten`` / ``unsupported_diagnostic`` are still
-    filled truthfully by attempting the rewriting, so ``explain()`` keeps
-    answering "would the rewriting have applied?" — but the chosen method
-    is ``"independent"``: one plain evaluation pass beats even the
+    ``supported`` / ``rewritten`` / ``unsupported_diagnostic`` still
+    report truthfully whether the rewriting applies, so ``explain()``
+    keeps answering "would the rewriting have applied?" — but the chosen
+    method is ``"independent"``: one plain evaluation pass beats even the
     rewriting (which would pay per-atom residue lookups for residues that
     are all vacuous here).
     """
-
-    rewritten: Optional[RewrittenQuery] = None
-    supported = False
-    unsupported_reason: Optional[str] = None
-    unsupported_diagnostic: Optional["Diagnostic"] = None
-    try:
-        rewritten = rewrite_query(query, constraint_set)
-        supported = True
-    except RewritingUnsupportedError as error:
-        unsupported_reason = error.reason
-        unsupported_diagnostic = error.diagnostic
 
     from repro.analysis.independence import query_predicates
 
     reads = query_predicates(query) or frozenset()
     scan_cost = 0.0
     for predicate in reads:
-        scan_cost += float(max(len(instance.tuples(predicate)), 1))
+        scan_cost += float(max(instance.row_count(predicate), 1))
+    unsupported = static.unsupported
     return CQAPlan(
         method="independent",
-        supported=supported,
+        supported=static.rewritten is not None,
         reason=(
             "the query's predicates "
             f"({', '.join(sorted(reads)) or 'none'}) are untouched by every "
             "constraint and the set is non-conflicting: consistent answers "
             "equal the plain answers (I302 independence fast path)"
         ),
-        unsupported_reason=unsupported_reason,
-        unsupported_diagnostic=unsupported_diagnostic,
-        independence=independence,
+        unsupported_reason=unsupported.reason if unsupported is not None else None,
+        unsupported_diagnostic=(
+            unsupported.diagnostic if unsupported is not None else None
+        ),
+        independence=static.independence,
         costs={"independent": scan_cost},
-        rewritten=rewritten,
+        rewritten=static.rewritten,
     )
 
 
@@ -160,6 +182,7 @@ def plan_cqa(
     constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
     query: Query,
     max_states: Optional[int] = None,
+    static: Optional[StaticPlan] = None,
 ) -> CQAPlan:
     """Choose the evaluation strategy for one CQA computation.
 
@@ -169,6 +192,8 @@ def plan_cqa(
         query: the query whose consistent answers are wanted.
         max_states: the repair-search budget, used only to warn when
             the repair estimate exceeds it.
+        static: the :func:`static_plan` of (constraints, query), when
+            the caller keeps one (a session does, across writes).
 
     Returns:
         A :class:`CQAPlan`; ``method="auto"`` follows it verbatim.
@@ -179,20 +204,18 @@ def plan_cqa(
         if isinstance(constraints, ConstraintSet)
         else ConstraintSet(list(constraints))
     )
+    if static is None:
+        static = static_plan(constraint_set, query)
 
     # Cheapest static fact first: a query whose predicates no constraint
     # can touch (and a non-conflicting set, so repairs exist) has
     # consistent answers equal to the plain answers — one ordinary
     # evaluation pass, no repair machinery, no rewriting residues.
-    from repro.analysis.independence import independence_diagnostic
+    if static.independence is not None:
+        return _independent_plan(instance, query, static)
 
-    independence = independence_diagnostic(constraint_set, query)
-    if independence is not None:
-        return _independent_plan(instance, constraint_set, query, independence)
-
-    try:
-        rewritten = rewrite_query(query, constraint_set)
-    except RewritingUnsupportedError as error:
+    error = static.unsupported
+    if error is not None:
         graph = ConflictGraph.build(instance, constraint_set)
         estimated = graph.estimated_repair_count()
         costs = _enumeration_costs(instance, constraint_set, estimated)
@@ -229,9 +252,11 @@ def plan_cqa(
 
     # Rewriting needs one scan per query atom plus hash lookups per residue;
     # it beats enumeration whenever any violation exists and ties otherwise.
+    rewritten = static.rewritten
+    assert rewritten is not None  # outside the fragment returned above
     join_cost = 1.0
     for rewriting in rewritten.atoms:
-        join_cost *= max(len(instance.tuples(rewriting.atom.predicate)), 1)
+        join_cost *= max(instance.row_count(rewriting.atom.predicate), 1)
     costs = {"rewriting": join_cost * max(len(constraint_set), 1)}
     return CQAPlan(
         method="rewriting",

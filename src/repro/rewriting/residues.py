@@ -26,7 +26,7 @@ live violation":
   deleting this particular participant).
 
 Every residue evaluates three ways: fast in-memory (:meth:`holds`
-against :class:`RewriteIndexes`), as a first-order formula
+against the instance), as a first-order formula
 (:meth:`formula`, for the paper-faithful ``Q'``), and as SQL (rendered
 by :mod:`repro.rewriting.sqlgen`).
 
@@ -43,12 +43,10 @@ drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.relational.domain import Constant, is_null
 from repro.relational.instance import DatabaseInstance
-from repro.compile.matchers import extend_match as _extend_match
-from repro.compile.matchers import match_atom as _shared_match_atom
 from repro.constraints.atoms import Atom, Comparison, IsNullAtom
 from repro.constraints.ic import IntegrityConstraint, NotNullConstraint
 from repro.constraints.terms import Term, Variable, is_variable
@@ -67,6 +65,9 @@ from repro.logic.formula import (
 )
 from repro.rewriting.fragment import KeyInfo
 
+if TYPE_CHECKING:
+    from repro.compile.kernel import CompiledConstraint
+
 
 Row = Tuple[Constant, ...]
 
@@ -83,47 +84,6 @@ class FreshVariables:
         return Variable(f"{self._prefix}{self._count}")
 
 
-#: Extend an assignment so an atom matches a row — the one unification
-#: routine shared with constraint checking and query answering (see
-#: :mod:`repro.compile.matchers`); ``null`` joins with itself, exactly
-#: as in the evaluation of ``|=_N``.
-extend_assignment = _extend_match
-
-#: Match an atom against a row from the empty assignment.
-match_atom = _shared_match_atom
-
-
-class RewriteIndexes:
-    """The per-evaluation context the residue evaluators run against.
-
-    Historically this class carried private per-residue witness indexes
-    and key-group lookups; the compiled delta plans of
-    :mod:`repro.compile.kernel` replaced both (they probe the
-    instance's own hash indexes), so the context reduces to the
-    instance handle every :meth:`Residue.holds` receives.
-    """
-
-    def __init__(self, instance: DatabaseInstance):
-        self.instance = instance
-
-
-def _participates(
-    instance: DatabaseInstance, constraint: IntegrityConstraint, occurrence: int, row: Row
-) -> bool:
-    """Does *row*, pinned at body *occurrence*, join a live violation?
-
-    One early-exit execution of the constraint's compiled seeded plan —
-    shared with the violation tracker's delta maintenance, so the
-    violation conditions the residues negate are literally the ones the
-    repair search resolves.
-    """
-
-    from repro.compile.kernel import compiled_constraint
-
-    unit = compiled_constraint(constraint)
-    return unit.has_violation_at(instance, occurrence, row)  # type: ignore[union-attr]
-
-
 class _NoRelations:
     """A relation view with no rows (single-atom plans never probe it)."""
 
@@ -134,18 +94,6 @@ class _NoRelations:
 _NO_RELATIONS = _NoRelations()
 
 
-def check_violates(check: IntegrityConstraint, row: Row) -> bool:
-    """Does *row* violate the single-atom *check* under ``|=_N``?
-
-    Runs the check constraint's compiled seeded plan: the fact is pinned
-    at the only body occurrence, so the relevant-null guard and the
-    built-in disjunction (both resolved at compile time) decide the
-    answer without touching any relation.
-    """
-
-    return _participates(_NO_RELATIONS, check, 0, row)  # type: ignore[arg-type]
-
-
 # --------------------------------------------------------------------------- residues
 class Residue:
     """A certainty condition attached to one query atom."""
@@ -153,10 +101,33 @@ class Residue:
     #: The constraint the residue was derived from.
     constraint: object
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
-        """Does the condition hold for the fact *row* in the indexed instance?"""
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
+        """Does the condition hold for the fact *row* in *instance*?"""
 
         raise NotImplementedError
+
+    def _seeded(self) -> Tuple["CompiledConstraint", ...]:
+        """The compiled units whose seeded plans decide this residue.
+
+        "Does this fact join a live violation?" is one early-exit run of
+        a constraint's compiled seeded plan
+        (:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at`),
+        shared with the violation tracker's delta maintenance.  The units
+        are looked up once per residue, not once per row.
+        """
+
+        units = self.__dict__.get("_units")
+        if units is None:
+            from repro.compile.kernel import compiled_constraint
+
+            units = tuple(
+                compiled_constraint(constraint) for constraint in self._seeded_constraints()
+            )
+            self.__dict__["_units"] = units
+        return units  # type: ignore[return-value]
+
+    def _seeded_constraints(self) -> Sequence[IntegrityConstraint]:
+        return (self.constraint,)  # type: ignore[return-value]
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         """The condition as a first-order formula over the query atom's *terms*."""
@@ -192,7 +163,7 @@ class NotNullResidue(Residue):
 
     constraint: NotNullConstraint
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         return not is_null(row[self.constraint.position])
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
@@ -208,8 +179,11 @@ class CheckResidue(Residue):
 
     constraint: IntegrityConstraint
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
-        return not check_violates(self.constraint, row)
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
+        # The fact is pinned at the only body occurrence, so the relevant-
+        # null guard and the built-in disjunction decide without touching
+        # any relation.
+        return not self._seeded()[0].has_violation_at(_NO_RELATIONS, 0, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         return check_cert_formula(self.constraint, terms)
@@ -271,16 +245,19 @@ class FDResidue(Residue):
     def constraint(self) -> object:  # type: ignore[override]
         return self.key.fds[0].constraint
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # One compiled seeded run per FD of the key: a conflicting
         # partner is exactly a live violation with this row pinned at
         # the first body occurrence (the determinant join, the null
         # guards on determinant and dependent, and the equality
         # disjunct are all resolved in the compiled plan).
-        for fd in self.key.fds:
-            if _participates(indexes.instance, fd.constraint, 0, row):
+        for unit in self._seeded():
+            if unit.has_violation_at(instance, 0, row):
                 return False
         return True
+
+    def _seeded_constraints(self) -> Sequence[IntegrityConstraint]:
+        return [fd.constraint for fd in self.key.fds]
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         arity = self.key.fds[0].constraint.body[0].arity
@@ -342,11 +319,11 @@ class RICResidue(Residue):
             if is_variable(head_atom.terms[p]) and head_atom.terms[p] not in body_vars
         )
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # The fact satisfies the RIC in D itself iff it is not a live
         # dangling antecedent: one compiled seeded run, whose witness
         # probe replaces the hand-built per-residue witness index.
-        return not _participates(indexes.instance, self.constraint, 0, row)
+        return not self._seeded()[0].has_violation_at(instance, 0, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         body_atom = self.body_atom
@@ -404,12 +381,12 @@ class DenialResidue(Residue):
     constraint: IntegrityConstraint
     index: int
 
-    def holds(self, row: Row, indexes: RewriteIndexes) -> bool:
+    def holds(self, row: Row, instance: DatabaseInstance) -> bool:
         # One compiled seeded run with the fact pinned at this body
         # occurrence: the remaining body atoms join through the
         # instance's hash indexes (the interpreted version scanned every
         # candidate relation per row).
-        return not _participates(indexes.instance, self.constraint, self.index, row)
+        return not self._seeded()[0].has_violation_at(instance, self.index, row)
 
     def formula(self, terms: Sequence[Term], fresh: FreshVariables) -> Formula:
         atom = self.constraint.body[self.index]

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.relational.domain import Constant
 from repro.relational.instance import DatabaseInstance
@@ -49,7 +49,7 @@ from repro.logic.formula import (
     Formula,
     conjunction,
 )
-from repro.logic.queries import ConjunctiveQuery, FirstOrderQuery, Query, _comparisons_hold
+from repro.logic.queries import ConjunctiveQuery, FirstOrderQuery, Query
 from repro.rewriting.fragment import (
     FragmentAnalysis,
     RewritingUnsupportedError,
@@ -62,9 +62,7 @@ from repro.rewriting.residues import (
     FreshVariables,
     NotNullResidue,
     Residue,
-    RewriteIndexes,
     RICResidue,
-    extend_assignment,
 )
 
 
@@ -95,45 +93,46 @@ class RewrittenQuery:
 
     # ------------------------------------------------------------------ evaluation
     def answers(
-        self, instance: DatabaseInstance, null_is_unknown: bool = False
+        self,
+        instance: DatabaseInstance,
+        null_is_unknown: bool = False,
+        candidate: Optional[Sequence[Constant]] = None,
     ) -> AnswerSet:
-        """The consistent answers, by one pass over the instance."""
+        """The consistent answers, by one run of the base query's compiled plan.
 
-        indexes = RewriteIndexes(instance)
-        order = sorted(
-            range(len(self.atoms)),
-            key=lambda i: len(instance.tuples(self.atoms[i].atom.predicate)),
+        Every match of :func:`~repro.compile.kernel.compiled_query`'s
+        join counts only if each matched row satisfies its atom's
+        residues; the verdicts are memoised per (atom, row).  With
+        *candidate*, that one tuple is decided instead: ``{candidate}``
+        or ``∅``, from a run that stops at the first certain match.
+        """
+
+        from repro.compile.kernel import compiled_query
+
+        checked = [
+            (index, rewriting.residues)
+            for index, rewriting in enumerate(self.atoms)
+            if rewriting.residues
+        ]
+        verdicts: Dict[Tuple[int, Row], bool] = {}
+
+        def certain(rows: Sequence[Optional[Row]]) -> bool:
+            for index, residues in checked:
+                key = (index, rows[index])
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    verdict = all(residue.holds(key[1], instance) for residue in residues)
+                    verdicts[key] = verdict
+                if not verdict:
+                    return False
+            return True
+
+        return compiled_query(self.query).answers(
+            instance,
+            null_is_unknown,
+            candidate=candidate,
+            keep=certain if checked else None,
         )
-        residue_cache: Dict[Tuple[int, Row], bool] = {}
-        bindings: List[Dict[Variable, Constant]] = [{}]
-        for index in order:
-            rewriting = self.atoms[index]
-            rows = instance.tuples(rewriting.atom.predicate)
-            extended: List[Dict[Variable, Constant]] = []
-            for binding in bindings:
-                for row in rows:
-                    candidate = extend_assignment(rewriting.atom, row, binding)
-                    if candidate is None:
-                        continue
-                    cache_key = (index, row)
-                    certain = residue_cache.get(cache_key)
-                    if certain is None:
-                        certain = all(
-                            residue.holds(row, indexes) for residue in rewriting.residues
-                        )
-                        residue_cache[cache_key] = certain
-                    if certain:
-                        extended.append(candidate)
-            bindings = extended
-            if not bindings:
-                return frozenset()
-
-        results: Set[Tuple[Constant, ...]] = set()
-        for binding in bindings:
-            if not _comparisons_hold(self.query.comparisons, binding, null_is_unknown):
-                continue
-            results.add(tuple(binding[v] for v in self.query.head_variables))
-        return frozenset(results)
 
     def holds(self, instance: DatabaseInstance, null_is_unknown: bool = False) -> bool:
         """For a boolean query: is *yes* the consistent answer?"""

@@ -94,7 +94,7 @@ if TYPE_CHECKING:
     from repro.compile.kernel import CompiledProgram
     from repro.obs.analyze import ExplainReport
     from repro.rewriting.conflicts import ConflictGraph
-    from repro.rewriting.planner import CQAPlan
+    from repro.rewriting.planner import CQAPlan, StaticPlan
     from repro.rewriting.rewriter import RewrittenQuery
     from repro.sqlbackend.backend import SQLiteBackend
 
@@ -813,21 +813,36 @@ class ConsistentDatabase:
         """
 
         config = self._config.merged(overrides)
+        self._count_query()
+        return self._result_copy(self.report_with(query, config))
+
+    def report_with(self, query: Query, config: CQAConfig) -> CQAResult:
+        """The engine-facing :meth:`report`: one merged *config*, no copy.
+
+        Serves the answer cache or computes and caches the report; the
+        result is the cached object itself, so treat it as read-only.
+        """
+
         engine = get_engine(config.method)
-        self.statistics.queries += 1
-        _SESSION_QUERIES.inc()
         generation = self._instance.generation
-        key = ("answers", query, self._fingerprint, generation, config.cache_key())
+        key = self._answers_key(query, config, generation)
         cached = self._cache.get(key)
         if cached is not None:
-            return self._result_copy(cached)
+            return cached
         with _trace.span("session.report") as sp:
             if sp:
                 sp.add(query=str(query), method=config.method)
             with self._budget_scope(config):
                 result = engine.answers_report(self, query, config)
         self._cache.put(key, result, generation)
-        return self._result_copy(result)
+        return result
+
+    def _answers_key(self, query: Query, config: CQAConfig, generation: int) -> Tuple:
+        return ("answers", query, self._fingerprint, generation, config.cache_key())
+
+    def _count_query(self) -> None:
+        self.statistics.queries += 1
+        _SESSION_QUERIES.inc()
 
     @staticmethod
     def _result_copy(result: CQAResult) -> CQAResult:
@@ -879,14 +894,24 @@ class ConsistentDatabase:
                 *candidate* is ``None``.
             candidate: the answer tuple to certify, for open queries.
             **overrides: any :class:`repro.engines.CQAConfig` field;
-                notably ``anytime=True`` asks the engine to
-                short-circuit: repairs stream from the anytime frontier
-                and the first one that refutes the candidate ends the
-                computation — the search never finishes on a "no".
+                notably ``anytime=True`` lets the direct engine decide
+                over the anytime stream: the first streamed repair that
+                refutes the candidate ends the computation — the search
+                never finishes on a "no".
 
         Returns:
             True iff the candidate is an answer (resp. the boolean query
             holds) in **every** repair (Definition 8).
+
+        An answer report this generation already cached under the same
+        config answers by membership; otherwise the engine answers
+        (:meth:`repro.engines.CQAEngine.certain`): the rewriting decides
+        the candidate alone, without building any answer set, the direct
+        engine's anytime stream asks each repair about the candidate
+        alone, and every other route tests membership in the report it
+        computes and caches.  All of them run under the request budget
+        like :meth:`report`, except the anytime stream, which carries its
+        budget itself.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
         >>> db = ConsistentDatabase(
@@ -904,26 +929,17 @@ class ConsistentDatabase:
 
         overrides.setdefault("estimate_repairs", False)
         config = self._config.merged(overrides)
+        engine = get_engine(config.method)
+        self._count_query()
+        answer = () if candidate is None else tuple(candidate)
         with _trace.span("session.certain") as sp:
             if sp:
                 sp.add(query=str(query), anytime=config.anytime)
-            if config.anytime:
-                engine = get_engine(config.method)
-                queries_before = self.statistics.queries
-                outcome = engine.certain_anytime(self, query, candidate, config)
-                if outcome is not None:
-                    # Count the call exactly once: engines that route through
-                    # report() (e.g. the rewriting path) already did.
-                    if self.statistics.queries == queries_before:
-                        self.statistics.queries += 1
-                        _SESSION_QUERIES.inc()
-                    return outcome
-            result = self.report(query, **overrides)
-        if candidate is not None:
-            return tuple(candidate) in result.answers
-        if result.repair_count == 0 and not result.repair_count_estimated:
-            return False
-        return result.certain
+            key = self._answers_key(query, config, self._instance.generation)
+            cached = self._cache.get(key)
+            if cached is not None:
+                return answer in cached.answers
+            return engine.certain(self, query, answer, config)
 
     def explain(
         self, query: Query, *, analyze: bool = False, **overrides: Any
@@ -1108,10 +1124,12 @@ class ConsistentDatabase:
         runs, and at every pause the stream yields the repairs it can
         now prove.  When the repair list of this generation is already
         cached it is replayed instead, already "proven".  A fully
-        drained stream caches the repair list, in discovery order, and
-        updates ``last_repair_statistics``; an abandoned stream (e.g. an
-        anytime ``certain`` that found its counterexample) leaves the
-        rest of the search unexplored.
+        drained stream caches the repair list, in discovery order; an
+        abandoned stream (e.g. an anytime ``certain`` that found its
+        counterexample) leaves the rest of the search unexplored.
+        Either way, once the stream ends or is closed, the search's
+        statistics go to ``last_repair_statistics`` and the metrics
+        registry, with ``repairs_found`` the repairs proven so far.
 
         Args:
             config: the merged :class:`repro.engines.CQAConfig`;
@@ -1121,6 +1139,7 @@ class ConsistentDatabase:
         config = config if config is not None else self._config
         generation = self._instance.generation
         key = self._direct_repairs_key(config, generation)
+        self.last_degradation = None
         cached = self._cache.get(key)
         if cached is not None:
             yield from cached
@@ -1128,41 +1147,43 @@ class ConsistentDatabase:
 
         from repro.core.parallel import AnytimeRepairStream, ParallelRepairSearch
 
-        budget: Optional[Budget] = None
-        if (
-            config.deadline is not None
-            or config.max_memory is not None
-            or config.degrade
-        ):
-            # Degrade mode moves the state cap into the budget (so running
-            # out yields a flagged partial stream instead of the strict
-            # RepairSearchBudgetExceeded the search would raise itself).
-            budget = Budget(
-                deadline=config.deadline,
-                max_states=config.max_states if config.degrade else None,
-                max_memory=config.max_memory,
-                degrade=config.degrade,
+        with _trace.span("repair.stream"):
+            budget: Optional[Budget] = None
+            if (
+                config.deadline is not None
+                or config.max_memory is not None
+                or config.degrade
+            ):
+                # Degrade mode moves the state cap into the budget (so
+                # running out yields a flagged partial stream instead of
+                # the strict RepairSearchBudgetExceeded the search would
+                # raise itself).
+                budget = Budget(
+                    deadline=config.deadline,
+                    max_states=config.max_states if config.degrade else None,
+                    max_memory=config.max_memory,
+                    degrade=config.degrade,
+                )
+            seed = self._ensure_tracker()
+            search = ParallelRepairSearch(
+                self._instance.copy(),
+                self._constraints,
+                max_states=None if config.degrade else config.max_states,
+                violation_index=self._violation_index,
+                budget=budget,
+                seed_tracker=seed,
             )
-        seed = self._ensure_tracker()
-        snapshot = self._instance.copy()
-        search = ParallelRepairSearch(
-            snapshot,
-            self._constraints,
-            max_states=None if config.degrade else config.max_states,
-            violation_index=self._violation_index,
-            budget=budget,
-            seed_tracker=seed,
-        )
-        stream = AnytimeRepairStream(search)
-        self.last_degradation = None
-        yield from stream
-        if stream.degradation is not None:
-            self.last_degradation = stream.degradation
-        if stream.ordered_repairs is not None:
-            search.statistics.repairs_found = len(stream.ordered_repairs)
-            self.last_repair_statistics = search.statistics
-            _metrics.absorb_repair_statistics(search.statistics)
-            self._cache.put(key, stream.ordered_repairs, generation)
+            stream = AnytimeRepairStream(search)
+        try:
+            yield from stream
+        finally:
+            with _trace.span("repair.stream"):
+                self.last_degradation = stream.degradation
+                search.statistics.repairs_found = stream.proven
+                self.last_repair_statistics = search.statistics
+                _metrics.absorb_repair_statistics(search.statistics)
+                if stream.ordered_repairs is not None:
+                    self._cache.put(key, stream.ordered_repairs, generation)
 
     def repair_count(self, method: str = "direct", **overrides: Any) -> int:
         """The exact number of repairs (enumerates them, cached).
@@ -1239,43 +1260,44 @@ class ConsistentDatabase:
         return found
 
     def rewritten(self, query: Query) -> "RewrittenQuery":
-        """The first-order rewriting of *query*, cached per fingerprint.
+        """The first-order rewriting of *query*, from :meth:`static_plan`.
 
-        The rewriting depends only on (query, constraints) — never on the
-        data — so this cache survives mutations.  Unsupported pairs are
-        negatively cached: the analysis runs once and the same
-        :class:`RewritingUnsupportedError` reason is re-raised instantly
-        afterwards.
+        Unsupported pairs raise the cached
+        :class:`RewritingUnsupportedError` again — a copy, which keeps
+        its structured payload (clause, constraint, diagnostic) but not
+        the cached instance's traceback.
         """
 
-        from repro.rewriting import RewritingUnsupportedError, rewrite_query
+        static = self.static_plan(query)
+        if static.unsupported is not None:
+            raise static.unsupported.copy()
+        assert static.rewritten is not None
+        return static.rewritten
 
-        key = ("rewrite", query, self._fingerprint)
-        cached = self._cache.get(key)
-        if cached is not None:
-            if isinstance(cached, RewritingUnsupportedError):
-                # copy() preserves the structured payload (clause,
-                # constraint, diagnostic) while keeping the cached
-                # instance's traceback out of the raise.
-                raise cached.copy()
-            return cached
-        try:
-            with _trace.span("query.rewrite") as sp:
-                if sp:
-                    sp.add(query=str(query))
-                result = rewrite_query(query, self._constraints)
-        except RewritingUnsupportedError as error:
-            self._cache.put(key, error)
-            raise
-        self._cache.put(key, result)
-        return result
+    def static_plan(self, query: Query) -> "StaticPlan":
+        """The data-independent half of *query*'s plan, cached per fingerprint.
+
+        The ``I302`` independence verdict and the rewriting (or the
+        :class:`RewritingUnsupportedError` saying why there is none)
+        depend only on (query, constraints), so this cache survives
+        mutations and a write re-plans only costs and estimates.
+        """
+
+        key = ("static-plan", query, self._fingerprint)
+        static = self._cache.get(key)
+        if static is None:
+            from repro.rewriting.planner import static_plan
+
+            static = static_plan(self._constraints, query)
+            self._cache.put(key, static)
+        return static
 
     def plan(self, query: Query, config: CQAConfig) -> "CQAPlan":
         """The cost-based :class:`CQAPlan` for *query*, cached per generation.
 
-        A successful plan primes the rewriting cache with the rewritten
-        query it carries, so ``explain()`` followed by a query pays the
-        rewriting once.
+        Only the costs and estimates are recomputed per generation; the
+        rest comes from :meth:`static_plan`, computed inside this span
+        the first time.
         """
 
         generation = self._instance.generation
@@ -1293,11 +1315,10 @@ class ConsistentDatabase:
                 self._constraints,
                 query,
                 max_states=config.max_states,
+                static=self.static_plan(query),
             )
             if sp:
                 sp.add(method=plan.method, supported=plan.supported)
-        if plan.rewritten is not None:
-            self._cache.put(("rewrite", query, self._fingerprint), plan.rewritten)
         self._cache.put(key, plan, generation)
         return plan
 

@@ -315,6 +315,27 @@ class TestAnytimeStream:
         assert stream.ordered_repairs == naive_repairs(instance, constraints)
         assert {id(r) for r in stream.ordered_repairs} == {id(r) for r in streamed}
 
+    def test_each_repair_is_handed_over_once_its_own_proof_finishes(self, monkeypatch):
+        """The proof pass decides, materialises and yields one candidate at
+        a time: the first repair arrives before a second one is decided."""
+
+        decided = []
+        dominated = parallel.DeltaMinimality.dominated
+
+        def recording(context, index):
+            decided.append(index)
+            return dominated(context, index)
+
+        monkeypatch.setattr(parallel.DeltaMinimality, "dominated", recording)
+        instance, constraints = grouped_key_workload(
+            n_groups=2, group_size=3, n_clean=3, seed=4
+        )
+        # One batch holding all 9 candidates, none of them dominated.
+        iterator = iter(AnytimeRepairStream(ParallelRepairSearch(instance, constraints)))
+        next(iterator)
+        assert decided == [0]
+        assert len(list(iterator)) == 8 and decided == list(range(9))
+
     @pytest.mark.parametrize("degrade", [True, False])
     def test_proof_pass_checks_the_budget_per_candidate(self, degrade):
         """A budget spent mid-pass stops the proofs, as the search would."""
@@ -456,6 +477,42 @@ class TestSessionSurface:
         assert db.certain(query, ("e2",)) is True
         open_refuted = parse_query("ans(d) <- Emp(e, d)")
         assert db.certain(open_refuted, ("sales",), anytime=True) is False
+
+    def test_a_refuted_anytime_certain_publishes_its_search(self):
+        """An abandoned stream still reports the states its search entered."""
+
+        from repro.obs import metrics
+
+        instance, constraints = grouped_key_workload(n_groups=4, group_size=3, n_clean=100, seed=1)
+        db = ConsistentDatabase(instance, constraints)
+        states = metrics.registry().counter("repro_repair_states_explored_total")
+        before = states.value
+        refuted = parse_query("ans(d) <- Emp(e, d, s)")
+        assert db.certain(refuted, ("dept0_0",), anytime=True) is False
+        statistics = db.last_repair_statistics
+        assert statistics is not None and statistics.states_explored > 0
+        assert states.value - before == statistics.states_explored
+        # Abandoned mid-stream: fewer repairs proven than the 81 there are,
+        # and nothing cached as the repair list.
+        assert statistics.repairs_found < 81
+        assert not [key for key in db._cache._data if key[0] == "repairs"]
+
+    def test_search_seconds_count_only_the_searchs_batches(self):
+        """Not the proof passes or the consumer's time between pauses."""
+
+        from repro.obs import trace
+
+        instance, constraints = grouped_key_workload(n_groups=6, group_size=3, n_clean=40, seed=17)
+        db = ConsistentDatabase(instance, constraints)
+        with trace.tracing(True):
+            trace.reset()
+            with trace.span("stream"):
+                assert len(list(db.stream_repairs())) == 729
+            (root,) = trace.tracer().roots
+        search_spans = [span for span in root.children if span.name == "repair.search"]
+        assert len(search_spans) >= 2  # at least one pause before the end
+        in_spans = sum(span.duration for span in search_spans)
+        assert 0 < db.last_repair_statistics.search_seconds <= in_spans + 1e-3
 
     def test_config_carries_anytime(self):
         db = self.make_grouped(repair_mode="parallel", anytime=True)

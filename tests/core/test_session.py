@@ -216,6 +216,40 @@ class TestQuerySurface:
         assert db.certain(QUERY, candidate=("C15",))
         assert not db.certain(QUERY, candidate=("C18",))
 
+    def test_certain_reads_a_cached_report_first(self, monkeypatch):
+        from repro.engines.enumeration import DirectEngine
+
+        db = make_session(method="direct")
+        answers = db.consistent_answers(QUERY)
+
+        def undecidable(*args):
+            raise AssertionError("the cached report should answer")
+
+        monkeypatch.setattr(DirectEngine, "certain", undecidable)
+        assert db.certain(QUERY, ("C15",)) is (("C15",) in answers)
+        assert db.certain(QUERY, ("C18",)) is (("C18",) in answers)
+        db.insert("Student", (34, "Zoe"))  # a new generation: no report
+        with pytest.raises(AssertionError, match="cached report"):
+            db.certain(QUERY, ("C18",))
+
+    def test_writes_replan_only_costs(self, monkeypatch):
+        """Independence and the rewriting are computed once per query."""
+
+        from repro.rewriting import planner
+
+        calls = []
+        original = planner.static_plan
+        monkeypatch.setattr(
+            planner, "static_plan", lambda *args: calls.append(args) or original(*args)
+        )
+        db = make_session()
+        for step in range(3):
+            db.insert("Student", (50 + step, "New"))
+            assert db.explain(QUERY).method == "rewriting"
+            assert db.certain(QUERY, ("C15",))
+            assert db.consistent_answers(QUERY, method="rewriting")
+        assert len(calls) == 1
+
     def test_report_is_cached_until_mutation(self):
         db = make_session()
         db.report(QUERY)

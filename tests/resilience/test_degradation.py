@@ -50,6 +50,26 @@ class TestStrictSurfaces:
                 method="direct", deadline=1e-9,
             )
 
+    @pytest.mark.parametrize("anytime", [False, True])
+    @pytest.mark.parametrize("method", ["rewriting", "auto"])
+    def test_a_rewriting_decision_answers_to_the_request_budget(self, method, anytime):
+        """Only the direct engine's anytime stream carries its own budget:
+        a decision routed to the rewriting checks the request budget in its
+        compiled join, whether the deadline is the session's or the call's."""
+
+        instance = {**wide_instance(), "Tag": [(f"e{i}", "t") for i in range(8)]}
+        query = parse_query("ans(e, l) <- Emp(e, d), Tag(e, l)")
+        db = ConsistentDatabase(instance, [KEY])
+        assert db.explain(query).method == "rewriting"
+        with pytest.raises(DeadlineExceededError):
+            db.certain(query, ("e0", "t"), method=method, anytime=anytime, deadline=1e-9)
+        db = ConsistentDatabase(instance, [KEY], deadline=1e-9)
+        with pytest.raises(DeadlineExceededError):
+            db.certain(query, ("e0", "t"), method=method, anytime=anytime)
+        assert ConsistentDatabase(instance, [KEY]).certain(
+            query, ("e0", "t"), method=method, anytime=anytime
+        )
+
     def test_stream_without_degrade_raises_on_state_cap(self):
         db = ConsistentDatabase(wide_instance(), [KEY], repair_mode="parallel")
         with pytest.raises(RuntimeError):  # RepairSearchBudgetExceeded
