@@ -1,4 +1,4 @@
-"""First-order CQA rewriting, the cost-based planner and the engine registry.
+"""First-order CQA rewriting, the planner and the engine registry.
 
 The demo opens a :class:`ConsistentDatabase` session over a keyed
 parent/child database with dozens of injected violations, lets

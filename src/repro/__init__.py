@@ -38,7 +38,7 @@ True
 >>> sorted(db.consistent_answers(query))
 [('C15',), ('C18',)]
 
-``db.explain(query)`` shows the cost-based plan; ``db.batch()`` opens a
+``db.explain(query)`` shows the plan; ``db.batch()`` opens a
 transactional mutation block that rolls back on error; per-call keyword
 overrides (``db.consistent_answers(query, method="sqlite")``) switch
 engines without touching the session defaults.
@@ -64,7 +64,7 @@ primary keys, acyclic referential constraints and NOT-NULL constraints
 the consistent answers are computable in polynomial time by a
 first-order rewriting evaluated once on the inconsistent database
 (:mod:`repro.rewriting`).  ``method="auto"`` (the session default) lets
-the cost-based planner pick the rewriting whenever it applies and fall
+the planner pick the rewriting whenever it applies and fall
 back to repair enumeration otherwise — it never raises
 :class:`~repro.rewriting.RewritingUnsupportedError`.
 ``method="sqlite"`` compiles the same rewriting to one ``SELECT`` and

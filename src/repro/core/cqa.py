@@ -22,10 +22,10 @@ registered engine of :mod:`repro.engines`:
   proven constraint-independent (no constraint touches any predicate the
   query reads; diagnostic ``I302`` of :mod:`repro.analysis`).  Raises
   :class:`repro.analysis.QueryNotIndependentError` otherwise;
-* ``method="auto"`` — let the cost-based planner of
-  :mod:`repro.rewriting.planner` choose: the independence fast path when
-  it is proven, else the rewriting whenever it applies, otherwise repair
-  enumeration.  Never raises ``RewritingUnsupportedError``.
+* ``method="auto"`` — let the planner of :mod:`repro.rewriting.planner`
+  choose from (constraints, query) alone: the independence fast path
+  when it is proven, else the rewriting whenever it applies, otherwise
+  repair enumeration.  Never raises ``RewritingUnsupportedError``.
 
 All strategies return the same answers; the benchmarks compare their
 cost.  Query evaluation inside a repair uses the ``|=^q_N`` convention
@@ -76,10 +76,13 @@ class CQAResult:
 
     For the enumeration methods ``repair_count`` is exact and
     ``per_repair_answer_counts`` lists the answer-set size per repair.
-    For the rewriting-based methods no repairs are materialised:
-    ``repair_count`` is the conflict-graph *estimate* (flagged by
-    ``repair_count_estimated``; ``-1`` when the caller asked to skip the
-    estimate) and ``per_repair_answer_counts`` is empty.
+    The engines that materialise no repairs (rewriting, independent,
+    sqlite) mark ``repair_count_estimated`` and leave
+    ``per_repair_answer_counts`` empty; their ``repair_count`` is ``-1``
+    in the engine's result, and
+    :meth:`repro.session.ConsistentDatabase.report` — the one surface
+    that returns a repair count — replaces it with the conflict-graph
+    estimate.
     """
 
     answers: FrozenSet[AnswerTuple]
@@ -152,7 +155,6 @@ def consistent_answers_report(
     method: str = "direct",
     null_is_unknown: bool = False,
     max_states: Optional[int] = 200_000,
-    estimate_repairs: bool = True,
     repair_mode: str = "parallel",
     deadline: Optional[float] = None,
 ) -> CQAResult:
@@ -169,9 +171,6 @@ def consistent_answers_report(
         max_states: repair-search state budget
             (:class:`repro.core.repairs.RepairSearchBudgetExceeded`
             beyond it).
-        estimate_repairs: only affects the rewriting-based strategies,
-            where the repair count is a conflict-graph estimate that
-            costs one extra pass; the answer-only wrappers disable it.
         repair_mode: the direct engine's repair search
             (:data:`repro.core.repairs.REPAIR_METHODS`): the production
             ``"parallel"`` search or the ``"naive"`` reference; both
@@ -182,7 +181,9 @@ def consistent_answers_report(
             (exact surfaces never return a silently partial answer set).
 
     Returns:
-        A :class:`CQAResult` with the answers and repair statistics.
+        A :class:`CQAResult` with the answers and repair statistics; on
+        the engines that materialise no repairs, ``repair_count`` is the
+        conflict-graph estimate (``repair_count_estimated``).
 
     >>> from repro.relational.instance import DatabaseInstance
     >>> from repro.constraints.parser import parse_constraint, parse_query
@@ -202,7 +203,6 @@ def consistent_answers_report(
         query,
         null_is_unknown=null_is_unknown,
         max_states=max_states,
-        estimate_repairs=estimate_repairs,
         repair_mode=repair_mode,
         deadline=deadline,
     )
@@ -221,7 +221,7 @@ def consistent_answers(
     """The consistent answers to *query* in *instance* w.r.t. *constraints*.
 
     The answer-only projection of :func:`consistent_answers_report`
-    (same parameters; the repair-count estimate is skipped).
+    (same parameters; no repair count is computed).
 
     >>> from repro.relational.instance import DatabaseInstance
     >>> from repro.constraints.parser import parse_constraint, parse_query
@@ -233,17 +233,16 @@ def consistent_answers(
     [('e1',), ('e2',)]
     """
 
-    return consistent_answers_report(
-        instance,
-        constraints,
+    from repro.session import ConsistentDatabase
+
+    session = ConsistentDatabase(instance, constraints, copy=False, method=method)
+    return session.consistent_answers(
         query,
-        method=method,
         null_is_unknown=null_is_unknown,
         max_states=max_states,
-        estimate_repairs=False,
         repair_mode=repair_mode,
         deadline=deadline,
-    ).answers
+    )
 
 
 def is_consistent_answer(
@@ -309,16 +308,13 @@ def consistent_boolean_answer(
     True
     """
 
-    result = consistent_answers_report(
+    # With no repairs the answer set is empty, so the answer is *no*.
+    return () in consistent_answers(
         instance,
         constraints,
         query,
         method=method,
         null_is_unknown=null_is_unknown,
         max_states=max_states,
-        estimate_repairs=False,
         repair_mode=repair_mode,
     )
-    if result.repair_count == 0 and not result.repair_count_estimated:
-        return False
-    return result.certain

@@ -6,7 +6,7 @@ strategy family:
 * :mod:`repro.engines.enumeration` — ``"direct"`` (repair search) and
   ``"program"`` (stable models of the repair program);
 * :mod:`repro.engines.rewriting` — ``"rewriting"`` (first-order
-  rewriting, polynomial) and ``"auto"`` (cost-based planner);
+  rewriting, polynomial) and ``"auto"`` (the planner's route);
 * :mod:`repro.engines.independent` — ``"independent"`` (plain
   evaluation for queries statically proven constraint-independent,
   diagnostic ``I302``);
@@ -30,7 +30,6 @@ from repro.engines.base import (
     CQAConfig,
     CQAEngine,
     available_engines,
-    enumeration_costs,
     get_engine,
     register_engine,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "CQAConfig",
     "CQAEngine",
     "available_engines",
-    "enumeration_costs",
     "get_engine",
     "register_engine",
 ]

@@ -1,8 +1,8 @@
 """The CQA strategy protocol and the engine registry.
 
 Every way of computing consistent answers — repair enumeration, the
-cautious stable-model route, the first-order rewriting, the cost-based
-auto-planner and the SQLite push-down — is an interchangeable *engine*:
+cautious stable-model route, the first-order rewriting, the auto-planner
+and the SQLite push-down — is an interchangeable *engine*:
 a stateless strategy object registered under a short name.  The session
 façade (:class:`repro.session.ConsistentDatabase`) dispatches every
 query through :func:`get_engine`, so adding an evaluation strategy is
@@ -10,16 +10,10 @@ one ``@register_engine("name")`` class away and no ``if method == ...``
 chain anywhere needs to grow a branch.
 
 Engines hold no state of their own.  All expensive intermediates —
-repair lists, rewritten queries, conflict-graph statistics, plans, SQL
-backends — live in the session's generation-keyed cache, which is what
-makes repeated queries cheap; an engine asks the session for them
-(``session.repairs_list``, ``session.rewritten``, ...) instead of
-recomputing.
-
-The enumeration engines additionally expose the coarse cost model the
-planner of :mod:`repro.rewriting.planner` ranks them by
-(:meth:`CQAEngine.enumeration_cost`); :func:`enumeration_costs`
-collects those figures across the registry.
+repair lists, plans with their rewritten queries, SQL backends — live
+in the session's cache, which is what makes repeated queries cheap; an
+engine asks the session for them (``session.repairs_list``,
+``session.rewritten``, ...) instead of recomputing.
 """
 
 from __future__ import annotations
@@ -29,10 +23,8 @@ from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 if TYPE_CHECKING:
-    from repro.constraints.ic import ConstraintSet
     from repro.core.cqa import CQAResult
     from repro.logic.queries import Query
-    from repro.relational.instance import DatabaseInstance
     from repro.session import ConsistentDatabase
 
 
@@ -59,8 +51,6 @@ class CQAConfig:
       decide over the anytime repair stream (:meth:`CQAEngine.certain`
       of the direct engine), which stops as soon as one streamed repair
       refutes the candidate;
-    * ``estimate_repairs`` — whether the non-enumerating engines should
-      pay one conflict-graph pass for a repair-count estimate;
     * ``deadline`` — wall-clock seconds the whole request may take; a
       :class:`repro.resilience.Budget` is installed for the call and
       every layer (search, kernel, SQL backend) checks it
@@ -71,13 +61,16 @@ class CQAConfig:
       instead of raising the typed
       :class:`repro.errors.BudgetExceededError` (only anytime/streaming
       surfaces can degrade; exact surfaces always raise).
+
+    The repair-count estimate of the engines that materialise no repairs
+    is no knob: :meth:`repro.session.ConsistentDatabase.report` alone
+    returns a repair count, and no other surface pays for one.
     """
 
     method: str = "auto"
     null_is_unknown: bool = False
     max_states: Optional[int] = 200_000
     repair_mode: str = "parallel"
-    estimate_repairs: bool = True
     anytime: bool = False
     deadline: Optional[float] = None
     max_memory: Optional[int] = None
@@ -107,8 +100,8 @@ class CQAConfig:
         Traceback (most recent call last):
             ...
         TypeError: unknown CQA option(s): turbo; valid options are anytime, \
-deadline, degrade, estimate_repairs, max_memory, max_states, method, \
-null_is_unknown, repair_mode
+deadline, degrade, max_memory, max_states, method, null_is_unknown, \
+repair_mode
         """
 
         if not overrides:
@@ -139,7 +132,6 @@ null_is_unknown, repair_mode
             self.null_is_unknown,
             self.max_states,
             self.repair_mode,
-            self.estimate_repairs,
         )
 
 
@@ -166,21 +158,6 @@ class CQAEngine(ABC):
         config: CQAConfig,
     ) -> "CQAResult":
         """Compute the consistent answers plus repair statistics."""
-
-    @staticmethod
-    def enumeration_cost(
-        instance: "DatabaseInstance",
-        constraints: "ConstraintSet",
-        estimated_repairs: int,
-    ) -> Optional[float]:
-        """Coarse cost of answering by this engine, or ``None``.
-
-        Only the repair-enumerating engines model a cost; the planner
-        ranks whatever the registry returns (see
-        :func:`enumeration_costs`).
-        """
-
-        return None
 
     def certain(
         self,
@@ -255,17 +232,3 @@ def available_engines() -> Tuple[str, ...]:
 
     return tuple(_REGISTRY)
 
-
-def enumeration_costs(
-    instance: "DatabaseInstance",
-    constraints: "ConstraintSet",
-    estimated_repairs: int,
-) -> Dict[str, float]:
-    """Each cost-modelled engine's estimate for this enumeration problem."""
-
-    costs: Dict[str, float] = {}
-    for name, engine in _REGISTRY.items():
-        cost = engine.enumeration_cost(instance, constraints, estimated_repairs)
-        if cost is not None:
-            costs[name] = cost
-    return costs

@@ -99,19 +99,6 @@ class DirectEngine(CQAEngine):
         # degrade budget spent before the first proof (best known: True).
         return proven or session.last_degradation is not None
 
-    @staticmethod
-    def enumeration_cost(instance, constraints, estimated_repairs):
-        # The direct engine re-discovers each repair through many
-        # alternative violation-resolution orders, so its search grows
-        # roughly quadratically in the repair count, with each state
-        # paying one violation sweep.  Calibrated against benchmark E11,
-        # where direct wins at ~4 repairs and the program route from ~16.
-        n_facts = max(len(instance), 1)
-        n_constraints = max(len(constraints), 1)
-        per_state = float(n_facts * n_constraints)
-        repairs = float(min(estimated_repairs, 10 ** 9))
-        return repairs * repairs * per_state
-
 
 @register_engine("program")
 class ProgramEngine(CQAEngine):
@@ -134,22 +121,3 @@ class ProgramEngine(CQAEngine):
             return result_from_repairs(
                 repairs, query, null_is_unknown=config.null_is_unknown, method="program"
             )
-
-    @staticmethod
-    def enumeration_cost(instance, constraints, estimated_repairs):
-        # Grounding costs about one body-join per constraint, paid once;
-        # then one stable-model pass per repair, plus the shared quadratic
-        # ``≤_D``-minimality filter.  Same calibration as DirectEngine.
-        from repro.constraints.ic import IntegrityConstraint
-
-        n_facts = max(len(instance), 1)
-        n_constraints = max(len(constraints), 1)
-        per_state = float(n_facts * n_constraints)
-        repairs = float(min(estimated_repairs, 10 ** 9))
-        grounding = 0.0
-        for constraint in constraints:
-            if isinstance(constraint, IntegrityConstraint):
-                grounding += float(n_facts) ** min(len(constraint.body), 3)
-            else:
-                grounding += float(n_facts)
-        return grounding + repairs * per_state + repairs * repairs * n_facts

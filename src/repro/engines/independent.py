@@ -8,7 +8,7 @@ query reads — so one ordinary evaluation pass *is* the consistent
 answer, bit-identical to full CQA with no repair machinery at all.
 
 The engine checks the session's cached independence verdict
-(:meth:`repro.session.ConsistentDatabase.static_plan`) on every call
+(:meth:`repro.session.ConsistentDatabase.plan`) on every call
 and raises :class:`repro.analysis.QueryNotIndependentError` when the
 precondition fails: requesting ``method="independent"`` explicitly is
 an assertion, not a hint, and silently falling back would hide a
@@ -34,9 +34,9 @@ class IndependentEngine(CQAEngine):
     """Answer a constraint-independent query by plain evaluation.
 
     Mirrors the rewriting engine's reporting contract: no repairs are
-    materialised, so ``repair_count`` is the conflict-graph *estimate*
-    (``-1`` when ``config.estimate_repairs`` is off) flagged by
-    ``repair_count_estimated``.
+    materialised, so the result marks ``repair_count_estimated`` and
+    :meth:`~repro.session.ConsistentDatabase.report` fills in the
+    conflict-graph estimate.
     """
 
     def answers_report(
@@ -45,7 +45,7 @@ class IndependentEngine(CQAEngine):
         from repro.analysis.independence import QueryNotIndependentError
         from repro.core.cqa import CQAResult
 
-        if session.static_plan(query).independence is None:
+        if session.plan(query).independence is None:
             raise QueryNotIndependentError(
                 f"query {query!r} is not constraint-independent: some "
                 "constraint touches a predicate it reads (or the constraint "
@@ -56,15 +56,11 @@ class IndependentEngine(CQAEngine):
             answers = query.answers(
                 session.instance, null_is_unknown=config.null_is_unknown
             )
-            if config.estimate_repairs:
-                estimate = session.conflict_graph().estimated_repair_count()
-            else:
-                estimate = -1
             if sp:
                 sp.add(answers=len(answers))
         return CQAResult(
             answers=answers,
-            repair_count=estimate,
+            repair_count=-1,
             method="independent",
             repair_count_estimated=True,
         )

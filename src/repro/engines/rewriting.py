@@ -3,15 +3,14 @@
 ``"rewriting"`` evaluates the null-aware first-order rewriting once on
 the inconsistent database (no repairs materialised) and raises
 :class:`repro.rewriting.RewritingUnsupportedError` outside the tractable
-fragment.  ``"auto"`` never raises: it asks the cost-based planner which
-engine to use and delegates through the registry — which is the whole
-point of the strategy protocol: the planner's verdict is just another
-engine name.
+fragment.  ``"auto"`` never raises: it asks the session's cached plan
+which engine to use and delegates through the registry — which is the
+whole point of the strategy protocol: the planner's verdict is just
+another engine name.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Tuple
 
 from repro.engines.base import CQAConfig, CQAEngine, get_engine, register_engine
@@ -29,9 +28,11 @@ class RewritingEngine(CQAEngine):
 
     The rewritten query is cached per (query, constraint fingerprint) in
     the session — it does not depend on the data — so a warm session pays
-    only the single evaluation pass per generation.  The repair count is
-    a conflict-graph *estimate* (skipped when ``config.estimate_repairs``
-    is false, leaving ``repair_count == -1``).
+    only the single evaluation pass per generation.  No repairs are
+    materialised: the result marks ``repair_count_estimated`` (with
+    ``repair_count == -1``), and
+    :meth:`~repro.session.ConsistentDatabase.report` fills in the
+    conflict-graph estimate.
     """
 
     def answers_report(
@@ -44,15 +45,11 @@ class RewritingEngine(CQAEngine):
             answers = rewritten.answers(
                 session.instance, null_is_unknown=config.null_is_unknown
             )
-            if config.estimate_repairs:
-                estimate = session.conflict_graph().estimated_repair_count()
-            else:
-                estimate = -1
             if sp:
                 sp.add(answers=len(answers))
         return CQAResult(
             answers=answers,
-            repair_count=estimate,
+            repair_count=-1,
             method="rewriting",
             repair_count_estimated=True,
         )
@@ -68,8 +65,8 @@ class RewritingEngine(CQAEngine):
 
         One early-exit run of the rewritten query with the candidate's
         values in the head slots (:meth:`RewrittenQuery.answers`); no
-        answer set, no repair-count estimate.  It runs under the request
-        budget, like :meth:`answers_report` does under ``report()``.
+        answer set.  It runs under the request budget, like
+        :meth:`answers_report` does under ``report()``.
         """
 
         with session._budget_scope(config), _trace.span("engine.rewriting"):
@@ -85,13 +82,14 @@ class RewritingEngine(CQAEngine):
 
 @register_engine("auto")
 class AutoEngine(CQAEngine):
-    """Let the cost-based planner choose, then delegate through the registry.
+    """Follow the session's plan, then delegate through the registry.
 
-    Follows :func:`repro.rewriting.plan_cqa` verbatim: the rewriting
-    whenever the (constraints, query) pair is inside the tractable
-    fragment, otherwise the direct reference enumeration (see the planner
-    docstring for why the cheaper-but-divergent program route is reported
-    but never chosen silently).  The chosen plan rides along on
+    The plan (:func:`repro.rewriting.plan_cqa`, cached per query and
+    constraint set) depends on (constraints, query) alone: the
+    independence fast path when ``I302`` holds, else the rewriting
+    whenever the pair is inside the tractable fragment, otherwise the
+    direct reference enumeration (see the planner docstring for why the
+    program route is never chosen).  The plan rides along on
     ``result.plan``.
     """
 
@@ -99,7 +97,7 @@ class AutoEngine(CQAEngine):
         self, session: "ConsistentDatabase", query: "Query", config: CQAConfig
     ) -> "CQAResult":
         with _trace.span("engine.auto") as sp:
-            plan = session.plan(query, config)
+            plan = session.plan(query)
             if sp:
                 sp.add(chosen=plan.method)
             result = get_engine(plan.method).answers_report(session, query, config)
@@ -115,12 +113,10 @@ class AutoEngine(CQAEngine):
     ) -> bool:
         """Plan first, then let the chosen engine decide.
 
-        The chosen engine sets the budget scope of its decision.  Unless
-        the request is anytime (whose direct route carries its budget in
-        the repair stream), planning and decision share one request
-        budget, as they do under ``report()``.
+        The plan reads no data, so the request budget is the chosen
+        engine's: it sets the budget scope of its decision (the direct
+        anytime route carries its budget in the repair stream).
         """
 
-        with nullcontext() if config.anytime else session._budget_scope(config):
-            plan = session.plan(query, config)
-            return get_engine(plan.method).certain(session, query, candidate, config)
+        plan = session.plan(query)
+        return get_engine(plan.method).certain(session, query, candidate, config)

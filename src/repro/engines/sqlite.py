@@ -54,13 +54,9 @@ class SQLiteEngine(CQAEngine):
             )
             if sp:
                 sp.add(answers=len(answers))
-        if config.estimate_repairs:
-            estimate = session.conflict_graph().estimated_repair_count()
-        else:
-            estimate = -1
         return CQAResult(
             answers=answers,
-            repair_count=estimate,
+            repair_count=-1,
             method="sqlite",
             repair_count_estimated=True,
         )

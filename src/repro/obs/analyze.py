@@ -51,11 +51,7 @@ class ExplainReport:
 
         lines: List[str] = []
         lines.append(f"EXPLAIN ANALYZE {self.query}")
-        lines.append(
-            f"Plan: {self.plan.method}"
-            + (f" (~{self.plan.estimated_repairs} repairs est.)"
-               if self.plan.estimated_repairs is not None else "")
-        )
+        lines.append(f"Plan: {self.plan.method}")
         lines.append(f"  reason: {self.plan.reason}")
         lines.append(
             f"Cache: generation={self.generation} "
@@ -80,10 +76,12 @@ class ExplainReport:
                 f"{rs.constraints_reevaluated} constraint re-evaluations, "
                 f"{rs.leq_d_comparisons} ≤_D comparisons"
             )
-        lines.append(
-            f"Answers: {len(self.result.answers)} "
-            f"(repairs considered: {self.result.repair_count})"
+        repairs = (
+            f"~{self.result.repair_count} repairs estimated, none enumerated"
+            if self.result.repair_count_estimated
+            else f"repairs considered: {self.result.repair_count}"
         )
+        lines.append(f"Answers: {len(self.result.answers)} ({repairs})")
         return "\n".join(lines)
 
 

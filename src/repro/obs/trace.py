@@ -84,11 +84,15 @@ class SpanRecord:
 class Span:
     """One live span: a named interval with attributes and children.
 
-    Used as a context manager; entering reads the clock and pushes the
-    span on the tracer's stack, exiting pops it and files it under its
-    parent (or as a root).  Spans are truthy — the disabled-path
-    :class:`_NullSpan` is falsy — so ``if sp:`` guards attribute
-    computation that would otherwise run with tracing off.
+    Used as a context manager; entering pushes the span on the tracer's
+    stack, exiting pops it and files it under its parent (or as a
+    root).  The span's own bookkeeping stays inside its interval: the
+    start clock is read at construction, before the span's allocations,
+    and the end clock after the span is filed under its parent
+    (:meth:`add_child`), so neither lands in the parent's self time.
+    Spans are truthy — the disabled-path :class:`_NullSpan` is falsy —
+    so ``if sp:`` guards attribute computation that would otherwise run
+    with tracing off.
     """
 
     __slots__ = (
@@ -102,12 +106,10 @@ class Span:
         "_tracer",
     )
 
-    def __init__(
-        self, tracer: Optional["Tracer"], name: str, attributes: Dict[str, Any]
-    ):
+    def __init__(self, tracer: "Tracer", name: str, attributes: Dict[str, Any]):
+        self.start = _clock.now()
         self._tracer = tracer
         self.name = name
-        self.start = 0.0
         self.end: Optional[float] = None
         self.attributes = attributes
         self.children: List["Span"] = []
@@ -118,24 +120,20 @@ class Span:
     # per span, and a traced request's time outside any span is mostly
     # this overhead.
     def __enter__(self) -> "Span":
-        self.start = _clock.now()
-        if self._tracer is not None:
-            self._tracer._stack.append(self)
+        self._tracer._stack.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.end = _clock.now()
         if exc_type is not None:
             self.attributes.setdefault("error", exc_type.__name__)
-        tracer = self._tracer
-        if tracer is not None:
-            stack = tracer._stack
-            if stack and stack[-1] is self:
-                stack.pop()
-            if stack:
-                stack[-1].add_child(self)
-            else:
-                tracer._file_root(self)
+        stack = self._tracer._stack
+        if stack and stack[-1] is self:
+            stack.pop()
+        if stack:
+            stack[-1].add_child(self)
+        else:
+            self.end = _clock.now()
+            self._tracer._file_root(self)
         return False
 
     def __bool__(self) -> bool:
@@ -148,18 +146,22 @@ class Span:
         return self
 
     def add_child(self, child: "Span") -> None:
-        """File *child* under this span, honouring the retention cap.
+        """File the finishing *child* under this span and end it.
 
-        A dropped child keeps its duration here, under its name.
+        The child's end clock is read once it is filed, so the filing
+        counts in the child's duration.  A child past the retention cap
+        is dropped: its duration stays here, under its name.
         """
 
-        if len(self.children) >= MAX_CHILD_SPANS:
+        if len(self.children) < MAX_CHILD_SPANS:
+            self.children.append(child)
+            child.end = _clock.now()
+        else:
+            child.end = _clock.now()
             self.dropped_children += 1
             self.dropped_seconds[child.name] = (
                 self.dropped_seconds.get(child.name, 0.0) + child.end - child.start
             )
-        else:
-            self.children.append(child)
 
     @property
     def duration(self) -> float:

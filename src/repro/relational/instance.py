@@ -344,11 +344,6 @@ class DatabaseInstance:
 
         return self._tuples.get(predicate, _EMPTY_ROWS)  # type: ignore[return-value]
 
-    def row_count(self, predicate: str) -> int:
-        """Number of tuples of *predicate* (0 if the relation is empty)."""
-
-        return len(self._tuples.get(predicate, _EMPTY_ROWS))
-
     # ------------------------------------------------------------------ indexes
     def _index(self, predicate: str) -> Optional[_PredicateIndex]:
         rows = self._tuples.get(predicate)

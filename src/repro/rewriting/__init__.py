@@ -21,8 +21,9 @@ The subsystem:
 * :mod:`repro.rewriting.rewriter` — builds :class:`RewrittenQuery` with
   a fast in-memory evaluator, a first-order formula rendering and a SQL
   compilation;
-* :mod:`repro.rewriting.planner` — the cost-based planner behind
-  ``consistent_answers(..., method="auto")``.
+* :mod:`repro.rewriting.planner` — the planner behind
+  ``consistent_answers(..., method="auto")``, a function of
+  (constraints, query) alone.
 
 >>> from repro import DatabaseInstance, parse_constraint, parse_query
 >>> from repro.rewriting import rewrite_query

@@ -1,8 +1,9 @@
 """Materialised conflict graphs: which facts fight which, and how badly.
 
-The repair engine resolves violations one at a time; everything the
-planner needs to *predict* its cost is already visible in the pairwise
-structure of the violations:
+The repair engine resolves violations one at a time; a repair count
+can be *estimated* without it from the pairwise structure of the
+violations (``report()`` does so for the engines that materialise no
+repairs):
 
 * a **forced mark** is a fact deleted in every repair (a NOT-NULL or
   single-atom denial/check violation — no insertion can fix those);
@@ -41,7 +42,8 @@ from repro.constraints.ic import (
 from repro.core.satisfaction import violations as enumerate_violations
 from repro.rewriting.fragment import fd_shape
 
-#: Safety cap for repair-count estimates (they only steer the planner).
+#: Safety cap for repair-count estimates (``report()``'s ``repair_count``
+#: on the engines that materialise no repairs).
 ESTIMATE_CAP = 2 ** 62
 
 
@@ -143,8 +145,8 @@ class ConflictGraph:
         Each edge component contributes roughly one choice per member (an
         FD group of size ``g`` has up to ``g`` repairs), each choice mark
         doubles the count (delete vs. insert) and forced marks contribute
-        nothing.  Capped at :data:`ESTIMATE_CAP`; the estimate only ranks
-        strategies, it is not used for answers.
+        nothing.  Capped at :data:`ESTIMATE_CAP`; the estimate is only
+        reported, it is not used for answers.
         """
 
         estimate = 1

@@ -16,10 +16,11 @@ of that state across calls:
   invalidates exactly the caches a mutation staled;
 * a **query surface** — :meth:`consistent_answers`, :meth:`certain`,
   :meth:`iter_repairs`, :meth:`explain`, :meth:`report` — backed by a
-  per-session LRU cache of rewritten queries, query plans, repair lists,
-  conflict-graph statistics and answer sets, keyed by
-  ``(query, constraint fingerprint, generation)``: repeating a query on
-  an unchanged database costs one dictionary probe;
+  per-session LRU cache of repair lists, conflict graphs and answer
+  sets keyed by ``(query, constraint fingerprint, generation)``, and of
+  query plans (with their rewritings) keyed by ``(query, constraint
+  fingerprint)`` alone: repeating a query on an unchanged database
+  costs one dictionary probe, and a write re-plans nothing;
 * an **engine registry** (:mod:`repro.engines`) — every query routes
   through a pluggable strategy object (``"direct"``, ``"program"``,
   ``"rewriting"``, ``"auto"``, ``"sqlite"``), so the SQLite push-down
@@ -94,7 +95,7 @@ if TYPE_CHECKING:
     from repro.compile.kernel import CompiledProgram
     from repro.obs.analyze import ExplainReport
     from repro.rewriting.conflicts import ConflictGraph
-    from repro.rewriting.planner import CQAPlan, StaticPlan
+    from repro.rewriting.planner import CQAPlan
     from repro.rewriting.rewriter import RewrittenQuery
     from repro.sqlbackend.backend import SQLiteBackend
 
@@ -284,7 +285,6 @@ class ConsistentDatabase:
         null_is_unknown: bool = False,
         max_states: Optional[int] = 200_000,
         repair_mode: str = "parallel",
-        estimate_repairs: bool = True,
         workers: int = 0,
         anytime: bool = False,
         deadline: Optional[float] = None,
@@ -314,7 +314,6 @@ class ConsistentDatabase:
             null_is_unknown=null_is_unknown,
             max_states=max_states,
             repair_mode=repair_mode,
-            estimate_repairs=estimate_repairs,
             anytime=anytime,
             deadline=deadline,
             max_memory=max_memory,
@@ -337,9 +336,6 @@ class ConsistentDatabase:
         self._sql_backend_schema: Optional[DatabaseSchema] = None
         self._sql_backend_generation = -1
         self._constraint_relations: Optional[List[Tuple[str, int]]] = None
-        #: Guards the once-per-session ``compiled_programs_built`` count
-        #: (an LRU eviction may re-cache the program, never recompile it).
-        self._compiled_program_cached_once = False
         #: Baseline of the process-wide code-generator counter, so
         #: ``cache_info().codegen_builds`` reports the specialized-plan
         #: builds *this session's* requests triggered (a warm process
@@ -481,9 +477,10 @@ class ConsistentDatabase:
         with _trace.span("compile.session"):
             program = self._violation_index.program
         self._cache.put(key, program)
-        if not self._compiled_program_cached_once:
-            self._compiled_program_cached_once = True
-            self.statistics.compiled_programs_built += 1
+        # Counted once: an LRU eviction may re-cache the program, never
+        # recompile it.
+        if not self.statistics.compiled_programs_built:
+            self.statistics.compiled_programs_built = 1
             _SESSION_COMPILED_BUILDS.inc()
         return program
 
@@ -793,14 +790,21 @@ class ConsistentDatabase:
         Returns:
             A fully populated :class:`repro.core.cqa.CQAResult`
             (defensively copied — mutating it cannot corrupt the cache).
+            An engine that materialises no repairs marks
+            ``repair_count_estimated`` and leaves ``repair_count`` at
+            ``-1``; this fills in the estimate of the instance's
+            conflict graph (:meth:`conflict_graph`, built once per
+            generation and only here: no other surface returns a repair
+            count).
 
         Raises:
             TypeError: on an override that is not a config field.
             ValueError: on an unregistered ``method``.
 
         Results are cached per (query, constraint fingerprint,
-        generation, config), so an identical repeat is one dictionary
-        probe.
+        generation, config), the same entry :meth:`consistent_answers`
+        and :meth:`certain` read, so an identical repeat is one
+        dictionary probe.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
         >>> db = ConsistentDatabase(
@@ -814,7 +818,15 @@ class ConsistentDatabase:
 
         config = self._config.merged(overrides)
         self._count_query()
-        return self._result_copy(self.report_with(query, config))
+        with self._budget_scope(config):  # one budget for answers and estimate
+            result = self.report_with(query, config)
+            if result.repair_count_estimated and result.repair_count < 0:
+                # Filled in on the cached report, so once per generation.
+                with _trace.span("conflicts.estimate"):
+                    result.repair_count = self.conflict_graph().estimated_repair_count()
+        return replace(
+            result, per_repair_answer_counts=list(result.per_repair_answer_counts)
+        )
 
     def report_with(self, query: Query, config: CQAConfig) -> CQAResult:
         """The engine-facing :meth:`report`: one merged *config*, no copy.
@@ -844,14 +856,6 @@ class ConsistentDatabase:
         self.statistics.queries += 1
         _SESSION_QUERIES.inc()
 
-    @staticmethod
-    def _result_copy(result: CQAResult) -> CQAResult:
-        """A shallow defensive copy so callers cannot corrupt the cache."""
-
-        return replace(
-            result, per_repair_answer_counts=list(result.per_repair_answer_counts)
-        )
-
     def consistent_answers(
         self, query: Query, **overrides: Any
     ) -> FrozenSet[AnswerTuple]:
@@ -863,9 +867,8 @@ class ConsistentDatabase:
 
         Returns:
             The tuples that are answers in **every** repair, as a
-            frozenset.  Skips the rewriting path's repair-count estimate
-            unless asked (``estimate_repairs=True``), exactly like the
-            functional wrapper.
+            frozenset: the answers of the report :meth:`report` would
+            return, served from or filling the same cache entry.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
         >>> db = ConsistentDatabase(
@@ -878,8 +881,9 @@ class ConsistentDatabase:
         [('hr',)]
         """
 
-        overrides.setdefault("estimate_repairs", False)
-        return self.report(query, **overrides).answers
+        config = self._config.merged(overrides)
+        self._count_query()
+        return self.report_with(query, config).answers
 
     def certain(
         self,
@@ -927,7 +931,6 @@ class ConsistentDatabase:
         False
         """
 
-        overrides.setdefault("estimate_repairs", False)
         config = self._config.merged(overrides)
         engine = get_engine(config.method)
         self._count_query()
@@ -944,7 +947,7 @@ class ConsistentDatabase:
     def explain(
         self, query: Query, *, analyze: bool = False, **overrides: Any
     ) -> Union["CQAPlan", "ExplainReport"]:
-        """The cost-based plan for *query* — optionally executed and measured.
+        """The plan for *query* — optionally executed and measured.
 
         Args:
             query: the query to plan.
@@ -961,11 +964,12 @@ class ConsistentDatabase:
             **overrides: any :class:`repro.engines.CQAConfig` field.
 
         Returns:
-            The cached-per-generation
-            :class:`repro.rewriting.planner.CQAPlan` (or the
+            The :class:`repro.rewriting.planner.CQAPlan` of the route
+            the request runs (or the
             :class:`~repro.obs.analyze.ExplainReport` wrapping it when
-            ``analyze=True``); a successful plan also primes the
-            rewriting cache.
+            ``analyze=True``): under ``method="auto"`` the session's
+            cached :meth:`plan`, under any other method that plan with
+            the requested method and a reason saying it was requested.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
         >>> db = ConsistentDatabase(
@@ -974,17 +978,8 @@ class ConsistentDatabase:
         ... )
         >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).method
         'rewriting'
-
-        The returned plan also reports whether the session already holds
-        the constraint set's compiled plans
-        (``plan.compiled_program_cached``), so the cost of an
-        enumeration fallback is visible up front:
-
-        >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).compiled_program_cached
-        False
-        >>> _ = db.is_consistent()  # first violation-path call caches the plans
-        >>> db.explain(parse_query("ans(e) <- Emp(e, d)")).compiled_program_cached
-        True
+        >>> db.explain(parse_query("ans(e) <- Emp(e, d)"), method="direct")
+        CQAPlan(direct: method='direct' requested (auto would choose 'rewriting'))
         """
 
         if analyze:
@@ -992,12 +987,7 @@ class ConsistentDatabase:
 
             return analyze_request(self, query, overrides)
         config = self._config.merged(overrides)
-        plan = self.plan(query, config)
-        return replace(
-            plan,
-            compiled_program_cached=self._compiled_program_cached_once,
-            codegen_builds=self.cache_info().codegen_builds,
-        )
+        return self.plan(query).requested(config.method)
 
     def analyze(self, query: Optional[Query] = None) -> "AnalysisReport":
         """Statically analyze the constraint set (and optionally *query*).
@@ -1260,7 +1250,7 @@ class ConsistentDatabase:
         return found
 
     def rewritten(self, query: Query) -> "RewrittenQuery":
-        """The first-order rewriting of *query*, from :meth:`static_plan`.
+        """The first-order rewriting of *query*, from its :meth:`plan`.
 
         Unsupported pairs raise the cached
         :class:`RewritingUnsupportedError` again — a copy, which keeps
@@ -1268,62 +1258,41 @@ class ConsistentDatabase:
         the cached instance's traceback.
         """
 
-        static = self.static_plan(query)
-        if static.unsupported is not None:
-            raise static.unsupported.copy()
-        assert static.rewritten is not None
-        return static.rewritten
+        plan = self.plan(query)
+        if plan.unsupported is not None:
+            raise plan.unsupported.copy()
+        assert plan.rewritten is not None
+        return plan.rewritten
 
-    def static_plan(self, query: Query) -> "StaticPlan":
-        """The data-independent half of *query*'s plan, cached per fingerprint.
+    def plan(self, query: Query) -> "CQAPlan":
+        """The :class:`CQAPlan` ``method="auto"`` follows for *query*.
 
         The ``I302`` independence verdict and the rewriting (or the
         :class:`RewritingUnsupportedError` saying why there is none)
-        depend only on (query, constraints), so this cache survives
-        mutations and a write re-plans only costs and estimates.
+        depend only on (query, constraints), so the plan is cached per
+        constraint fingerprint: it survives mutations, and a write
+        re-plans nothing.
         """
 
-        key = ("static-plan", query, self._fingerprint)
-        static = self._cache.get(key)
-        if static is None:
-            from repro.rewriting.planner import static_plan
-
-            static = static_plan(self._constraints, query)
-            self._cache.put(key, static)
-        return static
-
-    def plan(self, query: Query, config: CQAConfig) -> "CQAPlan":
-        """The cost-based :class:`CQAPlan` for *query*, cached per generation.
-
-        Only the costs and estimates are recomputed per generation; the
-        rest comes from :meth:`static_plan`, computed inside this span
-        the first time.
-        """
-
-        generation = self._instance.generation
-        key = ("plan", query, self._fingerprint, generation, config.max_states)
+        key = ("plan", query, self._fingerprint)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         from repro.rewriting import plan_cqa
 
         with _trace.span("session.plan") as sp:
+            plan = plan_cqa(self._constraints, query)
             if sp:
-                sp.add(query=str(query))
-            plan = plan_cqa(
-                self._instance,
-                self._constraints,
-                query,
-                max_states=config.max_states,
-                static=self.static_plan(query),
-            )
-            if sp:
-                sp.add(method=plan.method, supported=plan.supported)
-        self._cache.put(key, plan, generation)
+                sp.add(query=str(query), method=plan.method, supported=plan.supported)
+        self._cache.put(key, plan)
         return plan
 
     def conflict_graph(self) -> "ConflictGraph":
-        """The instance's conflict graph, cached per generation."""
+        """The instance's conflict graph, cached per generation.
+
+        The library builds it only for :meth:`report`'s repair-count
+        estimate on the engines that materialise no repairs.
+        """
 
         generation = self._instance.generation
         key = ("conflicts", self._fingerprint, generation)

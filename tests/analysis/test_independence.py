@@ -122,12 +122,14 @@ class TestEngine:
             parse_query("ans() <- Log(t, e, 'reboot')"), method="independent"
         )
 
-    def test_estimate_can_be_skipped(self):
+    def test_only_report_estimates_repairs(self):
         db = ConsistentDatabase(DATA, parse_constraints(KEY))
-        result = db.report(
-            parse_query(FREE_QUERY), method="independent", estimate_repairs=False
-        )
-        assert result.repair_count == -1
+        query = parse_query(FREE_QUERY)
+        db.consistent_answers(query, method="independent")
+        assert not [key for key in db._cache._data if key[0] == "conflicts"]
+        result = db.report(query, method="independent")
+        assert result.repair_count_estimated
+        assert result.repair_count == db.conflict_graph().estimated_repair_count()
 
 
 class TestSessionAnalyze:

@@ -1,5 +1,7 @@
 """The ``ConsistentDatabase`` session façade and the engine registry."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro import (
@@ -38,6 +40,20 @@ DATA = {
 
 def make_session(**kwargs) -> ConsistentDatabase:
     return ConsistentDatabase(DATA, [RIC], **kwargs)
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """The queries ``plan_cqa`` is asked to plan, in order."""
+
+    import repro.rewriting
+
+    calls = []
+    original = repro.rewriting.plan_cqa
+    monkeypatch.setattr(
+        repro.rewriting, "plan_cqa", lambda *args: calls.append(args[1]) or original(*args)
+    )
+    return calls
 
 
 class TestConstruction:
@@ -232,23 +248,19 @@ class TestQuerySurface:
         with pytest.raises(AssertionError, match="cached report"):
             db.certain(QUERY, ("C18",))
 
-    def test_writes_replan_only_costs(self, monkeypatch):
-        """Independence and the rewriting are computed once per query."""
+    def test_writes_replan_nothing(self, plan_calls):
+        """The plan — independence, the rewriting, the route — is computed
+        once per query, whatever the writes and the surfaces asking."""
 
-        from repro.rewriting import planner
-
-        calls = []
-        original = planner.static_plan
-        monkeypatch.setattr(
-            planner, "static_plan", lambda *args: calls.append(args) or original(*args)
-        )
         db = make_session()
         for step in range(3):
             db.insert("Student", (50 + step, "New"))
             assert db.explain(QUERY).method == "rewriting"
+            assert db.explain(QUERY, method="direct").method == "direct"
             assert db.certain(QUERY, ("C15",))
             assert db.consistent_answers(QUERY, method="rewriting")
-        assert len(calls) == 1
+            assert db.report(QUERY).method == "rewriting"
+        assert plan_calls == [QUERY]
 
     def test_report_is_cached_until_mutation(self):
         db = make_session()
@@ -306,10 +318,15 @@ class TestQuerySurface:
             sizes.append(db.cache_info().size)
         generation_keyed = [
             key for key in db._cache._data
-            if key[0] in ("answers", "plan", "repairs", "conflicts")
+            if key[0] in ("answers", "repairs", "conflicts")
         ]
         assert generation_keyed
         assert all(db.generation in key for key in generation_keyed)
+        # Plans depend on (constraints, query) alone: one per query, kept
+        # across every generation.
+        plans = [key for key in db._cache._data if key[0] == "plan"]
+        assert len(plans) == len(queries)
+        assert {key[1] for key in plans} == set(queries)
         assert len(set(sizes)) == 1  # nothing accumulates across generations
         assert db.cache_info().evictions == 0
 
@@ -421,12 +438,6 @@ class TestEngineRegistry:
         with pytest.raises(RewritingUnsupportedError):
             db.consistent_answers(parse_query("ans(x) <- T(x)"), method="sqlite")
 
-    def test_plan_costs_come_from_the_registry(self):
-        scenario = scenarios.example_18()
-        db = ConsistentDatabase(scenario.instance, scenario.constraints)
-        plan = db.explain(parse_query("ans(x) <- T(x)"))
-        assert set(plan.costs) == {"direct", "program"}
-
 
 class TestConfigObject:
     def test_merged_rejects_unknown_keys(self):
@@ -445,6 +456,22 @@ class TestConfigObject:
         db = ConsistentDatabase({"P": [("a",)]})
         with pytest.raises(TypeError, match=knob):
             db.consistent_answers(parse_query("ans(x) <- P(x)"), **{knob: False})
+
+    def test_removed_estimate_knob_is_rejected(self):
+        """Only ``report()`` returns a repair count, so no option turns the
+        estimate on or off."""
+
+        assert len(fields(CQAConfig)) == 8
+        with pytest.raises(TypeError, match="estimate_repairs"):
+            ConsistentDatabase(DATA, [RIC], estimate_repairs=False)
+        db = make_session()
+        for surface in (db.report, db.consistent_answers, db.certain):
+            with pytest.raises(TypeError, match="estimate_repairs"):
+                surface(QUERY, estimate_repairs=False)
+        with pytest.raises(TypeError, match="estimate_repairs"):
+            consistent_answers_report(
+                DatabaseInstance.from_dict(DATA), [RIC], QUERY, estimate_repairs=True
+            )
 
     def test_merged_is_a_copy(self):
         config = CQAConfig()
@@ -568,12 +595,12 @@ class TestCompiledPlans:
         assert db.compiled_program() is program
         assert db.cache_info().compiled_builds == 1
 
-    def test_explain_reports_compiled_program_state(self):
+    def test_cache_info_reports_compiled_program_state(self):
         db = make_session()
-        plan = db.explain(QUERY)
-        assert plan.compiled_program_cached is False
+        db.explain(QUERY)  # planning compiles nothing
+        assert db.cache_info().compiled_builds == 0
         db.is_consistent()  # first violation-path call caches the plans
-        assert db.explain(QUERY).compiled_program_cached is True
+        assert db.cache_info().compiled_builds == 1
 
     def test_violation_index_carries_the_program(self):
         db = make_session()
@@ -663,3 +690,149 @@ class TestRequestReadSet:
             ("u3",),
         }
         assert set(reads) == {"Log"}
+
+
+class TestStaticPlan:
+    """The plan is a function of (constraints, query): no write re-plans,
+    and no request but ``report()`` builds a conflict graph."""
+
+    CHECK = parse_constraint("Emp(e, d, s) -> s > 0")
+
+    @pytest.fixture
+    def graph_builds(self, monkeypatch):
+        from repro.rewriting.conflicts import ConflictGraph
+
+        builds = []
+        build = ConflictGraph.build.__func__
+
+        def counting(cls, *args, **kwargs):
+            builds.append(args)
+            return build(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ConflictGraph, "build", classmethod(counting))
+        return builds
+
+    def test_requests_outside_the_fragment_build_no_conflict_graph(
+        self, graph_builds, plan_calls
+    ):
+        instance, constraints = grouped_key_workload(n_groups=2, group_size=3, n_clean=4)
+        db = ConsistentDatabase(instance, [*constraints, self.CHECK])
+        clean = next(fact for fact in instance.facts() if fact.values[0] == "e0")
+        asked = {
+            parse_query("ans(e, d) <- Emp(e, d, s)"): clean.values[:2],
+            parse_query("ans(e) <- Emp(e, d, s)"): clean.values[:1],
+        }
+        for step in range(4):
+            db.insert("Emp", (f"w{step}", "dw", step + 1))
+            for query, candidate in asked.items():
+                assert db.explain(query).method == "direct"
+                assert db.consistent_answers(query)
+                assert db.certain(query, candidate, anytime=True)
+            assert db.repair_count() == 9
+        assert graph_builds == []
+        assert plan_calls == list(asked)  # once per query, across four writes
+
+    def test_report_estimates_once_per_generation(self, graph_builds, monkeypatch):
+        from repro.rewriting.conflicts import ConflictGraph
+
+        estimated = []
+        estimate = ConflictGraph.estimated_repair_count
+        monkeypatch.setattr(
+            ConflictGraph, "estimated_repair_count",
+            lambda graph: estimated.append(graph) or estimate(graph),
+        )
+        instance, constraints = grouped_key_workload(n_groups=3, group_size=2, n_clean=4)
+        db = ConsistentDatabase(instance, constraints)
+        query = parse_query("ans(e) <- Emp(e, d, s)")
+        estimates = []
+        for step in range(4):
+            counts = {
+                db.report(query, method=method).repair_count
+                for method in ("auto", "rewriting", "sqlite", "rewriting")
+            }
+            assert len(counts) == 1
+            estimates.append(counts.pop())
+            assert len(graph_builds) == step + 1
+            assert len(estimated) == 3 * (step + 1)  # once per cached report
+            db.insert("Emp", ("g0", f"extra{step}", step + 1))
+        # The conflict-graph estimates the planner-era report returned.
+        assert estimates == [8, 8, 16, 24]
+
+    def test_the_estimate_is_traced(self):
+        db = make_session()
+        report = db.explain(QUERY, analyze=True)
+        (estimate,) = [span for span in report.trace.children if span.name == "conflicts.estimate"]
+        assert [span.name for span in estimate.children] == ["conflicts.build"]
+        assert report.result.repair_count == 2
+        assert "~2 repairs estimated, none enumerated" in report.render()
+
+    @pytest.mark.parametrize("method", ["auto", "rewriting", "direct", "sqlite"])
+    def test_one_engine_call_serves_every_surface(self, monkeypatch, method):
+        calls = []
+        engine = type(get_engine(method))
+        for name in ("answers_report", "certain"):
+            original = getattr(engine, name)
+
+            def counting(self, *args, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, *args)
+
+            monkeypatch.setattr(engine, name, counting)
+        db = make_session(method=method)
+        report = db.report(QUERY)
+        assert db.consistent_answers(QUERY) == report.answers
+        assert db.certain(QUERY, ("C15",)) is True
+        assert calls == ["answers_report"]
+
+    def test_only_report_returns_a_repair_count(self, graph_builds):
+        db = make_session()
+        result = db.report_with(QUERY, db.config)
+        assert result.repair_count_estimated and result.repair_count == -1
+        assert graph_builds == []
+        assert db.report(QUERY).repair_count == 2
+        assert len(graph_builds) == 1
+
+
+class TestExplainUnderARequestedMethod:
+    KEY = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
+    QUERY = parse_query("ans(e) <- Emp(e, d)")
+
+    def make(self):
+        return ConsistentDatabase({"Emp": [("e1", "sales"), ("e1", "hr")]}, [self.KEY])
+
+    def test_the_plan_names_the_route_that_runs(self):
+        db = self.make()
+        plan = db.explain(self.QUERY, method="direct")
+        assert plan.method == "direct"
+        assert "requested" in plan.reason
+        assert plan.supported and plan.unsupported_reason is None
+        auto = db.explain(self.QUERY)
+        assert auto.method == "rewriting"
+        assert "requested" not in auto.reason
+        assert db.explain(self.QUERY, method="auto") == auto
+
+    def test_requested_routes_keep_the_fragment_facts(self):
+        db = ConsistentDatabase(
+            {"Emp": [("e1", "sales", 1)]},
+            [parse_constraint("Emp(e, d, s), Emp(e, f, t) -> d = f"),
+             parse_constraint("Emp(e, d, s) -> s > 0")],
+        )
+        query = parse_query("ans(e) <- Emp(e, d, s)")
+        plan = db.explain(query, method="rewriting")
+        assert plan.method == "rewriting"
+        assert not plan.supported
+        assert plan.unsupported_diagnostic.clause == "check-on-keyed-predicate"
+        assert plan.independence is None
+        with pytest.raises(RewritingUnsupportedError):
+            db.report(query, method="rewriting")
+
+    def test_explain_analyze_renders_the_requested_route(self):
+        db = self.make()
+        report = db.explain(self.QUERY, analyze=True, method="direct")
+        assert report.result.method == "direct"
+        assert report.plan.method == "direct"
+        rendered = report.render()
+        assert "Plan: direct" in rendered
+        assert "requested" in rendered
+        auto = db.explain(self.QUERY, analyze=True)
+        assert auto.result.method == auto.plan.method == "rewriting"

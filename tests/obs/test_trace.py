@@ -94,6 +94,34 @@ class TestRecording:
         assert outer.duration == pytest.approx(1.25)
         assert outer.children[0].duration == pytest.approx(0.25)
 
+    def test_a_spans_bookkeeping_is_its_own_time(self, monkeypatch):
+        """Building a span and filing it under its parent count in the
+        span's duration, not in its parent's self time."""
+
+        fake = clock.FakeClock()
+        build, file_child = trace.Span.__init__, trace.Span.add_child
+
+        def slow_build(span, *args):
+            build(span, *args)
+            fake.advance(0.25)  # the span's own allocations
+
+        def slow_file(parent, child):
+            fake.advance(0.5)  # filing the child under its parent
+            file_child(parent, child)
+
+        monkeypatch.setattr(trace.Span, "__init__", slow_build)
+        monkeypatch.setattr(trace.Span, "add_child", slow_file)
+        with clock.using_clock(fake), trace.tracing(True):
+            trace.reset()
+            with trace.span("parent"):
+                with trace.span("child"):
+                    fake.advance(1.0)
+        parent = trace.tracer().roots[0]
+        (child,) = parent.children
+        assert child.duration == pytest.approx(0.25 + 1.0 + 0.5)
+        assert self_seconds(parent) == pytest.approx(0.25)  # its own build only
+        assert_well_formed(parent)
+
     def test_exception_closes_the_span_and_records_the_error(self):
         with trace.tracing(True):
             trace.reset()

@@ -1,10 +1,12 @@
-"""The cost-based planner and the ``method="auto"`` dispatcher."""
+"""The planner and the ``method="auto"`` dispatcher."""
 
 import pytest
 
+from repro.analysis.independence import independence_diagnostic
 from repro.constraints.parser import parse_query
 from repro.core.cqa import consistent_answers, consistent_answers_report
-from repro.rewriting import RewritingUnsupportedError, plan_cqa
+from repro.rewriting import RewritingUnsupportedError, plan_cqa, rewrite_query
+from repro.session import ConsistentDatabase
 from repro.workloads import foreign_key_workload, scaled_course_student, scenarios
 
 
@@ -20,36 +22,56 @@ def _generic_queries(instance):
 
 class TestPlanning:
     def test_supported_pair_plans_rewriting(self):
-        instance, constraints = foreign_key_workload(seed=0)
+        _, constraints = foreign_key_workload(seed=0)
         query = parse_query("ans(c) <- Child(c, p, d)")
-        plan = plan_cqa(instance, constraints, query)
+        plan = plan_cqa(constraints, query)
         assert plan.method == "rewriting"
         assert plan.supported
         assert plan.rewritten is not None
-        assert "rewriting" in plan.costs
+        assert plan.unsupported is None
 
     def test_unsupported_pair_falls_back_with_reason(self):
         scenario = scenarios.example_18()  # UIC with a consequent atom + cyclic RIC
         query = parse_query("ans(x) <- T(x)")
-        plan = plan_cqa(scenario.instance, scenario.constraints, query)
-        assert plan.method in ("direct", "program")
+        plan = plan_cqa(scenario.constraints, query)
+        assert plan.method == "direct"
         assert not plan.supported
         assert plan.unsupported_reason
-        assert plan.estimated_repairs is not None
-        assert set(plan.costs) == {"direct", "program"}
+        assert plan.unsupported_reason in plan.reason
 
     def test_unsupported_query_also_falls_back(self):
-        instance, constraints = scaled_course_student(n_courses=6, seed=0)
+        _, constraints = scaled_course_student(n_courses=6, seed=0)
         query = parse_query("ans(c) <- Course(i, c), not Student(i, c)")
-        plan = plan_cqa(instance, constraints, query)
+        plan = plan_cqa(constraints, query)
         assert not plan.supported
         assert "negated" in plan.unsupported_reason
 
-    def test_budget_warning(self):
-        scenario = scenarios.example_18()
-        query = parse_query("ans(x) <- T(x)")
-        plan = plan_cqa(scenario.instance, scenario.constraints, query, max_states=1)
-        assert "max_states" in plan.reason
+    def test_the_plan_is_frozen(self):
+        _, constraints = foreign_key_workload(seed=0)
+        plan = plan_cqa(constraints, parse_query("ans(c) <- Child(c, p, d)"))
+        with pytest.raises(AttributeError):
+            plan.method = "direct"
+
+    @pytest.mark.parametrize("name", sorted(scenarios.all_scenarios()))
+    def test_auto_routes_by_constraints_and_query_alone(self, name):
+        """``independent`` exactly when I302 holds, else ``rewriting``
+        exactly when the rewriting succeeds, else ``direct``."""
+
+        scenario = scenarios.all_scenarios()[name]
+        db = ConsistentDatabase(scenario.instance, scenario.constraints)
+        for query in _generic_queries(scenario.instance):
+            if independence_diagnostic(scenario.constraints, query) is not None:
+                expected = "independent"
+            else:
+                try:
+                    rewrite_query(query, scenario.constraints)
+                    expected = "rewriting"
+                except RewritingUnsupportedError:
+                    expected = "direct"
+            assert plan_cqa(scenario.constraints, query).method == expected, (name, query)
+            assert db.explain(query).method == expected, (name, query)
+            if expected != "direct":  # the routes that cannot fail on the data
+                assert db.report(query).method == expected, (name, query)
 
 
 class TestAutoDispatch:
@@ -98,7 +120,7 @@ class TestAutoDispatch:
         report = consistent_answers_report(
             scenario.instance, scenario.constraints, query, method="auto"
         )
-        assert report.method in ("direct", "program")
+        assert report.method == "direct"
         assert not report.repair_count_estimated
         assert report.plan is not None and not report.plan.supported
 
