@@ -16,9 +16,10 @@ stateful session built from an instance (or a plain mapping) plus a
 constraint set.  It absorbs mutations while keeping its violation
 tracker warm, answers queries through a registry of pluggable engines
 (``"direct"``, ``"program"``, ``"rewriting"``, ``"independent"``,
-``"auto"``, ``"sqlite"``)
-and caches plans, rewritings, repair lists and answers across calls —
-repeating a query on an unchanged database costs one dictionary probe.
+``"sqlite"``; ``"auto"``, the default, runs the one the query's plan
+names) and caches plans, rewritings, repair lists and answers across
+calls — repeating a query on an unchanged database costs one dictionary
+probe.
 
 >>> from repro import ConsistentDatabase, parse_constraint, parse_query
 >>> db = ConsistentDatabase(
@@ -99,7 +100,6 @@ from repro.relational import (
     DatabaseSchema,
     Fact,
     RelationSchema,
-    Relation,
     is_null,
 )
 from repro.constraints import (
@@ -230,7 +230,6 @@ __all__ = [
     "RelationSchema",
     "DatabaseSchema",
     "DatabaseInstance",
-    "Relation",
     # constraint language
     "Variable",
     "Atom",

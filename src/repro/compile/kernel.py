@@ -68,7 +68,6 @@ from repro.constraints.atoms import (
 )
 from repro.constraints.ic import (
     AnyConstraint,
-    ConstraintSet,
     IntegrityConstraint,
     NotNullConstraint,
 )
@@ -1044,10 +1043,3 @@ def compile_program(constraints: Tuple[AnyConstraint, ...]) -> CompiledProgram:
             sp.add(constraints=len(constraints))
         return CompiledProgram(constraints)
 
-
-def program_for(
-    constraints: Union[ConstraintSet, Iterable[AnyConstraint]]
-) -> CompiledProgram:
-    """Convenience wrapper accepting any constraint collection."""
-
-    return compile_program(tuple(constraints))

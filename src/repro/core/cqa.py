@@ -64,9 +64,10 @@ if TYPE_CHECKING:
 
 AnswerTuple = Tuple[Constant, ...]
 
-#: The evaluation strategies accepted by the ``method`` parameter (the
-#: built-in engine names; :func:`repro.engines.available_engines` is the
-#: live registry, which third-party engines may extend).
+#: The evaluation strategies accepted by the ``method`` parameter: the
+#: built-in engine names and ``"auto"``, which runs the engine its plan
+#: names (:func:`repro.engines.available_engines` is the live registry,
+#: which third-party engines may extend).
 CQA_METHODS = ("direct", "program", "rewriting", "independent", "auto", "sqlite")
 
 

@@ -6,12 +6,17 @@ strategy family:
 * :mod:`repro.engines.enumeration` — ``"direct"`` (repair search) and
   ``"program"`` (stable models of the repair program);
 * :mod:`repro.engines.rewriting` — ``"rewriting"`` (first-order
-  rewriting, polynomial) and ``"auto"`` (the planner's route);
+  rewriting, polynomial);
 * :mod:`repro.engines.independent` — ``"independent"`` (plain
   evaluation for queries statically proven constraint-independent,
   diagnostic ``I302``);
 * :mod:`repro.engines.sqlite` — ``"sqlite"`` (the rewriting compiled to
   SQL and evaluated inside SQLite).
+
+``method="auto"`` names no engine: the session resolves it to the
+engine of the query's cached plan (:func:`repro.rewriting.plan_cqa`)
+before it looks up the answer cache, so ``auto`` and that engine share
+one cache entry.
 
 Importing this package registers all built-in engines.  Third-party
 strategies register the same way::

@@ -1,12 +1,13 @@
 """The CQA strategy protocol and the engine registry.
 
 Every way of computing consistent answers — repair enumeration, the
-cautious stable-model route, the first-order rewriting, the auto-planner
-and the SQLite push-down — is an interchangeable *engine*:
+cautious stable-model route, the first-order rewriting, the independence
+fast path and the SQLite push-down — is an interchangeable *engine*:
 a stateless strategy object registered under a short name.  The session
 façade (:class:`repro.session.ConsistentDatabase`) dispatches every
-query through :func:`get_engine`, so adding an evaluation strategy is
-one ``@register_engine("name")`` class away and no ``if method == ...``
+query through :func:`get_engine` (``method="auto"`` first becomes the
+engine its plan names), so adding an evaluation strategy is one
+``@register_engine("name")`` class away and no ``if method == ...``
 chain anywhere needs to grow a branch.
 
 Engines hold no state of their own.  All expensive intermediates —
@@ -36,7 +37,8 @@ class CQAConfig:
     engines and the functional wrappers all thread the same settings the
     same way (and so the answer cache can key on them):
 
-    * ``method`` — the engine name (:func:`available_engines`);
+    * ``method`` — the engine name (:func:`available_engines`), or
+      ``"auto"``: the engine of the session's plan for the query;
     * ``null_is_unknown`` — evaluate queries with SQL-style unknown
       comparisons instead of treating ``null`` as an ordinary constant;
     * ``max_states`` — the repair-search state budget;
@@ -118,21 +120,19 @@ repair_mode
     def cache_key(self) -> Tuple[Any, ...]:
         """The hashable projection of the config used by the answer cache.
 
-        ``anytime`` is deliberately absent: it changes *when* a certain
-        answer can be decided, never what any query returns, so caching
-        per anytime flag would only split identical entries.  The
+        ``method`` is absent: the session keys each entry on the engine
+        that computes it, which under ``"auto"`` is the engine the plan
+        names, so ``auto`` and that engine share one entry.  ``anytime``
+        is deliberately absent: it changes *when* a certain answer can
+        be decided, never what any query returns, so caching per
+        anytime flag would only split identical entries.  The
         resilience knobs (``deadline``, ``max_memory``, ``degrade``)
         are absent for the same reason — a request that *completes*
         returns the same answer under any budget, and a request that
         does not never reaches the cache.
         """
 
-        return (
-            self.method,
-            self.null_is_unknown,
-            self.max_states,
-            self.repair_mode,
-        )
+        return (self.null_is_unknown, self.max_states, self.repair_mode)
 
 
 class CQAEngine(ABC):

@@ -1,19 +1,18 @@
-"""The polynomial-time engines: first-order rewriting and the auto-planner.
+"""The polynomial-time engine: first-order rewriting.
 
 ``"rewriting"`` evaluates the null-aware first-order rewriting once on
 the inconsistent database (no repairs materialised) and raises
 :class:`repro.rewriting.RewritingUnsupportedError` outside the tractable
-fragment.  ``"auto"`` never raises: it asks the session's cached plan
-which engine to use and delegates through the registry — which is the
-whole point of the strategy protocol: the planner's verdict is just
-another engine name.
+fragment.  ``method="auto"`` is no engine: the session replaces it by
+the engine its cached plan names (this one whenever the pair is inside
+the fragment), so the planner's verdict is just another engine name.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
-from repro.engines.base import CQAConfig, CQAEngine, get_engine, register_engine
+from repro.engines.base import CQAConfig, CQAEngine, register_engine
 from repro.obs import trace as _trace
 
 if TYPE_CHECKING:
@@ -79,44 +78,3 @@ class RewritingEngine(CQAEngine):
                 )
             )
 
-
-@register_engine("auto")
-class AutoEngine(CQAEngine):
-    """Follow the session's plan, then delegate through the registry.
-
-    The plan (:func:`repro.rewriting.plan_cqa`, cached per query and
-    constraint set) depends on (constraints, query) alone: the
-    independence fast path when ``I302`` holds, else the rewriting
-    whenever the pair is inside the tractable fragment, otherwise the
-    direct reference enumeration (see the planner docstring for why the
-    program route is never chosen).  The plan rides along on
-    ``result.plan``.
-    """
-
-    def answers_report(
-        self, session: "ConsistentDatabase", query: "Query", config: CQAConfig
-    ) -> "CQAResult":
-        with _trace.span("engine.auto") as sp:
-            plan = session.plan(query)
-            if sp:
-                sp.add(chosen=plan.method)
-            result = get_engine(plan.method).answers_report(session, query, config)
-        result.plan = plan
-        return result
-
-    def certain(
-        self,
-        session: "ConsistentDatabase",
-        query: "Query",
-        candidate: Tuple,
-        config: CQAConfig,
-    ) -> bool:
-        """Plan first, then let the chosen engine decide.
-
-        The plan reads no data, so the request budget is the chosen
-        engine's: it sets the budget scope of its decision (the direct
-        anytime route carries its budget in the repair stream).
-        """
-
-        plan = session.plan(query)
-        return get_engine(plan.method).certain(session, query, candidate, config)

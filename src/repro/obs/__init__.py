@@ -6,10 +6,9 @@ Three layers, all stdlib-only and strictly no-op unless asked for:
   request path (parse → plan → compile → violations → repair search →
   minimality → answers), with a human-readable tree renderer and
   Chrome trace-event JSON export.  Force-enable with ``REPRO_TRACE=1``.
-* :mod:`repro.obs.metrics` — a process-wide registry of counters,
-  gauges and histograms absorbing the repository's scattered statistics
-  objects (which remain as typed views), with Prometheus text-format
-  exposition.
+* :mod:`repro.obs.metrics` — a process-wide registry of counters and
+  histograms into which the repository's typed statistics objects also
+  publish, with Prometheus text-format exposition.
 * :mod:`repro.obs.analyze` — the EXPLAIN ANALYZE report behind
   ``ConsistentDatabase.explain(query, analyze=True)``, built from the
   request's own span tree.
@@ -34,7 +33,6 @@ from repro.obs.clock import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     registry,
@@ -63,7 +61,6 @@ __all__ = [
     "using_clock",
     # metrics
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricsRegistry",
     "registry",

@@ -56,8 +56,6 @@ class ExplainReport:
         lines.append(
             f"Cache: generation={self.generation} "
             f"hits={self.cache.hits} misses={self.cache.misses} "
-            f"compiled_builds={self.cache.compiled_builds} "
-            f"compiled_hits={self.cache.compiled_hits} "
             f"answer_cache_hit={self.answer_cache_hit}"
         )
         total = self.trace.duration

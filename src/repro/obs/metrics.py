@@ -1,21 +1,16 @@
-"""A process-wide metrics registry: counters, gauges, histograms.
+"""A process-wide metrics registry: counters and histograms.
 
-Five PRs accreted five disjoint statistics surfaces —
-``RepairStatistics``, ``SessionStatistics``, ``CompilerStatistics``,
-the session cache's ``cache_info()`` and the per-benchmark JSON — each
-with its own lifetime and no common exposition.  This module gives
-them one home: every counter the repository maintains is *also*
-published into a named metric here, the typed objects stay as views
-(:func:`session_statistics_view`, :func:`repair_statistics_view`,
-:func:`compiler_statistics_view` rebuild them from registry totals),
-and the whole registry renders as a Prometheus text-format page
-(:meth:`MetricsRegistry.prometheus_text`) ready for the future service
-layer to scrape.
+The typed statistics objects — ``RepairStatistics``,
+``SessionStatistics``, ``CompilerStatistics`` and the session cache's
+``cache_info()`` — each count one object's or one run's work.  Their
+counters are *also* published into named metrics here, summed over the
+process, and the whole registry renders as a Prometheus text-format
+page (:meth:`MetricsRegistry.prometheus_text`).
 
 Naming follows Prometheus conventions: ``repro_<area>_<what>_total``
-for counters, plain ``repro_<area>_<what>`` for gauges, base-name
-histograms that expose ``_count``/``_sum``/``_bucket`` samples.  The
-full metric taxonomy is documented in ``docs/observability.md``.
+for counters, base-name histograms that expose
+``_count``/``_sum``/``_bucket`` samples.  The full metric taxonomy is
+documented in ``docs/observability.md``.
 
 Everything is stdlib-only and allocation-light; a counter increment is
 one dict lookup plus an add, cheap enough for every per-request call
@@ -64,34 +59,6 @@ class Counter:
         self._value = 0.0
 
 
-class Gauge:
-    """A value that can go up and down (pool sizes, cache sizes, ...)."""
-
-    __slots__ = ("name", "help", "_value")
-    kind = "gauge"
-
-    def __init__(self, name: str, help: str = ""):
-        self.name = name
-        self.help = help
-        self._value = 0.0
-
-    def set(self, value: Union[int, float]) -> None:
-        self._value = float(value)
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        self._value += amount
-
-    def dec(self, amount: Union[int, float] = 1) -> None:
-        self._value -= amount
-
-    @property
-    def value(self) -> float:
-        return self._value
-
-    def _reset(self) -> None:
-        self._value = 0.0
-
-
 class Histogram:
     """A distribution: observation count, sum and cumulative buckets."""
 
@@ -128,7 +95,7 @@ class Histogram:
         self.sum = 0.0
 
 
-Metric = Union[Counter, Gauge, Histogram]
+Metric = Union[Counter, Histogram]
 
 
 class MetricsRegistry:
@@ -159,9 +126,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help: str = "") -> Counter:
         return self._get_or_create(Counter, name, help)
-
-    def gauge(self, name: str, help: str = "") -> Gauge:
-        return self._get_or_create(Gauge, name, help)
 
     def histogram(
         self, name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
@@ -244,12 +208,6 @@ def counter(name: str, help: str = "") -> Counter:
     return _REGISTRY.counter(name, help)
 
 
-def gauge(name: str, help: str = "") -> Gauge:
-    """Get-or-create a gauge on the process-wide registry."""
-
-    return _REGISTRY.gauge(name, help)
-
-
 def histogram(
     name: str, help: str = "", buckets: Sequence[float] = DEFAULT_BUCKETS
 ) -> Histogram:
@@ -301,69 +259,3 @@ def absorb_repair_statistics(stats: Any) -> None:
         "repro_repair_minimality_seconds", "wall-clock seconds per ≤_D filter"
     ).observe(stats.minimality_seconds)
 
-
-# --------------------------------------------------------------------------- typed views
-def _counter_value(name: str) -> int:
-    metric = _REGISTRY.get(name)
-    return int(metric.value) if isinstance(metric, (Counter, Gauge)) else 0
-
-
-def _sum_value(name: str) -> float:
-    metric = _REGISTRY.get(name)
-    if isinstance(metric, Histogram):
-        return metric.sum
-    if isinstance(metric, (Counter, Gauge)):
-        return metric.value
-    return 0.0
-
-
-def repair_statistics_view():
-    """Registry totals as a ``RepairStatistics`` (lifetime aggregate)."""
-
-    from repro.core.repairs import RepairStatistics
-
-    return RepairStatistics(
-        states_explored=_counter_value("repro_repair_states_explored_total"),
-        candidates_found=_counter_value("repro_repair_candidates_found_total"),
-        repairs_found=_counter_value("repro_repair_repairs_found_total"),
-        dead_branches=_counter_value("repro_repair_dead_branches_total"),
-        violation_updates=_counter_value("repro_repair_violation_updates_total"),
-        constraints_reevaluated=_counter_value(
-            "repro_repair_constraints_reevaluated_total"
-        ),
-        leq_d_comparisons=_counter_value("repro_repair_leq_d_comparisons_total"),
-        search_seconds=_sum_value("repro_repair_search_seconds"),
-        minimality_seconds=_sum_value("repro_repair_minimality_seconds"),
-    )
-
-
-def session_statistics_view():
-    """Registry totals as a ``SessionStatistics`` (lifetime aggregate)."""
-
-    from repro.session import SessionStatistics
-
-    return SessionStatistics(
-        queries=_counter_value("repro_session_queries_total"),
-        mutations=_counter_value("repro_session_mutations_total"),
-        tracker_rebuilds=_counter_value("repro_session_tracker_rebuilds_total"),
-        batches_rolled_back=_counter_value("repro_session_batches_rolled_back_total"),
-        compiled_programs_built=_counter_value(
-            "repro_session_compiled_programs_built_total"
-        ),
-        compiled_program_hits=_counter_value(
-            "repro_session_compiled_program_hits_total"
-        ),
-    )
-
-
-def compiler_statistics_view():
-    """Registry totals as a ``CompilerStatistics`` (lifetime aggregate)."""
-
-    from repro.compile.kernel import CompilerStatistics
-
-    return CompilerStatistics(
-        constraints_compiled=_counter_value("repro_compile_constraints_total"),
-        queries_compiled=_counter_value("repro_compile_queries_total"),
-        bodies_compiled=_counter_value("repro_compile_bodies_total"),
-        programs_compiled=_counter_value("repro_compile_programs_total"),
-    )

@@ -1,17 +1,14 @@
-"""Relational substrate: domains with nulls, schemas, instances, and algebra.
+"""Relational substrate: domains with nulls, schemas and instances.
 
 This package provides the minimal relational-database machinery the paper
 assumes as given: a possibly infinite domain ``U`` that contains a
 distinguished ``null`` constant, relation schemas with named, ordered
-attributes, database instances as finite sets of ground atoms, and a small
-relational-algebra layer used by the query evaluator and the workload
-generators.
+attributes, and database instances as finite sets of ground atoms.
 """
 
 from repro.relational.domain import NULL, Null, is_null, constant_sort_key
 from repro.relational.schema import DatabaseSchema, RelationSchema
 from repro.relational.instance import DatabaseInstance, Fact
-from repro.relational.algebra import Relation
 
 __all__ = [
     "NULL",
@@ -22,5 +19,4 @@ __all__ = [
     "DatabaseSchema",
     "DatabaseInstance",
     "Fact",
-    "Relation",
 ]

@@ -17,7 +17,7 @@ that needs SQL's three-valued behaviour checks :func:`is_null` explicitly.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Tuple, Union
+from typing import Any, Tuple, Union
 
 
 class Null:
@@ -128,9 +128,3 @@ def format_constant(value: Constant) -> str:
         return value
     return repr(value)
 
-
-def ensure_hashable(value: Any) -> Hashable:
-    """Raise ``TypeError`` early if *value* cannot be used as a constant."""
-
-    hash(value)
-    return value

@@ -189,8 +189,6 @@ class DatabaseInstance:
         #: place; everything else is potentially shared with a copy.
         self._owned: Set[str] = set()
         self._indexes: Dict[str, _PredicateIndex] = {}
-        #: Composite-key group caches: predicate → positions → key → rows.
-        self._groups: Dict[str, Dict[Tuple[int, ...], Dict[Row, List[Row]]]] = {}
         for fact in facts:
             self.add(fact)
 
@@ -250,7 +248,6 @@ class DatabaseInstance:
         index = self._indexes.get(predicate)
         if index is not None:
             index.add(values)
-        self._groups.pop(predicate, None)
 
     def _after_delete(self, predicate: str, values: Row, rows: Set[Row]) -> None:
         self._generation += 1
@@ -262,7 +259,6 @@ class DatabaseInstance:
             del self._tuples[predicate]
             self._indexes.pop(predicate, None)
             self._owned.discard(predicate)
-        self._groups.pop(predicate, None)
 
     def add(self, fact: Fact) -> None:
         """Insert *fact* (no-op if already present)."""
@@ -410,26 +406,6 @@ class DatabaseInstance:
             if all(row[position] == value for position, value in bound.items())
         ]
 
-    def rows_grouped_by(
-        self, predicate: str, positions: Sequence[int]
-    ) -> Mapping[Row, List[Row]]:
-        """The rows of *predicate* grouped by their projection on *positions*.
-
-        The grouping is cached until the relation is next mutated; the
-        conflict graph's key-violation materialisation, the rewriting
-        residues and the FD fast paths all share it.  Read-only.
-        """
-
-        key = tuple(positions)
-        per_predicate = self._groups.setdefault(predicate, {})
-        groups = per_predicate.get(key)
-        if groups is None:
-            groups = {}
-            for row in self._tuples.get(predicate, _EMPTY_ROWS):
-                groups.setdefault(tuple(row[p] for p in key), []).append(row)
-            per_predicate[key] = groups
-        return groups
-
     def facts(self, predicate: Optional[str] = None) -> Iterator[Fact]:
         """Iterate over facts, optionally restricted to one predicate."""
 
@@ -492,8 +468,8 @@ class DatabaseInstance:
     def copy(self) -> "DatabaseInstance":
         """Cheap copy-on-write copy.
 
-        The clone shares every relation's row set, hash index and group
-        cache with ``self``; both sides privatise a relation the first time
+        The clone shares every relation's row set and hash index with
+        ``self``; both sides privatise a relation the first time
         they mutate it (see :meth:`_writable_rows`), so copying is O(number
         of relations) regardless of instance size.  This is what lets the
         repair search branch thousands of times — and every search of
@@ -511,7 +487,6 @@ class DatabaseInstance:
         clone._generation = self._generation
         clone._tuples = dict(self._tuples)
         clone._indexes = dict(self._indexes)
-        clone._groups = dict(self._groups)
         clone._owned = set()
         self._owned = set()  # the originals are shared now, too
         return clone
@@ -522,8 +497,8 @@ class DatabaseInstance:
         """A copy-on-write copy of ``self`` minus *deleted* plus *inserted*.
 
         How the repair search materialises a repair from its ``∆(D, ·)``:
-        every relation the change leaves alone shares its rows, hash index
-        and group cache with ``self``; a touched relation gets private rows
+        every relation the change leaves alone shares its rows and hash
+        index with ``self``; a touched relation gets private rows
         and *no* index, which is rebuilt lazily only if a query probes it.
 
         >>> base = DatabaseInstance.from_dict({"P": [(1, 2)], "R": [(3,)]})
@@ -537,7 +512,6 @@ class DatabaseInstance:
         clone = self.copy()
         for fact in additions + removals:
             clone._indexes.pop(fact.predicate, None)
-            clone._groups.pop(fact.predicate, None)
         for fact in removals:
             clone.discard(fact)
         for fact in additions:

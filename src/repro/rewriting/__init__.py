@@ -14,9 +14,9 @@ The subsystem:
 
 * :mod:`repro.rewriting.fragment` — delimits the tractable fragment and
   raises :class:`RewritingUnsupportedError` outside it;
-* :mod:`repro.rewriting.conflicts` — materialises the conflict graph of
-  an instance (pairwise violations), in memory or through the SQL
-  backend, and estimates the repair count;
+* :mod:`repro.rewriting.conflicts` — classifies a violation list (the
+  session's warm tracker's) into the conflict graph of an instance
+  (single-fact marks, pairwise edges) and estimates the repair count;
 * :mod:`repro.rewriting.residues` — the per-atom certainty conditions;
 * :mod:`repro.rewriting.rewriter` — builds :class:`RewrittenQuery` with
   a fast in-memory evaluator, a first-order formula rendering and a SQL

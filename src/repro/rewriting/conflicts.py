@@ -14,33 +14,22 @@ repairs):
   conflict, a multi-atom denial): every repair deletes at least one
   endpoint, and each endpoint survives in some repair.
 
-:meth:`ConflictGraph.build` materialises the graph directly from the
-instance with per-shape fast paths — FD edges through the instance's
-cached key groupings, RIC marks through the compiled delta plans of the
-shared certainty residue (one early-exit
-:meth:`~repro.compile.kernel.CompiledConstraint.has_violation_at` run
-per fact), and everything else through the compiled violation
-enumeration — instead of the quadratic generic join;
-:meth:`ConflictGraph.from_sql` pushes the same work into SQLite through
-:func:`repro.sqlbackend.backend.violation_sql` for scale.  The two agree,
-and both agree with :func:`repro.core.satisfaction.violations`.
+:meth:`ConflictGraph.build` reads all of that off a violation list, as
+Hippo builds its conflict hypergraph from the violation set (Chomicki,
+Marcinkowski & Staworko, CIKM 2004).  The session passes its warm
+:class:`~repro.core.repairs.ViolationTracker`'s violations, so the graph
+costs no join of its own; a standalone caller passes
+:func:`repro.core.satisfaction.all_violations`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from repro.relational.domain import Constant, is_null
-from repro.relational.instance import DatabaseInstance, Fact
-from repro.constraints.ic import (
-    AnyConstraint,
-    ConstraintSet,
-    IntegrityConstraint,
-    NotNullConstraint,
-)
-from repro.core.satisfaction import violations as enumerate_violations
-from repro.rewriting.fragment import fd_shape
+from repro.relational.instance import Fact
+from repro.constraints.ic import AnyConstraint, NotNullConstraint
+from repro.core.satisfaction import Violation
 
 #: Safety cap for repair-count estimates (``report()``'s ``repair_count``
 #: on the engines that materialise no repairs).
@@ -163,162 +152,28 @@ class ConflictGraph:
 
     # ------------------------------------------------------------------ build
     @classmethod
-    def build(
-        cls,
-        instance: DatabaseInstance,
-        constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
-    ) -> "ConflictGraph":
-        """Materialise the graph in memory, with per-shape fast paths."""
+    def build(cls, violations: Iterable[Violation]) -> "ConflictGraph":
+        """Classify *violations* into marks and edges, in one pass.
 
-        marks: List[ConflictMark] = []
-        edges: List[ConflictEdge] = []
-        for constraint in constraints:
-            if isinstance(constraint, NotNullConstraint):
-                _not_null_marks(instance, constraint, marks)
-                continue
-            fd = fd_shape(constraint)
-            if fd is not None:
-                _fd_edges(instance, constraint, fd.determinant, fd.dependent, edges)
-                continue
-            if constraint.is_referential:
-                _ric_marks(instance, constraint, marks)
-                continue
-            _generic(instance, constraint, marks, edges)
-        return cls(marks, edges)
-
-    @classmethod
-    def from_sql(
-        cls,
-        instance: DatabaseInstance,
-        constraints: Union[ConstraintSet, Iterable[AnyConstraint]],
-    ) -> "ConflictGraph":
-        """Materialise the graph by running each ``violation_sql`` in SQLite.
-
-        The violation query of a constraint with antecedent atoms
-        ``P_1, …, P_m`` selects the joined row ``t_1 ⋈ … ⋈ t_m``; slicing
-        it at the atom arities recovers the participating facts.
+        A violation with one distinct body fact becomes a mark, forced
+        iff its constraint is a NOT-NULL or has no consequent atom (no
+        insertion can fix it); any other violation becomes an edge
+        between each pair of its distinct body facts.
         """
 
-        from repro.sqlbackend.backend import SQLiteBackend
-
         marks: List[ConflictMark] = []
         edges: List[ConflictEdge] = []
-        with SQLiteBackend(instance, constraints) as backend:
-            for constraint in constraints:
-                rows = backend.violations(constraint)
-                if isinstance(constraint, NotNullConstraint):
-                    for row in rows:
-                        fact = _fact_from_row(constraint.predicate, row)
-                        marks.append(ConflictMark(fact, constraint, forced=True))
-                    continue
-                single = len(constraint.body) == 1
-                for row in rows:
-                    facts = _slice_body_facts(constraint, row)
-                    if single or len(set(facts)) == 1:
-                        marks.append(
-                            ConflictMark(
-                                facts[0],
-                                constraint,
-                                forced=not constraint.head_atoms,
-                            )
-                        )
-                    else:
-                        _pairwise(facts, constraint, edges)
-        return cls(marks, edges)
-
-
-# --------------------------------------------------------------------------- helpers
-def _fact_from_row(predicate: str, row: Tuple[object, ...]) -> Fact:
-    return Fact(predicate, tuple(row))
-
-
-def _slice_body_facts(
-    constraint: IntegrityConstraint, row: Tuple[object, ...]
-) -> List[Fact]:
-    facts: List[Fact] = []
-    cursor = 0
-    for atom in constraint.body:
-        values = tuple(row[cursor : cursor + atom.arity])
-        facts.append(Fact(atom.predicate, values))
-        cursor += atom.arity
-    return facts
-
-
-def _pairwise(
-    facts: List[Fact], constraint: AnyConstraint, edges: List[ConflictEdge]
-) -> None:
-    distinct: List[Fact] = []
-    for fact in facts:
-        if fact not in distinct:
-            distinct.append(fact)
-    for i, first in enumerate(distinct):
-        for second in distinct[i + 1 :]:
-            edges.append(ConflictEdge(first, second, constraint))
-
-
-def _not_null_marks(
-    instance: DatabaseInstance, constraint: NotNullConstraint, marks: List[ConflictMark]
-) -> None:
-    for row in instance.tuples(constraint.predicate):
-        if constraint.position < len(row) and is_null(row[constraint.position]):
-            marks.append(
-                ConflictMark(Fact(constraint.predicate, row), constraint, forced=True)
-            )
-
-
-def _fd_edges(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    determinant: Tuple[int, ...],
-    dependent: int,
-    edges: List[ConflictEdge],
-) -> None:
-    predicate = constraint.body[0].predicate
-    # The instance's cached composite-key grouping is shared with the
-    # rewriting residues and the repair engine's seeded FD updates.
-    for key, group in instance.rows_grouped_by(predicate, determinant).items():
-        if any(is_null(v) for v in key):
-            continue  # a null relevant attribute never fires the FD under |=_N
-        rows = [row for row in group if not is_null(row[dependent])]
-        for i, first in enumerate(rows):
-            for second in rows[i + 1 :]:
-                if first[dependent] != second[dependent]:
-                    edges.append(
-                        ConflictEdge(
-                            Fact(predicate, first), Fact(predicate, second), constraint
-                        )
-                    )
-
-
-def _ric_marks(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    marks: List[ConflictMark],
-) -> None:
-    """Dangling antecedent facts, through the shared RIC certainty residue."""
-
-    from repro.rewriting.residues import RICResidue
-
-    residue = RICResidue(constraint)
-    predicate = constraint.body[0].predicate
-    for row in instance.tuples(predicate):
-        if not residue.holds(row, instance):
-            marks.append(ConflictMark(Fact(predicate, row), constraint, forced=False))
-
-
-def _generic(
-    instance: DatabaseInstance,
-    constraint: IntegrityConstraint,
-    marks: List[ConflictMark],
-    edges: List[ConflictEdge],
-) -> None:
-    for violation in enumerate_violations(instance, constraint):
-        facts = list(violation.body_facts)
-        if len(set(facts)) == 1:
-            marks.append(
-                ConflictMark(
-                    facts[0], constraint, forced=not constraint.head_atoms
+        for violation in violations:
+            constraint = violation.constraint
+            facts = list(dict.fromkeys(violation.body_facts))
+            if len(facts) == 1:
+                forced = (
+                    isinstance(constraint, NotNullConstraint)
+                    or not constraint.head_atoms
                 )
-            )
-        else:
-            _pairwise(facts, constraint, edges)
+                marks.append(ConflictMark(facts[0], constraint, forced))
+                continue
+            for i, first in enumerate(facts):
+                for second in facts[i + 1 :]:
+                    edges.append(ConflictEdge(first, second, constraint))
+        return cls(marks, edges)

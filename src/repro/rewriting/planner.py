@@ -19,8 +19,8 @@ each query once per constraint set and a write re-plans nothing:
   corner cases involving uncovered null atoms in the symmetric
   difference (``docs/semantics-notes.md``).
 
-``method="auto"`` in :mod:`repro.core.cqa` follows the plan verbatim; by
-construction it never raises
+``method="auto"`` follows the plan verbatim: the session runs the
+engine the plan names.  By construction it never raises
 :class:`~repro.rewriting.fragment.RewritingUnsupportedError` —
 unsupported pairs simply fall back to enumeration.
 """

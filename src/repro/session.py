@@ -23,9 +23,11 @@ of that state across calls:
   costs one dictionary probe, and a write re-plans nothing;
 * an **engine registry** (:mod:`repro.engines`) — every query routes
   through a pluggable strategy object (``"direct"``, ``"program"``,
-  ``"rewriting"``, ``"auto"``, ``"sqlite"``), so the SQLite push-down
-  sits behind the same front door as the in-memory engines and new
-  strategies plug in without touching dispatch code.
+  ``"rewriting"``, ``"independent"``, ``"sqlite"``; ``"auto"`` is the
+  engine the query's cached :meth:`~ConsistentDatabase.plan` names),
+  so the SQLite push-down sits behind the same front door as the
+  in-memory engines and new strategies plug in without touching
+  dispatch code.
 
 The functional API remains as thin wrappers over a throwaway session
 (same answers, same costs on a cold call), so existing code keeps
@@ -102,22 +104,13 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class CacheInfo:
-    """A snapshot of the session cache's effectiveness counters.
-
-    ``compiled_builds``/``compiled_hits`` break out the compiled-plan
-    entries (the :class:`~repro.compile.kernel.CompiledProgram` cached
-    per constraint fingerprint — the key survives mutations): a healthy
-    session builds at most one and serves every later violation-path
-    query from the cache.
-    """
+    """A snapshot of the session cache's effectiveness counters."""
 
     hits: int
     misses: int
     size: int
     maxsize: int
     evictions: int
-    compiled_builds: int = 0
-    compiled_hits: int = 0
     #: Specialized plan executors (:mod:`repro.compile.codegen`) built
     #: since this session started — the generated closures live in the
     #: process-wide memo next to the compiled constraints, so a warm
@@ -148,13 +141,6 @@ _SESSION_ROLLED_BACK = _metrics.counter(
 )
 _SESSION_TRACKER_REBUILDS = _metrics.counter(
     "repro_session_tracker_rebuilds_total", "full violation-tracker rebuilds"
-)
-_SESSION_COMPILED_BUILDS = _metrics.counter(
-    "repro_session_compiled_programs_built_total", "compiled-plan cache fills"
-)
-_SESSION_COMPILED_HITS = _metrics.counter(
-    "repro_session_compiled_program_hits_total",
-    "compiled-plan probes served from the session cache",
 )
 
 
@@ -245,8 +231,6 @@ class SessionStatistics:
     mutations: int = 0  #: effective fact insertions/deletions
     tracker_rebuilds: int = 0  #: full violation sweeps (1 on first use; more only after out-of-band instance mutations)
     batches_rolled_back: int = 0
-    compiled_programs_built: int = 0  #: compiled-plan cache fills (≤ 1 per session — the fingerprint key survives mutations)
-    compiled_program_hits: int = 0  #: compiled-plan probes served from the session cache
 
 
 #: One journal entry of an open batch: ("insert"/"delete", fact, tracker delta).
@@ -319,7 +303,8 @@ class ConsistentDatabase:
             max_memory=max_memory,
             degrade=degrade,
         )
-        get_engine(self._config.method)  # fail fast on an unknown default
+        if method != "auto":
+            get_engine(method)  # fail fast on an unknown default
         #: Name-independent structural fingerprint of the constraint set —
         #: part of every query-cache key, so sessions over structurally
         #: different constraints can never share an entry even if a cache
@@ -395,22 +380,13 @@ class ConsistentDatabase:
         return self._instance.copy()
 
     def cache_info(self) -> CacheInfo:
-        """Hit/miss/size counters of the session's LRU cache.
-
-        The ``compiled_*`` fields single out the compiled-plan entry:
-        ``compiled_builds`` is how many times this session filled it
-        (at most once — the constraint fingerprint key survives
-        mutations) and ``compiled_hits`` how many violation-path
-        queries it subsequently served.
-        """
+        """Hit/miss/size counters of the session's LRU cache."""
 
         from repro.compile.codegen import codegen_statistics
 
         info = self._cache.info()
         return replace(
             info,
-            compiled_builds=self.statistics.compiled_programs_built,
-            compiled_hits=self.statistics.compiled_program_hits,
             codegen_builds=(
                 codegen_statistics().plans_generated - self._codegen_baseline
             ),
@@ -441,21 +417,16 @@ class ConsistentDatabase:
 
     # ------------------------------------------------------------------ compiled plans
     def compiled_program(self) -> "CompiledProgram":
-        """The constraint set's compiled plans, cached across mutations.
+        """The constraint set's compiled plans.
 
         The :class:`~repro.compile.kernel.CompiledProgram` depends only
-        on the constraints — never on the data — so it lives in the
-        session LRU under the mutation-surviving constraint fingerprint:
-        ``compiled_builds`` is incremented on the first fill only, so it
-        stays at 1 for the session's lifetime however much the LRU
-        churns.  Compilation itself happens at most once per (schema,
-        constraints) pair, ever: the program object is owned by the
-        session's :class:`~repro.core.repairs.ViolationIndex` (an LRU
-        eviction merely re-caches the same object, it never recompiles),
-        and the process-wide memo of :mod:`repro.compile.kernel` dedupes
-        even across sessions.  Every violation-path consumer — the warm
-        tracker, the repair engines, the frontier search — executes
-        these plans.
+        on the constraints, never on the data: the session's
+        :class:`~repro.core.repairs.ViolationIndex` carries it from
+        construction on, and the process-wide memo of
+        :mod:`repro.compile.kernel` compiles each constraint set at most
+        once, ever.  Every violation-path consumer (the warm tracker,
+        the repair engines, the depth-first search) executes these
+        plans.
 
         >>> from repro import ConsistentDatabase, parse_constraint
         >>> db = ConsistentDatabase(
@@ -464,25 +435,9 @@ class ConsistentDatabase:
         ... )
         >>> db.compiled_program() is db.compiled_program()
         True
-        >>> db.cache_info().compiled_builds
-        1
         """
 
-        key = ("compiled", self._fingerprint)
-        cached = self._cache.get(key)  # promotes: the hottest entry stays resident
-        if cached is not None:
-            self.statistics.compiled_program_hits += 1
-            _SESSION_COMPILED_HITS.inc()
-            return cached
-        with _trace.span("compile.session"):
-            program = self._violation_index.program
-        self._cache.put(key, program)
-        # Counted once: an LRU eviction may re-cache the program, never
-        # recompile it.
-        if not self.statistics.compiled_programs_built:
-            self.statistics.compiled_programs_built = 1
-            _SESSION_COMPILED_BUILDS.inc()
-        return program
+        return self._violation_index.program
 
     # ------------------------------------------------------------------ violations
     def _ensure_tracker(self) -> ViolationTracker:
@@ -498,7 +453,6 @@ class ConsistentDatabase:
             self._tracker is None
             or self._tracker_generation != self._instance.generation
         ):
-            self.compiled_program()  # plans served from the fingerprint cache
             self._tracker = ViolationTracker(self._instance, self._violation_index)
             self._tracker_generation = self._instance.generation
             self.statistics.tracker_rebuilds += 1
@@ -804,7 +758,8 @@ class ConsistentDatabase:
         Results are cached per (query, constraint fingerprint,
         generation, config), the same entry :meth:`consistent_answers`
         and :meth:`certain` read, so an identical repeat is one
-        dictionary probe.
+        dictionary probe.  ``method="auto"`` shares the entry of the
+        route its :meth:`plan` names, and its result carries that plan.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
         >>> db = ConsistentDatabase(
@@ -825,7 +780,9 @@ class ConsistentDatabase:
                 with _trace.span("conflicts.estimate"):
                     result.repair_count = self.conflict_graph().estimated_repair_count()
         return replace(
-            result, per_repair_answer_counts=list(result.per_repair_answer_counts)
+            result,
+            per_repair_answer_counts=list(result.per_repair_answer_counts),
+            plan=self.plan(query) if config.method == "auto" else result.plan,
         )
 
     def report_with(self, query: Query, config: CQAConfig) -> CQAResult:
@@ -835,22 +792,30 @@ class ConsistentDatabase:
         result is the cached object itself, so treat it as read-only.
         """
 
-        engine = get_engine(config.method)
+        method = self._route(query, config)
+        engine = get_engine(method)
         generation = self._instance.generation
-        key = self._answers_key(query, config, generation)
+        key = self._answers_key(query, method, config, generation)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
         with _trace.span("session.report") as sp:
             if sp:
-                sp.add(query=str(query), method=config.method)
+                sp.add(query=str(query), method=method)
             with self._budget_scope(config):
                 result = engine.answers_report(self, query, config)
         self._cache.put(key, result, generation)
         return result
 
-    def _answers_key(self, query: Query, config: CQAConfig, generation: int) -> Tuple:
-        return ("answers", query, self._fingerprint, generation, config.cache_key())
+    def _route(self, query: Query, config: CQAConfig) -> str:
+        """The engine *config* runs: under ``auto``, the one :meth:`plan` names."""
+
+        return self.plan(query).method if config.method == "auto" else config.method
+
+    def _answers_key(
+        self, query: Query, method: str, config: CQAConfig, generation: int
+    ) -> Tuple:
+        return ("answers", query, self._fingerprint, generation, method, config.cache_key())
 
     def _count_query(self) -> None:
         self.statistics.queries += 1
@@ -932,13 +897,14 @@ class ConsistentDatabase:
         """
 
         config = self._config.merged(overrides)
-        engine = get_engine(config.method)
         self._count_query()
         answer = () if candidate is None else tuple(candidate)
         with _trace.span("session.certain") as sp:
             if sp:
                 sp.add(query=str(query), anytime=config.anytime)
-            key = self._answers_key(query, config, self._instance.generation)
+            method = self._route(query, config)
+            engine = get_engine(method)
+            key = self._answers_key(query, method, config, self._instance.generation)
             cached = self._cache.get(key)
             if cached is not None:
                 return answer in cached.answers
@@ -1230,7 +1196,6 @@ class ConsistentDatabase:
         if cached is not None:
             return cached
         if method == "direct":
-            self.compiled_program()  # the search executes the cached plans
             engine = RepairEngine(
                 self._constraints,
                 max_states=config.max_states,
@@ -1290,8 +1255,10 @@ class ConsistentDatabase:
     def conflict_graph(self) -> "ConflictGraph":
         """The instance's conflict graph, cached per generation.
 
-        The library builds it only for :meth:`report`'s repair-count
-        estimate on the engines that materialise no repairs.
+        Built from the warm tracker's violations, so it runs no join of
+        its own.  The library builds it only for :meth:`report`'s
+        repair-count estimate on the engines that materialise no
+        repairs.
         """
 
         generation = self._instance.generation
@@ -1302,7 +1269,7 @@ class ConsistentDatabase:
         from repro.rewriting import ConflictGraph
 
         with _trace.span("conflicts.build"):
-            graph = ConflictGraph.build(self._instance, self._constraints)
+            graph = ConflictGraph.build(self._ensure_tracker().violations())
         self._cache.put(key, graph, generation)
         return graph
 

@@ -371,9 +371,10 @@ class TestEngineRegistry:
             "direct",
             "program",
             "rewriting",
-            "auto",
+            "independent",
             "sqlite",
         }
+        assert "auto" not in available_engines()  # a route, resolved by the plan
 
     def test_get_engine_unknown_name(self):
         with pytest.raises(ValueError, match="unknown CQA method"):
@@ -548,7 +549,7 @@ class TestNullHandling:
 
 
 class TestCompiledPlans:
-    """The session's compiled-program cache (the E15 compile-once contract)."""
+    """The session's compiled plans (the E15 compile-once contract)."""
 
     def test_session_compiles_each_constraint_set_at_most_once(self):
         # Mirrors the E13 "exactly one tracker build" smoke check: over a
@@ -580,33 +581,26 @@ class TestCompiledPlans:
             after.constraints_compiled - before.constraints_compiled
             <= len(constraints)
         )
-        assert db.statistics.compiled_programs_built <= 1
-
-    def test_compiled_program_is_cached_and_surfaced(self):
-        db = make_session()
-        info = db.cache_info()
-        assert info.compiled_builds == 0 and info.compiled_hits == 0
-        program = db.compiled_program()
-        assert db.cache_info().compiled_builds == 1
-        assert db.compiled_program() is program
-        assert db.cache_info().compiled_hits >= 1
-        # Mutations do not invalidate the compiled plans (fingerprint key).
-        db.insert("Student", (34, "Zoe"))
-        assert db.compiled_program() is program
-        assert db.cache_info().compiled_builds == 1
-
-    def test_cache_info_reports_compiled_program_state(self):
-        db = make_session()
-        db.explain(QUERY)  # planning compiles nothing
-        assert db.cache_info().compiled_builds == 0
-        db.is_consistent()  # first violation-path call caches the plans
-        assert db.cache_info().compiled_builds == 1
 
     def test_violation_index_carries_the_program(self):
         db = make_session()
         program = db.compiled_program()
         assert program.constraints == (RIC,)
         assert db._violation_index.program is program
+        db.insert("Student", (34, "Zoe"))  # the plans do not depend on the data
+        assert db.compiled_program() is program
+
+    def test_the_program_is_no_cache_entry(self):
+        """Reading the plans is an attribute read: no LRU probe, no entry."""
+
+        db = make_session()
+        db.compiled_program()
+        assert (db.cache_info().hits, db.cache_info().misses) == (0, 0)
+        db.consistent_answers(QUERY, method="direct")
+        db.insert("Student", (34, "Zoe"))
+        db.consistent_answers(QUERY, method="direct")
+        assert db.cache_info().hits == 0
+        assert {key[0] for key in db._cache._data} == {"answers", "repairs"}
 
 
 class TestRequestReadSet:
@@ -753,7 +747,8 @@ class TestStaticPlan:
             assert len(counts) == 1
             estimates.append(counts.pop())
             assert len(graph_builds) == step + 1
-            assert len(estimated) == 3 * (step + 1)  # once per cached report
+            # Once per cached report: auto shares the rewriting's.
+            assert len(estimated) == 2 * (step + 1)
             db.insert("Emp", ("g0", f"extra{step}", step + 1))
         # The conflict-graph estimates the planner-era report returned.
         assert estimates == [8, 8, 16, 24]
@@ -769,7 +764,8 @@ class TestStaticPlan:
     @pytest.mark.parametrize("method", ["auto", "rewriting", "direct", "sqlite"])
     def test_one_engine_call_serves_every_surface(self, monkeypatch, method):
         calls = []
-        engine = type(get_engine(method))
+        route = make_session().plan(QUERY).method if method == "auto" else method
+        engine = type(get_engine(route))
         for name in ("answers_report", "certain"):
             original = getattr(engine, name)
 
@@ -791,6 +787,60 @@ class TestStaticPlan:
         assert graph_builds == []
         assert db.report(QUERY).repair_count == 2
         assert len(graph_builds) == 1
+
+
+class TestAutoSharesItsRoute:
+    """``method="auto"`` and the engine its plan names share one answer entry."""
+
+    KEY = parse_constraint("Emp(e, d), Emp(e, f) -> d = f")
+    QUERY = parse_query("ans(e) <- Emp(e, d)")
+
+    @pytest.fixture
+    def rewriting_calls(self, monkeypatch):
+        from repro.engines.rewriting import RewritingEngine
+
+        calls = []
+        original = RewritingEngine.answers_report
+
+        def counting(self, *args):
+            calls.append(args[1])
+            return original(self, *args)
+
+        monkeypatch.setattr(RewritingEngine, "answers_report", counting)
+        return calls
+
+    def make(self):
+        return ConsistentDatabase(
+            {"Emp": [("e1", "sales"), ("e1", "hr"), ("e2", "hr")]}, [self.KEY]
+        )
+
+    def test_auto_then_its_route_runs_the_rewriting_once(self, rewriting_calls):
+        db = self.make()
+        assert db.plan(self.QUERY).method == "rewriting"
+        auto = db.consistent_answers(self.QUERY)
+        assert db.consistent_answers(self.QUERY, method="rewriting") == auto
+        assert db.certain(self.QUERY, ("e2",), method="rewriting") is True
+        assert len(rewriting_calls) == 1
+
+    def test_the_route_then_auto_runs_the_rewriting_once(self, rewriting_calls):
+        db = self.make()
+        db.report(self.QUERY, method="rewriting")
+        db.certain(self.QUERY, ("e1",))
+        db.report(self.QUERY)
+        assert len(rewriting_calls) == 1
+        db.insert("Emp", ("e3", "ops"))  # a new generation asks again, once
+        db.consistent_answers(self.QUERY)
+        db.consistent_answers(self.QUERY, method="rewriting")
+        assert len(rewriting_calls) == 2
+
+    def test_only_an_auto_report_carries_the_plan(self):
+        db = self.make()
+        assert db.report(self.QUERY, method="rewriting").plan is None
+        auto = db.report(self.QUERY)
+        assert auto.plan is db.plan(self.QUERY)
+        assert auto.method == "rewriting"
+        assert db.report(self.QUERY, method="rewriting").plan is None
+        assert db.report_with(self.QUERY, db.config).plan is None  # the cached entry
 
 
 class TestExplainUnderARequestedMethod:

@@ -7,7 +7,6 @@ from repro.obs import metrics
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
@@ -26,15 +25,6 @@ class TestCounter:
         with pytest.raises(ValueError, match="cannot decrease"):
             counter.inc(-1)
         assert counter.value == 0.0
-
-
-class TestGauge:
-    def test_set_inc_dec(self):
-        gauge = Gauge("repro_test_size")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value == pytest.approx(13.0)
 
 
 class TestHistogram:
@@ -73,15 +63,15 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.counter("repro_demo_total")
         with pytest.raises(TypeError, match="already registered as counter"):
-            registry.gauge("repro_demo_total")
+            registry.histogram("repro_demo_total")
 
     def test_get_and_names(self):
         registry = MetricsRegistry()
         counter = registry.counter("repro_b_total")
-        registry.gauge("repro_a_size")
+        registry.histogram("repro_a_seconds")
         assert registry.get("repro_b_total") is counter
         assert registry.get("repro_missing") is None
-        assert registry.names() == ("repro_a_size", "repro_b_total")
+        assert registry.names() == ("repro_a_seconds", "repro_b_total")
 
     def test_snapshot_is_flat_and_expands_histograms(self):
         registry = MetricsRegistry()
@@ -109,16 +99,16 @@ class TestRegistry:
 
 
 class TestPrometheusText:
-    def test_counter_and_gauge_lines(self):
+    def test_counter_lines(self):
         registry = MetricsRegistry()
         registry.counter("repro_demo_total", "a demo counter").inc(3)
-        registry.gauge("repro_demo_size").set(2.5)
+        registry.counter("repro_demo_seconds_total").inc(2.5)
         text = registry.prometheus_text()
         assert "# HELP repro_demo_total a demo counter" in text
         assert "# TYPE repro_demo_total counter" in text
         assert "\nrepro_demo_total 3\n" in text
-        assert "# TYPE repro_demo_size gauge" in text
-        assert "repro_demo_size 2.5" in text
+        assert "# TYPE repro_demo_seconds_total counter" in text
+        assert "repro_demo_seconds_total 2.5" in text
 
     def test_histogram_buckets_are_cumulative_and_monotone(self):
         registry = MetricsRegistry()
@@ -172,7 +162,7 @@ class TestColumnStoreCounters:
         assert all(name in metrics.registry().names() for name in self.NAMES)
 
 
-class TestAbsorbAndViews:
+class TestAbsorb:
     def make_stats(self) -> RepairStatistics:
         return RepairStatistics(
             states_explored=10,
@@ -196,37 +186,3 @@ class TestAbsorbAndViews:
         assert snapshot["repro_repair_repairs_found_total"] == 2.0
         assert snapshot["repro_repair_search_seconds_count"] == 1.0
         assert snapshot["repro_repair_search_seconds_sum"] == pytest.approx(0.25)
-
-    def test_repair_statistics_view_round_trips(self):
-        registry = metrics.registry()
-        registry.reset()
-        stats = self.make_stats()
-        metrics.absorb_repair_statistics(stats)
-        view = metrics.repair_statistics_view()
-        assert view.states_explored == stats.states_explored
-        assert view.candidates_found == stats.candidates_found
-        assert view.repairs_found == stats.repairs_found
-        assert view.leq_d_comparisons == stats.leq_d_comparisons
-        assert view.search_seconds == pytest.approx(stats.search_seconds)
-
-    def test_session_statistics_view_reads_session_counters(self):
-        registry = metrics.registry()
-        registry.reset()
-        metrics.counter("repro_session_queries_total").inc(5)
-        metrics.counter("repro_session_mutations_total").inc(3)
-        metrics.counter("repro_session_tracker_rebuilds_total").inc(1)
-        view = metrics.session_statistics_view()
-        assert view.queries == 5
-        assert view.mutations == 3
-        assert view.tracker_rebuilds == 1
-        assert view.batches_rolled_back == 0
-
-    def test_compiler_statistics_view_reads_compile_counters(self):
-        registry = metrics.registry()
-        registry.reset()
-        metrics.counter("repro_compile_constraints_total").inc(4)
-        metrics.counter("repro_compile_programs_total").inc(2)
-        view = metrics.compiler_statistics_view()
-        assert view.constraints_compiled == 4
-        assert view.programs_compiled == 2
-        assert view.queries_compiled == 0

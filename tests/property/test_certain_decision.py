@@ -380,12 +380,11 @@ def test_fragment_joins_compiled_formula_and_direct_agree(instance, null_is_unkn
 # --------------------------------------------------------------------------- repairs
 def _footprint(repair):
     """Everything a decision could leave on a repair: its attributes, its
-    indexes and group caches, and which relations it owns."""
+    indexes, and which relations it owns."""
 
     return (
         sorted(vars(repair)),
         {predicate: id(index) for predicate, index in repair._indexes.items()},
-        {predicate: id(groups) for predicate, groups in repair._groups.items()},
         set(repair._owned),
     )
 

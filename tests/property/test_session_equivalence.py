@@ -12,7 +12,9 @@ that caching can ever change an answer:
   whose violation tracker absorbed the changes incrementally and whose
   caches were invalidated only by the generation counter — answers
   exactly like a fresh functional computation over a snapshot of the
-  mutated instance (cache-invalidation correctness);
+  mutated instance (cache-invalidation correctness), and its conflict
+  graph, built from that tracker, equals the one built from the
+  nested-loop reference violations;
 * a rolled-back batch leaves every observable answer unchanged.
 """
 
@@ -28,13 +30,30 @@ from repro.core.repairs import repairs as functional_repairs
 from repro.core.satisfaction import all_violations
 from repro.relational.domain import NULL
 from repro.relational.instance import DatabaseInstance, Fact
-from repro.rewriting import RewritingUnsupportedError
+from repro.rewriting import ConflictGraph, RewritingUnsupportedError
 from repro.workloads import (
     foreign_key_workload,
     grouped_key_workload,
     key_violation_workload,
     scenarios,
 )
+
+
+def graph_signature(graph):
+    """Marks with ``forced``, edges per constraint, and the estimate."""
+
+    marks = sorted((repr(m.fact), repr(m.constraint), m.forced) for m in graph.marks)
+    edges = sorted(
+        (repr(e.constraint), *sorted((repr(e.first), repr(e.second))))
+        for e in graph.edges
+    )
+    return marks, edges, graph.estimated_repair_count()
+
+
+def naive_graph_signature(instance, constraints):
+    return graph_signature(
+        ConflictGraph.build(all_violations(instance, constraints, naive=True))
+    )
 
 
 def generic_queries(instance):
@@ -160,6 +179,9 @@ def test_session_stays_equivalent_under_interleaved_mutations(initial, operation
             db.delete(fact)
         snapshot = db.snapshot()
         assert set(db.violations()) == set(all_violations(snapshot, CONSTRAINTS))
+        assert graph_signature(db.conflict_graph()) == naive_graph_signature(
+            snapshot, CONSTRAINTS
+        )
         for query in MUTATION_QUERIES:
             expected = consistent_answers(snapshot, CONSTRAINTS, query)
             assert db.consistent_answers(query, method="direct") == expected
@@ -176,6 +198,7 @@ def test_rolled_back_batch_changes_nothing(initial, operations):
         for query in MUTATION_QUERIES
     }
     before_violations = set(db.violations())
+    before_graph = graph_signature(db.conflict_graph())
     with pytest.raises(ZeroDivisionError):
         with db.batch():
             for kind, fact in operations:
@@ -186,6 +209,7 @@ def test_rolled_back_batch_changes_nothing(initial, operations):
             raise ZeroDivisionError
     assert db.snapshot().fact_set() == before_facts
     assert set(db.violations()) == before_violations
+    assert graph_signature(db.conflict_graph()) == before_graph
     for query, expected in before_answers.items():
         assert db.consistent_answers(query, method="direct") == expected
 

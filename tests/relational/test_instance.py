@@ -164,15 +164,6 @@ class TestHashIndexes:
         assert db.tuples_where("P", 0, "a") == frozenset()
         assert "P" not in db.predicates
 
-    def test_rows_grouped_by_caches_and_invalidates(self):
-        db = DatabaseInstance.from_dict({"P": [("a", 1), ("a", 2), ("b", 1)]})
-        groups = db.rows_grouped_by("P", (0,))
-        assert set(groups[("a",)]) == {("a", 1), ("a", 2)}
-        assert db.rows_grouped_by("P", (0,)) is groups  # cached
-        db.add_tuple("P", ("a", 3))
-        regrouped = db.rows_grouped_by("P", (0,))
-        assert set(regrouped[("a",)]) == {("a", 1), ("a", 2), ("a", 3)}
-
 
 class TestCopyOnWrite:
     def test_mutating_the_clone_leaves_the_parent_intact(self):

@@ -1,14 +1,49 @@
 """Tests for the SQLite backend: violation SQL, native acceptance and query SQL."""
 
+from collections import Counter
+
 import pytest
 
+from repro.constraints.ic import NotNullConstraint
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.repairs import repairs
-from repro.core.satisfaction import satisfies
+from repro.core.satisfaction import satisfies, violations
 from repro.relational.domain import NULL
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Fact
 from repro.sqlbackend.backend import SQLiteBackend, conjunctive_query_sql, violation_sql
-from repro.workloads import scenarios
+from repro.workloads import (
+    foreign_key_workload,
+    key_violation_workload,
+    scaled_course_student,
+    scenarios,
+)
+
+
+def _body_facts(constraint, row):
+    """The facts of one violation row: the joined antecedent rows, sliced
+    at the atom arities (a NOT-NULL row is the offending fact itself)."""
+
+    if isinstance(constraint, NotNullConstraint):
+        return (Fact(constraint.predicate, row),)
+    facts = []
+    cursor = 0
+    for atom in constraint.body:
+        facts.append(Fact(atom.predicate, row[cursor : cursor + atom.arity]))
+        cursor += atom.arity
+    return tuple(facts)
+
+
+WORKLOADS = {
+    "foreign_key": lambda: foreign_key_workload(
+        n_parents=8, n_children=16, violation_ratio=0.3, null_ratio=0.2, seed=3
+    ),
+    "key_violation": lambda: key_violation_workload(
+        n_rows=16, duplicate_ratio=0.3, null_ratio=0.2, seed=5
+    ),
+    "course_student": lambda: scaled_course_student(
+        n_courses=12, dangling_ratio=0.3, seed=7
+    ),
+}
 
 
 class TestViolationSQL:
@@ -37,6 +72,23 @@ class TestViolationSQL:
                 in_memory = satisfies(scenario.instance, constraint)
                 via_sql = not backend.violations(constraint)
                 assert in_memory == via_sql, f"{constraint!r} disagrees"
+
+    @pytest.mark.parametrize("name", list(WORKLOADS))
+    def test_violation_rows_are_the_compiled_violations(self, name):
+        """Each row the violation SQL returns holds exactly the body facts
+        of one compiled violation, and every compiled violation has a row."""
+
+        instance, constraints = WORKLOADS[name]()
+        found = 0
+        with SQLiteBackend(instance, constraints) as backend:
+            for constraint in constraints:
+                rows = backend.violations(constraint)
+                compiled = violations(instance, constraint)
+                assert Counter(_body_facts(constraint, row) for row in rows) == Counter(
+                    violation.body_facts for violation in compiled
+                ), constraint
+                found += len(compiled)
+        assert found  # every workload violates something
 
     def test_is_consistent_matches_scenario_verdict(self, all_scenarios):
         for name in ("example_5", "example_6", "example_11", "example_14", "example_19"):
