@@ -12,8 +12,9 @@ experiment runs both as the instance size and the violation count scale:
 * ``parallel`` (the production search, run inline here) — one mutate/undo
   working instance whose violation set a :class:`ViolationTracker`
   maintains (one seeded per-constraint update per fact change), every
-  candidate carried as its delta, ``≤_D`` decided on the deltas, and only
-  the minimal ones materialised.
+  candidate carried as its delta, ``≤_D`` decided on the deltas, and the
+  minimal ones returned as deltas over a snapshot (a ``RepairSequence``,
+  which builds a repair only when it is read).
 
 Both must return the same repair list, order included (asserted on every
 sweep point, smoke included), and identical consistent answers on every

@@ -4,9 +4,9 @@ The functional API rebuilds everything per call: each
 ``consistent_answers(...)`` re-plans, re-rewrites (or re-enumerates
 repairs), and re-materialises conflict statistics.  A
 :class:`repro.session.ConsistentDatabase` keeps all of that warm across
-calls — rewritten queries cached per (query, constraint fingerprint),
-plans, conflict graphs, repair lists and answer sets per instance
-generation — which is what a production deployment serving repeated
+calls — plans with their rewritten queries cached per query, conflict
+graphs, repair lists and answer sets per instance generation — which
+is what a production deployment serving repeated
 traffic actually does.
 
 This experiment replays a repeated-query workload (five distinct

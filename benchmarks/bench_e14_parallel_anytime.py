@@ -146,7 +146,7 @@ def report(request):
         "≤_D checks",
         "n(n−1)",
         "search",
-        "≤_D + materialise",
+        "≤_D",
         "total",
     ]
     title = "E14: repair enumeration, search vs the size-pruned ≤_D filter"

@@ -804,6 +804,28 @@ class CompiledQuery:
             results.add(tuple(slots[slot] for slot in head_slots))
         return frozenset(results)
 
+    def matches(
+        self, instance: DatabaseInstance, null_is_unknown: bool = False
+    ) -> Iterator[Tuple[Tuple[Constant, ...], Tuple[Optional[Row], ...]]]:
+        """Yield (answer, rows) per match of :attr:`plan` whose comparisons hold.
+
+        ``rows[i]`` is the row matched by the *i*-th positive atom.  The
+        loop of :meth:`answers` without the negation check: the caller
+        decides what a match's rows mean (``core/cqa.py`` reads them as
+        the facts one answer needs).
+        """
+
+        slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
+        rows: List[Optional[Row]] = [None] * self.plan.n_atoms
+        comparisons = self.comparisons
+        head_slots = self.head_slots
+        for _ in _codegen.matcher(self.plan)(instance, slots, rows):
+            for check in comparisons:
+                if not check(slots, null_is_unknown):
+                    break
+            else:
+                yield tuple(slots[slot] for slot in head_slots), tuple(rows)
+
     def _passes(
         self, instance: DatabaseInstance, slots: Sequence[Constant], null_is_unknown: bool
     ) -> bool:

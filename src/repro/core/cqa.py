@@ -7,10 +7,19 @@ in every repair.  Five evaluation strategies are provided, each a
 registered engine of :mod:`repro.engines`:
 
 * ``method="direct"`` — enumerate the repairs with the repair engine of
-  :mod:`repro.core.repairs` and intersect the per-repair answer sets;
+  :mod:`repro.core.repairs`, as minimal deltas over a snapshot of ``D``.
+  A conjunctive query without negated atoms is decided from the deltas
+  (Hippo's envelope-and-check scheme: Chomicki, Marcinkowski & Staworko,
+  *Computing consistent query answers using conflict hypergraphs*, CIKM
+  2004): its compiled plan runs once over the *envelope*, ``D`` plus
+  every repair's inserted facts, and an answer is certain iff every
+  repair keeps all the facts of one of its matches — at once when a
+  match uses only base facts no repair deletes.  No repair is built.
+  Any other query is evaluated on every repair and the answer sets
+  intersected;
 * ``method="program"`` — compute the repairs as the stable models of the
   repair program ``Π(D, IC)`` (cautious reasoning over the program, as the
-  paper proposes) and intersect the same way;
+  paper proposes), evaluate the query on each and intersect;
 * ``method="rewriting"`` — rewrite the query into a null-aware
   first-order query evaluated once on ``D`` (no repairs materialised;
   polynomial time) via :mod:`repro.rewriting`.  Raises
@@ -40,23 +49,28 @@ repair enumeration across calls, which these one-shot wrappers cannot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    AbstractSet,
+    Dict,
     FrozenSet,
     Iterable,
-    List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
 
 from repro.obs import trace as _trace
 from repro.relational.domain import Constant
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Fact, Row
+from repro.constraints.atoms import BuiltinEvaluationError
 from repro.constraints.ic import AnyConstraint, ConstraintSet
-from repro.logic.queries import Query
+from repro.core.repairs import RepairSequence
+from repro.logic.queries import ConjunctiveQuery, Query
+from repro.resilience import budget as _budget
 
 if TYPE_CHECKING:
     from repro.rewriting.planner import CQAPlan
@@ -75,20 +89,16 @@ CQA_METHODS = ("direct", "program", "rewriting", "independent", "auto", "sqlite"
 class CQAResult:
     """The outcome of one consistent-query-answering computation.
 
-    For the enumeration methods ``repair_count`` is exact and
-    ``per_repair_answer_counts`` lists the answer-set size per repair.
-    The engines that materialise no repairs (rewriting, independent,
-    sqlite) mark ``repair_count_estimated`` and leave
-    ``per_repair_answer_counts`` empty; their ``repair_count`` is ``-1``
-    in the engine's result, and
-    :meth:`repro.session.ConsistentDatabase.report` — the one surface
-    that returns a repair count — replaces it with the conflict-graph
-    estimate.
+    For the enumeration methods ``repair_count`` is exact.  The engines
+    that materialise no repairs (rewriting, independent, sqlite) mark
+    ``repair_count_estimated``; their ``repair_count`` is ``-1`` in the
+    engine's result, and :meth:`repro.session.ConsistentDatabase.report`
+    — the one surface that returns a repair count — replaces it with the
+    conflict-graph estimate.
     """
 
     answers: FrozenSet[AnswerTuple]
     repair_count: int
-    per_repair_answer_counts: List[int] = field(default_factory=list)
     method: str = "direct"
     repair_count_estimated: bool = False
     plan: Optional["CQAPlan"] = None  #: the CQAPlan when ``method="auto"`` was used
@@ -106,12 +116,19 @@ def result_from_repairs(
     null_is_unknown: bool = False,
     method: str = "direct",
 ) -> CQAResult:
-    """Intersect the per-repair answer sets into a :class:`CQAResult`.
+    """The answers common to every repair, as a :class:`CQAResult`.
 
-    The shared back half of every repair-enumerating engine.  An empty
-    repair list only happens with conflicting NNCs (a non-conflicting
-    constraint set always has at least one repair, Proposition 1), in
-    which case nothing is certain.
+    The shared back half of every repair-enumerating engine.  When
+    *repairs* is a :class:`~repro.core.repairs.RepairSequence` and
+    *query* a conjunctive query without negated atoms, the answers are
+    decided from the repairs' deltas (:func:`_answers_from_deltas`) and
+    no repair is built.  Otherwise, and when a comparison raises on a
+    match of the envelope, the query is evaluated on every repair and
+    the answer sets are intersected: the reference for first-order
+    queries, negation, the program route and the naive search.  An
+    empty repair list only happens with conflicting NNCs (a
+    non-conflicting constraint set always has at least one repair,
+    Proposition 1), in which case nothing is certain.
     """
 
     if not repairs:
@@ -120,33 +137,114 @@ def result_from_repairs(
     with _trace.span("answers.assemble") as sp:
         if sp:
             sp.add(repairs=len(repairs), query=str(query))
-        per_repair: List[FrozenSet[AnswerTuple]] = []
-        with _trace.span("query.eval"):
-            if query.is_boolean:
-                for repair in repairs:
-                    holds = query.holds(repair, null_is_unknown=null_is_unknown)
-                    per_repair.append(frozenset({()}) if holds else frozenset())
-            else:
-                for repair in repairs:
-                    per_repair.append(
-                        query.answers(repair, null_is_unknown=null_is_unknown)
-                    )
-
-        answers = set(per_repair[0])
-        for answer_set in per_repair[1:]:
-            answers &= answer_set
-        counts = [len(a) for a in per_repair]
-        # Free the per-repair answer sets inside the span that built them,
-        # so their deallocation is not left to the caller's time.
-        del per_repair
+        answers: Optional[AbstractSet[AnswerTuple]] = None
+        if (
+            isinstance(repairs, RepairSequence)
+            and isinstance(query, ConjunctiveQuery)
+            and not query.negative_atoms
+        ):
+            answers = _answers_from_deltas(repairs, query, null_is_unknown)
+        if answers is None:
+            answers = _intersected(repairs, query, null_is_unknown)
         if sp:
             sp.add(answers=len(answers))
     return CQAResult(
-        answers=frozenset(answers),
-        repair_count=len(repairs),
-        per_repair_answer_counts=counts,
-        method=method,
+        answers=frozenset(answers), repair_count=len(repairs), method=method
     )
+
+
+def _intersected(
+    repairs: Sequence[DatabaseInstance], query: Query, null_is_unknown: bool
+) -> FrozenSet[AnswerTuple]:
+    """Evaluate *query* on every repair and intersect the answer sets."""
+
+    answers: Optional[FrozenSet[AnswerTuple]] = None
+    with _trace.span("query.eval"):
+        for repair in repairs:
+            if query.is_boolean:
+                holds = query.holds(repair, null_is_unknown=null_is_unknown)
+                found = frozenset({()}) if holds else frozenset()
+            else:
+                found = query.answers(repair, null_is_unknown=null_is_unknown)
+            answers = found if answers is None else answers & found
+    assert answers is not None
+    return answers
+
+
+def _answers_from_deltas(
+    repairs: RepairSequence, query: ConjunctiveQuery, null_is_unknown: bool
+) -> Optional[Set[AnswerTuple]]:
+    """Decide the consistent answers from the repairs' ``(Δins, Δdel)``.
+
+    Every match of *query* in a repair is a match in the *envelope*, the
+    base plus every repair's inserted facts, so the query's compiled
+    plan runs once there.  A match's *witness* is the facts it uses, one
+    per positive atom.  Only a fact some delta mentions can be missing
+    from a repair, and each such fact gets a bit.  A witness without one
+    is in every repair, so its answer is certain.  Any other answer is
+    certain iff every repair keeps one of its witnesses: none of the
+    witness's base facts is in the repair's Δdel and all of its other
+    facts are in its Δins, i.e. the witness shares no bit with the delta
+    facts that repair lacks.
+
+    Returns ``None`` when a comparison raises
+    :class:`~repro.constraints.atoms.BuiltinEvaluationError` on an
+    envelope match: that match may be in no repair, so only the
+    per-repair reference knows whether the request raises.
+    """
+
+    from repro.compile.kernel import compiled_query
+
+    bits: Dict[str, Dict[Row, int]] = {}
+    count = 0
+
+    def mask(facts: FrozenSet[Fact]) -> int:
+        nonlocal count
+        total = 0
+        for fact in facts:
+            table = bits.setdefault(fact.predicate, {})
+            bit = table.get(fact.values)
+            if bit is None:
+                bit = table[fact.values] = 1 << count
+                count += 1
+            total |= bit
+        return total
+
+    masks = [(mask(inserted), mask(deleted)) for inserted, deleted in repairs.deltas]
+    inserted_any = 0
+    for inserted_bits, _ in masks:
+        inserted_any |= inserted_bits
+    # A repair lacks its own deletions and every other repair's insertions.
+    lacking = [deleted | (inserted_any & ~inserted) for inserted, deleted in masks]
+
+    tables = [bits.get(atom.predicate, {}) for atom in query.positive_atoms]
+    certain: Set[AnswerTuple] = set()
+    witnesses: Dict[AnswerTuple, Set[int]] = {}
+    with _trace.span("query.envelope"):
+        envelope = repairs.base.with_delta(
+            {fact for inserted, _ in repairs.deltas for fact in inserted}, ()
+        )
+        try:
+            for answer, rows in compiled_query(query).matches(envelope, null_is_unknown):
+                if answer in certain:
+                    continue
+                witness = 0
+                for table, row in zip(tables, rows):
+                    witness |= table.get(row, 0)
+                if witness:
+                    witnesses.setdefault(answer, set()).add(witness)
+                else:
+                    certain.add(answer)
+        except BuiltinEvaluationError:
+            return None
+    budget = _budget.active()
+    for answer, kept in witnesses.items():
+        if answer in certain:
+            continue
+        budget.checkpoint()
+        if all(any(not witness & missing for witness in kept) for missing in lacking):
+            certain.add(answer)
+    return certain
 
 
 def consistent_answers_report(

@@ -51,6 +51,7 @@ from repro.resilience.budget import Budget, Degradation
 from repro.core.repairs import (
     DeltaMinimality,
     RepairSearchBudgetExceeded,
+    RepairSequence,
     RepairStatistics,
     ViolationDelta,
     ViolationIndex,
@@ -372,8 +373,8 @@ class _StreamCandidate:
     inserted: FrozenSet[Fact]
     deleted: FrozenSet[Fact]
     delta: FrozenSet[Fact]
-    #: The materialised repair, built once, when its minimality is proven.
-    repair: Optional[DatabaseInstance] = None
+    #: Set once its minimality is proven (and its repair yielded).
+    proven: bool = False
     dominated: bool = False
 
 
@@ -387,7 +388,7 @@ class AnytimeRepairStream:
     frontier is empty every candidate is decided, so the yielded set is
     always exactly the repair set — anytime changes *when* each repair
     becomes available, never *which*.  Each repair is built once, as a
-    copy-on-write copy of the base plus its delta.
+    copy-on-write copy of the base plus its delta, and not kept.
 
     The proof pass checks the request budget before each candidate and,
     once it is spent, settles exactly as the search does
@@ -395,14 +396,15 @@ class AnytimeRepairStream:
     stops, or raises the typed error.
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in
-    discovery order (the order ``RepairEngine.repairs`` returns), and
+    discovery order as the :class:`~repro.core.repairs.RepairSequence`
+    ``RepairEngine.repairs`` returns, built from the proven deltas, and
     :attr:`states_at_first_yield` records how deep into the search the
     first proof landed.
     """
 
     def __init__(self, search: ParallelRepairSearch):
         self._search = search
-        self.ordered_repairs: Optional[List[DatabaseInstance]] = None
+        self.ordered_repairs: Optional[RepairSequence] = None
         self.states_at_first_yield: Optional[int] = None
         #: Repairs yielded so far.
         self.proven = 0
@@ -432,7 +434,7 @@ class AnytimeRepairStream:
             with _trace.span("repair.minimality", candidates=len(pool)):
                 context = DeltaMinimality([entry.delta for entry in pool])
             for index, entry in enumerate(pool):
-                if entry.repair is not None or entry.dominated:
+                if entry.proven or entry.dominated:
                     continue
                 if budget is not None:
                     reason = budget.exhausted()
@@ -447,11 +449,12 @@ class AnytimeRepairStream:
                     entry.dominated = context.dominated(index)
                 if entry.dominated:
                     continue
+                entry.proven = True
                 with _trace.span("repair.materialise"):
-                    entry.repair = base.with_delta(entry.inserted, entry.deleted)
+                    repair = base.with_delta(entry.inserted, entry.deleted)
                 if self.states_at_first_yield is None:
                     self.states_at_first_yield = search.statistics.states_explored
-                yield entry.repair
+                yield repair
 
         batches = search.batches()
         try:
@@ -484,4 +487,6 @@ class AnytimeRepairStream:
             self.degradation = replace(search.degradation, proven=self.proven)
             return
         # The last batch had no open frontier, so every candidate is decided.
-        self.ordered_repairs = [entry.repair for entry in pool if entry.repair is not None]
+        self.ordered_repairs = RepairSequence(
+            base, [(entry.inserted, entry.deleted) for entry in pool if entry.proven]
+        )

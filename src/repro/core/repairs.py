@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
+from collections import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
@@ -564,8 +565,8 @@ class RepairStatistics:
     * ``leq_d_comparisons`` — pairwise ``≤_D`` checks performed by the
       minimality filter;
     * ``search_seconds`` / ``minimality_seconds`` — **wall-clock** split
-      between candidate enumeration and the ``≤_D`` filter plus the
-      materialisation of its survivors, measured by the driving engine;
+      between candidate enumeration and the ``≤_D`` filter, measured by
+      the driving engine;
     * ``instance_ship_bytes`` — always 0: the search runs in this process
       and ships no instance anywhere.  Kept only because the benchmark's
       traced mode reads it, as it reads the ``repro_columnar_store_*``
@@ -585,6 +586,62 @@ class RepairStatistics:
 
 
 _T = TypeVar("_T")
+
+#: One repair as its ``∆(D, ·)``: (inserted facts, deleted facts).
+RepairDelta = Tuple[FrozenSet[Fact], FrozenSet[Fact]]
+
+
+class RepairSequence(abc.Sequence):
+    """The repairs of one instance, held as their minimal deltas.
+
+    A read-only sequence over a *base* snapshot and the repairs' deltas
+    in discovery order.  ``len()`` builds nothing; indexing and
+    iteration build each repair on access, as a copy-on-write copy of
+    the base plus its delta (:meth:`DatabaseInstance.with_delta`), and
+    keep none of them.  The base is a snapshot taken before the search
+    starts, so a repair built after the source instance changed is still
+    the snapshot's repair.  It compares equal to any sequence of equal
+    instances in the same order (a plain list of repairs included, from
+    either side of ``==``).  :func:`repro.core.cqa.result_from_repairs`
+    decides a conjunctive query's answers from :attr:`deltas` without
+    building any repair.
+    """
+
+    __slots__ = ("base", "deltas")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, base: DatabaseInstance, deltas: Sequence[RepairDelta]):
+        self.base = base
+        self.deltas: Tuple[RepairDelta, ...] = tuple(deltas)
+
+    def __len__(self) -> int:
+        return len(self.deltas)
+
+    def _build(self, delta: RepairDelta) -> DatabaseInstance:
+        with _trace.span("repair.materialise"):
+            return self.base.with_delta(*delta)
+
+    def __getitem__(  # type: ignore[override]
+        self, index: Union[int, slice]
+    ) -> Union[DatabaseInstance, "RepairSequence"]:
+        if isinstance(index, slice):
+            return RepairSequence(self.base, self.deltas[index])
+        return self._build(self.deltas[index])
+
+    def __iter__(self) -> Iterator[DatabaseInstance]:
+        for delta in self.deltas:
+            yield self._build(delta)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, abc.Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    def __repr__(self) -> str:
+        return f"RepairSequence({len(self)} repairs)"
+
 
 #: The production search: the delta-carrying depth-first search of
 #: :mod:`repro.core.parallel`.  It runs in the calling process; the name
@@ -610,9 +667,11 @@ class RepairEngine:
       working instance whose violations a :class:`ViolationTracker` keeps
       current.  It enters the same states as the reference; each
       candidate comes back as its ``∆(D, ·)``, ``≤_D`` is decided on
-      those deltas (:class:`DeltaMinimality`), and only the minimal ones
-      are materialised, each as a copy-on-write copy of the base plus its
-      delta (:meth:`DatabaseInstance.with_delta`).  *seed_tracker* warm-starts
+      those deltas (:class:`DeltaMinimality`), and the minimal ones are
+      returned as a :class:`RepairSequence`, which builds a repair (a
+      copy-on-write copy of the base plus its delta,
+      :meth:`DatabaseInstance.with_delta`) only when a caller accesses
+      it.  *seed_tracker* warm-starts
       the driver's search from a tracker already kept over the same facts,
       so no full violation sweep runs;
     * ``"naive"`` — the reference: a full nested-loop violation
@@ -791,32 +850,36 @@ class RepairEngine:
         self,
         instance: DatabaseInstance,
         seed_tracker: Optional[ViolationTracker] = None,
-    ) -> List[DatabaseInstance]:
+    ) -> Sequence[DatabaseInstance]:
         """The ``≤_D``-minimal consistent candidates (Definition 7).
+
+        The production search returns a :class:`RepairSequence` over a
+        snapshot of *instance* and the minimal deltas, which builds each
+        repair only when it is accessed; the naive reference returns a
+        list of instances.  The two compare equal, order included.
 
         *seed_tracker* is a :class:`ViolationTracker` over an instance with
         the same facts and constraints; the production search copies its
         violation store instead of sweeping (the naive reference ignores it).
         """
 
+        minimal: Sequence[DatabaseInstance]
         if self._method != PARALLEL_METHOD:
             candidates = self.candidates(instance)
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(candidates)):
                 minimal, comparisons = _minimal_under_leq_d_counted(instance, candidates)
         else:
-            ordered = self._timed_search(self._collect, instance, seed_tracker)
+            base = instance.copy()
+            ordered = self._timed_search(self._collect, base, seed_tracker)
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(ordered)):
                 flags, comparisons = minimal_flags_counted(
                     [inserted | deleted for inserted, deleted in ordered]
                 )
-            with _trace.span("repair.materialise"):
-                minimal = [
-                    instance.with_delta(inserted, deleted)
-                    for (inserted, deleted), keep in zip(ordered, flags)
-                    if keep
-                ]
+            minimal = RepairSequence(
+                base, [delta for delta, keep in zip(ordered, flags) if keep]
+            )
         self.statistics.minimality_seconds = _clock.now() - started
         self.statistics.leq_d_comparisons = comparisons
         self.statistics.repairs_found = len(minimal)

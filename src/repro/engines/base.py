@@ -11,10 +11,12 @@ engine its plan names), so adding an evaluation strategy is one
 chain anywhere needs to grow a branch.
 
 Engines hold no state of their own.  All expensive intermediates —
-repair lists, plans with their rewritten queries, SQL backends — live
-in the session's cache, which is what makes repeated queries cheap; an
-engine asks the session for them (``session.repairs_list``,
-``session.rewritten``, ...) instead of recomputing.
+repair lists (the direct route's as minimal deltas over a snapshot,
+:class:`repro.core.repairs.RepairSequence`), plans with their rewritten
+queries, SQL backends — live in the session's cache, which is what
+makes repeated queries cheap; an engine asks the session for them
+(``session.repairs_list``, ``session.rewritten``, ...) instead of
+recomputing.
 """
 
 from __future__ import annotations

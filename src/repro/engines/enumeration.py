@@ -1,13 +1,18 @@
 """The repair-enumerating engines: direct search and stable models.
 
-Both materialise every repair and intersect the per-repair answer sets
-(Definition 8); an anytime ``certain()`` instead asks each streamed
-repair about its one candidate and stops at the first refutation.  The
-repair lists themselves come from the session's generation-keyed cache
-(``session.repairs_list``), so a warm session answers a second query
-over an unchanged database without re-running the search — and the
-``"direct"`` route additionally warm-starts its violation store from the
-session's live :class:`ViolationTracker`.
+Both enumerate every repair and keep the answers common to all of them
+(Definition 8, :func:`repro.core.cqa.result_from_repairs`).  The direct
+search's repairs are minimal deltas over a snapshot, so a negation-free
+conjunctive query is decided from the deltas without building any
+repair; the stable-model route materialises its repairs, and every
+query there is evaluated per repair and intersected.  An anytime
+``certain()`` instead asks each streamed repair about its one candidate
+and stops at the first refutation.  The repair lists themselves come
+from the session's generation-keyed cache (``session.repairs_list``),
+so a warm session answers a second query over an unchanged database
+without re-running the search — and the ``"direct"`` route additionally
+warm-starts its violation store from the session's live
+:class:`ViolationTracker`.
 """
 
 from __future__ import annotations

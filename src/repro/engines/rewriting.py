@@ -25,8 +25,8 @@ if TYPE_CHECKING:
 class RewritingEngine(CQAEngine):
     """Answer through the first-order rewriting of :mod:`repro.rewriting`.
 
-    The rewritten query is cached per (query, constraint fingerprint) in
-    the session — it does not depend on the data — so a warm session pays
+    The rewritten query is cached per query in the session, with its
+    plan — it does not depend on the data — so a warm session pays
     only the single evaluation pass per generation.  No repairs are
     materialised: the result marks ``repair_count_estimated`` (with
     ``repair_count == -1``), and

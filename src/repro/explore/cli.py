@@ -4,6 +4,9 @@ CI and humans run the same loop::
 
     python -m repro.explore --seed 0 --budget-seconds 60 --min-scenarios 500
 
+``--null-is-unknown`` runs the same campaign under the SQL-style query
+convention.
+
 Exit codes: ``0`` green (every divergence pinned, floor met), ``1`` a
 non-pinned divergence was found or the scenario floor was missed, ``2``
 usage error (argparse).  ``--format json`` emits the full machine-
@@ -79,6 +82,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="per-probe wall-clock deadline in seconds",
     )
     parser.add_argument(
+        "--null-is-unknown",
+        action="store_true",
+        help=(
+            "evaluate every probe's query and certain() check with SQL-style "
+            "unknown comparisons on null (default: null is a constant)"
+        ),
+    )
+    parser.add_argument(
         "--no-shrink",
         action="store_true",
         help="report new divergences without reducing them to witnesses",
@@ -144,7 +155,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if arguments.engines:
         engines = [name for name in arguments.engines.split(",") if name]
     probe_budget = CQAConfig(
-        max_states=arguments.max_states, deadline=arguments.probe_deadline
+        max_states=arguments.max_states,
+        deadline=arguments.probe_deadline,
+        null_is_unknown=arguments.null_is_unknown,
     )
     try:
         report = explore(

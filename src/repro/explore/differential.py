@@ -163,8 +163,11 @@ def repair_key(repair: DatabaseInstance) -> RepairKey:
 
 
 def _budget_config(spec: ProbeSpec, budget: CQAConfig) -> Dict[str, Any]:
+    """The probe's overrides plus the campaign's bounds and null convention."""
+
     merged = spec.overrides()
     merged["max_states"] = budget.max_states
+    merged["null_is_unknown"] = budget.null_is_unknown
     if budget.deadline is not None:
         merged["deadline"] = budget.deadline
     return merged
@@ -172,7 +175,9 @@ def _budget_config(spec: ProbeSpec, budget: CQAConfig) -> Dict[str, Any]:
 
 #: Default per-probe resource bounds: enough for every generated scenario
 #: we expect to finish, small enough that a pathological one is cut off
-#: as ``budget`` instead of stalling the sweep.
+#: as ``budget`` instead of stalling the sweep.  Its ``null_is_unknown``
+#: (the default convention here) is the query convention every probe
+#: and every certain() check of a campaign uses.
 DEFAULT_PROBE_BUDGET = CQAConfig(max_states=4000, deadline=5.0)
 
 
@@ -235,7 +240,9 @@ def _certain_checks(
         if reference.answers:
             candidates.append((sorted(reference.answers)[0], True))
         try:
-            plain = case.query.answers(session.instance)
+            plain = case.query.answers(
+                session.instance, null_is_unknown=budget.null_is_unknown
+            )
         except Exception:
             plain = frozenset()
         spurious = sorted(plain - reference.answers)

@@ -496,7 +496,8 @@ class DatabaseInstance:
     ) -> "DatabaseInstance":
         """A copy-on-write copy of ``self`` minus *deleted* plus *inserted*.
 
-        How the repair search materialises a repair from its ``∆(D, ·)``:
+        How a repair is built from its ``∆(D, ·)`` (and the direct
+        route's envelope from every repair's insertions):
         every relation the change leaves alone shares its rows and hash
         index with ``self``; a touched relation gets private rows
         and *no* index, which is rebuilt lazily only if a query probes it.

@@ -1,6 +1,6 @@
 """First-order consistent-query-answering by query rewriting.
 
-Both repair-enumeration strategies of :mod:`repro.core.cqa` materialise
+Both repair-enumeration strategies of :mod:`repro.core.cqa` enumerate
 every repair, so their cost grows exponentially with the number of
 violations.  For the paper's core tractable class — primary-key
 functional dependencies, acyclic referential constraints and NOT-NULL

@@ -17,10 +17,11 @@ of that state across calls:
 * a **query surface** — :meth:`consistent_answers`, :meth:`certain`,
   :meth:`iter_repairs`, :meth:`explain`, :meth:`report` — backed by a
   per-session LRU cache of repair lists, conflict graphs and answer
-  sets keyed by ``(query, constraint fingerprint, generation)``, and of
-  query plans (with their rewritings) keyed by ``(query, constraint
-  fingerprint)`` alone: repeating a query on an unchanged database
-  costs one dictionary probe, and a write re-plans nothing;
+  sets keyed by ``(query, generation)``, and of query plans (with their
+  rewritings) keyed by the query alone — the cache belongs to one
+  session, whose constraint set never changes: repeating a query on an
+  unchanged database costs one dictionary probe, and a write re-plans
+  nothing;
 * an **engine registry** (:mod:`repro.engines`) — every query routes
   through a pluggable strategy object (``"direct"``, ``"program"``,
   ``"rewriting"``, ``"independent"``, ``"sqlite"``; ``"auto"`` is the
@@ -80,7 +81,6 @@ from repro.core.repairs import (
     RepairStatistics,
     ViolationIndex,
     ViolationTracker,
-    constraint_structural_key,
 )
 from repro.core.satisfaction import Violation
 from repro.engines import CQAConfig, get_engine
@@ -152,7 +152,7 @@ class _LRUCache:
     ``get``/``put`` after the instance moved on drops every such entry —
     each entry once, O(1) per request — instead of leaving it to age out
     of the LRU with its repair lists and indexes.  Entries stored without
-    one (keyed by the constraint fingerprint alone) stay until the LRU
+    one (plans and analyses, which read no data) stay until the LRU
     pushes them out.
     """
 
@@ -305,13 +305,6 @@ class ConsistentDatabase:
         )
         if method != "auto":
             get_engine(method)  # fail fast on an unknown default
-        #: Name-independent structural fingerprint of the constraint set —
-        #: part of every query-cache key, so sessions over structurally
-        #: different constraints can never share an entry even if a cache
-        #: were shared between them.
-        self._fingerprint: Tuple = tuple(
-            constraint_structural_key(constraint) for constraint in self._constraints
-        )
         self._violation_index = ViolationIndex(self._constraints)
         self._tracker: Optional[ViolationTracker] = None
         self._tracker_generation = -1
@@ -755,10 +748,9 @@ class ConsistentDatabase:
             TypeError: on an override that is not a config field.
             ValueError: on an unregistered ``method``.
 
-        Results are cached per (query, constraint fingerprint,
-        generation, config), the same entry :meth:`consistent_answers`
-        and :meth:`certain` read, so an identical repeat is one
-        dictionary probe.  ``method="auto"`` shares the entry of the
+        Results are cached per (query, generation, config), the same
+        entry :meth:`consistent_answers` and :meth:`certain` read, so an
+        identical repeat is one dictionary probe.  ``method="auto"`` shares the entry of the
         route its :meth:`plan` names, and its result carries that plan.
 
         >>> from repro import ConsistentDatabase, parse_constraint, parse_query
@@ -780,9 +772,7 @@ class ConsistentDatabase:
                 with _trace.span("conflicts.estimate"):
                     result.repair_count = self.conflict_graph().estimated_repair_count()
         return replace(
-            result,
-            per_repair_answer_counts=list(result.per_repair_answer_counts),
-            plan=self.plan(query) if config.method == "auto" else result.plan,
+            result, plan=self.plan(query) if config.method == "auto" else result.plan
         )
 
     def report_with(self, query: Query, config: CQAConfig) -> CQAResult:
@@ -815,7 +805,7 @@ class ConsistentDatabase:
     def _answers_key(
         self, query: Query, method: str, config: CQAConfig, generation: int
     ) -> Tuple:
-        return ("answers", query, self._fingerprint, generation, method, config.cache_key())
+        return ("answers", query, generation, method, config.cache_key())
 
     def _count_query(self) -> None:
         self.statistics.queries += 1
@@ -965,8 +955,7 @@ class ConsistentDatabase:
         (``W203``) and, given a query, rewriting-fragment membership
         (``I301``, with the precise clause violated) and constraint–query
         independence (``I302``).  Purely syntactic: no data is read, and
-        the report is cached per constraint fingerprint, so it survives
-        mutations.
+        the report is cached per query, so it survives mutations.
 
         >>> from repro import ConsistentDatabase, parse_constraints, parse_query
         >>> db = ConsistentDatabase(
@@ -979,7 +968,7 @@ class ConsistentDatabase:
         ('I302',)
         """
 
-        key = ("analysis", self._fingerprint, query)
+        key = ("analysis", query)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -1173,23 +1162,27 @@ class ConsistentDatabase:
         identical entries.
         """
 
-        return ("repairs", "direct", self._fingerprint, generation, config.max_states)
+        return ("repairs", "direct", generation, config.max_states)
 
-    def repairs_list(self, method: str, config: CQAConfig) -> List[DatabaseInstance]:
+    def repairs_list(self, method: str, config: CQAConfig) -> Sequence[DatabaseInstance]:
         """The repairs of the current instance, cached per generation.
 
         ``"direct"`` runs :class:`RepairEngine` — its production search
         warm-started from the session's violation tracker, so no full
-        violation sweep happens per query — and ``"program"`` the
-        stable-model route.  Engines and the repair iterator share this
-        cache; treat the returned list and its instances as read-only.
+        violation sweep happens per query — and caches the
+        :class:`~repro.core.repairs.RepairSequence` it returns (minimal
+        deltas over a snapshot; ``len()`` builds nothing, each access
+        builds one repair); ``"program"`` caches the stable-model
+        route's list.  Engines and the repair iterator share this
+        cache; treat the returned sequence and its instances as
+        read-only.
         """
 
         generation = self._instance.generation
         if method == "direct":
             key = self._direct_repairs_key(config, generation)
         elif method == "program":
-            key = ("repairs", "program", self._fingerprint, generation)
+            key = ("repairs", "program", generation)
         else:
             raise ValueError(f"unknown repair enumeration method {method!r}")
         cached = self._cache.get(key)
@@ -1235,11 +1228,10 @@ class ConsistentDatabase:
         The ``I302`` independence verdict and the rewriting (or the
         :class:`RewritingUnsupportedError` saying why there is none)
         depend only on (query, constraints), so the plan is cached per
-        constraint fingerprint: it survives mutations, and a write
-        re-plans nothing.
+        query: it survives mutations, and a write re-plans nothing.
         """
 
-        key = ("plan", query, self._fingerprint)
+        key = ("plan", query)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
@@ -1262,7 +1254,7 @@ class ConsistentDatabase:
         """
 
         generation = self._instance.generation
-        key = ("conflicts", self._fingerprint, generation)
+        key = ("conflicts", generation)
         cached = self._cache.get(key)
         if cached is not None:
             return cached

@@ -24,6 +24,7 @@ from repro.core.repairs import (
     REPAIR_METHODS,
     RepairEngine,
     RepairSearchBudgetExceeded,
+    RepairSequence,
     ViolationTracker,
     minimal_flags_counted,
     violation_choice_key,
@@ -306,14 +307,26 @@ class TestAnytimeStream:
         assert stream.ordered_repairs == reference
         assert len(streamed) == len(reference)
 
-    def test_streamed_repairs_are_built_once(self):
+    def test_streamed_repairs_are_built_once(self, monkeypatch):
+        built = []
+        with_delta = DatabaseInstance.with_delta
+
+        def counting(base, inserted, deleted):
+            built.append(base)
+            return with_delta(base, inserted, deleted)
+
+        monkeypatch.setattr(DatabaseInstance, "with_delta", counting)
         instance, constraints = grouped_key_workload(
             n_groups=2, group_size=3, n_clean=3, seed=4
         )
         stream = AnytimeRepairStream(ParallelRepairSearch(instance, constraints))
         streamed = list(stream)
+        assert len(built) == len(streamed) == 9
+        # The drained stream keeps the proven deltas, not the instances.
+        assert isinstance(stream.ordered_repairs, RepairSequence)
+        assert len(stream.ordered_repairs) == 9 and len(built) == 9
+        assert stream.ordered_repairs == streamed
         assert stream.ordered_repairs == naive_repairs(instance, constraints)
-        assert {id(r) for r in stream.ordered_repairs} == {id(r) for r in streamed}
 
     def test_each_repair_is_handed_over_once_its_own_proof_finishes(self, monkeypatch):
         """The proof pass decides, materialises and yields one candidate at

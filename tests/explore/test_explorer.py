@@ -208,6 +208,26 @@ class TestCli:
         assert code == 1
         assert "NEW" in out and "FAIL" in out
 
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_null_convention_reaches_every_probe_and_certain_check(
+        self, flag, tmp_path, capsys, monkeypatch
+    ):
+        from repro.session import ConsistentDatabase
+
+        seen = []
+        for name in ("report", "certain"):
+            original = getattr(ConsistentDatabase, name)
+
+            def recording(self, *args, _original=original, **overrides):
+                seen.append(overrides.get("null_is_unknown"))
+                return _original(self, *args, **overrides)
+
+            monkeypatch.setattr(ConsistentDatabase, name, recording)
+        arguments = ["--sources", "paper", "--max-scenarios", "3", "--budget-seconds", "300"]
+        code = main(arguments + ["--out", str(tmp_path)] + (["--null-is-unknown"] if flag else []))
+        assert code == 0 and "PASS" in capsys.readouterr().out
+        assert len(seen) > 3 and set(seen) == {flag}
+
     def test_unknown_source_is_a_usage_error(self, tmp_path, capsys):
         code = main(["--sources", "nope", "--out", str(tmp_path)])
         assert code == 2

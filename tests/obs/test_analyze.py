@@ -183,8 +183,9 @@ class TestPartition:
 
 
 class TestReferenceRequest:
-    """The 729-repair request: search, ≤_D, materialisation and evaluation
-    are separate phases, and almost nothing is left unattributed."""
+    """The 729-repair request: search, ≤_D, the query over the envelope and
+    the decision from the deltas are separate phases, no repair is built,
+    and almost nothing is left unattributed."""
 
     @pytest.fixture(scope="class")
     def report(self):
@@ -206,11 +207,13 @@ class TestReferenceRequest:
         for name in (
             "repair.search",
             "repair.minimality",
-            "repair.materialise",
-            "query.eval",
+            "query.envelope",
             "answers.assemble",
         ):
             assert report.phases.get(name, 0.0) > 0.0, name
+        # The answers come from the deltas: no repair is built or evaluated.
+        assert "repair.materialise" not in report.phases
+        assert "query.eval" not in report.phases
 
     def test_the_search_line_shows_the_searchs_own_tracker_updates(self, report):
         statistics = report.repair_statistics

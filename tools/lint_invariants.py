@@ -59,14 +59,17 @@ RULES: Dict[str, str] = {
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
 #: Modules/packages whose exception handling must stay narrow: the
-#: compiled kernel, logic evaluation, the relational layer and the
-#: repair search all propagate typed budget/cancellation errors.
+#: compiled kernel, logic evaluation, the relational layer, the repair
+#: search and the answer decision all propagate typed
+#: budget/cancellation errors.
 HOT_PATHS = (
     "src/repro/compile/",
     "src/repro/logic/",
     "src/repro/relational/",
     "src/repro/core/satisfaction.py",
     "src/repro/core/repairs.py",
+    "src/repro/core/parallel.py",
+    "src/repro/core/cqa.py",
 )
 #: The deliberately kernel-free naive/interpreted reference paths that the
 #: bit-identical property suites cross-validate the compiled kernel against.
