@@ -26,6 +26,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tup
 from repro.constraints.atoms import Atom
 from repro.asp.grounding import GroundProgram, GroundRule, ground_program
 from repro.asp.syntax import Program
+from repro.resilience import budget as _budget
 
 
 class SolverBudgetExceeded(RuntimeError):
@@ -98,8 +99,11 @@ def _has_smaller_model(
 
     Atoms outside *model* are fixed to false (a smaller model can only use
     atoms of *model*); rules whose positive body mentions such an atom are
-    vacuously satisfied and are dropped up-front.
+    vacuously satisfied and are dropped up-front.  The ambient request
+    budget is checked once per search node.
     """
+
+    budget = _budget.active()
 
     atoms = sorted(model, key=repr)
     relevant: List[Tuple[Tuple[Atom, ...], Tuple[Atom, ...]]] = []
@@ -143,6 +147,7 @@ def _has_smaller_model(
         return True
 
     def search() -> bool:
+        budget.checkpoint()
         snapshot = dict(assignment)
         if not propagate():
             assignment.update(snapshot)
@@ -197,7 +202,12 @@ def is_stable_model(
 
 # --------------------------------------------------------------------------- solver
 class _Solver:
-    """Enumerate the stable models of a ground program."""
+    """Enumerate the stable models of a ground program.
+
+    :meth:`solve` takes the ambient request budget once and checks it
+    once per search node (a no-op when none is active), so a deadline
+    or a cancellation stops the search, not only the grounding.
+    """
 
     def __init__(self, ground: GroundProgram, max_nodes: Optional[int] = None):
         self.ground = ground
@@ -286,6 +296,7 @@ class _Solver:
         assign: List[Optional[bool]] = [None] * len(self.atoms)
         for fact_index in self.facts:
             assign[fact_index] = True
+        self._budget = _budget.active()
         self._search(assign, max_models)
         return self.models
 
@@ -297,6 +308,7 @@ class _Solver:
             raise SolverBudgetExceeded(
                 f"stable-model search exceeded {self.max_nodes} nodes"
             )
+        self._budget.checkpoint()
         working = list(assign)
         if not self._propagate(working):
             return

@@ -528,7 +528,7 @@ class CompiledConstraint:
 
     def _filtered_matches(
         self,
-        relations: Relations,
+        witnesses: Relations,
         matches: Iterator[None],
         slots: List[Constant],
     ) -> Iterator[None]:
@@ -538,11 +538,13 @@ class CompiledConstraint:
         caller-owned arrays.  The relevant-null guard already ran inside
         the join (pushed down to the binding step); the remaining
         ``|=_N`` conditions run here, in the reference's order: built-in
-        disjunction, then head-atom witnesses.
+        disjunction, then head-atom witnesses, looked up in *witnesses*
+        (the relations the match ran over, except for
+        :meth:`unwitnessed_match`).
         """
 
         comparisons = self.comparisons
-        witnesses = self.witnesses
+        probes = self.witnesses
         for _ in matches:
             if comparisons:
                 satisfied = False
@@ -552,10 +554,10 @@ class CompiledConstraint:
                         break
                 if satisfied:
                     continue
-            if witnesses:
+            if probes:
                 witnessed = False
-                for probe in witnesses:
-                    if probe.holds(relations, slots):
+                for probe in probes:
+                    if probe.holds(witnesses, slots):
                         witnessed = True
                         break
                 if witnessed:
@@ -667,6 +669,41 @@ class CompiledConstraint:
         matches = _codegen.matcher(plan)(relations, slots, rows, row)
         for _ in self._filtered_matches(relations, matches, slots):
             return True
+        return False
+
+    def unwitnessed_match(
+        self,
+        relations: Relations,
+        witnesses: Relations,
+        *,
+        seed: Optional[Fact] = None,
+        partial: Optional[Mapping[Variable, Constant]] = None,
+    ) -> bool:
+        """Is some body match over *relations* left open by *witnesses*?
+
+        The matches are those of the seeded plans of *seed*'s shape (the
+        matches that use *seed*), or of the binding-pattern plan of
+        *partial*; a match is open when it satisfies none of the
+        constraint's comparisons and no row of *witnesses* witnesses its
+        consequent.  Early exit, like :meth:`has_violation_at`.  The
+        repair carry (:func:`repro.core.repairs.carry_repairs`) asks
+        this with matches and witnesses over different views.
+        """
+
+        if seed is not None:
+            runs = [
+                (plan, seed.values, None)
+                for _, plan in self._seed_plans_by_shape.get((seed.predicate, seed.arity), ())
+            ]
+        else:
+            assert partial is not None
+            runs = [(self._partial_plan(frozenset(partial)), None, partial)]
+        for plan, seed_row, initial in runs:
+            slots: List[Constant] = [None] * self.n_slots  # type: ignore[list-item]
+            rows: List[Optional[Row]] = [None] * len(self.body_predicates)
+            matches = _codegen.matcher(plan)(relations, slots, rows, seed_row, initial)
+            for _ in self._filtered_matches(witnesses, matches, slots):
+                return True
         return False
 
 
@@ -973,6 +1010,46 @@ class GroundAtomRelations(Relations):
             for row in rows
             if all(position < len(row) and row[position] == value for position, value in items)
         ]
+
+
+class FactOverlay(Relations):
+    """Some relations plus *added* facts minus *removed* ones, as a read-only view.
+
+    Copies nothing: a probe reads the underlying relations and filters
+    or extends only the rows of the predicates the two fact sets touch.
+    *added* must hold no fact of the underlying relations.  The repair
+    carry runs its matches and witness probes over such views of the
+    live instance (:func:`repro.core.repairs.carry_repairs`).
+    """
+
+    def __init__(
+        self, relations: Relations, added: Iterable[Fact] = (), removed: Iterable[Fact] = ()
+    ) -> None:
+        self._relations = relations
+        self._added: Dict[str, List[Row]] = {}
+        for fact in added:
+            self._added.setdefault(fact.predicate, []).append(fact.values)
+        self._removed: Dict[str, Set[Row]] = {}
+        for fact in removed:
+            self._removed.setdefault(fact.predicate, set()).add(fact.values)
+
+    def tuples_matching(
+        self, predicate: str, bound: Mapping[int, Constant]
+    ) -> Iterable[Row]:
+        rows = self._relations.tuples_matching(predicate, bound)
+        removed = self._removed.get(predicate)
+        added = self._added.get(predicate)
+        if removed is None and added is None:
+            return rows
+        kept = [row for row in rows if row not in removed] if removed else list(rows)
+        if added:
+            items = tuple(bound.items())
+            kept.extend(
+                row
+                for row in added
+                if all(position < len(row) and row[position] == value for position, value in items)
+            )
+        return kept
 
 
 # --------------------------------------------------------------------------- programs

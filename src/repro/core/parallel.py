@@ -17,6 +17,11 @@ Every :data:`PAUSE_STATES` states the search pauses and hands its
 caller the candidates found since the last pause and its **open
 frontier**: for every state on the stack, its committed delta plus each
 of its fixes still untried — the roots of the subtrees not yet explored.
+A finished search also leaves its
+:class:`~repro.core.repairs.SearchRecord`: the facts of every violation
+it met and every fix it tried, and every fact it inserted or deleted,
+which lets a session carry the repairs across a later write the search
+never reached (:func:`~repro.core.repairs.carry_repairs`).
 
 :class:`AnytimeRepairStream` turns the pauses into an **anytime**
 enumeration: a candidate ``C`` is provably a repair *before the search
@@ -40,7 +45,7 @@ them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.constraints.ic import AnyConstraint, ConstraintSet
 from repro.errors import budget_error
@@ -53,6 +58,7 @@ from repro.core.repairs import (
     RepairSearchBudgetExceeded,
     RepairSequence,
     RepairStatistics,
+    SearchRecord,
     ViolationDelta,
     ViolationIndex,
     ViolationTracker,
@@ -157,6 +163,10 @@ class ParallelRepairSearch:
         #: batches yielded so far cover a sound *prefix* of the search
         #: and this record says why the rest was never explored.
         self.degradation: Optional[Degradation] = None
+        #: What the search touched, set with its last batch: what a
+        #: write must miss for the repairs to carry across it
+        #: (:func:`repro.core.repairs.carry_repairs`).
+        self.record: Optional[SearchRecord] = None
         self.statistics = RepairStatistics()
 
     def request_budget(self) -> Optional[Budget]:
@@ -181,7 +191,8 @@ class ParallelRepairSearch:
         """Run the search, yielding a :class:`SearchBatch` at every pause.
 
         The last batch, with an empty frontier, comes when the search is
-        done.  Raises :class:`RepairSearchBudgetExceeded` once more than
+        done, and :attr:`record` is set just before it.  Raises
+        :class:`RepairSearchBudgetExceeded` once more than
         ``max_states`` states are entered.
 
         A request :class:`Budget` (the constructor's, else the ambient
@@ -201,6 +212,13 @@ class ParallelRepairSearch:
         visited = {(_EMPTY_FACTS, _EMPTY_FACTS)}
         stack: List[_State] = []
         found: List[Candidate] = []
+        # The record: every violation's body facts and every fix (region),
+        # every fact inserted and every fact deleted at any state.
+        region: Set[Fact] = set()
+        for violation in tracker.violations():
+            region.update(violation.body_facts)
+        inserted_any: Set[Fact] = set()
+        deleted_any: Set[Fact] = set()
 
         def spent(budget: Budget) -> bool:
             """Is the budget spent?  Then settle it (degrade or raise)."""
@@ -237,6 +255,7 @@ class ParallelRepairSearch:
                 fixes = [fact for fact in fixes if fact not in inserted]
             deletions = len(fixes)
             for fact in insertion_fixes(violation):
+                region.add(fact)
                 if fact not in deleted and fact not in working:
                     fixes.append(fact)
             if fixes:
@@ -294,12 +313,19 @@ class ParallelRepairSearch:
             visited.add(child)
             if deletion:
                 working.discard(fact)
+                deleted_any.add(fact)
                 state.undo = tracker.notify_removed(fact)
             else:
                 working.add(fact)
+                inserted_any.add(fact)
                 state.undo = tracker.notify_added(fact)
+            for _, added in state.undo.added:
+                region.update(added.body_facts)
             enter(inserted, deleted)
         tally()
+        self.record = SearchRecord.of(
+            self._index.constraints, region, inserted_any, deleted_any
+        )
         yield SearchBatch(found, ())
 
     def close(self) -> None:
@@ -397,7 +423,8 @@ class AnytimeRepairStream:
 
     After exhaustion :attr:`ordered_repairs` holds the repairs in
     discovery order as the :class:`~repro.core.repairs.RepairSequence`
-    ``RepairEngine.repairs`` returns, built from the proven deltas, and
+    ``RepairEngine.repairs`` returns, built from the proven deltas with
+    the search's record attached, and
     :attr:`states_at_first_yield` records how deep into the search the
     first proof landed.
     """
@@ -488,5 +515,7 @@ class AnytimeRepairStream:
             return
         # The last batch had no open frontier, so every candidate is decided.
         self.ordered_repairs = RepairSequence(
-            base, [(entry.inserted, entry.deleted) for entry in pool if entry.proven]
+            base,
+            [(entry.inserted, entry.deleted) for entry in pool if entry.proven],
+            search.record,
         )

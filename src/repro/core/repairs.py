@@ -35,6 +35,7 @@ from collections import abc
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import (
+    AbstractSet,
     Callable,
     Dict,
     FrozenSet,
@@ -591,6 +592,58 @@ _T = TypeVar("_T")
 RepairDelta = Tuple[FrozenSet[Fact], FrozenSet[Fact]]
 
 
+@dataclass(frozen=True)
+class SearchRecord:
+    """What one finished repair search touched (see :func:`carry_repairs`).
+
+    * ``region`` — *R*: the body facts of every violation in the search
+      tracker's store at any state the search entered (the root store
+      plus each update's ``added``), and every fix of every violation
+      it resolved, deletions and insertions, before the program-denial
+      and ``working`` filters;
+    * ``inserted`` — *I*: every fact the search inserted at any state;
+    * ``deleted`` — *Dl*: every fact it deleted at any state.  So
+      ``D ∪ I`` holds the facts of every state, and ``D ∖ Dl`` lies in
+      every state;
+    * ``settled`` — one flag per constraint of the search's index: a
+      NOT NULL constraint, or one whose antecedent names no predicate
+      of *I* and whose consequent names no predicate of *Dl*.
+    """
+
+    region: FrozenSet[Fact]
+    inserted: FrozenSet[Fact]
+    deleted: FrozenSet[Fact]
+    settled: Tuple[bool, ...]
+
+    @classmethod
+    def of(
+        cls,
+        constraints: Sequence[AnyConstraint],
+        region: Iterable[Fact],
+        inserted: Iterable[Fact],
+        deleted: Iterable[Fact],
+    ) -> "SearchRecord":
+        """The record of a search over *constraints*, with its settled flags."""
+
+        inserted = frozenset(inserted)
+        deleted = frozenset(deleted)
+        inserted_predicates = {fact.predicate for fact in inserted}
+        deleted_predicates = {fact.predicate for fact in deleted}
+        return cls(
+            frozenset(region),
+            inserted,
+            deleted,
+            tuple(
+                isinstance(constraint, NotNullConstraint)
+                or (
+                    constraint.body_predicates().isdisjoint(inserted_predicates)
+                    and constraint.head_predicates().isdisjoint(deleted_predicates)
+                )
+                for constraint in constraints
+            ),
+        )
+
+
 class RepairSequence(abc.Sequence):
     """The repairs of one instance, held as their minimal deltas.
 
@@ -604,15 +657,24 @@ class RepairSequence(abc.Sequence):
     instances in the same order (a plain list of repairs included, from
     either side of ``==``).  :func:`repro.core.cqa.result_from_repairs`
     decides a conjunctive query's answers from :attr:`deltas` without
-    building any repair.
+    building any repair.  The production search attaches its
+    :class:`SearchRecord`, which lets :func:`carry_repairs` carry the
+    deltas across writes; a slice, like the naive search's list, has
+    none.
     """
 
-    __slots__ = ("base", "deltas")
+    __slots__ = ("base", "deltas", "record")
     __hash__ = None  # type: ignore[assignment]
 
-    def __init__(self, base: DatabaseInstance, deltas: Sequence[RepairDelta]):
+    def __init__(
+        self,
+        base: DatabaseInstance,
+        deltas: Sequence[RepairDelta],
+        record: Optional[SearchRecord] = None,
+    ):
         self.base = base
         self.deltas: Tuple[RepairDelta, ...] = tuple(deltas)
+        self.record = record
 
     def __len__(self) -> int:
         return len(self.deltas)
@@ -641,6 +703,120 @@ class RepairSequence(abc.Sequence):
 
     def __repr__(self) -> str:
         return f"RepairSequence({len(self)} repairs)"
+
+
+def carry_repairs(
+    repairs: RepairSequence,
+    current: DatabaseInstance,
+    inserted: AbstractSet[Fact],
+    deleted: AbstractSet[Fact],
+    index: ViolationIndex,
+) -> Optional[RepairSequence]:
+    """The repairs of *current*, carried from *repairs* with no search, or ``None``.
+
+    *repairs* holds the repairs of its base ``D`` and the
+    :class:`SearchRecord` of the search that found them (``R``, ``I``,
+    ``Dl``, the settled flags); *current* is ``D′``, which differs from
+    ``D`` by the net change ``F+`` = *inserted*, ``F−`` = *deleted*.
+    *index* is the search's :class:`ViolationIndex`.  The held deltas
+    are also the repairs of ``D′``, in the same order, when
+
+    1. every write since ``D`` left the session tracker's violations
+       unchanged (an empty :class:`ViolationDelta`) — the caller's
+       part, checked per write;
+    2. no fact of ``F+ ∪ F−`` is in ``R``;
+    3. for every constraint that is not settled, each body match over
+       ``D′ ∪ I`` that uses an ``F+`` fact satisfies one of the
+       constraint's comparisons, or has a head witness in ``D′ ∖ Dl``;
+    4. for every constraint that is not settled, each body match over
+       ``(D ∩ D′) ∪ I`` whose consequent an ``F+`` or ``F−`` fact
+       witnesses satisfies a comparison, or has a head witness among
+       the *stable* facts ``(D ∩ D′) ∖ Dl``, which lie in every state
+       of both searches.
+
+    Rules 2–4 are decided here, after one checkpoint of the ambient
+    request budget, the matches and witness probes running on
+    :class:`~repro.compile.kernel.FactOverlay` views of *current*; a
+    body match is a match of the kernel's plans, so the relevant-null
+    guard applies.  The carried sequence keeps the deltas and the
+    record, over a base built from the old base plus the net change —
+    never a copy of *current*, so the caller's next write still finds
+    its relations owned.
+
+    Why it holds.  A state ``s`` of the search over ``D`` holds
+    ``D_s = (D ∖ del_s) ∪ ins_s`` with ``ins_s ⊆ I`` and ``del_s ⊆ Dl``.
+    Every applied fix is a fix of a resolved violation, so ``I`` and
+    ``Dl`` lie in ``R`` and miss ``F+ ∪ F−`` (rule 2); the same fixes
+    applied to ``D′`` give ``D′_s = (D_s ∖ F−) ∪ F+``.  Every state the
+    search entered has the same violations over ``D′_s`` as over ``D_s``:
+
+    * a settled constraint's antecedent sees no inserted fact and its
+      consequent loses no base fact in any state, so its violations at
+      ``s`` are the root's violations whose body ``del_s`` misses and no
+      fact of ``ins_s`` witnesses, over ``D`` and over ``D′`` alike, and
+      rule 1 makes the two roots' violations equal.  A NOT NULL
+      violation is one fact, which rule 1 alone keeps;
+    * for any other constraint, a violation at ``D_s`` was in the
+      tracker's store at ``s``, so its body facts lie in ``R`` and
+      (rule 2) outside ``F−``: its match survives in ``D′_s``.  A
+      witness it gains is an ``F+`` fact, which would make it a match
+      over ``(D ∩ D′) ∪ I`` that rule 4 gives a stable witness, one
+      ``D_s`` holds too.  Conversely, a violation at ``D′_s`` that uses
+      an ``F+`` fact is a match over ``D′ ∪ I``, to which rule 3 gives a
+      witness in ``D′ ∖ Dl ⊆ D′_s``; so it lies in ``D_s ∖ F−``, and a
+      witness in ``D_s`` that ``D′_s`` lacks is an ``F−`` fact, against
+      rule 4 in the same way.
+
+    With the same violations at every state, a search over ``D′``
+    resolves the same violation at each state with the same fixes: the
+    ``working`` filter on insertion fixes reads only facts of ``R``,
+    where ``D_s`` and ``D′_s`` agree.  It enters the same states and
+    finds the same candidates in the same order, each with the same
+    ``∆`` (``I`` misses ``D′`` and ``Dl`` lies in it), so the ``≤_D``
+    filter keeps the same ones.  Its stores and fixes are the same too,
+    so the record carries with the deltas.
+    """
+
+    record = repairs.record
+    if record is None:
+        return None
+    _budget.active().checkpoint()
+    if not inserted and not deleted:
+        return repairs
+    region = record.region
+    if not (region.isdisjoint(inserted) and region.isdisjoint(deleted)):
+        return None
+    settled = record.settled
+    if not all(settled):
+        from repro.compile.kernel import FactOverlay
+
+        units = index.program.units
+        grown = FactOverlay(current, added=record.inserted)
+        open_witnesses = FactOverlay(current, removed=record.deleted)
+        for fact in inserted:
+            for position in index.body_mentions(fact.predicate):
+                if not settled[position] and units[position].unwitnessed_match(  # type: ignore[union-attr]
+                    grown, open_witnesses, seed=fact
+                ):
+                    return None
+        kept = FactOverlay(current, added=record.inserted, removed=inserted)
+        stable = FactOverlay(current, removed=itertools.chain(record.deleted, inserted))
+        for fact in itertools.chain(inserted, deleted):
+            for position in index.head_mentions(fact.predicate):
+                if settled[position]:
+                    continue
+                constraint = index.constraints[position]
+                for partial in _lost_witness_assignments(constraint, fact):  # type: ignore[arg-type]
+                    if units[position].unwitnessed_match(  # type: ignore[union-attr]
+                        kept, stable, partial=partial
+                    ):
+                        return None
+    base = repairs.base.copy()
+    for fact in deleted:
+        base.discard(fact)
+    for fact in inserted:
+        base.add(fact)
+    return RepairSequence(base, repairs.deltas, record)
 
 
 #: The production search: the delta-carrying depth-first search of
@@ -744,7 +920,7 @@ class RepairEngine:
 
         if self._method != PARALLEL_METHOD:
             return self._timed_search(self._candidates_naive, instance)
-        ordered = self._timed_search(self._collect, instance, seed_tracker)
+        ordered, _ = self._timed_search(self._collect, instance, seed_tracker)
         return [instance.with_delta(inserted, deleted) for inserted, deleted in ordered]
 
     def _timed_search(self, search: Callable[..., _T], *args: object) -> _T:
@@ -830,8 +1006,8 @@ class RepairEngine:
         self,
         instance: DatabaseInstance,
         seed_tracker: Optional[ViolationTracker],
-    ) -> List[Tuple[FrozenSet[Fact], FrozenSet[Fact]]]:
-        """The production search's candidates as (Δins, Δdel), in discovery order."""
+    ) -> Tuple[List[RepairDelta], Optional[SearchRecord]]:
+        """The production search's candidates as (Δins, Δdel), in discovery order, and its record."""
 
         from repro.core.parallel import ParallelRepairSearch
 
@@ -844,7 +1020,7 @@ class RepairEngine:
         )
         # The engine reports the search's own counters.
         self.statistics = search.statistics
-        return search.collect()
+        return search.collect(), search.record
 
     def repairs(
         self,
@@ -855,8 +1031,10 @@ class RepairEngine:
 
         The production search returns a :class:`RepairSequence` over a
         snapshot of *instance* and the minimal deltas, which builds each
-        repair only when it is accessed; the naive reference returns a
-        list of instances.  The two compare equal, order included.
+        repair only when it is accessed, with the search's
+        :class:`SearchRecord` attached; the naive reference returns a
+        list of instances, which nothing carries.  The two compare
+        equal, order included.
 
         *seed_tracker* is a :class:`ViolationTracker` over an instance with
         the same facts and constraints; the production search copies its
@@ -871,14 +1049,14 @@ class RepairEngine:
                 minimal, comparisons = _minimal_under_leq_d_counted(instance, candidates)
         else:
             base = instance.copy()
-            ordered = self._timed_search(self._collect, base, seed_tracker)
+            ordered, record = self._timed_search(self._collect, base, seed_tracker)
             started = _clock.now()
             with _trace.span("repair.minimality", candidates=len(ordered)):
                 flags, comparisons = minimal_flags_counted(
                     [inserted | deleted for inserted, deleted in ordered]
                 )
             minimal = RepairSequence(
-                base, [delta for delta, keep in zip(ordered, flags) if keep]
+                base, [delta for delta, keep in zip(ordered, flags) if keep], record
             )
         self.statistics.minimality_seconds = _clock.now() - started
         self.statistics.leq_d_comparisons = comparisons

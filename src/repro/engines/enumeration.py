@@ -6,20 +6,24 @@ search's repairs are minimal deltas over a snapshot, so a negation-free
 conjunctive query is decided from the deltas without building any
 repair; the stable-model route materialises its repairs, and every
 query there is evaluated per repair and intersected.  An anytime
-``certain()`` instead asks each streamed repair about its one candidate
-and stops at the first refutation.  The repair lists themselves come
-from the session's generation-keyed cache (``session.repairs_list``),
-so a warm session answers a second query over an unchanged database
-without re-running the search — and the ``"direct"`` route additionally
-warm-starts its violation store from the session's live
-:class:`ViolationTracker`.
+``certain()`` decides from the deltas too when the session already
+holds this generation's direct repairs; otherwise it asks each streamed
+repair about its one candidate and stops at the first refutation.  The
+repair lists themselves come from the session's generation-keyed cache
+(``session.repairs_list``), so a warm session answers a second query
+over an unchanged database without re-running the search, and the
+direct repairs survive a write the search never reached
+(``session.held_repairs``).  The ``"direct"`` route also warm-starts
+its violation store from the session's live :class:`ViolationTracker`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Tuple
 
+from repro.core.repairs import RepairSequence
 from repro.engines.base import CQAConfig, CQAEngine, register_engine
+from repro.logic.queries import ConjunctiveQuery
 from repro.obs import trace as _trace
 
 if TYPE_CHECKING:
@@ -67,15 +71,22 @@ class DirectEngine(CQAEngine):
         candidate: Tuple,
         config: CQAConfig,
     ) -> bool:
-        """Under ``config.anytime``, decide the candidate over the repair stream.
+        """Under ``config.anytime``, decide the candidate without a full search.
 
-        Repairs arrive from :meth:`ConsistentDatabase.stream_repairs` —
-        the anytime search, or the cached list when one exists — and
-        each is asked about the candidate alone
+        When the session holds this generation's direct repairs as
+        deltas (:meth:`ConsistentDatabase.held_repairs`: cached, or
+        carried across the writes since the last search) and the query
+        is a conjunctive query without negated atoms, the answer is
+        membership in the report decided from those deltas
+        (:meth:`ConsistentDatabase.report_with`), and no repair is
+        built.  Otherwise repairs arrive from
+        :meth:`ConsistentDatabase.stream_repairs` — the anytime search,
+        or the held list — and each is asked about the candidate alone
         (``query.answers(repair, candidate=...)``), so one refuting
-        repair ends the computation without finishing the search.
-        Without ``anytime`` the answer is membership in the session's
-        answer report (:meth:`CQAEngine.certain`).
+        repair ends the computation without finishing the search.  A
+        ``degrade=True`` request always streams.  Without ``anytime``
+        the answer is membership in the session's answer report
+        (:meth:`CQAEngine.certain`).
 
         Under a ``degrade=True`` budget a truncated stream without a
         counterexample returns the best-known answer ``True`` and
@@ -87,6 +98,13 @@ class DirectEngine(CQAEngine):
 
         if not config.anytime:
             return super().certain(session, query, candidate, config)
+        if (
+            not config.degrade
+            and isinstance(query, ConjunctiveQuery)
+            and not query.negative_atoms
+            and isinstance(session.held_repairs(config), RepairSequence)
+        ):
+            return candidate in session.report_with(query, config).answers
         proven = False
         stream = session.stream_repairs(config)
         try:

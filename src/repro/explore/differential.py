@@ -16,7 +16,12 @@ under a per-probe budget, and cross-checks:
 * **certain-answer decisions** — ``session.certain(query, candidate)``
   must agree with membership in the reference answer set (``certain``);
 * **degradation flags** — a probe that silently degraded while the
-  reference ran exact is a ``degradation`` divergence.
+  reference ran exact is a ``degradation`` divergence;
+* **carried repairs** — a relation that needs no second engine: a
+  fresh session reads its direct repairs, then makes two writes, and
+  after each the repairs it serves (carried across the write, or
+  searched again) must equal a fresh search's, deltas and order
+  included (``carry`` otherwise).
 
 Probes that raise the typed budget taxonomy are classified ``budget``;
 probes outside their fragment (``RewritingUnsupportedError``,
@@ -33,10 +38,12 @@ from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.independence import QueryNotIndependentError
 from repro.core.repair_program import RepairProgramError
+from repro.core.repairs import RepairEngine
 from repro.errors import BudgetExceededError
+from repro.resilience import Budget, using_budget
 from repro.rewriting.fragment import RewritingUnsupportedError
 from repro.engines.base import CQAConfig
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Fact
 from repro.workloads.case import ScenarioCase
 
 #: Canonical form of one repair: the sorted fact keys it contains.
@@ -122,7 +129,7 @@ class ProbeResult:
 class Divergence:
     """Two probes (or a probe and the certain() surface) disagreeing."""
 
-    kind: str  # "repairs" | "repair-order" | "answers" | "certain" | "degradation" | "crash"
+    kind: str  # "repairs" | "repair-order" | "answers" | "certain" | "degradation" | "carry" | "crash"
     left: str
     right: str
     detail: str = ""
@@ -281,6 +288,68 @@ def _certain_checks(
     return divergences
 
 
+def _carry_checks(case: ScenarioCase, budget: CQAConfig) -> List[Divergence]:
+    """Repairs served after a write equal a fresh search's, order included.
+
+    A fresh session reads its direct repairs, then deletes its first
+    fact and inserts a copy of that fact whose first value is a
+    constant the scenario does not use.  After each write the deltas of
+    ``repairs_list("direct")`` — carried across the write when the
+    session's check lets them, else searched again — must equal those
+    of a fresh :class:`RepairEngine` search over a snapshot.  A budget
+    error skips the relation.
+    """
+
+    session = case.session()
+    facts = list(session.facts())
+    if not facts:
+        return []
+    victim = facts[0]
+    used = set(session.instance.active_domain()) | set(case.constraints.constants())
+    fresh = "carry"
+    while fresh in used:
+        fresh += "'"
+    writes = [("delete", victim)]
+    if victim.arity:
+        writes.append(("insert", Fact(victim.predicate, (fresh, *victim.values[1:]))))
+    config = session.config.merged(_budget_config(REFERENCE_PROBE, budget))
+    try:
+        session.repairs_list("direct", config)
+        for kind, fact in writes:
+            getattr(session, kind)(fact)
+            served = session.repairs_list("direct", config)
+            request = Budget(deadline=budget.deadline) if budget.deadline is not None else None
+            with using_budget(request):
+                searched = RepairEngine(
+                    session.constraints, max_states=budget.max_states
+                ).repairs(session.snapshot())
+            if served.deltas != searched.deltas:  # type: ignore[attr-defined]
+                return [
+                    Divergence(
+                        kind="carry",
+                        left="direct:served",
+                        right="direct:fresh",
+                        detail=(
+                            f"after {kind} {fact!r} the session served "
+                            f"{len(served)} repairs, a fresh search finds "
+                            f"{len(searched)} (or another order)"
+                        ),
+                    )
+                ]
+    except BudgetExceededError:
+        return []
+    except Exception as exc:  # a crash IS a finding, not a runner failure
+        return [
+            Divergence(
+                kind="crash",
+                left="carry",
+                right="",
+                detail=f"the carry relation raised {type(exc).__name__}: {exc}",
+            )
+        ]
+    return []
+
+
 def run_case(
     case: ScenarioCase,
     probes: Sequence[ProbeSpec] = DEFAULT_PROBES,
@@ -317,6 +386,8 @@ def run_case(
         )
 
     completed = by_status.get("ok", [])
+    if any(result.probe == REFERENCE_PROBE.name for result in completed):
+        outcome.divergences.extend(_carry_checks(case, budget))
     if len(completed) >= 1:
         base = completed[0]
         for other in completed[1:]:

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -69,6 +69,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -78,9 +79,12 @@ from repro.core.cqa import AnswerTuple, CQAResult, result_from_repairs
 from repro.core.repairs import (
     PARALLEL_METHOD,
     RepairEngine,
+    RepairSequence,
     RepairStatistics,
+    ViolationDelta,
     ViolationIndex,
     ViolationTracker,
+    carry_repairs,
 )
 from repro.core.satisfaction import Violation
 from repro.engines import CQAConfig, get_engine
@@ -141,6 +145,10 @@ _SESSION_ROLLED_BACK = _metrics.counter(
 )
 _SESSION_TRACKER_REBUILDS = _metrics.counter(
     "repro_session_tracker_rebuilds_total", "full violation-tracker rebuilds"
+)
+_REPAIRS_CARRIED = _metrics.counter(
+    "repro_repairs_carried_total",
+    "direct repair reads served by repairs carried across writes, each a search not run",
 )
 
 
@@ -237,6 +245,34 @@ class SessionStatistics:
 _JournalEntry = Tuple[str, Fact, Optional[object]]
 
 
+@dataclass
+class _HeldRepairs:
+    """The last direct search's repairs and the net change since their base.
+
+    ``inserted`` and ``deleted`` are the facts written into and out of
+    the base since it was taken (an insert and a delete of one fact
+    cancel), ``generation`` the instance generation they reach, and
+    ``max_states`` the state cap the search ran under.
+    """
+
+    repairs: RepairSequence
+    max_states: Optional[int]
+    generation: int
+    inserted: Set[Fact] = field(default_factory=set)
+    deleted: Set[Fact] = field(default_factory=set)
+
+    def note(self, kind: str, fact: Fact) -> None:
+        """Fold one session write into the net change."""
+
+        added, removed = (
+            (self.inserted, self.deleted) if kind == "insert" else (self.deleted, self.inserted)
+        )
+        if fact in removed:
+            removed.discard(fact)
+        else:
+            added.add(fact)
+
+
 class ConsistentDatabase:
     """A stateful database session answering queries consistently.
 
@@ -322,9 +358,14 @@ class ConsistentDatabase:
         from repro.compile.codegen import codegen_statistics
 
         self._codegen_baseline = codegen_statistics().plans_generated
+        #: The last direct search's repairs while writes may still carry
+        #: them (see :meth:`held_repairs`); ``None`` otherwise.
+        self._held: Optional[_HeldRepairs] = None
         self.statistics = SessionStatistics()
         #: Counters of the most recent repair search run by this session
         #: (``None`` until a repair-enumerating query executes uncached).
+        #: A read served by repairs carried across writes runs no search
+        #: and leaves them as they were: they stay the last search's.
         self.last_repair_statistics: Optional[RepairStatistics] = None
         #: The :class:`repro.resilience.Degradation` record of the most
         #: recent degraded request, or ``None`` when the last budgeted
@@ -386,7 +427,10 @@ class ConsistentDatabase:
         )
 
     def close(self) -> None:
-        """Release held resources (the cached SQLite mirror) and the caches."""
+        """Release held resources (the cached SQLite mirror) and the caches.
+
+        The held repairs go too, so the next read searches again.
+        """
 
         if self._sql_backend is not None:
             self._sql_backend.close()
@@ -394,6 +438,7 @@ class ConsistentDatabase:
             self._sql_backend_schema = None
             self._sql_backend_generation = -1
         self._cache.clear()
+        self._held = None
 
     def __enter__(self) -> "ConsistentDatabase":
         return self
@@ -616,12 +661,29 @@ class ConsistentDatabase:
             return None
         return self._tracker
 
-    def _record_mutation(self, kind: str, fact: Fact, delta: Optional[object]) -> None:
-        self._tracker_generation = self._instance.generation
+    def _record_mutation(
+        self, kind: str, fact: Fact, delta: Optional[ViolationDelta]
+    ) -> None:
+        generation = self._instance.generation
+        self._tracker_generation = generation
         self.statistics.mutations += 1
         _SESSION_MUTATIONS.inc()  # gross count: rollbacks are tallied separately
         if self._journal is not None:
             self._journal.append((kind, fact, delta))
+        held = self._held
+        if held is not None:
+            # Rule 1 of the carry: the write changed no violation, and the
+            # held net change saw every write since its base.
+            if (
+                delta is None
+                or delta.added
+                or delta.removed
+                or held.generation + 1 != generation
+            ):
+                self._held = None
+            else:
+                held.note(kind, fact)
+                held.generation = generation
 
     @contextmanager
     def batch(self) -> Iterator["ConsistentDatabase"]:
@@ -675,6 +737,7 @@ class ConsistentDatabase:
         else:
             self._tracker = None
             self._tracker_generation = -1
+        self._held = None
         self.statistics.mutations -= len(journal)
         self.statistics.batches_rolled_back += 1
         _SESSION_ROLLED_BACK.inc()
@@ -1067,9 +1130,11 @@ class ConsistentDatabase:
         defensive copies.  The depth-first search starts from the
         session's warm violation tracker, so no full violation sweep
         runs, and at every pause the stream yields the repairs it can
-        now prove.  When the repair list of this generation is already
-        cached it is replayed instead, already "proven".  A fully
-        drained stream caches the repair list, in discovery order; an
+        now prove.  When the session holds the repair list of this
+        generation (:meth:`held_repairs`: cached, or carried across the
+        writes since the last search) it is replayed instead, already
+        "proven".  A fully drained stream caches the repair list, in
+        discovery order, and holds it for later writes to carry; an
         abandoned stream (e.g. an anytime ``certain`` that found its
         counterexample) leaves the rest of the search unexplored.
         Either way, once the stream ends or is closed, the search's
@@ -1085,7 +1150,7 @@ class ConsistentDatabase:
         generation = self._instance.generation
         key = self._direct_repairs_key(config, generation)
         self.last_degradation = None
-        cached = self._cache.get(key)
+        cached = self._held_repairs(config, key, generation)
         if cached is not None:
             yield from cached
             return
@@ -1129,6 +1194,7 @@ class ConsistentDatabase:
                 _metrics.absorb_repair_statistics(search.statistics)
                 if stream.ordered_repairs is not None:
                     self._cache.put(key, stream.ordered_repairs, generation)
+                    self._hold(stream.ordered_repairs, config.max_states, generation)
 
     def repair_count(self, method: str = "direct", **overrides: Any) -> int:
         """The exact number of repairs (enumerates them, cached).
@@ -1167,28 +1233,24 @@ class ConsistentDatabase:
     def repairs_list(self, method: str, config: CQAConfig) -> Sequence[DatabaseInstance]:
         """The repairs of the current instance, cached per generation.
 
-        ``"direct"`` runs :class:`RepairEngine` — its production search
-        warm-started from the session's violation tracker, so no full
-        violation sweep happens per query — and caches the
+        ``"direct"`` serves :meth:`held_repairs` when it can; otherwise it
+        runs :class:`RepairEngine` — its production search warm-started
+        from the session's violation tracker, so no full violation sweep
+        happens per query — and caches the
         :class:`~repro.core.repairs.RepairSequence` it returns (minimal
         deltas over a snapshot; ``len()`` builds nothing, each access
-        builds one repair); ``"program"`` caches the stable-model
-        route's list.  Engines and the repair iterator share this
-        cache; treat the returned sequence and its instances as
-        read-only.
+        builds one repair) and holds it for later writes to carry;
+        ``"program"`` caches the stable-model route's list.  Engines and
+        the repair iterator share this cache; treat the returned
+        sequence and its instances as read-only.
         """
 
         generation = self._instance.generation
         if method == "direct":
             key = self._direct_repairs_key(config, generation)
-        elif method == "program":
-            key = ("repairs", "program", generation)
-        else:
-            raise ValueError(f"unknown repair enumeration method {method!r}")
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        if method == "direct":
+            held = self._held_repairs(config, key, generation)
+            if held is not None:
+                return held
             engine = RepairEngine(
                 self._constraints,
                 max_states=config.max_states,
@@ -1199,13 +1261,82 @@ class ConsistentDatabase:
             with self._budget_scope(config):
                 found = engine.repairs(self._instance, seed_tracker=seed)
             self.last_repair_statistics = engine.statistics
-        else:
+            self._hold(found, config.max_states, generation)
+        elif method == "program":
+            key = ("repairs", "program", generation)
+            cached = self._cache.get(key)
+            if cached is not None:
+                return cached
             from repro.core.repair_program import program_repairs
 
             with self._budget_scope(config):
                 found = program_repairs(self._instance, self._constraints).repairs
+        else:
+            raise ValueError(f"unknown repair enumeration method {method!r}")
         self._cache.put(key, found, generation)
         return found
+
+    def held_repairs(self, config: CQAConfig) -> Optional[Sequence[DatabaseInstance]]:
+        """This generation's direct repairs if the session holds them, else ``None``.
+
+        Runs no search: the cached repair list of this generation, or
+        else the last search's repairs carried across the writes since
+        their base (:func:`~repro.core.repairs.carry_repairs`, inside a
+        ``repair.carry`` span), which are then cached under this
+        generation and become the new base.  Every session write whose
+        tracker delta is empty notes its fact in the net change; any
+        other write, a rollback, an out-of-band write under
+        ``copy=False``, :meth:`close` or a failed carry drops the held
+        repairs, and a request with another ``max_states`` ignores them.
+        """
+
+        generation = self._instance.generation
+        return self._held_repairs(
+            config, self._direct_repairs_key(config, generation), generation
+        )
+
+    def _held_repairs(
+        self, config: CQAConfig, key: Tuple, generation: int
+    ) -> Optional[Sequence[DatabaseInstance]]:
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        held = self._held
+        if held is None or held.max_states != config.max_states:
+            return None
+        if held.generation != generation:  # the instance moved out of band
+            self._held = None
+            return None
+        with _trace.span("repair.carry") as sp:
+            carried = carry_repairs(
+                held.repairs, self._instance, held.inserted, held.deleted,
+                self._violation_index,
+            )
+            if sp:
+                sp.add(
+                    inserted=len(held.inserted),
+                    deleted=len(held.deleted),
+                    carried=carried is not None,
+                )
+        if carried is None:
+            self._held = None
+            return None
+        _REPAIRS_CARRIED.inc()
+        self._held = _HeldRepairs(carried, held.max_states, generation)
+        self._cache.put(key, carried, generation)
+        return carried
+
+    def _hold(
+        self, repairs: Sequence[DatabaseInstance], max_states: Optional[int], generation: int
+    ) -> None:
+        """Hold a finished search's repairs of the current instance for writes to carry."""
+
+        if (
+            isinstance(repairs, RepairSequence)
+            and repairs.record is not None
+            and generation == self._instance.generation
+        ):
+            self._held = _HeldRepairs(repairs, max_states, generation)
 
     def rewritten(self, query: Query) -> "RewrittenQuery":
         """The first-order rewriting of *query*, from its :meth:`plan`.

@@ -2,6 +2,10 @@
 
 import pytest
 
+import repro.session as session_module
+from repro.constraints.ic import ConstraintSet
+from repro.constraints.parser import parse_constraints, parse_query
+from repro.core.repairs import RepairSequence
 from repro.explore.differential import (
     ALL_PROBES,
     REFERENCE_PROBE,
@@ -12,6 +16,8 @@ from repro.explore.differential import (
 )
 from repro.explore.registry import iter_scenarios
 from repro.explore.sources.corpus import corpus_entries
+from repro.relational.instance import DatabaseInstance
+from repro.workloads.case import ScenarioCase
 
 
 class TestProbeSpecs:
@@ -102,3 +108,40 @@ class TestRunCase:
         assert len(keys) == len(repairs)
         for repair in repairs:
             assert repair_key(repair) == tuple(sorted(repair_key(repair)))
+
+
+class TestCarryRelation:
+    """Repairs a session serves after a write equal a fresh search's."""
+
+    #: Deleting the first fact, Child(c1, p), changes no violation at the
+    #: root (Parent(p, bad) witnesses it), but the search reached it: once
+    #: it deletes Parent(p, bad), the child dangles.
+    CASE = ScenarioCase(
+        name="carry-region",
+        instance=DatabaseInstance.from_dict(
+            {"Child": [("c1", "p")], "Parent": [("p", "bad")]}
+        ),
+        constraints=ConstraintSet(
+            parse_constraints(["Child(c, p) -> Parent(p, q)", "Parent(p, q) -> q != 'bad'"])
+        ),
+        query=parse_query("ans(c) <- Child(c, p)"),
+    )
+
+    def test_the_relation_finds_nothing_on_the_library(self):
+        outcome = run_case(self.CASE, check_certain=False)
+        assert "carry:direct" not in outcome.signatures
+
+    def test_a_check_that_accepts_every_change_is_reported(self, monkeypatch):
+        def accept_every_change(repairs, current, inserted, deleted, index):
+            base = repairs.base.copy()
+            for fact in deleted:
+                base.discard(fact)
+            for fact in inserted:
+                base.add(fact)
+            return RepairSequence(base, repairs.deltas, repairs.record)
+
+        monkeypatch.setattr(session_module, "carry_repairs", accept_every_change)
+        outcome = run_case(self.CASE, check_certain=False)
+        assert "carry:direct" in outcome.signatures
+        carry = next(d for d in outcome.divergences if d.kind == "carry")
+        assert "Child(c1, p)" in carry.detail

@@ -43,7 +43,9 @@ def test_the_traced_harness_wraps_every_name_it_resolves():
         recorder.begin(0, "query")
         answers = db.report(query).answers
         recorder.end()
-        db.insert("Emp", ("late", "d", 1))  # a new generation: no cache serves it
+        # A second row for key e0 changes a violation, so neither the
+        # cache nor the carried repairs serve: the anytime stream runs.
+        db.insert("Emp", ("e0", "d", 1))
         recorder.begin(1, "certain")
         held = db.certain(query, ("e0",), anytime=True)
         recorder.end()

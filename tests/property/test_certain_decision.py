@@ -18,7 +18,11 @@
   rendering and direct enumeration agree on the three two-atom fragment
   queries over keys and a foreign key;
 * **repairs** — an anytime decision over a cached repair list builds no
-  index on any repair and attaches nothing to any repair.
+  index on any repair and attaches nothing to any repair;
+* **held deltas** — after a write the session's held repairs carry
+  across, an anytime ``certain()`` (decided from the deltas for a
+  negation-free conjunctive query, over the held list otherwise) is
+  membership in the naive search's answer set, and runs no search.
 """
 
 import pytest
@@ -33,8 +37,9 @@ from repro.constraints.terms import Variable
 from repro.core.cqa import consistent_answers
 from repro.logic.formula import AtomFormula, ComparisonFormula, Exists, Not, conjunction
 from repro.logic.queries import ConjunctiveQuery, FirstOrderQuery
+from repro.obs import metrics
 from repro.relational.domain import NULL
-from repro.relational.instance import DatabaseInstance
+from repro.relational.instance import DatabaseInstance, Fact
 from repro.relational.schema import DatabaseSchema
 from repro.rewriting import rewrite_query
 from repro.workloads import (
@@ -390,8 +395,9 @@ def _footprint(repair):
 
 
 def test_a_decision_over_a_cached_repair_list_leaves_the_repairs_as_they_were():
-    """The anytime stream replays a cached list; each repair is asked about
-    the candidate alone, on relations that hold no index."""
+    """A decision over a cached list builds no repair's index: from the
+    deltas for a negation-free query, else the anytime stream replays the
+    list and asks each repair about the candidate alone."""
 
     instance, constraints = grouped_key_workload(n_groups=3, group_size=3, n_clean=10, seed=1)
     db = ConsistentDatabase(
@@ -407,6 +413,69 @@ def test_a_decision_over_a_cached_repair_list_leaves_the_repairs_as_they_were():
         (parse_query("ans(d) <- Emp(e, d, s)"), ("dept0_0",), False),
         (parse_query("ans(e) <- Emp(e, d, s), s > 100"), ("dup1",), True),
         (parse_query("ans() <- Emp(e, d, s), d = 'dept0_1'"), (), False),
+        (parse_query("ans(e) <- Emp(e, d, s), not Tag(e)"), ("dup1",), True),
     ):
         assert db.certain(query, candidate, anytime=True) is expected, query
     assert [_footprint(repair) for repair in repairs] == before
+
+
+# --------------------------------------------------------------------------- held deltas
+def carried_session(instance, constraints):
+    """A session whose direct repairs were carried across one write.
+
+    The write is a copy of the first fact with a constant the case does
+    not use as its first value, or, when the check refuses that, a fact
+    of a predicate no constraint names.  Returns the session and the
+    carried repairs.
+    """
+
+    used = set(instance.active_domain()) | set(constraints.constants())
+    fresh = "carried"
+    while fresh in used:
+        fresh += "'"
+    writes = [Fact("Unconstrained", (fresh,))]
+    victim = next(iter(instance.facts()), None)
+    if victim is not None and victim.arity:
+        writes.insert(0, Fact(victim.predicate, (fresh, *victim.values[1:])))
+    carried = metrics.registry().get("repro_repairs_carried_total")
+    for write in writes:
+        db = ConsistentDatabase(instance, constraints)
+        db.repairs_list("direct", db.config)
+        db.insert(write)
+        before = carried.value
+        repairs = db.held_repairs(db.config)
+        if repairs is not None:
+            assert carried.value == before + 1
+            return db, repairs
+    raise AssertionError("no write carried the repairs")
+
+
+@pytest.mark.parametrize("null_is_unknown", NULL_CONVENTIONS)
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_an_anytime_decision_from_held_deltas_is_naive_membership(
+    name, instance, constraints, null_is_unknown
+):
+    db, _ = carried_session(instance, constraints)
+    searched = db.last_repair_statistics
+    snapshot = db.snapshot()
+    naive = ConsistentDatabase(snapshot, constraints)
+    for query in queries_for(snapshot, constraints):
+        reference = outcome(
+            lambda: naive.consistent_answers(
+                query, method="direct", repair_mode="naive", null_is_unknown=null_is_unknown
+            )
+        )
+        pool = outcome(lambda: query.answers(snapshot, null_is_unknown=null_is_unknown))
+        pool = set(pool) if isinstance(pool, frozenset) else set()
+        if isinstance(reference, frozenset):
+            pool |= reference
+        for candidate in candidates_for(query, pool):
+            got = outcome(
+                lambda: db.certain(
+                    query, candidate, method="direct", anytime=True,
+                    null_is_unknown=null_is_unknown,
+                )
+            )
+            expected = candidate in reference if isinstance(reference, frozenset) else reference
+            assert got == expected, (query, candidate)
+    assert db.last_repair_statistics is searched

@@ -15,6 +15,9 @@ takes the reference path (evaluate on every repair, intersect):
   small versions of the end-to-end benchmark's three enumerating
   sessions, on the two corpus witnesses and on the two-atom fragment
   joins of a mixed schema, under both null conventions;
+* **carried** — on the certain-decision suite's cases, a sequence the
+  session carried across a write answers like the per-repair reference
+  over a fresh search's repairs, under both null conventions;
 * **fallback** — a comparison that raises on a match found only in the
   envelope gives the reference's result, or its exception;
 * **the lazy sequence** — ``len()`` and ``repair_count()`` build no
@@ -43,7 +46,14 @@ from repro.workloads import (
     scenarios,
 )
 
-from test_certain_decision import CASES, CASE_IDS, NULL_CONVENTIONS, outcome, queries_for
+from test_certain_decision import (
+    CASES,
+    CASE_IDS,
+    NULL_CONVENTIONS,
+    carried_session,
+    outcome,
+    queries_for,
+)
 
 
 def assert_pinned(instance, constraints, queries, null_is_unknown):
@@ -88,6 +98,28 @@ def builds(monkeypatch):
 @pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
 def test_the_certain_decision_cases_agree(name, instance, constraints, null_is_unknown):
     assert_pinned(instance, constraints, queries_for(instance, constraints), null_is_unknown)
+
+
+@pytest.mark.parametrize("null_is_unknown", NULL_CONVENTIONS)
+@pytest.mark.parametrize("name,instance,constraints", CASES, ids=CASE_IDS)
+def test_a_carried_sequence_answers_like_a_fresh_search(
+    name, instance, constraints, null_is_unknown
+):
+    db, carried = carried_session(instance, constraints)
+    snapshot = db.snapshot()
+    fresh = list(RepairEngine(constraints).repairs(snapshot))
+    for query in queries_for(snapshot, constraints):
+        fast = outcome(
+            lambda: result_from_repairs(carried, query, null_is_unknown=null_is_unknown)
+        )
+        reference = outcome(
+            lambda: result_from_repairs(fresh, query, null_is_unknown=null_is_unknown)
+        )
+        if isinstance(reference, type):
+            assert fast == reference, query
+        else:
+            assert fast.answers == reference.answers, query
+            assert fast.repair_count == reference.repair_count, query
 
 
 EMP = parse_constraints(

@@ -15,7 +15,11 @@ that caching can ever change an answer:
   mutated instance (cache-invalidation correctness), and its conflict
   graph, built from that tracker, equals the one built from the
   nested-loop reference violations;
-* a rolled-back batch leaves every observable answer unchanged.
+* a rolled-back batch leaves every observable answer unchanged;
+* after every write of both suites the direct repairs the session
+  serves — carried across the write when the check lets them
+  (``core/repairs.py::carry_repairs``), else searched again — equal a
+  fresh search's, deltas and order included.
 """
 
 import pytest
@@ -26,6 +30,7 @@ from repro import ConsistentDatabase
 from repro.constraints.ic import ConstraintSet
 from repro.constraints.parser import parse_constraint, parse_query
 from repro.core.cqa import consistent_answers
+from repro.core.repairs import RepairEngine
 from repro.core.repairs import repairs as functional_repairs
 from repro.core.satisfaction import all_violations
 from repro.relational.domain import NULL
@@ -164,6 +169,15 @@ common_settings = settings(
 )
 
 
+def assert_served_repairs_are_fresh(db):
+    """The session's direct repairs equal a fresh search's, order included."""
+
+    served = db.repairs_list("direct", db.config)
+    snapshot = db.snapshot()
+    assert served.deltas == RepairEngine(CONSTRAINTS).repairs(snapshot).deltas
+    assert served.base.fact_set() == snapshot.fact_set()
+
+
 @common_settings
 @given(initial=st.lists(FACTS, max_size=4), operations=OPERATIONS)
 def test_session_stays_equivalent_under_interleaved_mutations(initial, operations):
@@ -177,6 +191,7 @@ def test_session_stays_equivalent_under_interleaved_mutations(initial, operation
             db.insert(fact)
         else:
             db.delete(fact)
+        assert_served_repairs_are_fresh(db)
         snapshot = db.snapshot()
         assert set(db.violations()) == set(all_violations(snapshot, CONSTRAINTS))
         assert graph_signature(db.conflict_graph()) == naive_graph_signature(
@@ -206,7 +221,9 @@ def test_rolled_back_batch_changes_nothing(initial, operations):
                     db.insert(fact)
                 else:
                     db.delete(fact)
+                assert_served_repairs_are_fresh(db)
             raise ZeroDivisionError
+    assert_served_repairs_are_fresh(db)
     assert db.snapshot().fact_set() == before_facts
     assert set(db.violations()) == before_violations
     assert graph_signature(db.conflict_graph()) == before_graph

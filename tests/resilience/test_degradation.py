@@ -210,3 +210,19 @@ class TestDeadlineLatency:
         assert elapsed < 2 * deadline, (
             f"deadline-capped stream took {elapsed:.2f}s for a {deadline}s deadline"
         )
+
+    def test_the_program_route_answers_to_its_deadline(self):
+        # gen-0-1241: the stable-model search visits about 95,000 nodes and
+        # runs about 47,500 stable-model checks, so it must check the
+        # request budget per node, not only while grounding.
+        from repro.explore.registry import child_seed
+        from repro.obs import clock
+        from repro.workloads.generators import random_scenario
+
+        case = random_scenario(child_seed(0, 1241), allow_cyclic_rics=False)
+        db = case.session()
+        started = clock.now()
+        with pytest.raises(DeadlineExceededError):
+            db.consistent_answers(case.query, method="program", deadline=0.5)
+        elapsed = clock.now() - started
+        assert elapsed < 2.0, f"the program route took {elapsed:.2f}s for a 0.5s deadline"

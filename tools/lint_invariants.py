@@ -59,10 +59,12 @@ RULES: Dict[str, str] = {
 
 CLOCK_OWNER = "src/repro/obs/clock.py"
 #: Modules/packages whose exception handling must stay narrow: the
-#: compiled kernel, logic evaluation, the relational layer, the repair
-#: search and the answer decision all propagate typed
-#: budget/cancellation errors.
+#: stable-model solver, the engines, the compiled kernel, logic
+#: evaluation, the relational layer, the repair search and the answer
+#: decision all propagate typed budget/cancellation errors.
 HOT_PATHS = (
+    "src/repro/asp/",
+    "src/repro/engines/",
     "src/repro/compile/",
     "src/repro/logic/",
     "src/repro/relational/",
