@@ -19,9 +19,10 @@ frontier**: for every state on the stack, its committed delta plus each
 of its fixes still untried — the roots of the subtrees not yet explored.
 A finished search also leaves its
 :class:`~repro.core.repairs.SearchRecord`: the facts of every violation
-it met and every fix it tried, and every fact it inserted or deleted,
-which lets a session carry the repairs across a later write the search
-never reached (:func:`~repro.core.repairs.carry_repairs`).
+it met and every fix it tried, every fact it inserted or deleted, and
+what each of its leaves deleted, which lets a session carry the repairs
+across a later write the search never reached
+(:func:`~repro.core.repairs.carry_repairs`).
 
 :class:`AnytimeRepairStream` turns the pauses into an **anytime**
 enumeration: a candidate ``C`` is provably a repair *before the search
@@ -213,12 +214,14 @@ class ParallelRepairSearch:
         stack: List[_State] = []
         found: List[Candidate] = []
         # The record: every violation's body facts and every fix (region),
-        # every fact inserted and every fact deleted at any state.
+        # every fact inserted and every fact deleted at any state, and the
+        # deletions of every leaf (a candidate or a dead branch).
         region: Set[Fact] = set()
         for violation in tracker.violations():
             region.update(violation.body_facts)
         inserted_any: Set[Fact] = set()
         deleted_any: Set[Fact] = set()
+        leaf_deletions: Set[FrozenSet[Fact]] = set()
 
         def spent(budget: Budget) -> bool:
             """Is the budget spent?  Then settle it (degrade or raise)."""
@@ -245,6 +248,7 @@ class ParallelRepairSearch:
             if not violations:
                 stats.candidates_found += 1
                 found.append((inserted, deleted))
+                leaf_deletions.add(deleted)
                 if budget is not None:
                     budget.charge_memory(_DELTA_COST * (len(inserted) + len(deleted)))
                 return
@@ -262,6 +266,7 @@ class ParallelRepairSearch:
                 stack.append(_State(inserted, deleted, fixes, deletions))
             else:
                 stats.dead_branches += 1
+                leaf_deletions.add(deleted)
 
         def tally() -> None:
             # Called just before each yield: only the time since the search
@@ -324,7 +329,7 @@ class ParallelRepairSearch:
             enter(inserted, deleted)
         tally()
         self.record = SearchRecord.of(
-            self._index.constraints, region, inserted_any, deleted_any
+            self._index.constraints, region, inserted_any, deleted_any, leaf_deletions
         )
         yield SearchBatch(found, ())
 

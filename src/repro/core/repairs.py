@@ -605,6 +605,11 @@ class SearchRecord:
     * ``deleted`` — *Dl*: every fact it deleted at any state.  So
       ``D ∪ I`` holds the facts of every state, and ``D ∖ Dl`` lies in
       every state;
+    * ``leaf_deletions`` — what each leaf of the search (a candidate or
+      a dead branch) deleted, each distinct set once.  A state's
+      deletions only grow along a branch, and a child the search skips
+      as visited was entered before, so every state the search entered
+      deleted a subset of one of them;
     * ``settled`` — one flag per constraint of the search's index: a
       NOT NULL constraint, or one whose antecedent names no predicate
       of *I* and whose consequent names no predicate of *Dl*.
@@ -613,6 +618,7 @@ class SearchRecord:
     region: FrozenSet[Fact]
     inserted: FrozenSet[Fact]
     deleted: FrozenSet[Fact]
+    leaf_deletions: Tuple[FrozenSet[Fact], ...]
     settled: Tuple[bool, ...]
 
     @classmethod
@@ -622,6 +628,7 @@ class SearchRecord:
         region: Iterable[Fact],
         inserted: Iterable[Fact],
         deleted: Iterable[Fact],
+        leaf_deletions: Iterable[FrozenSet[Fact]],
     ) -> "SearchRecord":
         """The record of a search over *constraints*, with its settled flags."""
 
@@ -633,6 +640,7 @@ class SearchRecord:
             frozenset(region),
             inserted,
             deleted,
+            tuple(leaf_deletions),
             tuple(
                 isinstance(constraint, NotNullConstraint)
                 or (
@@ -716,10 +724,14 @@ def carry_repairs(
 
     *repairs* holds the repairs of its base ``D`` and the
     :class:`SearchRecord` of the search that found them (``R``, ``I``,
-    ``Dl``, the settled flags); *current* is ``D′``, which differs from
-    ``D`` by the net change ``F+`` = *inserted*, ``F−`` = *deleted*.
-    *index* is the search's :class:`ViolationIndex`.  The held deltas
-    are also the repairs of ``D′``, in the same order, when
+    ``Dl``, the leaf deletion sets, the settled flags); *current* is
+    ``D′``, which differs from ``D`` by the net change ``F+`` =
+    *inserted*, ``F−`` = *deleted*.  *index* is the search's
+    :class:`ViolationIndex`.  A match *has a head witness in every
+    state* of a fact set ``S`` when one of its witnesses lies in
+    ``S ∖ Dl``, or else, for each leaf deletion set ``l``, one lies in
+    ``S ∖ l``.  The held deltas are also the repairs of ``D′``, in the
+    same order, when
 
     1. every write since ``D`` left the session tracker's violations
        unchanged (an empty :class:`ViolationDelta`) — the caller's
@@ -727,24 +739,30 @@ def carry_repairs(
     2. no fact of ``F+ ∪ F−`` is in ``R``;
     3. for every constraint that is not settled, each body match over
        ``D′ ∪ I`` that uses an ``F+`` fact satisfies one of the
-       constraint's comparisons, or has a head witness in ``D′ ∖ Dl``;
+       constraint's comparisons, or has a head witness in every state
+       of ``D′``;
     4. for every constraint that is not settled, each body match over
        ``(D ∩ D′) ∪ I`` whose consequent an ``F+`` or ``F−`` fact
-       witnesses satisfies a comparison, or has a head witness among
-       the *stable* facts ``(D ∩ D′) ∖ Dl``, which lie in every state
-       of both searches.
+       witnesses satisfies a comparison, or has a head witness in every
+       state of ``D ∩ D′``, the facts both searches share.
 
     Rules 2–4 are decided here, after one checkpoint of the ambient
     request budget, the matches and witness probes running on
     :class:`~repro.compile.kernel.FactOverlay` views of *current*; a
     body match is a match of the kernel's plans, so the relevant-null
-    guard applies.  The carried sequence keeps the deltas and the
-    record, over a base built from the old base plus the net change —
-    never a copy of *current*, so the caller's next write still finds
-    its relations owned.
+    guard applies.  The leaf deletion sets are read only for a match
+    that no fact outside ``Dl`` witnesses, e.g. a child of a key
+    conflict's parent, each of whose rows some repair deletes.  The
+    carried sequence keeps the deltas and the record, over a base
+    built from the old base plus the net change — never a copy of
+    *current*, so the caller's next write still finds its relations
+    owned.
 
     Why it holds.  A state ``s`` of the search over ``D`` holds
-    ``D_s = (D ∖ del_s) ∪ ins_s`` with ``ins_s ⊆ I`` and ``del_s ⊆ Dl``.
+    ``D_s = (D ∖ del_s) ∪ ins_s`` with ``ins_s ⊆ I`` and ``del_s ⊆ Dl``,
+    and ``del_s`` lies in some leaf deletion set (:class:`SearchRecord`),
+    so a match with a head witness in every state of ``S`` has one in
+    ``S ∖ del_s``.
     Every applied fix is a fix of a resolved violation, so ``I`` and
     ``Dl`` lie in ``R`` and miss ``F+ ∪ F−`` (rule 2); the same fixes
     applied to ``D′`` give ``D′_s = (D_s ∖ F−) ∪ F+``.  Every state the
@@ -760,12 +778,13 @@ def carry_repairs(
       tracker's store at ``s``, so its body facts lie in ``R`` and
       (rule 2) outside ``F−``: its match survives in ``D′_s``.  A
       witness it gains is an ``F+`` fact, which would make it a match
-      over ``(D ∩ D′) ∪ I`` that rule 4 gives a stable witness, one
-      ``D_s`` holds too.  Conversely, a violation at ``D′_s`` that uses
-      an ``F+`` fact is a match over ``D′ ∪ I``, to which rule 3 gives a
-      witness in ``D′ ∖ Dl ⊆ D′_s``; so it lies in ``D_s ∖ F−``, and a
-      witness in ``D_s`` that ``D′_s`` lacks is an ``F−`` fact, against
-      rule 4 in the same way.
+      over ``(D ∩ D′) ∪ I`` that rule 4 gives a witness in
+      ``(D ∩ D′) ∖ del_s``, one ``D_s`` holds too.  Conversely, a
+      violation at ``D′_s`` that uses an ``F+`` fact is a match over
+      ``D′ ∪ I``, to which rule 3 gives a witness in
+      ``D′ ∖ del_s ⊆ D′_s``; so it lies in ``D_s ∖ F−``, and a witness
+      in ``D_s`` that ``D′_s`` lacks is an ``F−`` fact, against rule 4
+      in the same way.
 
     With the same violations at every state, a search over ``D′``
     resolves the same violation at each state with the same fixes: the
@@ -791,12 +810,40 @@ def carry_repairs(
         from repro.compile.kernel import FactOverlay
 
         units = index.program.units
+        leaves = record.leaf_deletions
+
+        def open_in_some_state(
+            position: int,
+            matches: "FactOverlay",
+            outside_dl: "FactOverlay",
+            excluded: AbstractSet[Fact],
+            seed: Optional[Fact] = None,
+            partial: Optional[Dict[Variable, Constant]] = None,
+        ) -> bool:
+            # Rules 3 and 4: does some state keep no head witness of some
+            # match over *matches*, the witnesses taken from current ∖
+            # excluded?  *outside_dl* is current ∖ excluded ∖ Dl, which
+            # every state keeps; only a match it leaves open reads the
+            # leaf deletion sets.
+            unit = units[position]
+            if not unit.unwitnessed_match(matches, outside_dl, seed=seed, partial=partial):  # type: ignore[union-attr]
+                return False
+            return any(
+                unit.unwitnessed_match(  # type: ignore[union-attr]
+                    matches,
+                    FactOverlay(current, removed=itertools.chain(leaf, excluded)),
+                    seed=seed,
+                    partial=partial,
+                )
+                for leaf in leaves
+            )
+
         grown = FactOverlay(current, added=record.inserted)
         open_witnesses = FactOverlay(current, removed=record.deleted)
         for fact in inserted:
             for position in index.body_mentions(fact.predicate):
-                if not settled[position] and units[position].unwitnessed_match(  # type: ignore[union-attr]
-                    grown, open_witnesses, seed=fact
+                if not settled[position] and open_in_some_state(
+                    position, grown, open_witnesses, frozenset(), seed=fact
                 ):
                     return None
         kept = FactOverlay(current, added=record.inserted, removed=inserted)
@@ -807,9 +854,7 @@ def carry_repairs(
                     continue
                 constraint = index.constraints[position]
                 for partial in _lost_witness_assignments(constraint, fact):  # type: ignore[arg-type]
-                    if units[position].unwitnessed_match(  # type: ignore[union-attr]
-                        kept, stable, partial=partial
-                    ):
+                    if open_in_some_state(position, kept, stable, inserted, partial=partial):
                         return None
     base = repairs.base.copy()
     for fact in deleted:

@@ -11,10 +11,13 @@ and the next read checks the net change against the record
   with another ``max_states``;
 * **carries** — a write the search never reached serves the held
   deltas over a new base, with no search, and an anytime ``certain()``
-  decides from them;
+  decides from them; a new child of a key conflict's parent carries
+  too, though some repair deletes each of the parent's rows, because
+  no state deletes both;
 * **the benchmark's streams** — replaying ``perfbench``'s
-  ``repair_enum`` and ``pool_enum`` streams (seed 1), the repairs served
-  at every read equal a fresh search's, and every write carries;
+  ``repair_enum`` and ``pool_enum`` streams (seed 1, and seed 7, whose
+  ``fk`` writes join the conflicted parent), the repairs served at
+  every read equal a fresh search's, and every write carries;
 * **attribution** — ``explain(analyze=True)`` on a carried request
   shows ``repair.carry`` and no ``repair.search``.
 """
@@ -153,6 +156,27 @@ def test_rule_3_a_match_whose_only_witness_the_search_deletes_is_refused():
     assert watch.carried_since == 0 and watch.searched_since
 
 
+def test_rule_3_a_match_whose_witnesses_one_state_deletes_together_is_refused():
+    # Two checks delete both parents in every repair: no leaf keeps a
+    # witness of the new child.
+    db = ConsistentDatabase(
+        {"Child": [("c1", "p")], "Parent": [("p", "a"), ("p", "b")]},
+        parse_constraints(
+            [
+                "Child(c, p) -> Parent(p, q)",
+                "Parent(p, q) -> q != 'a'",
+                "Parent(p, q) -> q != 'b'",
+            ]
+        ),
+        method="direct",
+    )
+    before = fresh_deltas(db)
+    watch = read_then(db, [CHILD_QUERY], lambda db: db.insert("Child", ("c9", "p")))
+    assert fresh_deltas(db) != before
+    assert_like_a_fresh_search(db, [CHILD_QUERY, PARENT_QUERY])
+    assert watch.carried_since == 0 and watch.searched_since
+
+
 def test_rule_3_a_match_that_joins_an_inserted_fix_is_refused():
     db = ConsistentDatabase({"T": [("t",)]}, NULL_WITNESS, method="direct")
     before = fresh_deltas(db)
@@ -225,6 +249,26 @@ def test_a_write_the_search_never_reached_carries_the_deltas():
     assert_like_a_fresh_search(db, [CHILD_QUERY, PARENT_QUERY])
 
 
+def test_a_child_of_a_key_conflicts_parent_carries():
+    # Some repair deletes Parent(p, a) and another Parent(p, b), so both
+    # lie in Dl; but no state deletes both, so the new child keeps a
+    # witness in every state (the leaf deletion sets).
+    db = ConsistentDatabase(
+        {"Child": [("c1", "p")], "Parent": [("p", "a"), ("p", "b")]},
+        parse_constraints(
+            ["Child(c, p) -> Parent(p, q)", "Parent(p, q), Parent(p, r) -> q = r"]
+        ),
+        method="direct",
+    )
+    held = db.repairs_list("direct", db.config)
+    assert held.record.deleted >= {Fact("Parent", ("p", "a")), Fact("Parent", ("p", "b"))}
+    watch = Watch(db)
+    db.insert("Child", ("c9", "p"))
+    assert db.repairs_list("direct", db.config).deltas == held.deltas
+    assert watch.carried_since == 1 and not watch.searched_since
+    assert_like_a_fresh_search(db, [CHILD_QUERY, PARENT_QUERY])
+
+
 def test_an_insert_and_a_delete_of_one_fact_cancel():
     db = fk_check_db()
     held = db.repairs_list("direct", db.config)
@@ -287,10 +331,9 @@ def program_row(row):
     return tuple(NULL if value is None else value for value in row)
 
 
-@pytest.mark.parametrize("workload", ["repair_enum", "pool_enum"])
-def test_the_benchmark_streams_carry_every_write(monkeypatch, workload):
-    workloads = load_perfbench_workloads(monkeypatch)
-    built = workloads.WORKLOADS[workload](1, 1)
+def replay(built):
+    """Run a built workload's warm pass and stream against fresh searches."""
+
     dbs = {
         name: ConsistentDatabase(
             {pred: [program_row(row) for row in rows] for pred, rows in spec.rows.items()},
@@ -327,3 +370,23 @@ def test_the_benchmark_streams_carry_every_write(monkeypatch, workload):
             if timed:
                 assert any(op.kind == "mutation" for op in step)
     assert isinstance(served, RepairSequence)
+
+
+@pytest.mark.parametrize("workload", ["repair_enum", "pool_enum"])
+def test_the_benchmark_streams_carry_every_write(monkeypatch, workload):
+    workloads = load_perfbench_workloads(monkeypatch)
+    replay(workloads.WORKLOADS[workload](1, 1))
+
+
+def test_the_repair_enum_stream_carries_children_of_the_conflicted_parent(monkeypatch):
+    # Seed 7's fk writes insert a child of the parent in a key conflict.
+    workloads = load_perfbench_workloads(monkeypatch)
+    built = workloads.WORKLOADS["repair_enum"](7, 1)
+    parents = [row[0] for row in built.sessions["fk"].rows["Parent"]]
+    conflicted = {parent for parent in parents if parents.count(parent) > 1} - {None}
+    assert any(
+        op.pred == "Child" and op.row[1] in conflicted
+        for step in built.stream
+        for op in step
+    )
+    replay(built)
